@@ -1,32 +1,31 @@
-// bench_lax_divergence — the committed lax-vs-strict drift study for
-// the bounded-skew sharded drain. For each quantized scenario it runs
-// the strict sharded engine, then the lax drain at each requested skew,
-// all at the SAME (seed, config, trace), and reports how far the
+// bench_lax_divergence — the committed windowed-vs-exact drift study
+// for the bounded-skew windowed engine. For each quantized scenario it
+// runs the exact engine, then the windowed engine at each requested
+// skew, all at the SAME (seed, config, trace), and reports how far the
 // headline metrics move:
 //
-//   {"bench": "lax_divergence", "seed": 42, "reps": 8, "skews": [0, 1, 4],
+//   {"bench": "lax_divergence", "seed": 42, "reps": 8, "skews": [1, 4],
 //    "scenarios": [{"scenario": "q1_static_1k", "nodes": 1000,
-//      "strict": {"continuity": 0.97, "stabilization_s": 8.1, ...},
+//      "exact": {"continuity": 0.97, "stabilization_s": 8.1, ...},
 //      "points": [{"skew": 1, "continuity": 0.969,
 //                  "continuity_delta": -0.001, "continuity_rel": -0.0008,
 //                  ...}, ...]}, ...]}
 //
-// Lax mode is an intentional approximation (shards drain up to
-// skew x grid ahead of the global frontier so Phase A pops can fork);
-// this study is the evidence the approximation is faithful, and the
-// skew-0 row doubles as a zero-drift witness (skew 0 IS strict, so
-// every delta there must print exactly 0). CI feeds the skew-1 means
-// into bench/check_drift.py against the committed drift budget — the
-// gate measures live, per BENCHMARKS.md, and this JSON is the archived
-// evidence trail.
+// The windowed engine is an intentional approximation (shards drain up
+// to skew x grid ahead of the earliest pending event so the per-shard
+// pops can fork); this study is the evidence the approximation is
+// faithful. CI feeds the skew-1 means into bench/check_drift.py against
+// the committed drift budget — the gate measures live, per
+// BENCHMARKS.md, and this JSON is the archived evidence trail.
 //
 // Replication protocol matches bench_quantized_divergence: means over
 // --reps matched replication_seed streams, with the continuity spread
 // reported so deltas can be read against run-to-run noise.
 //
-// Default sweep: the q1_ and f5_q1_ families (lax needs a latency
-// grid; a continuous scenario is a hard error, not a silent
-// strict-equals-strict row).
+// Default sweep: the q1_ and f5_q1_ families (the windowed engine needs
+// a latency grid; a continuous scenario is a hard error, not a silent
+// exact-equals-exact row). Skews are >= 1: skew 0 is the exact engine,
+// the reference itself.
 //
 //   bench_lax_divergence [--scenarios A,B,...] [--skews K,K,...]
 //                        [--seed S] [--reps N] [--duration SEC]
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
   using namespace continu;
 
   std::vector<std::string> names;
-  std::vector<unsigned> skews = {0, 1, 4};
+  std::vector<unsigned> skews = {1, 4};
   std::uint64_t seed = 42;
   std::size_t reps = 8;
   double duration = 0.0;  // 0 = scenario default
@@ -128,13 +127,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--skews") == 0 && i + 1 < argc) {
       skews.clear();
       for (const auto& k : split_csv(argv[++i])) {
-        const auto parsed = runner::cli::parse_uint(k.c_str());
+        const auto parsed = runner::cli::parse_positive_u32(k.c_str());
         if (!parsed.has_value()) {
-          std::fprintf(stderr, "--skews expects integers >= 0, got '%s'\n",
+          std::fprintf(stderr, "--skews expects integers >= 1, got '%s'\n",
                        k.c_str());
           return 1;
         }
-        skews.push_back(static_cast<unsigned>(*parsed));
+        skews.push_back(*parsed);
       }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_uint(argv[++i]);
@@ -167,7 +166,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Default sweep: every quantized family member lax can run on.
+  // Default sweep: every quantized family member the windowed engine
+  // can run on.
   std::vector<runner::Scenario> scenarios;
   if (names.empty()) {
     for (const char* family : {"q1_", "f5_q1_"}) {
@@ -179,13 +179,11 @@ int main(int argc, char** argv) {
     for (const auto& name : names) scenarios.push_back(bench::require_scenario(name));
   }
   for (const auto& scenario : scenarios) {
-    if (runner::spec_for(scenario, seed).config.latency_grid_ms <= 0.0) {
-      // Lax never engages without a grid; a continuous scenario here
-      // would print a vacuous zero-drift row and poison the study.
-      std::fprintf(stderr,
-                   "scenario '%s' has no latency grid — lax mode needs a "
-                   "quantized scenario (q1_*, f5_q1_*, ...)\n",
-                   scenario.name.c_str());
+    // A continuous scenario would print a vacuous zero-drift row and
+    // poison the study.
+    auto config = runner::spec_for(scenario, seed).config;
+    if (const auto problem = runner::cli::select_engine(config, skews.front())) {
+      std::fprintf(stderr, "%s: %s\n", scenario.name.c_str(), problem->c_str());
       return 1;
     }
   }
@@ -193,7 +191,7 @@ int main(int argc, char** argv) {
   // Human-readable table on stderr, pure JSON record on stdout — the CI
   // artifact step redirects stdout to the archived file.
   std::fprintf(stderr,
-               "lax divergence — strict vs bounded-skew sharded drain, same "
+               "lax divergence — exact vs bounded-skew windowed engine, same "
                "trace/seed\n%-20s %6s %12s %12s %10s %10s\n",
                "scenario", "skew", "continuity", "delta", "rel", "stab_ds");
 
@@ -209,17 +207,15 @@ int main(int argc, char** argv) {
   for (const auto& scenario : scenarios) {
     auto spec = runner::spec_for(scenario, seed);
     if (duration > 0.0) spec.duration = duration;
-    spec.config.sharded_queue = true;
     spec.snapshot = std::make_shared<const trace::TraceSnapshot>(
         trace::generate_snapshot(spec.trace));
 
-    spec.config.queue_skew_buckets = 0;
     const Sampled base = sample_config(spec, seed, reps);
     std::fprintf(stderr, "%-20s %6s %12.6f %12s %10s %10s  [%0.4f, %0.4f]\n",
-                 scenario.name.c_str(), "strict", base.mean.continuity, "-",
+                 scenario.name.c_str(), "exact", base.mean.continuity, "-",
                  "-", "-", base.continuity_min, base.continuity_max);
 
-    std::printf("%s{\"scenario\": \"%s\", \"nodes\": %zu, \"strict\": {",
+    std::printf("%s{\"scenario\": \"%s\", \"nodes\": %zu, \"exact\": {",
                 first_scenario ? "" : ", ", scenario.name.c_str(),
                 scenario.node_count);
     first_scenario = false;
@@ -229,8 +225,10 @@ int main(int argc, char** argv) {
                 base.continuity_min, base.continuity_max);
 
     for (std::size_t k = 0; k < skews.size(); ++k) {
-      spec.config.queue_skew_buckets = skews[k];
-      const Sampled lax = sample_config(spec, seed, reps);
+      auto windowed = spec;
+      windowed.config.sharded_queue = true;
+      windowed.config.queue_skew_buckets = skews[k];
+      const Sampled lax = sample_config(windowed, seed, reps);
       const double delta = lax.mean.continuity - base.mean.continuity;
       const double rel =
           base.mean.continuity > 0.0 ? delta / base.mean.continuity : 0.0;

@@ -12,19 +12,13 @@
 // curve is expected ~1.0x (hardware_concurrency records that); the
 // ROADMAP "≥2x at 4 threads" target is judged on 4+ core hardware.
 //
-// --sharded-queue runs every point on the sharded event-queue engine;
-// the fingerprint cross-check then ALSO proves the sharded engine
-// reproduces the single-queue result at every width (the reference
-// point at threads=1 still runs sharded — byte-identity to the
-// single-queue engine is the fingerprint oracle's job).
-//
-// --queue-skew K (with --sharded-queue, quantized scenario) runs every
-// point in lax mode at that skew. The cross-thread fingerprint check
-// then enforces lax determinism: a fixed skew must produce identical
-// results at every width, even though lax differs from strict.
+// --queue-skew K (K >= 1, quantized scenario) runs every point on the
+// windowed engine at that skew. The cross-thread fingerprint check then
+// enforces windowed determinism: a fixed skew must produce identical
+// results at every width, even though it differs from the exact engine.
 //
 //   bench_session_scaling [--scenario NAME] [--duration SEC] [--seed S]
-//                         [--sharded-queue] [--queue-skew K]
+//                         [--queue-skew K]
 
 #include <chrono>
 #include <cinttypes>
@@ -44,7 +38,6 @@ int main(int argc, char** argv) {
   std::string name = "static_1k";
   double duration = 0.0;  // 0 = scenario default
   std::uint64_t seed = 42;
-  bool sharded_queue = false;
   unsigned queue_skew = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
@@ -59,8 +52,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       seed = *parsed;
-    } else if (std::strcmp(argv[i], "--sharded-queue") == 0) {
-      sharded_queue = true;
     } else if (std::strcmp(argv[i], "--queue-skew") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_uint(argv[++i]);
       if (!parsed.has_value()) {
@@ -72,7 +63,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scenario NAME] [--duration SEC] [--seed S] "
-                   "[--sharded-queue] [--queue-skew K]\n",
+                   "[--queue-skew K]\n",
                    argv[0]);
       return 1;
     }
@@ -81,8 +72,10 @@ int main(int argc, char** argv) {
   const auto scenario = bench::require_scenario(name);
   auto spec = runner::spec_for(scenario, seed);
   if (duration > 0.0) spec.duration = duration;
-  spec.config.sharded_queue = sharded_queue;
-  spec.config.queue_skew_buckets = queue_skew;
+  if (const auto problem = runner::cli::select_engine(spec.config, queue_skew)) {
+    std::fprintf(stderr, "%s\n", problem->c_str());
+    return 1;
+  }
   // Build the snapshot once, outside every timed region.
   spec.snapshot = std::make_shared<const trace::TraceSnapshot>(
       trace::generate_snapshot(spec.trace));
@@ -118,10 +111,9 @@ int main(int argc, char** argv) {
 
   std::printf("{\"bench\": \"session_scaling\", \"scenario\": \"%s\", "
               "\"nodes\": %zu, \"duration\": %.1f, \"seed\": %" PRIu64 ", "
-              "\"sharded_queue\": %s, \"queue_skew\": %u, "
+              "\"queue_skew\": %u, "
               "\"hardware_concurrency\": %u, \"points\": [",
-              name.c_str(), scenario.node_count, spec.duration, seed,
-              sharded_queue ? "true" : "false", queue_skew,
+              name.c_str(), scenario.node_count, spec.duration, seed, queue_skew,
               std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < points.size(); ++i) {
     std::printf("%s{\"threads\": %u, \"seconds\": %.3f, \"speedup\": %.3f}",

@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
-"""Lax-drain drift-budget gate.
+"""Windowed-engine drift-budget gate.
 
 Reads a bench_lax_divergence JSON record and FAILS (exit 1) when the
-lax sharded drain's mean-continuity drift versus strict mode exceeds
+windowed engine's mean-continuity drift versus the exact engine exceeds
 the committed budget:
 
     check_drift.py --budget bench/budgets/drift_q1_static_1k.json <bench_json>
 
 The budget file pins (scenario, skew, max_abs_continuity_delta): the
-record must contain that scenario, its strict baseline, and a point at
-that skew, all measured live in the same CI run — the gate never
+record must contain that scenario, its exact-engine baseline, and a
+point at that skew, all measured live in the same CI run — the gate never
 compares against committed measurements, per the BENCHMARKS.md
 philosophy. Deltas are mean-vs-mean over matched replication seeds
 (the bench's protocol); ``min_reps`` in the budget rejects records
 sampled too thinly to mean anything.
 
-Two invariants ride along whenever the record carries them:
-
-* a skew-0 point must show EXACTLY zero drift — skew 0 is defined as
-  strict, so any nonzero delta there means the lax path leaked into
-  the strict engine (that is a regression, not noise);
-* the strict baseline must be present and well-formed.
-
-Exit codes: 0 gate passed, 1 drift over budget (or a skew-0 leak),
-2 usage / malformed input.
+Exit codes: 0 gate passed, 1 drift over budget, 2 usage / malformed
+input.
 """
 
 import argparse
@@ -68,12 +61,12 @@ def check_record(path: str, budget: dict) -> bool:
     if scenario is None:
         raise ValueError(f"no scenario '{scenario_name}' in {path}")
 
-    strict = scenario.get("strict")
-    if not isinstance(strict, dict) or not isinstance(
-        strict.get("continuity"), (int, float)
+    exact = scenario.get("exact")
+    if not isinstance(exact, dict) or not isinstance(
+        exact.get("continuity"), (int, float)
     ):
         raise ValueError(
-            f"scenario '{scenario_name}' in {path} has no strict baseline"
+            f"scenario '{scenario_name}' in {path} has no exact baseline"
         )
 
     points = scenario.get("points")
@@ -83,27 +76,6 @@ def check_record(path: str, budget: dict) -> bool:
         raise ValueError(
             f"'points' is not a list of objects for '{scenario_name}' in {path}"
         )
-
-    ok = True
-
-    # Skew-0 leak check: skew 0 IS strict, so its delta is zero by
-    # definition — a nonzero value can only come from an engine bug.
-    zero = next((p for p in points if p.get("skew") == 0), None)
-    if zero is not None:
-        delta0 = zero.get("continuity_delta")
-        if not isinstance(delta0, (int, float)):
-            raise ValueError(
-                f"skew=0 point for '{scenario_name}' in {path} has no "
-                f"numeric 'continuity_delta'"
-            )
-        if delta0 != 0.0:
-            print(
-                f"drift gate [{scenario_name}]: FAIL — skew 0 drifted "
-                f"{delta0:+.6f} from strict; skew 0 is strict by "
-                f"definition, so the lax path leaked into the strict engine",
-                file=sys.stderr,
-            )
-            ok = False
 
     target = next((p for p in points if p.get("skew") == skew), None)
     if target is None:
@@ -117,22 +89,22 @@ def check_record(path: str, budget: dict) -> bool:
 
     print(
         f"drift gate [{scenario_name} skew={skew}, reps={reps}]: mean "
-        f"continuity {target.get('continuity')} vs strict "
-        f"{strict['continuity']}, drift {delta:+.6f}, budget "
+        f"continuity {target.get('continuity')} vs exact "
+        f"{exact['continuity']}, drift {delta:+.6f}, budget "
         f"|delta| <= {ceiling:.6f}"
     )
-    if abs(float(delta)) > ceiling:
-        print(
-            f"drift gate [{scenario_name} skew={skew}]: FAIL — mean "
-            f"continuity drifted {delta:+.6f}, over the {ceiling:.6f} "
-            f"budget. Either the lax window grew a reordering bug or the "
-            f"approximation genuinely coarsened; re-measure locally with "
-            f"bench_lax_divergence and either fix the drain or justify a "
-            f"budget change in the same PR.",
-            file=sys.stderr,
-        )
-        ok = False
-    return ok
+    if abs(float(delta)) <= ceiling:
+        return True
+    print(
+        f"drift gate [{scenario_name} skew={skew}]: FAIL — mean "
+        f"continuity drifted {delta:+.6f}, over the {ceiling:.6f} "
+        f"budget. Either the window drain grew a reordering bug or the "
+        f"approximation genuinely coarsened; re-measure locally with "
+        f"bench_lax_divergence and either fix the drain or justify a "
+        f"budget change in the same PR.",
+        file=sys.stderr,
+    )
+    return False
 
 
 def main() -> int:

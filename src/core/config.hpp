@@ -133,28 +133,22 @@ struct SystemConfig {
   /// thread count WITHIN a mode; the two modes are distinct universes
   /// (see the committed divergence study for the metric deltas).
   double latency_grid_ms = 0.0;
-  /// Sharded event-queue engine (strict mode): per-shard slot-pool
-  /// heaps under a meta-heap time frontier, with quantized deliveries
-  /// routed through per-lane hand-off heaps drained in parallel at
-  /// each grid barrier. Off by default — the single queue stays the
-  /// oracle; results are REQUIRED to be byte-identical either way at
-  /// every thread count (CI diffs fingerprints on-vs-off).
+  /// Event engine. Two exist:
+  ///   exact (default) — one event queue executing in global
+  ///     (time, seq) order; the oracle every fingerprint refers to.
+  ///   windowed(k) — sharded_queue on, queue_skew_buckets = k >= 1 and
+  ///     a positive latency_grid_ms: the queue drains in k-grid-bucket
+  ///     windows whose per-shard pops fork across the session executor
+  ///     (docs/DETERMINISM.md contract 7). Deterministic and
+  ///     thread-count invariant per k, but each k is its own universe.
+  /// Any other combination runs the exact engine.
   bool sharded_queue = false;
-  /// Shard count for the sharded engine (rounded up to a power of
-  /// two). Identity holds for ANY value — the frontier walk restores
-  /// global order — so this is purely a performance knob.
-  unsigned sharded_queue_shards = 8;
-  /// Bounded clock skew for the sharded engine, in latency-grid
-  /// buckets. 0 = strict mode (byte-identical to the single-queue
-  /// oracle, unchanged). k >= 1 = lax mode: shards drain events up to
-  /// k grid buckets ahead of the global meta-heap frontier, with the
-  /// per-shard pops forked across the session executor and cross-shard
-  /// emissions fenced to the next window. Lax runs are deterministic
-  /// and thread-count invariant PER SKEW SETTING, but each k >= 1 is a
-  /// different universe from strict (see docs/DETERMINISM.md contract
-  /// 7 and the committed drift study). Requires sharded_queue and a
-  /// positive latency_grid_ms; ignored otherwise.
   unsigned queue_skew_buckets = 0;
+
+  /// True when this config selects the windowed engine.
+  [[nodiscard]] bool windowed_engine() const noexcept {
+    return sharded_queue && queue_skew_buckets > 0 && latency_grid_ms > 0.0;
+  }
 
   /// Convenience: mean inbound rate (the lambda of Section 5.1). The
   /// rate distribution is a truncated exponential on [min, max] with

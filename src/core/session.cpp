@@ -119,18 +119,15 @@ std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
 Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot)
     : config_(config),
       space_(fit_id_space(config.id_space, snapshot.node_count())),
-      // 0 = single-queue oracle; the sharded engine rounds its shard
-      // count up to a power of two itself (so 0 shards still means at
-      // least the 2-shard minimum once the switch is on).
-      sim_(config.sharded_queue ? std::max(1u, config.sharded_queue_shards) : 0),
+      // ParallelExecutor resolves 0 to hardware_concurrency itself.
+      exec_(config.threads),
+      sim_(engine_config()),
       network_(sim_, net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
                                                    config.latency_grid_ms)),
       directory_(space_),
       rp_(space_, util::Rng(config.seed ^ 0x5250ULL)),
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
-      // ParallelExecutor resolves 0 to hardware_concurrency itself.
-      exec_(config.threads),
       rounds_(sim_, config.scheduling_period,
               [this](std::size_t user) { on_round_tick(user); }) {
   rounds_.set_batch_tick(
@@ -192,24 +189,6 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     obs_counters_->ensure_shards(1);
   }
   network_.set_observability(profiler_.get(), trace_.get());
-  // Lax mode: bounded-skew windowed drain instead of the strict
-  // frontier walk. Only engages on the sharded engine under a positive
-  // latency grid (the skew unit is a grid bucket); any other
-  // combination silently stays strict, which is what keeps skew-0 —
-  // and skew on non-applicable configs — byte-identical to today.
-  if (config_.sharded_queue && config_.queue_skew_buckets > 0 &&
-      network_.quantized()) {
-    sim::Simulator::LaxConfig lax;
-    lax.skew_buckets = config_.queue_skew_buckets;
-    lax.grid_s = network_.grid_s();
-    lax.exec = &exec_;
-    lax.on_fork = [this](std::size_t shards) {
-      if (profiler_ != nullptr) {
-        profiler_->begin_fork_phase(obs::Phase::kLaxDrain, shards);
-      }
-    };
-    sim_.set_lax_drain(std::move(lax));
-  }
   build_nodes(snapshot);
   assign_initial_neighbors(snapshot);
   populate_initial_dht();
@@ -217,6 +196,20 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
 }
 
 Session::~Session() = default;
+
+sim::Simulator::LaxConfig Session::engine_config() {
+  sim::Simulator::LaxConfig lax;
+  if (!config_.windowed_engine()) return lax;
+  lax.skew_buckets = config_.queue_skew_buckets;
+  lax.grid_s = config_.latency_grid_ms / 1000.0;
+  lax.exec = &exec_;
+  lax.on_fork = [this](std::size_t shards) {
+    if (profiler_ != nullptr) {
+      profiler_->begin_fork_phase(obs::Phase::kLaxDrain, shards);
+    }
+  };
+  return lax;
+}
 
 void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   const std::size_t n = snapshot.node_count();
@@ -2042,30 +2035,21 @@ std::shared_ptr<const obs::ObsReport> Session::obs_report() {
     put("engine.peak_queue_depth", sim_.peak_pending());
     put("net.delivery_batches", network_.delivery_batches());
     put("net.batched_deliveries", network_.batched_deliveries());
-    // Sharded-engine frontier diagnostics: all zero on the single
-    // queue, deterministic (thread-count invariant) on the sharded
-    // one — the counter snapshot contract holds either way.
+    // Windowed-engine diagnostics: skew-stall (shards/lanes a window
+    // could not feed) plus the per-shard lead histogram — how far past
+    // each window's anchor the collected events sat, in grid buckets.
+    // Absent on the exact engine, deterministic (thread-count
+    // invariant) per skew on the windowed one.
     if (const sim::ShardedEventQueue* squeue = sim_.sharded_queue()) {
-      put("engine.queue_shards", squeue->shard_count());
-      put("engine.frontier_advances", squeue->frontier_advances());
-      put("engine.frontier_stalled_shards", squeue->frontier_stalled_shards());
-      put("net.frontier_barriers", network_.frontier_barriers());
-      put("net.frontier_stalled_lanes", network_.frontier_stalled_lanes());
-      // Lax-mode diagnostics: skew-stall (shards/lanes a window could
-      // not feed) vs the strict counters' frontier-stall, plus the
-      // per-shard lead histogram — how far past each window's anchor
-      // the collected events sat, in grid buckets. All deterministic
-      // per skew setting; identically zero in strict mode.
-      if (sim_.lax()) {
-        put("engine.lax_windows", squeue->lax_windows());
-        put("engine.lax_events_drained", squeue->lax_events_drained());
-        put("engine.lax_stalled_shards", squeue->lax_stalled_shards());
-        put("net.lax_handoff_windows", network_.lax_handoff_windows());
-        const std::vector<std::uint64_t>& hist = squeue->lax_lead_histogram();
-        for (std::size_t b = 0; b < hist.size(); ++b) {
-          report->counter_values.emplace_back(
-              "engine.lax_lead_bucket_" + std::to_string(b), hist[b]);
-        }
+      put("engine.lax_windows", squeue->lax_windows());
+      put("engine.lax_events_drained", squeue->lax_events_drained());
+      put("engine.lax_stalled_shards", squeue->lax_stalled_shards());
+      put("net.lax_handoff_windows", network_.lax_handoff_windows());
+      put("net.lax_stalled_lanes", network_.lax_stalled_lanes());
+      const std::vector<std::uint64_t>& hist = squeue->lax_lead_histogram();
+      for (std::size_t b = 0; b < hist.size(); ++b) {
+        report->counter_values.emplace_back(
+            "engine.lax_lead_bucket_" + std::to_string(b), hist[b]);
       }
     }
   }

@@ -405,6 +405,10 @@ class Session {
   void obs_ensure_shards(std::size_t shards);
 
   // --- helpers -----------------------------------------------------------
+  /// The engine config_ selects, as the simulator's construction
+  /// argument: windowed on exec_ when config_.windowed_engine(), exact
+  /// otherwise.
+  [[nodiscard]] sim::Simulator::LaxConfig engine_config();
   [[nodiscard]] bool alive_index(std::size_t index) const;
   [[nodiscard]] std::optional<std::size_t> alive_node_by_id(NodeId id) const;
   [[nodiscard]] bool in_time(const Node& node, SegmentId id, SimTime now) const;
@@ -412,6 +416,10 @@ class Session {
 
   SystemConfig config_;
   dht::IdSpace space_;
+  /// Fork/join worker pool for round batches, per-period sweeps and the
+  /// windowed engine's collection forks (declared before sim_, which
+  /// holds a pointer to it).
+  sim::parallel::ParallelExecutor exec_;
   sim::Simulator sim_;
   net::Network network_;
   /// Compiled FaultPlan (null when the plan is inert — the network
@@ -425,8 +433,6 @@ class Session {
   overlay::RendezvousServer rp_;
   overlay::ChurnPlanner churn_;
   util::Rng rng_;
-  /// Fork/join worker pool for round batches and per-period sweeps.
-  sim::parallel::ParallelExecutor exec_;
 
   /// Reserved RoundScheduler tags for the session-wide per-period
   /// ticks batched alongside the node rounds.

@@ -1,29 +1,11 @@
 #include "net/handoff.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace continu::net {
 
-namespace {
-
-std::uint32_t round_up_pow2(unsigned lanes) {
-  if (lanes < 2) lanes = 2;
-  if (lanes > 64) {
-    throw std::invalid_argument("DeliveryLanes: lane count too large");
-  }
-  std::uint32_t n = 2;
-  while (n < lanes) n <<= 1;
-  return n;
-}
-
-}  // namespace
-
-DeliveryLanes::DeliveryLanes(unsigned lanes)
-    : lanes_(round_up_pow2(lanes)),
-      lane_mask_(static_cast<std::uint32_t>(lanes_.size()) - 1),
-      meta_(static_cast<std::uint32_t>(lanes_.size())) {}
+DeliveryLanes::DeliveryLanes() : lanes_(kLanes), meta_(kLanes) {}
 
 std::uint32_t DeliveryLanes::Lane::acquire_slot() {
   if (free_head != kNoFree) {
@@ -49,7 +31,7 @@ void DeliveryLanes::Lane::release_slot(std::uint32_t index) noexcept {
 
 void DeliveryLanes::enqueue(std::uint32_t to, bool filtered, SimTime when,
                             std::uint64_t seq, DeliveryAction action) {
-  const std::uint32_t lane_index = to & lane_mask_;
+  const std::uint32_t lane_index = to & (kLanes - 1);
   Lane& lane = lanes_[lane_index];
   const std::uint32_t index = lane.acquire_slot();
   Slot& s = lane.slot(index);
@@ -77,31 +59,10 @@ void DeliveryLanes::refresh_meta(std::uint32_t lane_index) {
   }
 }
 
-bool DeliveryLanes::next_key(SimTime& time, std::uint64_t& seq) const {
+bool DeliveryLanes::next_time(SimTime& time) const {
   if (meta_.empty()) return false;
-  const sim::MetaHeap::Top top = meta_.top();
-  time = top.time;
-  seq = top.key;
+  time = meta_.top().time;
   return true;
-}
-
-void DeliveryLanes::collect_due(unsigned lane_index, SimTime time) {
-  Lane& lane = lanes_[lane_index];
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.key > b.key;
-  };
-  // `time` is the global barrier instant (the meta-heap minimum), so
-  // no lane can hold anything earlier; pops surface this instant's
-  // entries in ascending key = ascending sequence order.
-  while (!lane.heap.empty() && lane.heap.front().time == time) {
-    const HeapEntry top = lane.heap.front();
-    std::pop_heap(lane.heap.begin(), lane.heap.end(), later);
-    lane.heap.pop_back();
-    lane.due.push_back(DueRef{top.time, top.key >> kSlotBits,
-                             static_cast<std::uint32_t>(top.key & kSlotMask)});
-  }
-  assert(lane.heap.empty() || lane.heap.front().time > time);
 }
 
 void DeliveryLanes::collect_due_window(unsigned lane_index, SimTime limit) {
@@ -135,8 +96,8 @@ std::size_t DeliveryLanes::merge_due_window(std::vector<HandoffEntry>& out,
   out.reserve(out.size() + total);
   times.reserve(times.size() + total);
   // K-way merge by (time, seq) over the (time, seq)-sorted per-lane
-  // due lists. Entries at one instant come out in global sequence
-  // order — identical to the strict barrier's merge at that instant.
+  // due lists: a linear scan over the lane heads per item. Entries at
+  // one instant come out in global sequence order.
   std::vector<std::size_t> cursor(lanes_.size(), 0);
   for (std::size_t produced = 0; produced < total; ++produced) {
     std::size_t best_lane = lanes_.size();
@@ -157,49 +118,6 @@ std::size_t DeliveryLanes::merge_due_window(std::vector<HandoffEntry>& out,
     const DueRef ref = lane.due[cursor[best_lane]++];
     out.push_back(std::move(lane.slot(ref.slot).entry));
     times.push_back(ref.time);
-    lane.release_slot(ref.slot);
-  }
-  size_ -= total;
-  for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
-    if (!lanes_[l].due.empty()) {
-      lanes_[l].due.clear();
-      refresh_meta(l);
-    }
-  }
-  return active;
-}
-
-std::size_t DeliveryLanes::merge_due(std::vector<HandoffEntry>& out) {
-  std::size_t active = 0;
-  std::size_t total = 0;
-  for (Lane& lane : lanes_) {
-    if (!lane.due.empty()) {
-      ++active;
-      total += lane.due.size();
-    }
-  }
-  if (active == 0) return 0;
-  out.reserve(out.size() + total);
-  // K-way merge by global sequence over the (already seq-sorted)
-  // per-lane due lists: a linear scan over <= 64 lane heads per item.
-  // The merged order IS the single-queue bucket's entry order —
-  // sequences were assigned at enqueue, in schedule order.
-  std::vector<std::size_t> cursor(lanes_.size(), 0);
-  for (std::size_t produced = 0; produced < total; ++produced) {
-    std::size_t best_lane = lanes_.size();
-    std::uint64_t best_seq = 0;
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-      const Lane& lane = lanes_[l];
-      if (cursor[l] >= lane.due.size()) continue;
-      const std::uint64_t seq = lane.due[cursor[l]].seq;
-      if (best_lane == lanes_.size() || seq < best_seq) {
-        best_lane = l;
-        best_seq = seq;
-      }
-    }
-    Lane& lane = lanes_[best_lane];
-    const DueRef ref = lane.due[cursor[best_lane]++];
-    out.push_back(std::move(lane.slot(ref.slot).entry));
     lane.release_slot(ref.slot);
   }
   size_ -= total;

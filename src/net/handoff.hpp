@@ -1,27 +1,25 @@
 #pragma once
-// Cross-shard delivery hand-off lanes for the sharded-queue engine.
+// Delivery hand-off lanes for the windowed engine.
 //
-// In quantized mode on the single-queue engine, deliveries landing on
-// one grid instant collect in a bucket behind a proxy event. On the
-// sharded engine there are no proxies: every hand-off is ranked by a
-// sequence drawn from the simulator's global stream and parked in a
-// per-lane slot-pool heap (lane = receiver & mask, so a receiver's
-// deliveries never split across lanes and per-pair FIFO holds within
-// a lane by sequence order). A MetaHeap over lane heads exposes the
-// earliest pending (time, seq) — the barrier key the simulator's
-// frontier loop interleaves with ordinary events.
+// In quantized mode on the exact engine, deliveries landing on one grid
+// instant collect in a bucket behind a proxy event. On the windowed
+// engine there are no proxies: every hand-off is ranked by a sequence
+// drawn from the simulator's global stream and parked in a per-lane
+// slot-pool heap (lane = receiver & mask, so a receiver's deliveries
+// never split across lanes and per-pair FIFO holds within a lane by
+// sequence order). A MetaHeap over lane heads exposes the earliest
+// pending instant, which competes for the simulator's window anchor.
 //
-// At a barrier the drain runs in two phases:
-//   A (forkable) — each lane pops its due entries into a private,
-//     seq-sorted list; lanes touch only their own heap/scratch, so the
-//     pops run on the session executor under the shard_drain phase.
-//   B (serial) — the per-lane lists merge by global sequence, which
-//     reconstructs the EXACT entry order the single-queue engine's
-//     bucket vector would hold (sequences are assigned at enqueue, in
-//     schedule order). The merged batch feeds the unchanged
-//     Network::dispatch_bucket, so everything downstream — receiver
-//     grouping, shard decomposition, join settlement — is the same
-//     code and the same bytes as the oracle engine.
+// Each window sweeps the lanes in two phases:
+//   A (forkable) — each lane pops its entries due within the window
+//     into a private, (time, seq)-sorted list; lanes touch only their
+//     own heap/scratch, so the pops run on the session executor.
+//   B (serial) — the per-lane lists merge by (time, seq). Sequences are
+//     assigned at enqueue, in send order, so each instant's run comes
+//     out in EXACTLY the order the exact engine's bucket vector would
+//     hold; it feeds the same Network::dispatch_bucket, so receiver
+//     grouping, shard decomposition and join settlement are the same
+//     code as on the exact engine.
 //
 // The lane heaps reuse the EventQueue pattern: 16-byte (time, key)
 // heap entries over stable slot blocks, key = (seq << 24) | slot.
@@ -38,8 +36,8 @@
 namespace continu::net {
 
 /// One delivery awaiting its grid instant: receiver, liveness-filter
-/// class, and the handler. (Also the element of the single-queue
-/// engine's buckets — hoisted out of Network so lanes can store it.)
+/// class, and the handler. (Also the element of the exact engine's
+/// buckets — hoisted out of Network so lanes can store it.)
 struct HandoffEntry {
   std::uint32_t to = 0;
   bool filtered = true;  ///< wire message (liveness-checked) vs local
@@ -48,47 +46,36 @@ struct HandoffEntry {
 
 class DeliveryLanes {
  public:
-  /// Lane count rounds up to a power of two in [2, 64].
-  explicit DeliveryLanes(unsigned lanes);
+  /// One lane per event-queue shard, so the sweep's fork lines up with
+  /// the window collection's.
+  static constexpr unsigned kLanes = sim::ShardedEventQueue::kShards;
+
+  DeliveryLanes();
   DeliveryLanes(const DeliveryLanes&) = delete;
   DeliveryLanes& operator=(const DeliveryLanes&) = delete;
-
-  [[nodiscard]] unsigned lane_count() const noexcept {
-    return static_cast<unsigned>(lanes_.size());
-  }
 
   /// Parks a hand-off for receiver `to` at instant `when`, ranked by
   /// the caller-allocated global sequence. Serial only.
   void enqueue(std::uint32_t to, bool filtered, SimTime when, std::uint64_t seq,
                DeliveryAction action);
 
-  /// Earliest pending (time, seq) across all lanes; false when empty.
-  [[nodiscard]] bool next_key(SimTime& time, std::uint64_t& seq) const;
+  /// Earliest pending hand-off instant across all lanes; false when
+  /// empty.
+  [[nodiscard]] bool next_time(SimTime& time) const;
 
-  /// Phase A: pops lane `lane`'s entries due exactly at `time` into its
-  /// private due list. Touches only lane-local state — safe to fork
+  /// Phase A: pops lane `lane`'s entries due at or before `limit`
+  /// (possibly spanning several grid instants) into its due list, in
+  /// (time, seq) order. Touches only lane-local state — safe to fork
   /// one lane per executor shard.
-  void collect_due(unsigned lane, SimTime time);
-
-  /// Phase B (serial): merges every lane's due list by global sequence
-  /// into `out` (appended in order), releases the slots, and refreshes
-  /// the lane frontiers. Returns the number of lanes that contributed
-  /// at least one entry (the barrier's active-lane count).
-  std::size_t merge_due(std::vector<HandoffEntry>& out);
-
-  /// Lax-window phase A: pops lane `lane`'s entries due at or BEFORE
-  /// `limit` (possibly spanning several grid instants) into its due
-  /// list, in (time, seq) order. Lane-local, forkable like
-  /// collect_due.
   void collect_due_window(unsigned lane, SimTime limit);
 
-  /// Lax-window phase B (serial): merges every lane's due list by
-  /// (time, seq) into `out`, recording each entry's instant in `times`
-  /// (parallel arrays). Within one instant the merged order is global
-  /// sequence order — exactly the strict barrier's entry order — so a
-  /// caller dispatching `out` instant-run by instant-run reproduces
-  /// the strict per-instant batches, just collected in one windowed
-  /// sweep. Returns the active-lane count for the whole window.
+  /// Phase B (serial): merges every lane's due list by (time, seq) into
+  /// `out`, recording each entry's instant in `times` (parallel
+  /// arrays), releases the slots and refreshes the lane heads. Within
+  /// one instant the merged order is global sequence order — send
+  /// order — so a caller dispatching `out` instant-run by instant-run
+  /// reproduces the exact engine's per-instant buckets. Returns the
+  /// number of lanes that contributed at least one entry.
   std::size_t merge_due_window(std::vector<HandoffEntry>& out,
                                std::vector<SimTime>& times);
 
@@ -115,8 +102,7 @@ class DeliveryLanes {
   };
 
   /// Due reference produced by phase A: enough to merge and to find
-  /// the record without touching another lane's state. `time` only
-  /// matters to the windowed merge (strict barriers pop one instant).
+  /// the record without touching another lane's state.
   struct DueRef {
     SimTime time;
     std::uint64_t seq;
@@ -128,7 +114,7 @@ class DeliveryLanes {
     std::vector<HeapEntry> heap;
     std::uint32_t free_head = kNoFree;
     std::uint32_t slot_count = 0;
-    std::vector<DueRef> due;  ///< phase-A scratch, consumed by merge_due
+    std::vector<DueRef> due;  ///< phase-A scratch, consumed by phase B
 
     [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
       return blocks[index >> kBlockShift][index & (kBlockSize - 1)];
@@ -138,7 +124,6 @@ class DeliveryLanes {
   };
 
   std::vector<Lane> lanes_;
-  std::uint32_t lane_mask_ = 0;
   sim::MetaHeap meta_;
   std::size_t size_ = 0;
 

@@ -13,18 +13,13 @@ Network::Network(sim::Simulator& sim, LatencyModel latency)
     : sim_(sim),
       latency_(std::move(latency)),
       grid_s_(latency_.grid_ms() / 1000.0) {
-  // Quantized mode on the sharded engine: hand-offs park in per-lane
-  // heaps instead of proxy-evented buckets, and the simulator's
-  // frontier loop calls back at each barrier instant. One lane per
-  // queue shard keeps the drain fork aligned with the engine's shard
-  // count.
-  if (grid_s_ > 0.0 && sim_.sharded()) {
-    lanes_ = std::make_unique<DeliveryLanes>(sim_.queue_shards());
+  // Quantized mode on the windowed engine: hand-offs park in per-lane
+  // heaps instead of proxy-evented buckets, and the simulator sweeps
+  // them once per window.
+  if (grid_s_ > 0.0 && sim_.windowed()) {
+    lanes_ = std::make_unique<DeliveryLanes>();
     sim::Simulator::FrontierHook hook;
-    hook.next_key = [this](SimTime& time, std::uint64_t& seq) {
-      return lanes_->next_key(time, seq);
-    };
-    hook.dispatch = [this](SimTime time) { fire_frontier(time); };
+    hook.next_time = [this](SimTime& time) { return lanes_->next_time(time); };
     hook.dispatch_window = [this](SimTime limit,
                                   const std::function<void(SimTime)>& begin) {
       return fire_frontier_window(limit, begin);
@@ -90,11 +85,9 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
   // in a bucket whose proxy fires later within this instant.
   if (when < sim_.now()) when = sim_.now();
   if (lanes_ != nullptr) {
-    // Sharded engine: rank the hand-off with a sequence from the
-    // global stream. The FIRST hand-off targeting an instant holds
-    // the same rank the single-queue engine's bucket proxy would
-    // (both are assigned at first enqueue), so the barrier dispatch
-    // lands at the identical point of the global event order.
+    // Windowed engine: rank the hand-off with a sequence from the
+    // global stream, so entries at one instant merge in send order —
+    // the order the exact engine's bucket vector holds them in.
     lanes_->enqueue(to, filtered, when, sim_.allocate_seq(), std::move(action));
     return;
   }
@@ -123,49 +116,17 @@ void Network::fire_bucket(SimTime time) {
   spare_entry_vecs_.push_back(std::move(entries));
 }
 
-void Network::fire_frontier(SimTime time) {
-  ++frontier_barriers_;
-  const unsigned nlanes = lanes_->lane_count();
-  // Phase A: per-lane pops of this instant's hand-offs. Each lane
-  // touches only its own heap and due list, so the pops fork across
-  // the session executor (shard boundaries are one lane per shard —
-  // thread-count independent by construction). The inline fallback
-  // walks the identical decomposition.
-  if (obs_profiler_ != nullptr) {
-    obs_profiler_->begin_fork_phase(obs::Phase::kShardDrain, nlanes);
-  }
-  const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t lane = begin; lane < end; ++lane) {
-      lanes_->collect_due(static_cast<unsigned>(lane), time);
-    }
-  };
-  if (exec_ != nullptr) {
-    exec_->for_shards(nlanes, /*grain=*/1, body);
-  } else {
-    for (unsigned lane = 0; lane < nlanes; ++lane) {
-      lanes_->collect_due(lane, time);
-    }
-  }
-  // Phase B: serial merge by global sequence reconstructs the exact
-  // entry order the single-queue engine's bucket vector would hold;
-  // the unchanged dispatch path does the rest, byte for byte.
-  frontier_entries_.clear();
-  const std::size_t active = lanes_->merge_due(frontier_entries_);
-  frontier_stalled_lanes_ += nlanes - active;
-  dispatch_bucket(frontier_entries_);
-  frontier_entries_.clear();
-}
-
 std::size_t Network::fire_frontier_window(
     SimTime limit, const std::function<void(SimTime)>& begin_instant) {
   SimTime head_time = 0.0;
-  std::uint64_t head_seq = 0;
-  if (!lanes_->next_key(head_time, head_seq) || head_time > limit) return 0;
+  if (!lanes_->next_time(head_time) || head_time > limit) return 0;
   ++lax_handoff_windows_;
-  const unsigned nlanes = lanes_->lane_count();
-  // Phase A: per-lane pops of EVERY instant in the window — the same
-  // lane-local ownership as fire_frontier, with k+1 instants' worth of
-  // entries amortizing one fork instead of one per barrier.
+  constexpr unsigned nlanes = DeliveryLanes::kLanes;
+  // Phase A: per-lane pops of EVERY instant in the window. Each lane
+  // touches only its own heap and due list, so the pops fork across the
+  // session executor (one lane per shard — thread-count independent by
+  // construction); the inline fallback walks the identical
+  // decomposition.
   if (obs_profiler_ != nullptr) {
     obs_profiler_->begin_fork_phase(obs::Phase::kLaxDrain, nlanes);
   }
@@ -177,19 +138,17 @@ std::size_t Network::fire_frontier_window(
   if (exec_ != nullptr) {
     exec_->for_shards(nlanes, /*grain=*/1, body);
   } else {
-    for (unsigned lane = 0; lane < nlanes; ++lane) {
-      lanes_->collect_due_window(lane, limit);
-    }
+    body(0, 0, nlanes);
   }
   // Phase B: one serial merge by (time, seq) for the whole window,
-  // then each instant's run dispatches through the unchanged bucket
-  // path at its own clock — within an instant the entry order is
-  // exactly the strict barrier's.
+  // then each instant's run dispatches through the bucket path at its
+  // own clock — within an instant the entry order is send order, the
+  // exact engine's bucket order.
   frontier_entries_.clear();
   frontier_times_.clear();
   const std::size_t active = lanes_->merge_due_window(frontier_entries_,
                                                       frontier_times_);
-  frontier_stalled_lanes_ += nlanes - active;
+  lax_stalled_lanes_ += nlanes - active;
   std::size_t instants = 0;
   std::size_t begin = 0;
   std::vector<ShardedEntry> batch;
@@ -200,7 +159,6 @@ std::size_t Network::fire_frontier_window(
       ++end;
     }
     begin_instant(instant);
-    ++frontier_barriers_;
     ++instants;
     batch.clear();
     batch.reserve(end - begin);

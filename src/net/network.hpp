@@ -12,13 +12,15 @@
 //
 //   quantized (grid > 0) — delivery instants snap UP to the latency
 //   grid, so all deliveries landing on one grid point form a batch.
-//   The batch hides behind ONE proxy event; when it fires, sharded
-//   deliveries are grouped by receiver and forked across the session's
-//   ParallelExecutor. Workers run their receivers' handlers in
-//   schedule order (per-pair FIFO is preserved — a receiver's
-//   deliveries never split across shards) and buffer everything they
-//   may not do from a worker thread; the join settles those buffers in
-//   shard order, so the result is bit-identical at every thread count.
+//   The batch hides behind ONE proxy event (on the windowed engine it
+//   waits in per-receiver hand-off lanes instead, net/handoff.hpp);
+//   when it fires, sharded deliveries are grouped by receiver and
+//   forked across the session's ParallelExecutor. Workers run their
+//   receivers' handlers in schedule order (per-pair FIFO is preserved
+//   — a receiver's deliveries never split across shards) and buffer
+//   everything they may not do from a worker thread; the join settles
+//   those buffers in shard order, so the result is bit-identical at
+//   every thread count.
 //
 // send() keeps the serial handler contract in both modes (quantized
 // mode merely snaps its instant); send_sharded()/post_sharded() carry
@@ -234,24 +236,17 @@ class Network {
   [[nodiscard]] std::uint64_t batched_deliveries() const noexcept {
     return batched_deliveries_;
   }
-  /// True when hand-offs route through sharded-engine delivery lanes
-  /// (quantized mode on a sharded simulator).
+  /// True when hand-offs route through delivery lanes (quantized mode
+  /// on the windowed engine).
   [[nodiscard]] bool laned() const noexcept { return lanes_ != nullptr; }
-  /// Frontier barriers drained through the lanes (0 off the sharded
-  /// engine; equals delivery_batches() on it).
-  [[nodiscard]] std::uint64_t frontier_barriers() const noexcept {
-    return frontier_barriers_;
-  }
-  /// Cumulative lanes that held NO due hand-off at a barrier — the
-  /// shard_drain imbalance signal, deterministic at every thread count.
-  /// Under lax windows, sampled once per window instead of per instant
-  /// (the skew-stall signal: lanes the whole window could not feed).
-  [[nodiscard]] std::uint64_t frontier_stalled_lanes() const noexcept {
-    return frontier_stalled_lanes_;
-  }
-  /// Lax hand-off windows swept (0 in strict mode).
+  /// Hand-off windows swept (0 off the lanes).
   [[nodiscard]] std::uint64_t lax_handoff_windows() const noexcept {
     return lax_handoff_windows_;
+  }
+  /// Cumulative lanes that held NO due hand-off in a swept window — the
+  /// skew-stall signal, deterministic at every thread count.
+  [[nodiscard]] std::uint64_t lax_stalled_lanes() const noexcept {
+    return lax_stalled_lanes_;
   }
 
  private:
@@ -301,7 +296,7 @@ class Network {
   };
 
   /// One delivery awaiting its grid bucket (hoisted to handoff.hpp so
-  /// the sharded engine's lanes can park the same records).
+  /// the windowed engine's lanes can park the same records).
   using ShardedEntry = HandoffEntry;
   struct Bucket {
     std::vector<ShardedEntry> entries;
@@ -325,18 +320,14 @@ class Network {
   bool apply_faults(std::size_t from, std::size_t to, SimTime& delay);
 
   /// Appends a delivery to its grid bucket, creating the bucket (and
-  /// its proxy event) on first use. On the sharded engine this parks
+  /// its proxy event) on first use. On the windowed engine this parks
   /// the delivery in its hand-off lane instead, ranked by a sequence
   /// from the simulator's global stream.
   void enqueue_sharded(std::uint32_t to, SimTime when, DeliveryAction action,
                        bool filtered);
   /// Proxy-event body: detaches the bucket at `time` and dispatches it.
   void fire_bucket(SimTime time);
-  /// Frontier-hook body (sharded engine): drains every lane's hand-offs
-  /// at `time` — per-lane pops forked under the shard_drain phase, then
-  /// a serial merge by sequence — and dispatches the merged batch.
-  void fire_frontier(SimTime time);
-  /// Lax-window frontier-hook body: drains EVERY pending hand-off
+  /// Frontier-hook body (windowed engine): drains EVERY pending hand-off
   /// instant <= limit in one sweep — per-lane pops forked once for the
   /// whole window under the lax_drain phase, merged by (time, seq),
   /// then each instant's batch dispatched in time order behind a
@@ -387,16 +378,14 @@ class Network {
   std::uint64_t delivery_batches_ = 0;
   std::uint64_t batched_deliveries_ = 0;
 
-  // --- sharded-engine hand-off lanes (null on the single queue) ----------
+  // --- windowed-engine hand-off lanes (null on the exact engine) ---------
   std::unique_ptr<DeliveryLanes> lanes_;
-  /// Merged-batch scratch, reused across barriers.
+  /// Merged-window scratch, reused across windows: the entries and,
+  /// parallel to them, each entry's instant.
   std::vector<ShardedEntry> frontier_entries_;
-  /// Per-entry instants parallel to frontier_entries_ (lax windows
-  /// only — strict barriers are single-instant).
   std::vector<SimTime> frontier_times_;
-  std::uint64_t frontier_barriers_ = 0;
-  std::uint64_t frontier_stalled_lanes_ = 0;
   std::uint64_t lax_handoff_windows_ = 0;
+  std::uint64_t lax_stalled_lanes_ = 0;
 };
 
 /// Immediate-mode forward: defined here (not in delivery.hpp) because

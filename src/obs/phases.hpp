@@ -15,8 +15,10 @@ enum class Phase : std::uint8_t {
   kPlan,              ///< round batch phase 2 (forked)
   kCommit,            ///< round batch phase 3 (serial)
   kDeliveryBucket,    ///< quantized-mode bucket dispatch (forked)
-  kShardDrain,        ///< sharded-engine lane pops at a barrier (forked)
-  kLaxDrain,          ///< lax-mode windowed shard/lane pops (forked)
+  kShardDrain,        ///< retired with the strict sharded engine: never
+                      ///< recorded, kept for phase-indexed readers
+                      ///< (bench/suite)
+  kLaxDrain,          ///< windowed-engine shard and lane pops (forked)
   kSampleSweep,       ///< metrics sample tick sweep (forked)
   kChurnSweep,        ///< dead-supplier transfer sweep (forked)
   kOtherFork,         ///< fork/join with no phase bracket

@@ -45,4 +45,16 @@ std::string unknown_scenario_message(const std::string& name) {
   return message;
 }
 
+std::optional<std::string> select_engine(core::SystemConfig& config,
+                                         unsigned queue_skew) {
+  if (queue_skew > 0 && config.latency_grid_ms <= 0.0) {
+    return std::string("--queue-skew ") + std::to_string(queue_skew) +
+           " needs a quantized scenario (q*_, f5_q1_*, ...): the windowed "
+           "engine's skew unit is a latency-grid bucket";
+  }
+  config.sharded_queue = queue_skew > 0;
+  config.queue_skew_buckets = queue_skew;
+  return std::nullopt;
+}
+
 }  // namespace continu::runner::cli

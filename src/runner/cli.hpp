@@ -8,6 +8,8 @@
 #include <optional>
 #include <string>
 
+#include "core/config.hpp"
+
 namespace continu::runner::cli {
 
 /// Parses a STRICTLY POSITIVE integer. Returns std::nullopt for
@@ -28,5 +30,13 @@ namespace continu::runner::cli {
 /// lists every valid scenario (matrix and families), so the fix is in
 /// the error message.
 [[nodiscard]] std::string unknown_scenario_message(const std::string& name);
+
+/// Applies `--queue-skew K` to a session config: K >= 1 selects the
+/// windowed engine at that skew, 0 keeps the exact engine. Returns a
+/// diagnosis when K >= 1 meets a config without a latency grid (the
+/// skew unit is a grid bucket, so the flag would silently do nothing);
+/// std::nullopt on success.
+[[nodiscard]] std::optional<std::string> select_engine(core::SystemConfig& config,
+                                                       unsigned queue_skew);
 
 }  // namespace continu::runner::cli

@@ -48,8 +48,8 @@ class EventQueue {
 
   /// push() with a caller-supplied sequence number instead of the
   /// queue's own counter — the per-shard member queues of a
-  /// ShardedEventQueue share ONE global sequence stream so cross-shard
-  /// tie-breaks match the single-queue engine. Sequences must be
+  /// ShardedEventQueue share ONE global sequence stream, so every
+  /// event's (time, seq) key is unique across shards. Sequences must be
   /// unique per queue; the internal counter is bumped past `seq` so
   /// mixing with plain push()/emplace() stays collision-free.
   EventId push_with_seq(std::uint64_t seq, SimTime time, EventAction action);

@@ -1,27 +1,12 @@
 #include "sim/sharded_queue.hpp"
 
-#include <stdexcept>
-
 namespace continu::sim {
 
-namespace {
-
-std::uint32_t round_up_pow2(unsigned shards) {
-  if (shards < 2) shards = 2;
-  if (shards > ShardedEventQueue::kMaxShards) {
-    throw std::invalid_argument("ShardedEventQueue: shard count too large");
-  }
-  std::uint32_t n = 2;
-  while (n < shards) n <<= 1;
-  return n;
-}
-
-}  // namespace
-
-ShardedEventQueue::ShardedEventQueue(unsigned shards)
-    : shards_(round_up_pow2(shards)),
-      shard_mask_(static_cast<std::uint32_t>(shards_.size()) - 1),
-      meta_(static_cast<std::uint32_t>(shards_.size())) {}
+ShardedEventQueue::ShardedEventQueue(unsigned skew_buckets)
+    : shards_(kShards),
+      meta_(kShards),
+      window_(kShards),
+      lax_lead_hist_(static_cast<std::size_t>(skew_buckets) + 1, 0) {}
 
 EventId ShardedEventQueue::push(SimTime time, EventAction action) {
   const std::uint64_t seq = next_seq_++;
@@ -54,45 +39,6 @@ void ShardedEventQueue::refresh_meta(std::uint32_t shard) {
   }
 }
 
-void ShardedEventQueue::note_frontier(SimTime time) {
-  if (time <= frontier_time_) return;
-  frontier_time_ = time;
-  ++frontier_advances_;
-  // Shards with no event at the new frontier instant would idle in a
-  // parallel shard drain — count them (absent shards included).
-  std::uint64_t active = 0;
-  meta_.for_each([&](std::uint32_t, SimTime t, std::uint64_t) {
-    if (t == time) ++active;
-  });
-  frontier_stalled_shards_ += shards_.size() - active;
-}
-
-bool ShardedEventQueue::acquire_due(SimTime horizon, DueEvent& out) {
-  if (meta_.empty()) return false;
-  const MetaHeap::Top top = meta_.top();
-  if (top.time > horizon) return false;
-  note_frontier(top.time);
-  EventQueue::DueEvent inner;
-  // The meta entry is kept exact, so the shard's head is exactly
-  // (top.time, top.key) and must be acquirable at that horizon.
-  const bool ok = shards_[top.slot].acquire_due(top.time, inner);
-  assert(ok);
-  (void)ok;
-  --live_;
-  refresh_meta(top.slot);
-  out.time = inner.time;
-  out.slot_index = inner.slot_index;
-  out.shard = top.slot;
-  return true;
-}
-
-void ShardedEventQueue::execute_and_release(const DueEvent& due) {
-  EventQueue::DueEvent inner;
-  inner.time = due.time;
-  inner.slot_index = due.slot_index;
-  shards_[due.shard].execute_and_release(inner);
-}
-
 bool ShardedEventQueue::cancel(EventId id) noexcept {
   if (id == kInvalidEvent) return false;
   const std::uint32_t shard = shard_of_id(id);
@@ -102,11 +48,6 @@ bool ShardedEventQueue::cancel(EventId id) noexcept {
   return true;
 }
 
-void ShardedEventQueue::configure_lax(unsigned skew_buckets) {
-  window_.resize(shards_.size());
-  lax_lead_hist_.assign(static_cast<std::size_t>(skew_buckets) + 1, 0);
-}
-
 void ShardedEventQueue::collect_window(std::uint32_t shard, SimTime limit) {
   shards_[shard].collect_window(limit, window_[shard]);
 }
@@ -114,10 +55,10 @@ void ShardedEventQueue::collect_window(std::uint32_t shard, SimTime limit) {
 void ShardedEventQueue::finish_window(SimTime anchor, SimTime grid_s) {
   ++lax_windows_;
   const std::size_t buckets = lax_lead_hist_.size();
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+  for (std::uint32_t s = 0; s < kShards; ++s) {
     if (window_[s].empty()) {
       ++lax_stalled_shards_;
-    } else if (buckets > 0 && grid_s > 0.0) {
+    } else if (grid_s > 0.0) {
       for (const EventQueue::WindowRef& ref : window_[s]) {
         std::size_t lead =
             static_cast<std::size_t>((ref.time - anchor) / grid_s);
@@ -129,11 +70,9 @@ void ShardedEventQueue::finish_window(SimTime anchor, SimTime grid_s) {
   }
 }
 
-bool ShardedEventQueue::peek(SimTime& time, std::uint64_t& seq) const {
+bool ShardedEventQueue::next_time(SimTime& time) const {
   if (meta_.empty()) return false;
-  const MetaHeap::Top top = meta_.top();
-  time = top.time;
-  seq = top.key;
+  time = meta_.top().time;
   return true;
 }
 

@@ -1,44 +1,31 @@
 #pragma once
-// ShardedEventQueue — N per-shard slot-pool event heaps coordinated by
-// a meta-heap over per-shard frontier keys (the Graphite-style
-// partitioned event queue, strict mode).
+// ShardedEventQueue — the windowed engine's event queue: per-shard
+// slot-pool event heaps under a meta-heap over per-shard head keys.
 //
 // Every event carries a sequence number drawn from ONE global counter;
-// its shard is `seq & (shards - 1)`, so placement is a pure function
+// its shard is `seq & (kShards - 1)`, so placement is a pure function
 // of schedule order (never of thread count) and the shard is
 // recoverable from the EventId in O(1) for cancel. The meta-heap
-// orders shards by their head (time, seq) key, so the global frontier
-// — the next event in (time, FIFO-sequence) order across all shards —
-// is one heap-top read. Draining through the frontier therefore
-// executes events in EXACTLY the order a single EventQueue would,
-// which is what keeps fingerprints byte-identical to the single-queue
-// oracle.
+// orders shards by their head (time, seq) key, so the earliest pending
+// event across all shards — the window anchor — is one heap-top read.
 //
-// Strict mode: the serial frontier walk is the ordering contract and
-// the CI oracle; the network's per-lane hand-off heaps
-// (net/handoff.hpp, built on the same MetaHeap) pop concurrently
-// between frontier instants.
+// The queue drains in bounded-skew WINDOWS (queue_skew_buckets >= 1):
+// anchored at the earliest pending (time, seq), every shard pops its
+// events due within `anchor + skew` concurrently (collect_window —
+// queue-local heap pops only), then the refs execute serially in
+// shard-index order at their own local clocks. Collection keeps slots
+// registered, so cancels landing mid-window are still honoured at
+// execution. Window order is a pure function of the pending set and
+// the window width — deterministic and thread-count invariant per skew
+// setting — but it is a DIFFERENT universe from the exact engine's
+// global (time, seq) order (docs/DETERMINISM.md contract 7; drift
+// quantified in bench/results/pr10_lax_drain/).
 //
-// Lax mode (queue_skew_buckets >= 1) relaxes the walk into bounded-skew
-// WINDOWS: anchored at the earliest pending (time, seq), every shard
-// pops its events due within `anchor + skew` concurrently
-// (collect_window — queue-local heap pops only), then the refs execute
-// serially in shard-index order at their own local clocks. Collection
-// keeps slots registered, so cancels landing mid-window are still
-// honoured at execution. Lax order is a pure function of the pending
-// set and the window width — deterministic and thread-count invariant
-// per skew setting — but it is a DIFFERENT universe from strict
-// (docs/DETERMINISM.md contract 7; drift quantified in
-// bench/results/pr10_lax_drain/).
-//
-// The meta-heap is kept EXACT at all times: push, cancel and acquire
-// each refresh the touched shard's entry, so acquire_due never meets a
-// stale head and cancel-of-a-frontier-event advances the frontier
-// immediately.
+// The meta-heap is kept EXACT at all times: push, cancel and window
+// settlement each refresh the touched shard's entry, so a cancel of the
+// earliest event moves the next anchor immediately.
 
-#include <cassert>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -111,14 +98,6 @@ class MetaHeap {
     }
   }
 
-  /// Visits every present entry (arbitrary order): fn(slot, time, key).
-  /// Used for frontier-stall accounting — at most one entry per shard,
-  /// so a full scan is a handful of iterations.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Entry& e : heap_) fn(e.slot, e.time, e.key);
-  }
-
  private:
   struct Entry {
     SimTime time;
@@ -167,24 +146,23 @@ class MetaHeap {
 
 class ShardedEventQueue {
  public:
-  /// Rounds `shards` up to a power of two in [2, kMaxShards] (the shard
-  /// of a sequence is `seq & mask`, so the count must be a power of
-  /// two; the mask also has to survive the 40-bit sequence field).
-  static constexpr unsigned kMaxShards = 64;
+  /// Fixed shard count. The shard of a sequence is `seq & (kShards - 1)`
+  /// and windows execute in shard-index order, so the count is part of
+  /// every windowed fingerprint — it is a constant, not a knob.
+  static constexpr unsigned kShards = 8;
 
-  explicit ShardedEventQueue(unsigned shards);
+  /// `skew_buckets` (>= 1) is the window width in grid steps; it sizes
+  /// the lead histogram (lead 0..skew grid steps past the anchor).
+  explicit ShardedEventQueue(unsigned skew_buckets);
   ShardedEventQueue(const ShardedEventQueue&) = delete;
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;
 
-  [[nodiscard]] unsigned shard_count() const noexcept {
-    return static_cast<unsigned>(shards_.size());
-  }
-
   /// Draws one sequence number from the global stream WITHOUT
-  /// scheduling. The network's delivery hand-off lanes pull from here
-  /// so a delivery's tie-break rank against ordinary events is
-  /// assigned at the same chronological point as in the single-queue
-  /// engine (where the bucket proxy event consumed it).
+  /// scheduling. The network's delivery hand-off lanes rank their
+  /// entries with these. They share the event stream rather than count
+  /// on their own because event shard placement is `seq`-based: the
+  /// interleaving of hand-off and event sequences is part of every
+  /// windowed fingerprint.
   [[nodiscard]] std::uint64_t allocate_seq() noexcept { return next_seq_++; }
 
   template <typename F>
@@ -203,45 +181,15 @@ class ShardedEventQueue {
   /// the shared global stream.
   void push_all(std::vector<EventQueue::Deferred>& batch);
 
-  /// EventQueue::DueEvent plus the shard the event came from.
-  struct DueEvent {
-    SimTime time = 0.0;
-    std::uint32_t slot_index = 0;
-    std::uint32_t shard = 0;
-  };
-
-  /// Acquires the global-frontier event (earliest (time, seq) across
-  /// all shards) iff its time <= horizon. Pair with exactly one
-  /// execute_and_release, like EventQueue.
-  bool acquire_due(SimTime horizon, DueEvent& out);
-  void execute_and_release(const DueEvent& due);
-
   bool cancel(EventId id) noexcept;
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
-  /// Frontier (time, seq) without removal; false when empty.
-  bool peek(SimTime& time, std::uint64_t& seq) const;
-
-  // --- frontier accounting (deterministic, mirrors into obs) -------------
-  /// Times the global frontier moved to a strictly later instant.
-  [[nodiscard]] std::uint64_t frontier_advances() const noexcept {
-    return frontier_advances_;
-  }
-  /// Cumulative shards with NO event at the frontier instant, sampled
-  /// at each advance — the strict-mode imbalance signal (stalled
-  /// shards would idle in a lax parallel drain).
-  [[nodiscard]] std::uint64_t frontier_stalled_shards() const noexcept {
-    return frontier_stalled_shards_;
-  }
-
-  // --- lax mode (bounded-skew windows) ------------------------------------
-  /// Sizes the lax accounting: the per-shard lead histogram carries
-  /// `skew_buckets + 1` buckets (lead 0..skew grid steps past the
-  /// window anchor). Call once before the first window.
-  void configure_lax(unsigned skew_buckets);
+  /// Earliest pending event time across all shards (the window
+  /// anchor); false when empty.
+  bool next_time(SimTime& time) const;
 
   /// Phase A (forkable, one worker per shard): pops shard `shard`'s
   /// events due at or before `limit` into its private window list.
@@ -261,7 +209,7 @@ class ShardedEventQueue {
   template <typename Fn>
   std::size_t execute_window(Fn&& on_event) {
     std::size_t ran = 0;
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+    for (std::uint32_t s = 0; s < kShards; ++s) {
       for (const EventQueue::WindowRef& ref : window_[s]) {
         if (!shards_[s].collected_live(ref)) continue;
         on_event(ref.time);
@@ -275,53 +223,46 @@ class ShardedEventQueue {
     return ran;
   }
 
-  /// Lax windows drained.
+  /// Windows drained.
   [[nodiscard]] std::uint64_t lax_windows() const noexcept { return lax_windows_; }
-  /// Events executed through lax windows.
+  /// Events executed through windows.
   [[nodiscard]] std::uint64_t lax_events_drained() const noexcept {
     return lax_events_drained_;
   }
-  /// Cumulative shards that held NO event inside a window — the lax
-  /// counterpart of frontier_stalled_shards (skew-stall: the window
-  /// could not feed that shard any work).
+  /// Cumulative shards that held NO event inside a window (skew-stall:
+  /// the window could not feed that shard any work).
   [[nodiscard]] std::uint64_t lax_stalled_shards() const noexcept {
     return lax_stalled_shards_;
   }
   /// Per-lead histogram: bucket b counts collected events whose time
-  /// sat b grid steps past their window's anchor. Empty until
-  /// configure_lax. A mass concentrated at bucket 0 means the skew
-  /// window is not being used; mass in the tail is recovered
-  /// parallelism.
+  /// sat b grid steps past their window's anchor. A mass concentrated
+  /// at bucket 0 means the skew window is not being used; mass in the
+  /// tail is recovered parallelism.
   [[nodiscard]] const std::vector<std::uint64_t>& lax_lead_histogram()
       const noexcept {
     return lax_lead_hist_;
   }
 
  private:
-  [[nodiscard]] std::uint32_t shard_of_seq(std::uint64_t seq) const noexcept {
-    return static_cast<std::uint32_t>(seq) & shard_mask_;
+  static constexpr std::uint32_t kShardMask = kShards - 1;
+
+  [[nodiscard]] static std::uint32_t shard_of_seq(std::uint64_t seq) noexcept {
+    return static_cast<std::uint32_t>(seq) & kShardMask;
   }
-  [[nodiscard]] std::uint32_t shard_of_id(EventId id) const noexcept {
+  [[nodiscard]] static std::uint32_t shard_of_id(EventId id) noexcept {
     return shard_of_seq(id >> EventQueue::kSlotBits);
   }
 
   void note_push(std::uint32_t shard);
   /// Re-derives `shard`'s meta entry from its queue head (or clears it).
   void refresh_meta(std::uint32_t shard);
-  void note_frontier(SimTime time);
 
   std::vector<EventQueue> shards_;
-  std::uint32_t shard_mask_ = 0;
   MetaHeap meta_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
 
-  SimTime frontier_time_ = -std::numeric_limits<SimTime>::infinity();
-  std::uint64_t frontier_advances_ = 0;
-  std::uint64_t frontier_stalled_shards_ = 0;
-
-  // --- lax mode -----------------------------------------------------------
   /// Per-shard collected-ref scratch; written only by the owning
   /// worker during a window fork, consumed serially by execute_window.
   std::vector<std::vector<EventQueue::WindowRef>> window_;

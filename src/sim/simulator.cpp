@@ -38,35 +38,29 @@ void Simulator::schedule_deferred(std::vector<EventQueue::Deferred>& batch) {
   }
 }
 
-void Simulator::set_lax_drain(LaxConfig lax) {
-  if (!squeue_) {
-    throw std::logic_error("Simulator::set_lax_drain: single-queue engine");
+Simulator::Simulator(LaxConfig lax) {
+  if (lax.skew_buckets == 0) return;
+  if (lax.grid_s <= 0.0) {
+    throw std::logic_error("Simulator: the windowed engine needs a positive grid");
   }
-  if (lax.skew_buckets == 0 || lax.grid_s <= 0.0) {
-    throw std::logic_error(
-        "Simulator::set_lax_drain: needs skew_buckets >= 1 and a positive grid");
-  }
-  squeue_->configure_lax(lax.skew_buckets);
+  squeue_ = std::make_unique<ShardedEventQueue>(lax.skew_buckets);
   lax_ = std::move(lax);
 }
 
-std::size_t Simulator::drain_lax(SimTime horizon) {
+std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
   std::size_t ran = 0;
-  const unsigned nshards = squeue_->shard_count();
   const SimTime window_s = static_cast<SimTime>(lax_.skew_buckets) * lax_.grid_s;
-  for (;;) {
+  for (std::size_t windows = 0; windows < max_windows; ++windows) {
     SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
     SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
+    const bool have_event = squeue_->next_time(qt);
+    const bool have_barrier = frontier_.next_time && frontier_.next_time(dt);
     if (!have_event && !have_barrier) break;
-    // The window anchors at the earliest pending (time, seq) across
-    // both sources — the strict frontier's instant — and extends one
-    // skew window past it. Anchoring at the global minimum is what
-    // bounds the clock skew: nothing in the window runs more than
-    // `window_s` ahead of something still pending somewhere.
+    // The window anchors at the earliest pending time across both
+    // sources and extends one skew window past it. Anchoring at the
+    // global minimum is what bounds the clock skew: nothing in the
+    // window runs more than `window_s` ahead of something still pending
+    // somewhere.
     SimTime anchor = have_event ? qt : dt;
     if (have_barrier && dt < anchor) anchor = dt;
     if (anchor > horizon) break;
@@ -74,6 +68,7 @@ std::size_t Simulator::drain_lax(SimTime horizon) {
     // Phase A — forked window collection: every shard pops its events
     // due within the window into its private scratch. Queue-local heap
     // pops only; meta/live settlement is serial in finish_window.
+    constexpr unsigned nshards = ShardedEventQueue::kShards;
     if (lax_.on_fork) lax_.on_fork(nshards);
     const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t s = begin; s < end; ++s) {
@@ -83,9 +78,7 @@ std::size_t Simulator::drain_lax(SimTime horizon) {
     if (lax_.exec != nullptr) {
       lax_.exec->for_shards(nshards, /*grain=*/1, body);
     } else {
-      for (unsigned s = 0; s < nshards; ++s) {
-        squeue_->collect_window(s, limit);
-      }
+      body(0, 0, nshards);
     }
     squeue_->finish_window(anchor, lax_.grid_s);
     // Phase B — serial execution in shard-index order, each event at
@@ -93,91 +86,24 @@ std::size_t Simulator::drain_lax(SimTime horizon) {
     // within the window, bounded by window_s). Emissions landing inside
     // the window were not collected — they fence to the next window —
     // and cancels of collected refs are honoured at execution.
-    ran += squeue_->execute_window([this](SimTime t) {
+    const auto stamp = [this](SimTime t) {
       now_ = t;
       ++executed_;
-    });
+    };
+    ran += squeue_->execute_window(stamp);
     // Windowed barrier sweep: every hand-off instant <= limit drains in
     // one pass (per-lane pops forked once for the whole window), each
     // instant's batch dispatched at its own clock in time order.
-    if (frontier_.dispatch_window) {
-      ran += frontier_.dispatch_window(limit, [this](SimTime t) {
-        now_ = t;
-        ++executed_;
-      });
-    } else if (frontier_.next_key) {
-      while (frontier_.next_key(dt, dseq) && dt <= limit) {
-        now_ = dt;
-        ++executed_;
-        ++ran;
-        frontier_.dispatch(dt);
-      }
-    }
+    if (frontier_.dispatch_window) ran += frontier_.dispatch_window(limit, stamp);
   }
   return ran;
 }
 
-std::size_t Simulator::drain_sharded(SimTime horizon) {
-  std::size_t ran = 0;
-  for (;;) {
-    SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
-    SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
-    if (!have_event && !have_barrier) break;
-    // Global (time, seq) order across both sources. A barrier's key is
-    // the sequence of its FIRST pending hand-off — the same rank the
-    // single-queue engine's bucket proxy holds, because both are
-    // assigned at the first enqueue targeting that instant.
-    const bool barrier_first =
-        have_barrier &&
-        (!have_event || dt < qt || (dt == qt && dseq < qseq));
-    if (barrier_first) {
-      if (dt > horizon) break;
-      now_ = dt;
-      ++executed_;
-      ++ran;
-      frontier_.dispatch(dt);
-    } else {
-      if (qt > horizon) break;
-      ShardedEventQueue::DueEvent due;
-      if (!squeue_->acquire_due(horizon, due)) break;
-      now_ = due.time;
-      ++executed_;
-      ++ran;
-      squeue_->execute_and_release(due);
-    }
-  }
-  return ran;
-}
-
-std::size_t Simulator::run_until(SimTime horizon) {
-  std::size_t ran = 0;
-  if (squeue_) {
-    ran = lax() ? drain_lax(horizon) : drain_sharded(horizon);
-  } else {
-    EventQueue::DueEvent due;
-    while (queue_.acquire_due(horizon, due)) {
-      now_ = due.time;
-      ++executed_;
-      ++ran;
-      queue_.execute_and_release(due);
-    }
-  }
-  if (now_ < horizon) now_ = horizon;
-  return ran;
-}
-
-std::size_t Simulator::run_all() {
-  if (squeue_) {
-    const SimTime inf = std::numeric_limits<SimTime>::infinity();
-    return lax() ? drain_lax(inf) : drain_sharded(inf);
-  }
+std::size_t Simulator::drain(SimTime horizon, std::size_t max_steps) {
+  if (squeue_) return drain_lax(horizon, max_steps);
   std::size_t ran = 0;
   EventQueue::DueEvent due;
-  while (queue_.acquire_due(std::numeric_limits<SimTime>::infinity(), due)) {
+  while (ran < max_steps && queue_.acquire_due(horizon, due)) {
     now_ = due.time;
     ++executed_;
     ++ran;
@@ -186,38 +112,20 @@ std::size_t Simulator::run_all() {
   return ran;
 }
 
+std::size_t Simulator::run_until(SimTime horizon) {
+  const std::size_t ran =
+      drain(horizon, std::numeric_limits<std::size_t>::max());
+  if (now_ < horizon) now_ = horizon;
+  return ran;
+}
+
+std::size_t Simulator::run_all() {
+  return drain(std::numeric_limits<SimTime>::infinity(),
+               std::numeric_limits<std::size_t>::max());
+}
+
 bool Simulator::step() {
-  if (squeue_) {
-    // One iteration of the sharded drain: the barrier-vs-event pick
-    // mirrors drain_sharded so single-stepping preserves global order.
-    SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
-    SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
-    if (!have_event && !have_barrier) return false;
-    if (have_barrier && (!have_event || dt < qt || (dt == qt && dseq < qseq))) {
-      now_ = dt;
-      ++executed_;
-      frontier_.dispatch(dt);
-      return true;
-    }
-    ShardedEventQueue::DueEvent due;
-    if (!squeue_->acquire_due(std::numeric_limits<SimTime>::infinity(), due)) {
-      return false;
-    }
-    now_ = due.time;
-    ++executed_;
-    squeue_->execute_and_release(due);
-    return true;
-  }
-  if (queue_.empty()) return false;
-  Event e = queue_.pop();
-  now_ = e.time;
-  ++executed_;
-  e.action();
-  return true;
+  return drain(std::numeric_limits<SimTime>::infinity(), 1) > 0;
 }
 
 PeriodicProcess::PeriodicProcess(Simulator& sim, SimTime period, EventAction tick)

@@ -10,17 +10,17 @@
 // EventActions (small-buffer optimized) stored directly in the queue's
 // slot pool, and cancel() is an O(1) slot write.
 //
-// Two queue engines, chosen at construction:
+// Two engines, chosen at construction:
 //
-//   single (default) — one EventQueue, the oracle every other engine
-//   is measured against.
+//   exact (default) — one EventQueue executing in global (time, seq)
+//   order: the oracle every fingerprint refers to.
 //
-//   sharded (queue_shards > 0) — a ShardedEventQueue of per-shard
-//   heaps under a meta-heap frontier, plus an optional frontier hook
-//   through which the network's quantized delivery lanes interleave
-//   barrier dispatches with ordinary events in global (time, seq)
-//   order. Execution order — and therefore every fingerprint — is
-//   byte-identical to the single engine by construction.
+//   windowed (LaxConfig::skew_buckets >= 1) — a ShardedEventQueue
+//   drained in bounded-skew windows whose per-shard pops fork, plus a
+//   frontier hook through which the network's quantized delivery lanes
+//   sweep their hand-offs once per window. Deterministic and
+//   thread-count invariant per skew, but its own universe
+//   (docs/DETERMINISM.md contract 7).
 
 #include <cstdint>
 #include <functional>
@@ -41,84 +41,13 @@ class ParallelExecutor;
 
 class Simulator {
  public:
-  Simulator() = default;
-  /// queue_shards > 0 selects the sharded engine with that many
-  /// per-shard heaps (rounded up to a power of two); 0 is the single
-  /// queue.
-  explicit Simulator(unsigned queue_shards) {
-    if (queue_shards > 0) {
-      squeue_ = std::make_unique<ShardedEventQueue>(queue_shards);
-    }
-  }
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-
-  /// Current virtual time in seconds.
-  [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// True when running on the sharded queue engine.
-  [[nodiscard]] bool sharded() const noexcept { return squeue_ != nullptr; }
-
-  /// Shard count of the sharded engine (0 on the single queue).
-  [[nodiscard]] unsigned queue_shards() const noexcept {
-    return squeue_ ? squeue_->shard_count() : 0;
-  }
-
-  /// The sharded queue itself, for frontier diagnostics (null on the
-  /// single engine).
-  [[nodiscard]] const ShardedEventQueue* sharded_queue() const noexcept {
-    return squeue_.get();
-  }
-
-  /// Draws a sequence number from the sharded engine's global stream
-  /// (delivery lanes rank their hand-offs with these). Requires
-  /// sharded().
-  [[nodiscard]] std::uint64_t allocate_seq() {
-    if (!squeue_) {
-      throw std::logic_error("Simulator::allocate_seq: single-queue engine");
-    }
-    return squeue_->allocate_seq();
-  }
-
-  /// External event source draining at frontier barriers (the
-  /// network's quantized delivery lanes). next_key reports the
-  /// earliest pending (time, seq) hand-off; dispatch drains EVERY
-  /// hand-off at that instant. The run loop interleaves dispatches
-  /// with ordinary events in global (time, seq) order, which is
-  /// exactly where the single-queue engine's bucket proxy event would
-  /// have fired.
-  struct FrontierHook {
-    std::function<bool(SimTime& time, std::uint64_t& seq)> next_key;
-    std::function<void(SimTime time)> dispatch;
-    /// Lax mode only: drains EVERY pending hand-off instant <= limit in
-    /// one windowed sweep (per-lane pops forked once for the whole
-    /// window instead of once per barrier). The hook calls
-    /// begin_instant(t) before dispatching each instant's batch so the
-    /// simulator can stamp its clock and executed count; returns the
-    /// number of instants dispatched. Unset = the lax drain falls back
-    /// to per-instant dispatch().
-    std::function<std::size_t(SimTime limit,
-                              const std::function<void(SimTime)>& begin_instant)>
-        dispatch_window;
-  };
-
-  /// Installs the frontier hook (sharded engine only; the single
-  /// engine schedules proxy events instead and never calls this).
-  void set_frontier_hook(FrontierHook hook) {
-    if (!squeue_) {
-      throw std::logic_error("Simulator::set_frontier_hook: single-queue engine");
-    }
-    frontier_ = std::move(hook);
-  }
-
-  /// Lax-drain configuration (sharded engine + positive grid only).
-  /// The run loop drains bounded-skew windows of width
-  /// `skew_buckets * grid_s` instead of walking the strict frontier:
-  /// per-shard pops fork on `exec` (inline with the identical shard
-  /// decomposition when null), execution is serial in shard-index
-  /// order at per-event local clocks. `on_fork(shards)` fires before
-  /// each collection fork (the session brackets it as
-  /// obs::Phase::kLaxDrain).
+  /// Engine selection. skew_buckets == 0 is the exact engine (the other
+  /// fields are ignored); skew_buckets >= 1 the windowed engine, which
+  /// drains windows `skew_buckets * grid_s` wide: per-shard pops fork on
+  /// `exec` (inline with the identical shard decomposition when null)
+  /// and execution is serial in shard-index order at per-event local
+  /// clocks. `on_fork(shards)` fires before each collection fork (the
+  /// session brackets it as obs::Phase::kLaxDrain).
   struct LaxConfig {
     unsigned skew_buckets = 0;
     SimTime grid_s = 0.0;
@@ -126,14 +55,59 @@ class Simulator {
     std::function<void(std::size_t shards)> on_fork;
   };
 
-  /// Switches the sharded engine's run loop to lax windows. Requires
-  /// sharded(), skew_buckets >= 1 and grid_s > 0 — callers gate on the
-  /// config, so a violation is a logic error, not a silent fallback.
-  void set_lax_drain(LaxConfig lax);
+  /// The exact engine.
+  Simulator() = default;
+  /// The engine `lax` selects. A windowed config needs a positive grid
+  /// (the skew unit is a grid bucket); anything else is a logic error,
+  /// not a silent fallback.
+  explicit Simulator(LaxConfig lax);
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  /// True when the run loop drains lax windows instead of the strict
-  /// frontier.
-  [[nodiscard]] bool lax() const noexcept { return lax_.skew_buckets > 0; }
+  /// Current virtual time in seconds.
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
+
+  /// True when running the windowed engine.
+  [[nodiscard]] bool windowed() const noexcept { return squeue_ != nullptr; }
+
+  /// The windowed engine's queue, for window diagnostics (null on the
+  /// exact engine).
+  [[nodiscard]] const ShardedEventQueue* sharded_queue() const noexcept {
+    return squeue_.get();
+  }
+
+  /// Draws a sequence number from the windowed engine's global stream
+  /// (delivery lanes rank their hand-offs with these). Requires
+  /// windowed().
+  [[nodiscard]] std::uint64_t allocate_seq() {
+    if (!squeue_) {
+      throw std::logic_error("Simulator::allocate_seq: exact engine");
+    }
+    return squeue_->allocate_seq();
+  }
+
+  /// External event source swept once per window (the network's
+  /// quantized delivery lanes). next_time reports the earliest pending
+  /// hand-off instant, which competes for the window anchor;
+  /// dispatch_window drains EVERY pending hand-off instant <= limit,
+  /// calling begin_instant(t) before each instant's batch so the
+  /// simulator can stamp its clock and executed count, and returns the
+  /// number of instants dispatched.
+  struct FrontierHook {
+    std::function<bool(SimTime& time)> next_time;
+    std::function<std::size_t(SimTime limit,
+                              const std::function<void(SimTime)>& begin_instant)>
+        dispatch_window;
+  };
+
+  /// Installs the frontier hook (windowed engine only; the exact engine
+  /// schedules bucket proxy events instead and never calls this).
+  void set_frontier_hook(FrontierHook hook) {
+    if (!squeue_) {
+      throw std::logic_error("Simulator::set_frontier_hook: exact engine");
+    }
+    frontier_ = std::move(hook);
+  }
 
   /// Schedules `action` to run at now() + delay (delay clamped to >= 0).
   /// Returns a handle usable with cancel(). Accepts any callable;
@@ -181,7 +155,8 @@ class Simulator {
   /// Runs until the queue is empty. Returns events executed.
   std::size_t run_all();
 
-  /// Executes exactly one event if available; returns whether one ran.
+  /// Executes the next step — one event on the exact engine, one window
+  /// on the windowed engine; returns whether anything ran.
   bool step();
 
   /// Live events still pending.
@@ -207,15 +182,17 @@ class Simulator {
     }
   }
 
-  /// Sharded-engine drain: interleaves ordinary events and frontier
-  /// dispatches in global (time, seq) order up to `horizon`.
-  std::size_t drain_sharded(SimTime horizon);
+  /// The one drain loop behind run_until, run_all and step: executes
+  /// what is due at or before `horizon`, at most `max_steps` steps
+  /// (events on the exact engine, windows on the windowed one).
+  /// Returns events executed.
+  std::size_t drain(SimTime horizon, std::size_t max_steps);
 
-  /// Lax drain: repeats { anchor at the earliest pending (time, seq),
-  /// fork per-shard pops of everything due within the skew window,
+  /// Windowed drain: repeats { anchor at the earliest pending (time,
+  /// seq), fork per-shard pops of everything due within the skew window,
   /// execute serially in shard order, sweep hand-off barriers through
-  /// the window } until past `horizon`.
-  std::size_t drain_lax(SimTime horizon);
+  /// the window }.
+  std::size_t drain_lax(SimTime horizon, std::size_t max_windows);
 
   EventQueue queue_;
   std::unique_ptr<ShardedEventQueue> squeue_;

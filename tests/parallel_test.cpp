@@ -703,6 +703,24 @@ TEST(CliValidation, UnknownScenarioMessageListsValidNames) {
   EXPECT_NE(message.find("fp_static_small"), std::string::npos);
 }
 
+TEST(CliValidation, QueueSkewSelectsTheWindowedEngineOnlyOnAGrid) {
+  using runner::cli::select_engine;
+  core::SystemConfig config;
+  EXPECT_FALSE(select_engine(config, 0).has_value());  // exact stays legal
+  EXPECT_FALSE(config.windowed_engine());
+  // No latency grid: the flag would do nothing, so it is a diagnosis.
+  const auto problem = select_engine(config, 1);
+  ASSERT_TRUE(problem.has_value());
+  EXPECT_NE(problem->find("quantized"), std::string::npos);
+  EXPECT_FALSE(config.windowed_engine());
+  config.latency_grid_ms = 1.0;
+  EXPECT_FALSE(select_engine(config, 4).has_value());
+  EXPECT_TRUE(config.windowed_engine());
+  EXPECT_EQ(config.queue_skew_buckets, 4u);
+  EXPECT_FALSE(select_engine(config, 0).has_value());
+  EXPECT_FALSE(config.windowed_engine());
+}
+
 // ---------------------------------------------------------------------------
 // Scenario parameterization
 // ---------------------------------------------------------------------------

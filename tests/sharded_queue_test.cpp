@@ -1,16 +1,10 @@
-// Tests for the sharded event-queue engine: MetaHeap ordering, the
-// randomized single-queue vs sharded-queue equivalence property
-// (schedule/cancel/cross-shard storms), frontier edge cases (empty
-// shard, simultaneous ties, cancel of a frontier event), delivery-lane
-// hand-offs, and session-level byte-identity of the sharded engine
-// against the single-queue oracle at threads 1/2/4/8.
-//
-// Lax mode (bounded-skew windows, queue_skew_buckets >= 1) has its own
-// suite at the bottom: fence correctness (no event beyond the skew
-// window, emissions invisible to their own window), cancel semantics
-// under skew, inline-vs-threaded collection identity, randomized
-// bounded-skew storms, per-receiver FIFO under skew, and session-level
-// gates (skew-0 == strict byte-identity, fixed-skew thread-invariance
+// Tests for the windowed engine: MetaHeap ordering, the sharded queue's
+// exact head tracking, delivery-lane hand-offs against the exact
+// engine's buckets, window semantics (fence correctness — no event
+// beyond the skew window, emissions invisible to their own window —
+// cancel semantics under skew, inline-vs-threaded collection identity,
+// randomized bounded-skew storms, per-receiver FIFO under skew) and
+// session-level gates (engine selection, fixed-skew thread-invariance
 // at threads {1,2,4,8} x skew {1,4}).
 
 #include <gtest/gtest.h>
@@ -19,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -39,9 +32,17 @@
 namespace continu {
 namespace {
 
-using sim::EventQueue;
 using sim::MetaHeap;
 using sim::ShardedEventQueue;
+
+sim::Simulator::LaxConfig windowed(unsigned skew, double grid_s,
+                                   sim::parallel::ParallelExecutor* exec = nullptr) {
+  sim::Simulator::LaxConfig lax;
+  lax.skew_buckets = skew;
+  lax.grid_s = grid_s;
+  lax.exec = exec;
+  return lax;
+}
 
 // ---------------------------------------------------------------------------
 // MetaHeap
@@ -82,8 +83,30 @@ TEST(MetaHeap, UpdateRepositionsBothDirections) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized single-queue vs sharded-queue equivalence
+// Sharded queue: exact head tracking
 // ---------------------------------------------------------------------------
+
+TEST(ShardedQueue, CancelOfTheHeadMovesTheAnchor) {
+  ShardedEventQueue queue(/*skew_buckets=*/1);
+  std::vector<int> fired;
+  auto push_at = [&](double when, int token) {
+    auto* firedp = &fired;
+    return queue.push(when, sim::EventAction([firedp, token] {
+                        firedp->push_back(token);
+                      }));
+  };
+  const sim::EventId head = push_at(1.0, 0);
+  (void)push_at(2.0, 1);
+  (void)push_at(3.0, 2);
+  SimTime t = 0.0;
+  ASSERT_TRUE(queue.next_time(t));
+  EXPECT_EQ(t, 1.0);
+  EXPECT_TRUE(queue.cancel(head));
+  EXPECT_FALSE(queue.cancel(head));  // second cancel is stale
+  ASSERT_TRUE(queue.next_time(t));
+  EXPECT_EQ(t, 2.0);  // the meta-heap advanced past the cancelled head
+  EXPECT_EQ(queue.size(), 2u);
+}
 
 // Drives one simulator through a deterministic schedule/cancel storm:
 // root events at random (often colliding) times, children scheduled
@@ -121,187 +144,56 @@ struct Storm {
   }
 };
 
-TEST(ShardedQueueEquivalence, RandomStormsMatchSingleQueue) {
-  for (std::uint64_t trial = 0; trial < 100; ++trial) {
-    sim::Simulator single;
-    sim::Simulator sharded(4 + static_cast<unsigned>(trial % 3));  // 4..6 -> 4/8
-    auto run = [&](sim::Simulator& sim) {
-      Storm storm(sim, 1000 + trial);
-      for (int i = 0; i < 40; ++i) {
-        storm.schedule(0.5 * static_cast<double>(storm.rng.next_below(20)));
-      }
-      sim.run_until(64.0);
-      return std::move(storm.log);
-    };
-    const auto log_single = run(single);
-    const auto log_sharded = run(sharded);
-    ASSERT_EQ(log_single, log_sharded) << "trial " << trial;
-    EXPECT_EQ(single.executed(), sharded.executed()) << "trial " << trial;
-    EXPECT_EQ(single.now(), sharded.now()) << "trial " << trial;
-  }
-}
-
-TEST(ShardedQueueEquivalence, DeferredBatchesMatchSingleQueue) {
-  sim::Simulator single;
-  sim::Simulator sharded(8);
-  auto run = [](sim::Simulator& sim) {
-    std::vector<std::pair<double, int>> log;
-    std::vector<EventQueue::Deferred> batch;
-    for (int i = 0; i < 32; ++i) {
-      EventQueue::Deferred d;
-      d.time = (i % 5) * 1.0;  // heavy ties
-      const int token = i;
-      auto* logp = &log;
-      sim::Simulator* simp = &sim;
-      d.action = sim::EventAction(
-          [logp, simp, token] { logp->emplace_back(simp->now(), token); });
-      batch.push_back(std::move(d));
-    }
-    sim.schedule_deferred(batch);
-    EXPECT_TRUE(batch.empty());
-    sim.run_all();
-    return log;
-  };
-  EXPECT_EQ(run(single), run(sharded));
-}
-
 // ---------------------------------------------------------------------------
-// Frontier edge cases
+// Delivery-lane hand-offs vs the exact engine's buckets
 // ---------------------------------------------------------------------------
 
-TEST(ShardedQueueFrontier, SimultaneousTiesDrainInScheduleOrder) {
-  ShardedEventQueue queue(4);
-  std::vector<int> fired;
-  for (int i = 0; i < 100; ++i) {
-    auto* firedp = &fired;
-    const int token = i;
-    (void)queue.push(1.0, sim::EventAction([firedp, token] {
-                       firedp->push_back(token);
-                     }));
-  }
-  ShardedEventQueue::DueEvent due;
-  while (queue.acquire_due(2.0, due)) queue.execute_and_release(due);
-  ASSERT_EQ(fired.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[i], i);
-  // One frontier instant, sampled once; every shard held work there.
-  EXPECT_EQ(queue.frontier_advances(), 1u);
-  EXPECT_EQ(queue.frontier_stalled_shards(), 0u);
-}
-
-TEST(ShardedQueueFrontier, CancelOfFrontierEventAdvancesMeta) {
-  ShardedEventQueue queue(4);
-  std::vector<int> fired;
-  auto push_at = [&](double when, int token) {
-    auto* firedp = &fired;
-    return queue.push(when, sim::EventAction([firedp, token] {
-                        firedp->push_back(token);
-                      }));
-  };
-  const sim::EventId head = push_at(1.0, 0);
-  (void)push_at(2.0, 1);
-  (void)push_at(3.0, 2);
-  SimTime t = 0.0;
-  std::uint64_t seq = 0;
-  ASSERT_TRUE(queue.peek(t, seq));
-  EXPECT_EQ(t, 1.0);
-  EXPECT_TRUE(queue.cancel(head));
-  EXPECT_FALSE(queue.cancel(head));  // second cancel is stale
-  ASSERT_TRUE(queue.peek(t, seq));
-  EXPECT_EQ(t, 2.0);  // the meta-heap advanced past the cancelled head
-  ShardedEventQueue::DueEvent due;
-  while (queue.acquire_due(10.0, due)) queue.execute_and_release(due);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(ShardedQueueFrontier, EmptyShardNeverBlocksTheDrain) {
-  // Two shards; sequences alternate 1,2,3,4 -> shards 1,0,1,0. Cancel
-  // everything on shard 0 so it sits empty while shard 1 drains.
-  ShardedEventQueue queue(2);
-  std::vector<int> fired;
-  std::vector<sim::EventId> ids;
-  for (int i = 0; i < 4; ++i) {
-    auto* firedp = &fired;
-    const int token = i;
-    ids.push_back(queue.push(1.0 + i, sim::EventAction([firedp, token] {
-                               firedp->push_back(token);
-                             })));
-  }
-  EXPECT_TRUE(queue.cancel(ids[1]));
-  EXPECT_TRUE(queue.cancel(ids[3]));
-  EXPECT_EQ(queue.size(), 2u);
-  ShardedEventQueue::DueEvent due;
-  while (queue.acquire_due(10.0, due)) queue.execute_and_release(due);
-  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-  // Both surviving events sat on one shard: the other shard stalled at
-  // each of the two frontier instants.
-  EXPECT_EQ(queue.frontier_advances(), 2u);
-  EXPECT_EQ(queue.frontier_stalled_shards(), 2u);
-}
-
-TEST(ShardedQueueFrontier, AllocateSeqInterleavesWithoutDisturbingOrder) {
-  ShardedEventQueue queue(4);
-  std::vector<int> fired;
-  auto push_tok = [&](double when, int token) {
-    auto* firedp = &fired;
-    (void)queue.push(when, sim::EventAction([firedp, token] {
-                       firedp->push_back(token);
-                     }));
-  };
-  push_tok(1.0, 0);
-  const std::uint64_t s1 = queue.allocate_seq();
-  const std::uint64_t s2 = queue.allocate_seq();
-  EXPECT_EQ(s2, s1 + 1);
-  push_tok(1.0, 1);  // same instant, later sequence — still FIFO
-  push_tok(0.5, 2);
-  ShardedEventQueue::DueEvent due;
-  while (queue.acquire_due(10.0, due)) queue.execute_and_release(due);
-  EXPECT_EQ(fired, (std::vector<int>{2, 0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Delivery-lane hand-offs (quantized mode on the sharded engine)
-// ---------------------------------------------------------------------------
-
-TEST(ShardedHandoff, LanedNetworkMatchesBucketedNetwork) {
+TEST(WindowedHandoff, LanedNetworkMatchesBucketedNetwork) {
   // Two simulators, one per engine, each with a quantized Network; the
-  // same send_sharded workload must deliver in the same order with the
-  // same counters. No executor: the inline fallback shares the shard
-  // decomposition, so the comparison is exact.
-  auto run = [](unsigned queue_shards) {
-    auto sim = queue_shards > 0 ? std::make_unique<sim::Simulator>(queue_shards)
-                                : std::make_unique<sim::Simulator>();
-    net::Network net(*sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
-                                             /*grid_ms=*/2.0));
-    EXPECT_EQ(net.laned(), queue_shards > 0);
+  // same send_sharded workload must deliver in the same order at the
+  // same instants with the same counters. The handlers schedule
+  // nothing, so every window only sweeps hand-offs, in instant order —
+  // the lanes must reproduce the buckets exactly. No executor: the
+  // inline fallback shares the shard decomposition.
+  auto run = [](unsigned skew) {
+    sim::Simulator sim(windowed(skew, /*grid_s=*/0.002));
+    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
+                                            /*grid_ms=*/2.0));
+    EXPECT_EQ(net.laned(), skew > 0);
     std::vector<std::pair<double, int>> log;
     auto* logp = &log;
     for (int wave = 0; wave < 5; ++wave) {
-      for (std::uint32_t to = 0; to < 4; ++to) {
-        const int token = wave * 4 + static_cast<int>(to);
-        sim::Simulator* simp = sim.get();
-        net.send_sharded(/*from=*/0, to, net::MessageType::kBufferMap,
-                         /*bits=*/100,
-                         [logp, simp, token](net::DeliveryContext&) {
-                           logp->emplace_back(simp->now(), token);
-                         },
-                         /*extra_delay=*/0.01 * wave);
+      for (std::uint32_t from = 0; from < 2; ++from) {
+        for (std::uint32_t to = 0; to < 4; ++to) {
+          const int token = (wave * 2 + static_cast<int>(from)) * 4 +
+                            static_cast<int>(to);
+          sim::Simulator* simp = &sim;
+          net.send_sharded(from, to, net::MessageType::kBufferMap,
+                           /*bits=*/100,
+                           [logp, simp, token](net::DeliveryContext&) {
+                             logp->emplace_back(simp->now(), token);
+                           },
+                           /*extra_delay=*/0.01 * wave);
+        }
       }
     }
-    sim->run_until(10.0);
+    sim.run_until(10.0);
     return std::make_tuple(std::move(log), net.delivery_batches(),
-                           net.batched_deliveries(), sim->executed());
+                           net.batched_deliveries(), sim.executed());
   };
   const auto bucketed = run(0);
-  const auto laned = run(4);
-  EXPECT_EQ(std::get<0>(bucketed), std::get<0>(laned));
-  EXPECT_EQ(std::get<1>(bucketed), std::get<1>(laned));
-  EXPECT_EQ(std::get<2>(bucketed), std::get<2>(laned));
-  EXPECT_EQ(std::get<3>(bucketed), std::get<3>(laned));
+  ASSERT_FALSE(std::get<0>(bucketed).empty());
+  for (const unsigned skew : {1u, 4u}) {
+    const auto laned = run(skew);
+    EXPECT_EQ(std::get<0>(bucketed), std::get<0>(laned)) << "skew " << skew;
+    EXPECT_EQ(std::get<1>(bucketed), std::get<1>(laned)) << "skew " << skew;
+    EXPECT_EQ(std::get<2>(bucketed), std::get<2>(laned)) << "skew " << skew;
+    EXPECT_EQ(std::get<3>(bucketed), std::get<3>(laned)) << "skew " << skew;
+  }
 }
 
-TEST(ShardedHandoff, FrontierCountersTrackBarriers) {
-  sim::Simulator sim(4);
+TEST(WindowedHandoff, SweepCountersTrackWindows) {
+  sim::Simulator sim(windowed(/*skew=*/1, /*grid_s=*/0.001));
   net::Network net(sim, net::LatencyModel({10.0, 20.0}, 5.0, /*grid_ms=*/1.0));
   ASSERT_TRUE(net.laned());
   int delivered = 0;
@@ -312,138 +204,31 @@ TEST(ShardedHandoff, FrontierCountersTrackBarriers) {
                    [dp](net::DeliveryContext&) { ++*dp; });
   sim.run_until(1.0);
   EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(net.frontier_barriers(), net.delivery_batches());
-  EXPECT_GT(net.frontier_barriers(), 0u);
-  // 4 lanes, and each barrier drained one receiver's lane — the other
-  // lanes count as stalled.
-  EXPECT_GT(net.frontier_stalled_lanes(), 0u);
+  EXPECT_GT(net.lax_handoff_windows(), 0u);
+  EXPECT_EQ(net.delivery_batches(), sim.executed());
+  // 8 lanes and at most two receivers per window: the rest stall.
+  EXPECT_GE(net.lax_stalled_lanes(),
+            net.lax_handoff_windows() * (net::DeliveryLanes::kLanes - 2));
 }
 
 // ---------------------------------------------------------------------------
-// Session-level byte-identity: sharded engine vs single-queue oracle
+// Window semantics
 // ---------------------------------------------------------------------------
 
-std::uint64_t session_fingerprint(const trace::TraceSnapshot& snapshot,
-                                  unsigned threads, bool churn, double grid_ms,
-                                  bool sharded_queue, unsigned queue_skew = 0) {
-  core::SystemConfig config;
-  config.seed = 42;
-  config.expected_nodes = 200;
-  config.threads = threads;
-  config.churn_enabled = churn;
-  config.latency_grid_ms = grid_ms;
-  config.sharded_queue = sharded_queue;
-  config.queue_skew_buckets = queue_skew;
-  runner::ReplicationSpec spec;
-  spec.config = config;
-  spec.snapshot = std::make_shared<const trace::TraceSnapshot>(snapshot);
-  spec.duration = 25.0;
-  spec.stable_from = 15.0;
-  return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
+TEST(WindowedEngine, SkewZeroIsExactAndWindowsNeedAGrid) {
+  EXPECT_FALSE(sim::Simulator(windowed(0, 1.0)).windowed());
+  EXPECT_TRUE(sim::Simulator(windowed(1, 1.0)).windowed());
+  EXPECT_THROW(sim::Simulator(windowed(1, 0.0)), std::logic_error);
+  sim::Simulator exact;
+  EXPECT_THROW(exact.set_frontier_hook({}), std::logic_error);
+  EXPECT_THROW((void)exact.allocate_seq(), std::logic_error);
 }
 
-TEST(ShardedQueueSessions, BitIdenticalToSingleQueueAcrossThreadCounts) {
-  trace::GeneratorConfig tc;
-  tc.node_count = 200;
-  tc.seed = 21;
-  const auto snapshot = trace::generate_snapshot(tc);
-
-  // Continuous AND quantized, static AND churn: the reference is the
-  // single-queue engine at threads 1; the sharded engine must match it
-  // bit for bit at every width.
-  for (const double grid_ms : {0.0, 1.0}) {
-    for (const bool churn : {false, true}) {
-      const std::uint64_t reference =
-          session_fingerprint(snapshot, 1, churn, grid_ms, false);
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        EXPECT_EQ(session_fingerprint(snapshot, threads, churn, grid_ms, true),
-                  reference)
-            << "threads " << threads << " churn " << churn << " grid "
-            << grid_ms;
-      }
-    }
-  }
-}
-
-TEST(ShardedQueueSessions, FaultedScenarioMatchesOracle) {
-  // Fault injection + retry hardening + quantized lanes together: the
-  // f5_q1 family member exercises send-boundary loss classification on
-  // the laned hand-off path.
-  const auto scenario = runner::find_scenario("f5_q1_static_small");
-  ASSERT_TRUE(scenario.has_value());
-  auto fingerprint = [&](unsigned threads, bool sharded_queue) {
-    auto spec = runner::spec_for(*scenario, 42);
-    spec.config.threads = threads;
-    spec.config.sharded_queue = sharded_queue;
-    return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
-  };
-  const std::uint64_t reference = fingerprint(1, false);
-  EXPECT_EQ(fingerprint(1, true), reference);
-  EXPECT_EQ(fingerprint(4, true), reference);
-}
-
-TEST(ShardedQueueSessions, ShardCountIsPurelyAPerformanceKnob) {
-  // The frontier walk restores global order for ANY shard count, so
-  // 2/8/32 shards all reproduce the oracle fingerprint.
-  trace::GeneratorConfig tc;
-  tc.node_count = 120;
-  tc.seed = 9;
-  const auto snapshot = trace::generate_snapshot(tc);
-  auto fingerprint = [&](bool sharded, unsigned shards) {
-    core::SystemConfig config;
-    config.seed = 7;
-    config.expected_nodes = 120;
-    config.threads = 2;
-    config.latency_grid_ms = 1.0;
-    config.sharded_queue = sharded;
-    config.sharded_queue_shards = shards;
-    runner::ReplicationSpec spec;
-    spec.config = config;
-    spec.snapshot = std::make_shared<const trace::TraceSnapshot>(snapshot);
-    spec.duration = 15.0;
-    spec.stable_from = 10.0;
-    return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
-  };
-  const std::uint64_t reference = fingerprint(false, 8);
-  for (const unsigned shards : {2u, 8u, 32u}) {
-    EXPECT_EQ(fingerprint(true, shards), reference) << "shards " << shards;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lax mode: bounded-skew windows (queue_skew_buckets >= 1)
-// ---------------------------------------------------------------------------
-
-void enable_lax(sim::Simulator& sim, unsigned skew, double grid_s,
-                sim::parallel::ParallelExecutor* exec = nullptr) {
-  sim::Simulator::LaxConfig lax;
-  lax.skew_buckets = skew;
-  lax.grid_s = grid_s;
-  lax.exec = exec;
-  sim.set_lax_drain(std::move(lax));
-}
-
-TEST(LaxDrain, RequiresShardedEngineAndPositiveGrid) {
-  sim::Simulator single;
-  sim::Simulator sharded(4);
-  sim::Simulator::LaxConfig bad;
-  bad.skew_buckets = 1;
-  bad.grid_s = 1.0;
-  EXPECT_THROW(single.set_lax_drain(bad), std::logic_error);
-  bad.grid_s = 0.0;
-  EXPECT_THROW(sharded.set_lax_drain(bad), std::logic_error);
-  bad.skew_buckets = 0;
-  bad.grid_s = 1.0;
-  EXPECT_THROW(sharded.set_lax_drain(bad), std::logic_error);
-  EXPECT_FALSE(sharded.lax());
-}
-
-TEST(LaxDrain, WindowsFenceEmissionsAndBoundTheClock) {
-  // skew 2 x grid 1.0 => window width 2.0. Four roots spread across
-  // shards (seq 1..4 -> shards 1,2,3,0), one child emitted mid-window.
-  sim::Simulator sim(4);
-  enable_lax(sim, /*skew=*/2, /*grid_s=*/1.0);
-  ASSERT_TRUE(sim.lax());
+TEST(WindowedEngine, WindowsFenceEmissionsAndBoundTheClock) {
+  // skew 2 x grid 1.0 => window width 2.0. Four roots (seq 1..4 ->
+  // shards 1..4) and one child (seq 5 -> shard 5) emitted mid-window.
+  sim::Simulator sim(windowed(/*skew=*/2, /*grid_s=*/1.0));
+  ASSERT_TRUE(sim.windowed());
   std::vector<std::pair<double, int>> log;
   auto fire = [&](int token) { log.emplace_back(sim.now(), token); };
   sim.schedule_at(0.0, [&] {
@@ -458,10 +243,11 @@ TEST(LaxDrain, WindowsFenceEmissionsAndBoundTheClock) {
   sim.run_until(10.0);
 
   // Window 1 [0,2]: tok0 then tok1 (shard order). Window 2 anchors at
-  // the fenced child [1,3]: tok4 (clock steps BACK 1.5 -> 1.0, within
-  // the skew bound) then tok2. Window 3 [5,7]: tok3.
+  // the fenced child [1,3]: tok2 (shard 3) then tok4 (shard 5) — the
+  // clock steps BACK 2.5 -> 1.0, within the skew bound. Window 3 [5,7]:
+  // tok3.
   const std::vector<std::pair<double, int>> expected = {
-      {0.0, 0}, {1.5, 1}, {1.0, 4}, {2.5, 2}, {5.0, 3}};
+      {0.0, 0}, {1.5, 1}, {2.5, 2}, {1.0, 4}, {5.0, 3}};
   EXPECT_EQ(log, expected);
 
   // Bounded-skew invariant: no event runs more than skew*grid behind
@@ -476,21 +262,34 @@ TEST(LaxDrain, WindowsFenceEmissionsAndBoundTheClock) {
   ASSERT_NE(queue, nullptr);
   EXPECT_EQ(queue->lax_windows(), 3u);
   EXPECT_EQ(queue->lax_events_drained(), 5u);
-  // Window 1 idles shards 0,3; window 2 idles 0,2; window 3 idles 1,2,3.
-  EXPECT_EQ(queue->lax_stalled_shards(), 7u);
-  // Leads: three events at their window anchor, two one bucket ahead.
+  // Of 8 shards, windows 1 and 2 feed two each, window 3 feeds one.
+  EXPECT_EQ(queue->lax_stalled_shards(), 6u + 6u + 7u);
+  // Leads: three events at their window anchor (tok0, tok4, tok3), two
+  // one bucket ahead (tok1, tok2).
   ASSERT_EQ(queue->lax_lead_histogram().size(), 3u);
   EXPECT_EQ(queue->lax_lead_histogram()[0], 3u);
   EXPECT_EQ(queue->lax_lead_histogram()[1], 2u);
   EXPECT_EQ(queue->lax_lead_histogram()[2], 0u);
 }
 
-TEST(LaxDrain, CrossShardCancelInsideAWindowIsHonoured) {
+TEST(WindowedEngine, StepRunsOneWindow) {
+  sim::Simulator sim(windowed(/*skew=*/1, /*grid_s=*/1.0));
+  int fired = 0;
+  sim.schedule_at(0.0, [&] { ++fired; });
+  sim.schedule_at(0.5, [&] { ++fired; });  // same window as 0.0
+  sim.schedule_at(3.0, [&] { ++fired; });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(WindowedEngine, CrossShardCancelInsideAWindowIsHonoured) {
   // A (shard 1) and B (shard 2) are collected into the SAME window;
   // A executes first and cancels B — the stale collected ref must be
-  // skipped, exactly like the strict engine would have skipped it.
-  sim::Simulator sim(4);
-  enable_lax(sim, /*skew=*/4, /*grid_s=*/1.0);
+  // skipped.
+  sim::Simulator sim(windowed(/*skew=*/4, /*grid_s=*/1.0));
   std::vector<std::pair<double, int>> log;
   sim::EventId b = sim::kInvalidEvent;
   sim.schedule_at(0.0, [&] {
@@ -508,7 +307,7 @@ TEST(LaxDrain, CrossShardCancelInsideAWindowIsHonoured) {
   EXPECT_FALSE(sim.cancel(a_probe));  // already fired
 }
 
-TEST(LaxDrain, ThreadedCollectionMatchesInlineCollection) {
+TEST(WindowedEngine, ThreadedCollectionMatchesInlineCollection) {
   // The forked Phase A only POPS per-shard heaps; execution stays
   // serial. A 4-thread executor must therefore reproduce the inline
   // fallback's log exactly, storm after storm.
@@ -516,8 +315,7 @@ TEST(LaxDrain, ThreadedCollectionMatchesInlineCollection) {
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     const unsigned skew = (trial % 2 == 0) ? 1u : 4u;
     auto run = [&](sim::parallel::ParallelExecutor* e) {
-      sim::Simulator sim(4);
-      enable_lax(sim, skew, /*grid_s=*/0.5, e);
+      sim::Simulator sim(windowed(skew, /*grid_s=*/0.5, e));
       Storm storm(sim, 7000 + trial);
       for (int i = 0; i < 40; ++i) {
         storm.schedule(0.5 * static_cast<double>(storm.rng.next_below(20)));
@@ -531,13 +329,12 @@ TEST(LaxDrain, ThreadedCollectionMatchesInlineCollection) {
   }
 }
 
-TEST(LaxDrain, RandomStormsAreDeterministicOncePerTokenAndBounded) {
+TEST(WindowedEngine, RandomStormsAreDeterministicOncePerTokenAndBounded) {
   for (std::uint64_t trial = 0; trial < 50; ++trial) {
     const unsigned skew = (trial % 2 == 0) ? 1u : 4u;
     const double grid = 0.5;
     auto run = [&] {
-      sim::Simulator sim(4 + static_cast<unsigned>(trial % 3));
-      enable_lax(sim, skew, grid);
+      sim::Simulator sim(windowed(skew, grid));
       Storm storm(sim, 4000 + trial);
       for (int i = 0; i < 40; ++i) {
         storm.schedule(0.5 * static_cast<double>(storm.rng.next_below(20)));
@@ -564,19 +361,18 @@ TEST(LaxDrain, RandomStormsAreDeterministicOncePerTokenAndBounded) {
   }
 }
 
-TEST(LaxDrain, PerReceiverDeliveryOrderSurvivesSkew) {
-  // Laned hand-offs under skew: the windowed barrier sweep merges due
-  // lanes by (instant, seq), so each receiver must observe tokens in
-  // exactly the order the single-queue oracle delivers them.
-  auto run = [](unsigned queue_shards, unsigned skew) {
-    auto sim = queue_shards > 0 ? std::make_unique<sim::Simulator>(queue_shards)
-                                : std::make_unique<sim::Simulator>();
-    net::Network net(*sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
-                                             /*grid_ms=*/2.0));
-    if (skew > 0) enable_lax(*sim, skew, net.grid_s());
+TEST(WindowedEngine, PerReceiverDeliveryOrderSurvivesSkew) {
+  // Laned hand-offs under skew, with deliveries interleaved with
+  // ordinary events: each receiver must still observe tokens in exactly
+  // the order the exact engine delivers them.
+  auto run = [](unsigned skew) {
+    sim::Simulator sim(windowed(skew, /*grid_s=*/0.002));
+    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
+                                            /*grid_ms=*/2.0));
     std::vector<std::vector<int>> per_receiver(4);
     auto* prp = &per_receiver;
     for (int wave = 0; wave < 6; ++wave) {
+      sim.schedule_at(0.013 * wave, [] {});
       for (std::uint32_t from = 0; from < 2; ++from) {
         for (std::uint32_t to = 0; to < 4; ++to) {
           const int token = (wave * 2 + static_cast<int>(from)) * 4 +
@@ -589,64 +385,76 @@ TEST(LaxDrain, PerReceiverDeliveryOrderSurvivesSkew) {
         }
       }
     }
-    sim->run_until(10.0);
+    sim.run_until(10.0);
     return per_receiver;
   };
-  const auto oracle = run(0, 0);
+  const auto exact = run(0);
   for (const unsigned skew : {1u, 4u}) {
-    const auto lax = run(4, skew);
+    const auto lax = run(skew);
     for (std::size_t to = 0; to < 4; ++to) {
-      EXPECT_EQ(lax[to], oracle[to]) << "receiver " << to << " skew " << skew;
-      EXPECT_FALSE(oracle[to].empty());
+      EXPECT_EQ(lax[to], exact[to]) << "receiver " << to << " skew " << skew;
+      EXPECT_FALSE(exact[to].empty());
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Session-level lax gates: skew-0 byte-identity and thread-invariance
+// Session-level gates: engine selection and fixed-skew thread-invariance
 // ---------------------------------------------------------------------------
 
-TEST(LaxSessions, SkewIsInertWithoutShardedQueueOrQuantizedGrid) {
-  trace::GeneratorConfig tc;
-  tc.node_count = 200;
-  tc.seed = 21;
-  const auto snapshot = trace::generate_snapshot(tc);
-  // Continuous mode (grid 0): lax never engages, skew must be inert.
-  EXPECT_EQ(session_fingerprint(snapshot, 1, true, 0.0, true, 4),
-            session_fingerprint(snapshot, 1, true, 0.0, true, 0));
-  // Single-queue engine: skew must be inert too.
-  EXPECT_EQ(session_fingerprint(snapshot, 1, true, 1.0, false, 4),
-            session_fingerprint(snapshot, 1, true, 1.0, false, 0));
+std::uint64_t session_fingerprint(const trace::TraceSnapshot& snapshot,
+                                  unsigned threads, double grid_ms,
+                                  bool sharded_queue, unsigned queue_skew) {
+  core::SystemConfig config;
+  config.seed = 42;
+  config.expected_nodes = 200;
+  config.threads = threads;
+  config.churn_enabled = true;
+  config.latency_grid_ms = grid_ms;
+  config.sharded_queue = sharded_queue;
+  config.queue_skew_buckets = queue_skew;
+  runner::ReplicationSpec spec;
+  spec.config = config;
+  spec.snapshot = std::make_shared<const trace::TraceSnapshot>(snapshot);
+  spec.duration = 25.0;
+  spec.stable_from = 15.0;
+  return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
 }
 
-TEST(LaxSessions, SkewZeroMatchesStrictAndFixedSkewIsThreadInvariant) {
+TEST(WindowedSessions, IncompleteSelectionsRunTheExactEngine) {
   trace::GeneratorConfig tc;
   tc.node_count = 200;
   tc.seed = 21;
   const auto snapshot = trace::generate_snapshot(tc);
+  // The windowed engine needs all three of sharded_queue, a skew and a
+  // grid; anything less is the exact engine, byte for byte.
+  EXPECT_EQ(session_fingerprint(snapshot, 1, 0.0, true, 4),
+            session_fingerprint(snapshot, 1, 0.0, false, 0));
+  const std::uint64_t exact = session_fingerprint(snapshot, 1, 1.0, false, 0);
+  EXPECT_EQ(session_fingerprint(snapshot, 1, 1.0, true, 0), exact);
+  EXPECT_EQ(session_fingerprint(snapshot, 1, 1.0, false, 4), exact);
+}
 
-  // Strict reference: the single-queue oracle; skew 0 on the sharded
-  // engine must stay byte-identical to it.
-  const std::uint64_t strict =
-      session_fingerprint(snapshot, 1, true, 1.0, false, 0);
-  EXPECT_EQ(session_fingerprint(snapshot, 1, true, 1.0, true, 0), strict);
-
+TEST(WindowedSessions, FixedSkewIsThreadInvariant) {
+  trace::GeneratorConfig tc;
+  tc.node_count = 200;
+  tc.seed = 21;
+  const auto snapshot = trace::generate_snapshot(tc);
+  const std::uint64_t exact = session_fingerprint(snapshot, 1, 1.0, false, 0);
   // Fixed skew: a DIFFERENT deterministic universe, identical at every
   // thread count.
   for (const unsigned skew : {1u, 4u}) {
-    const std::uint64_t reference =
-        session_fingerprint(snapshot, 1, true, 1.0, true, skew);
-    EXPECT_NE(reference, strict) << "skew " << skew
-        << ": lax silently fell back to strict";
+    const std::uint64_t reference = session_fingerprint(snapshot, 1, 1.0, true, skew);
+    EXPECT_NE(reference, exact) << "skew " << skew
+        << ": the windowed engine silently fell back to exact";
     for (const unsigned threads : {2u, 4u, 8u}) {
-      EXPECT_EQ(session_fingerprint(snapshot, threads, true, 1.0, true, skew),
-                reference)
+      EXPECT_EQ(session_fingerprint(snapshot, threads, 1.0, true, skew), reference)
           << "threads " << threads << " skew " << skew;
     }
   }
 }
 
-TEST(LaxSessions, FaultedScenarioIsThreadInvariantUnderSkew) {
+TEST(WindowedSessions, FaultedScenarioIsThreadInvariantUnderSkew) {
   const auto scenario = runner::find_scenario("f5_q1_static_small");
   ASSERT_TRUE(scenario.has_value());
   auto fingerprint = [&](unsigned threads, unsigned skew) {

@@ -58,8 +58,7 @@ struct CliOptions {
   bool vary_trace_seed = false;
   unsigned jobs = 0;     // 0 = hardware concurrency (flag demands >= 1)
   unsigned threads = 1;  // intra-session fork/join width
-  bool sharded_queue = false;  // sharded event-queue engine (bit-identical)
-  unsigned queue_skew = 0;     // lax-mode skew window in grid buckets
+  unsigned queue_skew = 0;  // 0 = exact engine, K >= 1 = windowed(K)
   std::size_t replications = 1;
   bool list_scenarios = false;
   bool quiet = false;
@@ -99,15 +98,13 @@ void print_usage(const char* argv0) {
       "                     results are identical for every value). With\n"
       "                     replications the runner clamps jobs so\n"
       "                     jobs x threads fits the machine\n"
-      "  --sharded-queue    run on the sharded event-queue engine (per-shard\n"
-      "                     heaps + meta-heap frontier; results are bit-identical\n"
-      "                     to the default single-queue engine)\n"
-      "  --queue-skew K     lax mode: shards drain up to K latency-grid buckets\n"
-      "                     ahead of the global frontier, concurrently. Needs\n"
-      "                     --sharded-queue and a quantized (q*_) scenario; 0 is\n"
-      "                     strict mode. Deterministic and thread-invariant per\n"
-      "                     K, but each K >= 1 is a different universe from\n"
-      "                     strict (see docs/DETERMINISM.md contract 7)\n"
+      "  --queue-skew K     K >= 1 runs the windowed engine: the event queue\n"
+      "                     drains in K-latency-grid-bucket windows whose\n"
+      "                     per-shard pops run concurrently. Needs a quantized\n"
+      "                     (q*_) scenario; 0 (default) is the exact engine.\n"
+      "                     Deterministic and thread-invariant per K, but each\n"
+      "                     K >= 1 is a different universe from exact (see\n"
+      "                     docs/DETERMINISM.md contract 7)\n"
       "  --csv FILE         dump per-round series as CSV\n"
       "  --csv-mode MODE    what --csv writes for multi-replication runs:\n"
       "                       first   series of replication 0 only (default)\n"
@@ -226,8 +223,6 @@ void print_usage(const char* argv0) {
         return std::nullopt;
       }
       opt.threads = *parsed;
-    } else if (arg == "--sharded-queue") {
-      opt.sharded_queue = true;
     } else if (arg == "--queue-skew") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -381,13 +376,14 @@ int main(int argc, char** argv) {
   // When scenario-driven, the scenario fixes workload shape AND horizons;
   // the CLI's --seed still picks the replication seed stream.
   runner::ReplicationSpec spec = base_spec(opt);
-  // Engine selection is orthogonal to the workload: --sharded-queue is
-  // legal with --scenario because it cannot change any result.
-  // --queue-skew >= 1 is different: lax mode DOES change results (a
-  // deterministic, thread-invariant universe per skew setting), which
-  // is why it is opt-in and gated by its own drift budget in CI.
-  spec.config.sharded_queue = opt.sharded_queue;
-  spec.config.queue_skew_buckets = opt.queue_skew;
+  // Engine selection is legal with --scenario: the windowed engine
+  // changes results (a deterministic, thread-invariant universe per
+  // skew setting), which is why it is opt-in and gated by its own drift
+  // budget in CI.
+  if (const auto problem = runner::cli::select_engine(spec.config, opt.queue_skew)) {
+    std::fprintf(stderr, "%s\n", problem->c_str());
+    return 1;
+  }
   if (opt.vary_trace_seed) {
     if (opt.replications <= 1) {
       std::fprintf(stderr, "--vary-trace-seed needs --replications > 1\n");

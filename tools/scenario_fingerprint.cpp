@@ -22,22 +22,17 @@
 // obs-on vs obs-off diff is the CI gate proving observability never
 // perturbs the engine.
 //
-// --sharded-queue runs every session on the sharded event-queue
-// engine (per-shard heaps + meta-heap frontier) while printing the
-// SAME output — the on-vs-off diff is the CI gate proving the sharded
-// engine is byte-identical to the single-queue oracle.
-//
-// --queue-skew K (with --sharded-queue) selects the lax bounded-skew
-// drain. K = 0 must print bytes identical to strict mode; each K >= 1
-// prints a DIFFERENT but deterministic baseline that must be identical
-// at every --threads value — both properties are CI diff gates.
+// --queue-skew K (K >= 1, quantized scenarios only) runs every session
+// on the windowed engine. Each K prints a DIFFERENT but deterministic
+// baseline that must be identical at every --threads value — a CI diff
+// gate (tools/check_fingerprints.py).
 //
 // --only accepts exact scenario names AND family prefixes: "--only
 // q1_" expands to every q1_* scenario (matrix + families, registry
 // order). A selector matching nothing is still a hard error.
 //
 //   scenario_fingerprint [--seed S] [--only NAME[,NAME...]] [--threads N]
-//                        [--include-large] [--obs] [--sharded-queue] [--quiet]
+//                        [--include-large] [--obs] [--queue-skew K] [--quiet]
 
 #include <cinttypes>
 #include <cstdio>
@@ -58,7 +53,6 @@ int main(int argc, char** argv) {
   unsigned threads = 1;
   bool include_large = false;
   bool obs = false;
-  bool sharded_queue = false;
   unsigned queue_skew = 0;
   std::vector<std::string> only;
   for (int i = 1; i < argc; ++i) {
@@ -84,8 +78,6 @@ int main(int argc, char** argv) {
       include_large = true;
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       obs = true;
-    } else if (std::strcmp(argv[i], "--sharded-queue") == 0) {
-      sharded_queue = true;
     } else if (std::strcmp(argv[i], "--queue-skew") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_uint(argv[++i]);
       if (!parsed.has_value()) {
@@ -108,8 +100,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--seed S] [--only NAME[,NAME...]] [--threads N] "
-                   "[--include-large] [--obs] [--sharded-queue] "
-                   "[--queue-skew K] [--quiet]\n",
+                   "[--include-large] [--obs] [--queue-skew K] [--quiet]\n",
                    argv[0]);
       return 1;
     }
@@ -158,8 +149,10 @@ int main(int argc, char** argv) {
   for (const auto& scenario : scenarios) {
     auto spec = runner::spec_for(scenario, seed);
     spec.config.threads = threads;
-    spec.config.sharded_queue = sharded_queue;
-    spec.config.queue_skew_buckets = queue_skew;
+    if (const auto problem = runner::cli::select_engine(spec.config, queue_skew)) {
+      std::fprintf(stderr, "%s: %s\n", scenario.name.c_str(), problem->c_str());
+      return 1;
+    }
     if (obs) {
       spec.config.obs.profile = true;
       spec.config.obs.trace = true;
