@@ -85,6 +85,8 @@ int main(int argc, char** argv) {
   // scenarios that IS the steady-state peak (stream buffers saturate
   // within one capacity window and stay full). This is the record the
   // 100k-node sizing works from: which per-node container dominates.
+  // engine_bytes (event queue + pending quantized deliveries) rides
+  // alongside, outside the per-node total.
   const auto memory = session.memory_footprint();
   {
     char line[256];
@@ -95,10 +97,10 @@ int main(int argc, char** argv) {
     util::Log(util::LogLevel::kInfo) << line;
     std::snprintf(line, sizeof line,
                   "memory: %.0f B/node (buffers %zu KiB, neighbors %zu KiB, "
-                  "dht %zu KiB, inflight %zu KiB)",
+                  "dht %zu KiB, inflight %zu KiB); engine %zu KiB",
                   memory.per_node_bytes(), memory.buffer_bytes >> 10,
                   memory.neighbor_bytes >> 10, memory.dht_bytes >> 10,
-                  memory.inflight_bytes >> 10);
+                  memory.inflight_bytes >> 10, memory.engine_bytes >> 10);
     util::Log(util::LogLevel::kInfo) << line;
   }
   std::printf(
@@ -110,7 +112,7 @@ int main(int argc, char** argv) {
       "\"memory\": {\"measured_at\": \"end_of_run\", \"measured_nodes\": %zu, "
       "\"per_node_bytes\": %.1f, \"buffer_bytes\": %zu, "
       "\"neighbor_bytes\": %zu, \"dht_bytes\": %zu, \"inflight_bytes\": %zu, "
-      "\"total_bytes\": %zu, \"detail\": {\"neighbor_set_bytes\": %zu, "
+      "\"total_bytes\": %zu, \"engine_bytes\": %zu, \"detail\": {\"neighbor_set_bytes\": %zu, "
       "\"overheard_bytes\": %zu, \"peer_table_bytes\": %zu, "
       "\"backup_bytes\": %zu, \"transfer_map_bytes\": %zu, "
       "\"prefetch_map_bytes\": %zu, \"tag_set_bytes\": %zu, "
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
       std::thread::hardware_concurrency(), obs ? "true" : "false", memory.nodes,
       memory.per_node_bytes(), memory.buffer_bytes, memory.neighbor_bytes,
       memory.dht_bytes, memory.inflight_bytes, memory.total_bytes(),
-      memory.neighbor_set_bytes, memory.overheard_bytes,
+      memory.engine_bytes, memory.neighbor_set_bytes, memory.overheard_bytes,
       memory.peer_table_bytes, memory.backup_bytes, memory.transfer_map_bytes,
       memory.prefetch_map_bytes, memory.tag_set_bytes,
       memory.rate_table_bytes, memory.retry_map_bytes, memory.blacklist_bytes);

@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/buffer_map.hpp"
@@ -13,6 +15,7 @@
 #include "core/scheduler.hpp"
 #include "dht/id_space.hpp"
 #include "dht/routing_experiment.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/bitwindow.hpp"
@@ -94,6 +97,38 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1000)->Arg(100000);
+
+/// Steady-state hold model: `range(0)` events stay pending and each op
+/// pops the earliest one and schedules its replacement — the shape of a
+/// running session, which the fill-then-drain benches above never
+/// reach. Delays approximate the static_8k mix: log-uniform over
+/// 4 ms - 0.5 s (deliveries, DHT hops, round ticks) plus ~0.3% long
+/// 2-8 s timers. Delays are pre-drawn so the RNG stays out of the loop.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDelays = std::size_t{1} << 16;
+  util::Rng rng(13);
+  std::vector<double> delays(kDelays);
+  for (double& delay : delays) {
+    delay = rng.next_double() < 0.003
+                ? rng.next_range(2.0, 8.0)
+                : 0.004 * std::pow(0.5 / 0.004, rng.next_double());
+  }
+  sim::EventQueue queue;
+  for (std::size_t i = 0; i < pending; ++i) {
+    (void)queue.emplace(delays[i & (kDelays - 1)], [] {});
+  }
+  std::size_t next = pending;
+  sim::EventQueue::DueEvent due;
+  const double horizon = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    (void)queue.acquire_due(horizon, due);
+    queue.execute_and_release(due);
+    (void)queue.emplace(due.time + delays[next++ & (kDelays - 1)], [] {});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(8000)->Arg(90000);
 
 /// A fleet of same-period participants behind one batched proxy event
 /// (the per-node scheduling-round fleet of a session).

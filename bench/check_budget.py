@@ -10,8 +10,12 @@ regression nor a wall-clock regression can land silently.
 
 The bench JSON is one bench_large_session stdout line; the budget file
 holds {"scenario": ..., "max_per_node_bytes": ..., and optionally
-"min_events_per_sec": ...} (the throughput floor is skipped when the
-budget file does not set one).
+"min_events_per_sec": ... and "max_engine_bytes_per_node": ...}. The
+throughput floor is skipped when the budget file does not set one. The
+engine ceiling bounds memory.engine_bytes (event queue plus pending
+quantized deliveries, kept outside the per-node total) divided by the
+measured node count; a record without memory.engine_bytes cannot be
+evaluated against it (exit 2).
 
 Exit codes: 0 within budget, 1 budget regression, 2 usage / malformed
 or unreadable input.
@@ -59,6 +63,24 @@ def check(bench_path: str, budget_path: str) -> int:
             file=sys.stderr,
         )
         failed = True
+
+    engine_limit = budget.get("max_engine_bytes_per_node")
+    if engine_limit is not None:
+        nodes = max(int(bench["memory"].get("measured_nodes", 1)), 1)
+        engine = float(bench["memory"]["engine_bytes"]) / nodes
+        print(
+            f"budget gate [{bench['scenario']}]: measured engine "
+            f"{engine:.1f} B/node, budget {float(engine_limit):.1f} B/node"
+        )
+        if engine > float(engine_limit):
+            print(
+                f"budget gate: FAIL — engine memory {engine:.1f} B/node "
+                f"exceeds the checked-in budget of {float(engine_limit):.1f}. "
+                f"If the growth is intentional, raise {budget_path} in the "
+                f"same PR with a justification.",
+                file=sys.stderr,
+            )
+            failed = True
 
     floor = budget.get("min_events_per_sec")
     if floor is not None:

@@ -1953,6 +1953,7 @@ MemoryFootprint Session::memory_footprint() const {
   fp.inflight_bytes = fp.transfer_map_bytes + fp.prefetch_map_bytes +
                       fp.tag_set_bytes + fp.rate_table_bytes +
                       fp.retry_map_bytes + fp.blacklist_bytes;
+  fp.engine_bytes = sim_.queue_bytes() + network_.pending_bytes();
   return fp;
 }
 

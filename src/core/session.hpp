@@ -134,6 +134,12 @@ struct MemoryFootprint {
   std::size_t rate_table_bytes = 0;    ///< of inflight_bytes
   std::size_t retry_map_bytes = 0;     ///< of inflight_bytes (hardening)
   std::size_t blacklist_bytes = 0;     ///< of inflight_bytes (hardening)
+  /// Pending-work containers of the engine itself: the event queue's
+  /// slot pool and heap plus the network's quantized delivery buckets
+  /// or hand-off lanes. Deliberately NOT part of total_bytes(): the
+  /// per-node budgets measure per-node state, and engine memory scales
+  /// with in-flight work rather than with membership.
+  std::size_t engine_bytes = 0;
   [[nodiscard]] std::size_t total_bytes() const noexcept {
     return buffer_bytes + neighbor_bytes + dht_bytes + inflight_bytes;
   }

@@ -1,7 +1,7 @@
 #include "net/handoff.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace continu::net {
 
@@ -39,12 +39,7 @@ void DeliveryLanes::enqueue(std::uint32_t to, bool filtered, SimTime when,
   s.entry.filtered = filtered;
   s.entry.action = std::move(action);
   const std::uint64_t key = (seq << kSlotBits) | index;
-  lane.heap.push_back(HeapEntry{when, key});
-  std::push_heap(lane.heap.begin(), lane.heap.end(),
-                 [](const HeapEntry& a, const HeapEntry& b) noexcept {
-                   if (a.time != b.time) return a.time > b.time;
-                   return a.key > b.key;
-                 });
+  lane.heap.push(when, key);
   ++size_;
   refresh_meta(lane_index);
 }
@@ -54,9 +49,18 @@ void DeliveryLanes::refresh_meta(std::uint32_t lane_index) {
   if (lane.heap.empty()) {
     meta_.clear(lane_index);
   } else {
-    meta_.update(lane_index, lane.heap.front().time,
-                 lane.heap.front().key >> kSlotBits);
+    const sim::QuadHeap::Entry top = lane.heap.top();
+    meta_.update(lane_index, top.time, top.key >> kSlotBits);
   }
+}
+
+std::size_t DeliveryLanes::approx_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const Lane& lane : lanes_) {
+    bytes += lane.blocks.size() * kBlockSize * sizeof(Slot) +
+             lane.heap.capacity_bytes() + lane.due.capacity() * sizeof(DueRef);
+  }
+  return bytes;
 }
 
 bool DeliveryLanes::next_time(SimTime& time) const {
@@ -67,16 +71,11 @@ bool DeliveryLanes::next_time(SimTime& time) const {
 
 void DeliveryLanes::collect_due_window(unsigned lane_index, SimTime limit) {
   Lane& lane = lanes_[lane_index];
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.key > b.key;
-  };
   // Heap pops surface (time, key) ascending, so the due list comes out
   // (time, seq)-sorted — ready for the windowed k-way merge.
-  while (!lane.heap.empty() && lane.heap.front().time <= limit) {
-    const HeapEntry top = lane.heap.front();
-    std::pop_heap(lane.heap.begin(), lane.heap.end(), later);
-    lane.heap.pop_back();
+  while (!lane.heap.empty() && lane.heap.top().time <= limit) {
+    const sim::QuadHeap::Entry top = lane.heap.top();
+    lane.heap.pop();
     lane.due.push_back(DueRef{top.time, top.key >> kSlotBits,
                              static_cast<std::uint32_t>(top.key & kSlotMask)});
   }

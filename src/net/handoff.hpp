@@ -21,15 +21,16 @@
 //     grouping, shard decomposition and join settlement are the same
 //     code as on the exact engine.
 //
-// The lane heaps reuse the EventQueue pattern: 16-byte (time, key)
-// heap entries over stable slot blocks, key = (seq << 24) | slot.
-// Hand-offs are never cancelled, so there is no generation check.
+// The lane heaps reuse the EventQueue pattern: a QuadHeap of 16-byte
+// (time, key) entries over stable slot blocks, key = (seq << 24) |
+// slot. Hand-offs are never cancelled, so there is no generation check.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "net/delivery.hpp"
+#include "sim/quad_heap.hpp"
 #include "sim/sharded_queue.hpp"
 #include "util/types.hpp"
 
@@ -82,19 +83,15 @@ class DeliveryLanes {
   /// Hand-offs currently parked.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
+  /// Bytes held by the lanes: slot blocks (never freed) plus heaps.
+  [[nodiscard]] std::size_t approx_bytes() const noexcept;
+
  private:
   static constexpr unsigned kSlotBits = sim::EventQueue::kSlotBits;
   static constexpr std::uint32_t kSlotMask = sim::EventQueue::kSlotMask;
   static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
   static constexpr std::size_t kBlockShift = 7;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-
-  /// 16 bytes, min-heap on (time, key); key order at equal times is
-  /// sequence order because the sequence occupies the high bits.
-  struct HeapEntry {
-    SimTime time;
-    std::uint64_t key;  ///< (seq << kSlotBits) | slot
-  };
 
   struct Slot {
     HandoffEntry entry;
@@ -111,7 +108,9 @@ class DeliveryLanes {
 
   struct Lane {
     std::vector<std::unique_ptr<Slot[]>> blocks;
-    std::vector<HeapEntry> heap;
+    /// Min-heap on (time, key = (seq << kSlotBits) | slot); key order
+    /// at equal times is sequence order.
+    sim::QuadHeap heap;
     std::uint32_t free_head = kNoFree;
     std::uint32_t slot_count = 0;
     std::vector<DueRef> due;  ///< phase-A scratch, consumed by phase B

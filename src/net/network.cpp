@@ -93,10 +93,6 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
   }
   auto [it, inserted] = buckets_.try_emplace(when);
   if (inserted) {
-    if (!spare_entry_vecs_.empty()) {
-      it->second.entries = std::move(spare_entry_vecs_.back());
-      spare_entry_vecs_.pop_back();
-    }
     // One proxy event per bucket, scheduled at bucket creation — its
     // sequence number (and thus its order among same-instant events)
     // is a pure function of the delivery schedule.
@@ -109,11 +105,22 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
 void Network::fire_bucket(SimTime time) {
   const auto it = buckets_.find(time);
   if (it == buckets_.end()) return;  // defensive: bucket map out of sync
+  // The entry vector dies with this call. Do not recycle it into a
+  // later bucket: every pending bucket would inherit the largest
+  // capacity any bucket reached, and memory would track that maximum
+  // instead of the live deliveries.
   std::vector<ShardedEntry> entries = std::move(it->second.entries);
   buckets_.erase(it);
   dispatch_bucket(entries);
-  entries.clear();
-  spare_entry_vecs_.push_back(std::move(entries));
+}
+
+std::size_t Network::pending_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const auto& [time, bucket] : buckets_) {
+    bytes += bucket.entries.capacity() * sizeof(ShardedEntry);
+  }
+  if (lanes_ != nullptr) bytes += lanes_->approx_bytes();
+  return bytes;
 }
 
 std::size_t Network::fire_frontier_window(

@@ -1,7 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -50,8 +48,7 @@ EventId EventQueue::push_with_seq(std::uint64_t seq, SimTime time,
   // once the entry and action are in place, so a heap_ allocation
   // failure cannot leave a live-looking slot behind.
   s.action = std::move(action);
-  heap_.push_back(HeapEntry{time, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.push(time, id);
   s.id = id;
   ++live_;
   if (live_ > peak_live_) peak_live_ = live_;
@@ -65,28 +62,23 @@ void EventQueue::push_all(std::vector<Deferred>& batch) {
   batch.clear();
 }
 
-void EventQueue::remove_top() noexcept {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-}
-
 void EventQueue::drop_dead_top() const {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slot(top.id & kSlotMask).id == top.id) return;  // live
-    const_cast<EventQueue*>(this)->remove_top();
+    const std::uint64_t id = heap_.top().key;
+    if (slot(id & kSlotMask).id == id) return;  // live
+    heap_.pop();
   }
 }
 
-Event EventQueue::take_top(HeapEntry top) {
-  const std::uint32_t index = top.id & kSlotMask;
+Event EventQueue::take_top(QuadHeap::Entry top) {
+  const std::uint32_t index = top.key & kSlotMask;
   Event out;
   out.time = top.time;
-  out.id = top.id;
+  out.id = top.key;
   out.action = std::move(slot(index).action);
   release_slot(index);
   --live_;
-  remove_top();
+  heap_.pop();
   return out;
 }
 
@@ -95,30 +87,30 @@ Event EventQueue::pop() {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  return take_top(heap_.front());
+  return take_top(heap_.top());
 }
 
 bool EventQueue::pop_until(SimTime horizon, Event& out) {
   drop_dead_top();
-  if (heap_.empty() || heap_.front().time > horizon) return false;
-  out = take_top(heap_.front());
+  if (heap_.empty() || heap_.top().time > horizon) return false;
+  out = take_top(heap_.top());
   return true;
 }
 
 bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
   for (;;) {
     if (heap_.empty()) return false;
-    const HeapEntry top = heap_.front();
+    const QuadHeap::Entry top = heap_.top();
     // A stale (cancelled) top beyond the horizon is left in place —
     // drop_dead_top() purges it whenever ordering queries need it.
     if (top.time > horizon) return false;
-    const std::uint32_t index = top.id & kSlotMask;
+    const std::uint32_t index = top.key & kSlotMask;
     Slot& s = slot(index);
     // Start the slot-line fill now; the heap percolation below hides
     // most of its latency.
     __builtin_prefetch(&s, 1);
-    remove_top();
-    if (s.id != top.id) continue;  // cancelled or stale: discard lazily
+    heap_.pop();
+    if (s.id != top.key) continue;  // cancelled or stale: discard lazily
     // De-register but do NOT free: the slot must not be reused while
     // its action runs, and a cancel() of the running id must no-op.
     s.id = kInvalidEvent;
@@ -129,7 +121,7 @@ bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
     // caller's action execution plus the next heap percolation give
     // the line a full miss latency of lead time.
     if (!heap_.empty()) {
-      __builtin_prefetch(&slot(heap_.front().id & kSlotMask), 1);
+      __builtin_prefetch(&slot(heap_.top().key & kSlotMask), 1);
     }
     return true;
   }
@@ -170,28 +162,29 @@ SimTime EventQueue::next_time() const {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::next_time on empty queue");
   }
-  return heap_.front().time;
+  return heap_.top().time;
 }
 
 bool EventQueue::peek(SimTime& time, EventId& id) const {
   drop_dead_top();
   if (heap_.empty()) return false;
-  time = heap_.front().time;
-  id = heap_.front().id;
+  const QuadHeap::Entry top = heap_.top();
+  time = top.time;
+  id = top.key;
   return true;
 }
 
 void EventQueue::collect_window(SimTime limit, std::vector<WindowRef>& out) {
   for (;;) {
     if (heap_.empty()) return;
-    const HeapEntry top = heap_.front();
+    const QuadHeap::Entry top = heap_.top();
     if (top.time > limit) return;
-    remove_top();
+    heap_.pop();
     // Dead tops (cancelled before collection) are reaped here exactly
     // like drop_dead_top(); live entries stay registered so a cancel
     // during the window's execution still lands.
-    if (slot(top.id & kSlotMask).id != top.id) continue;
-    out.push_back(WindowRef{top.time, top.id});
+    if (slot(top.key & kSlotMask).id != top.key) continue;
+    out.push_back(WindowRef{top.time, top.key});
   }
 }
 

@@ -1,12 +1,19 @@
 #pragma once
 // Slot-pool event queue: a 4-ary implicit heap of 16-byte (time, id)
-// entries over a generation-stamped pool of event slots.
+// entries (QuadHeap, sim/quad_heap.hpp) over a generation-stamped pool
+// of event slots.
 //
-// Design, and why it beats the previous binary heap + two
-// unordered_sets:
+// Design, and why it is fast:
 //   * The heap holds only (time, id) — 16 bytes per entry instead of a
 //     48+ byte Event with its action, so sift paths touch 3x fewer
-//     cache lines; the 4-ary layout halves the tree depth on top.
+//     cache lines. Four children per node halve the depth of a binary
+//     heap, and QuadHeap picks the smallest child of each group with
+//     compares folded into index arithmetic, so a pop costs no
+//     mispredicted branches on its way down. At 90k pending events a
+//     pop-one-push-one op costs ~92 ns, against ~147 ns for a
+//     std::pop_heap binary heap and ~127 ns for the same 4-ary heap
+//     with branchy child selection (BM_EventQueueHold,
+//     docs/BENCHMARKS.md).
 //   * Actions live in a chunked slot pool with stable addresses. An
 //     EventId packs (sequence << 24 | slot): the monotonic sequence
 //     gives deterministic FIFO tie-breaking among equal times, the low
@@ -19,7 +26,6 @@
 // pending periodic events; cancelling an already-fired or stale id is
 // a strict no-op (the slot's current id no longer matches).
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/quad_heap.hpp"
 
 namespace continu::sim {
 
@@ -70,8 +77,7 @@ class EventQueue {
     __builtin_prefetch(&s, 1);
     if (seq >= next_seq_) next_seq_ = seq + 1;
     const EventId id = (seq << kSlotBits) | index;
-    heap_.push_back(HeapEntry{time, id});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.push(time, id);
     // Construct the action BEFORE publishing the slot: if the capture's
     // construction throws (or was an empty std::function), the slot
     // still reads as free (id mismatch), so the heap entry above is
@@ -142,6 +148,13 @@ class EventQueue {
   /// High-water mark of live events since construction.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
+  /// Bytes held by the queue: the slot pool (blocks are never freed)
+  /// plus the heap's entry array.
+  [[nodiscard]] std::size_t approx_bytes() const noexcept {
+    return blocks_.capacity() * sizeof(blocks_[0]) +
+           blocks_.size() * kBlockSize * sizeof(Slot) + heap_.capacity_bytes();
+  }
+
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] SimTime next_time() const;
 
@@ -179,13 +192,6 @@ class EventQueue {
   bool execute_collected(const WindowRef& ref);
 
  private:
-  /// 16 bytes; the heap orders by (time, id) and id order among live
-  /// entries is schedule order (the sequence occupies the high bits).
-  struct HeapEntry {
-    SimTime time;
-    EventId id;
-  };
-
   struct Slot {
     EventAction action;
     EventId id = kInvalidEvent;  ///< live id; kInvalidEvent when free
@@ -205,32 +211,23 @@ class EventQueue {
     return blocks_[index >> kBlockShift][index & (kBlockSize - 1)];
   }
 
-  /// Max-heap comparator for std::push_heap/std::pop_heap: "later
-  /// fires last" makes the std heap a min-heap on (time, id).
-  struct Later {
-    [[nodiscard]] bool operator()(const HeapEntry& a,
-                                  const HeapEntry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
   [[nodiscard]] std::uint32_t acquire_slot();
   /// Appends a fresh slot (and a new block at block boundaries).
   [[nodiscard]] std::uint32_t grow_pool();
   void release_slot(std::uint32_t index) noexcept;
 
-  void remove_top() noexcept;
   /// Discards heap entries whose slot no longer carries their id
   /// (cancelled, or the slot was freed and reused).
   void drop_dead_top() const;
   /// Extracts the validated top entry and frees its slot.
-  Event take_top(HeapEntry top);
+  Event take_top(QuadHeap::Entry top);
 
   std::vector<std::unique_ptr<Slot[]>> blocks_;
-  // Mutable so next_time()/pop_until() can purge dead heads without
-  // changing observable state.
-  mutable std::vector<HeapEntry> heap_;
+  // (time, id) entries; id order among live entries is schedule order
+  // (the sequence occupies the high bits). Mutable so
+  // next_time()/pop_until() can purge dead heads without changing
+  // observable state.
+  mutable QuadHeap heap_;
   std::uint32_t free_head_ = kNoFree;
   std::uint32_t slot_count_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -23,6 +23,15 @@ void ShardedEventQueue::push_all(std::vector<EventQueue::Deferred>& batch) {
   batch.clear();
 }
 
+std::size_t ShardedEventQueue::approx_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    bytes += shards_[s].approx_bytes() +
+             window_[s].capacity() * sizeof(EventQueue::WindowRef);
+  }
+  return bytes;
+}
+
 void ShardedEventQueue::note_push(std::uint32_t shard) {
   ++live_;
   if (live_ > peak_live_) peak_live_ = live_;

@@ -187,6 +187,9 @@ class ShardedEventQueue {
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
+  /// Bytes held by the shard queues and their window lists.
+  [[nodiscard]] std::size_t approx_bytes() const noexcept;
+
   /// Earliest pending event time across all shards (the window
   /// anchor); false when empty.
   bool next_time(SimTime& time) const;

@@ -164,6 +164,11 @@ class Simulator {
     return squeue_ ? squeue_->size() : queue_.size();
   }
 
+  /// Bytes held by the event queue (slot pool plus heap).
+  [[nodiscard]] std::size_t queue_bytes() const noexcept {
+    return squeue_ ? squeue_->approx_bytes() : queue_.approx_bytes();
+  }
+
   /// High-water mark of pending events since construction.
   [[nodiscard]] std::size_t peak_pending() const noexcept {
     return squeue_ ? squeue_->peak_size() : queue_.peak_size();

@@ -372,8 +372,12 @@ TEST(Session, MemoryFootprintSectionsAreConsistent) {
   EXPECT_EQ(fp.inflight_bytes, fp.transfer_map_bytes + fp.prefetch_map_bytes +
                                    fp.tag_set_bytes + fp.rate_table_bytes +
                                    fp.retry_map_bytes + fp.blacklist_bytes);
+  // engine_bytes is reported beside the per-node sections, never in
+  // them: the per-node budgets measure node state only.
   EXPECT_EQ(fp.total_bytes(), fp.buffer_bytes + fp.neighbor_bytes +
                                   fp.dht_bytes + fp.inflight_bytes);
+  EXPECT_EQ(fp.engine_bytes, session.simulator().queue_bytes());
+  EXPECT_GT(fp.engine_bytes, 0u);
   EXPECT_GT(fp.per_node_bytes(), 0.0);
   // The flat-container rework's contract: a saturated node budget well
   // under the old ~2.8 KB. Generous bound so trace variance never

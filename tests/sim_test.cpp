@@ -8,7 +8,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -320,6 +323,156 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
     }
     ASSERT_EQ(drained, expected_new) << "trial " << trial;
   }
+}
+
+// Heap property test: random interleavings of every queue operation
+// against a std::set<(time, id)> oracle. Times come from a small table
+// (many exact ties, -0.0 next to +0.0, negatives, infinities), so the
+// (time, id) order is exercised where the 4-ary heap's packed key has
+// to agree with the double compare. `cap` bounds the pending count:
+// caps 0-5 walk every shape of a partial last child group, the large
+// cap keeps ~100k entries pending.
+void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
+                          std::size_t fill) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double kTimes[] = {-inf, -1e300, -2.5, -1.0,
+                           -std::numeric_limits<double>::denorm_min(),
+                           -0.0, 0.0, 0.0, -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           0.25, 1.0, 1.0, 1.0, 2.0, 1e300, inf};
+  constexpr std::size_t kTimeCount = sizeof(kTimes) / sizeof(kTimes[0]);
+  util::Rng rng(seed);
+  const auto draw_time = [&] {
+    if (cap > 16 && rng.next_double() < 0.9) {
+      return static_cast<double>(rng.next_below(4096)) * 0.25 - 100.0;
+    }
+    return kTimes[rng.next_below(kTimeCount)];
+  };
+
+  EventQueue q;
+  std::set<std::pair<double, EventId>> oracle;
+  struct Issued {
+    double time;
+    std::uint64_t tag;  ///< written to ran_tag when the action runs
+  };
+  std::unordered_map<EventId, Issued> info;
+  std::vector<EventId> issued;  // every id ever returned (cancel picks)
+  std::uint64_t next_tag = 0;
+  std::uint64_t ran_tag = ~std::uint64_t{0};
+  const auto schedule = [&](bool via_emplace) {
+    const double time = draw_time();
+    const std::uint64_t tag = next_tag++;
+    const EventId id =
+        via_emplace ? q.emplace(time, [&ran_tag, tag] { ran_tag = tag; })
+                    : q.push(time, EventAction([&ran_tag, tag] { ran_tag = tag; }));
+    ASSERT_TRUE(oracle.emplace(time, id).second);
+    info[id] = Issued{time, tag};
+    issued.push_back(id);
+  };
+  // Mostly the pending minimum (so equal-time runs get collected
+  // whole); at the large cap almost always, so a window cannot drain
+  // the 100k entries at once.
+  const double at_min = cap > 16 ? 0.999 : 0.7;
+  const auto horizon = [&] {
+    if (!oracle.empty() && rng.next_double() < at_min) return oracle.begin()->first;
+    return draw_time();
+  };
+  // Pops the oracle's minimum iff it is due at `limit`.
+  const auto expect_due = [&](double limit, std::pair<double, EventId>& out) {
+    if (oracle.empty() || oracle.begin()->first > limit) return false;
+    out = *oracle.begin();
+    oracle.erase(oracle.begin());
+    return true;
+  };
+
+  for (std::size_t i = 0; i < fill && oracle.size() < cap; ++i) {
+    schedule(i % 2 == 0);
+  }
+  for (std::size_t op = 0; op < ops; ++op) {
+    const double roll = rng.next_double();
+    std::pair<double, EventId> want{};
+    if (roll < 0.40) {
+      if (oracle.size() < cap) schedule(roll < 0.20);
+    } else if (roll < 0.50) {
+      if (issued.empty()) continue;
+      const EventId id = issued[rng.next_below(issued.size())];
+      const bool live = oracle.erase({info[id].time, id}) > 0;
+      ASSERT_EQ(q.cancel(id), live);
+    } else if (roll < 0.65) {
+      const double limit = horizon();
+      Event ev;
+      const bool due = expect_due(limit, want);
+      ASSERT_EQ(q.pop_until(limit, ev), due);
+      if (due) {
+        ASSERT_EQ(ev.id, want.second);
+        ASSERT_EQ(ev.time, want.first);
+        ev.action();
+        ASSERT_EQ(ran_tag, info[want.second].tag);
+      }
+    } else if (roll < 0.80) {
+      const double limit = horizon();
+      EventQueue::DueEvent due{};
+      const bool expected = expect_due(limit, want);
+      ASSERT_EQ(q.acquire_due(limit, due), expected);
+      if (expected) {
+        ASSERT_EQ(due.time, want.first);
+        q.execute_and_release(due);
+        ASSERT_EQ(ran_tag, info[want.second].tag);
+      }
+    } else if (roll < 0.92) {
+      const double limit = horizon();
+      std::vector<EventQueue::WindowRef> refs;
+      q.collect_window(limit, refs);
+      std::vector<std::pair<double, EventId>> wanted;
+      while (expect_due(limit, want)) wanted.push_back(want);
+      ASSERT_EQ(refs.size(), wanted.size());
+      for (std::size_t k = 0; k < refs.size(); ++k) {
+        ASSERT_EQ(refs[k].id, wanted[k].second);
+        ASSERT_EQ(refs[k].time, wanted[k].first);
+      }
+      // Collected refs stay cancellable until they run.
+      for (std::size_t k = 0; k < refs.size(); ++k) {
+        const bool cancel = rng.next_below(4) == 0;
+        if (cancel) {
+          ASSERT_TRUE(q.cancel(refs[k].id));
+        }
+        ASSERT_EQ(q.execute_collected(refs[k]), !cancel);
+        if (!cancel) {
+          ASSERT_EQ(ran_tag, info[refs[k].id].tag);
+        }
+      }
+    } else {
+      SimTime time = 0.0;
+      EventId id = kInvalidEvent;
+      ASSERT_EQ(q.peek(time, id), !oracle.empty());
+      if (!oracle.empty()) {
+        ASSERT_EQ(id, oracle.begin()->second);
+        ASSERT_EQ(time, oracle.begin()->first);
+      }
+    }
+    ASSERT_EQ(q.size(), oracle.size()) << "op " << op;
+  }
+  ASSERT_GE(q.peak_size(), std::min(cap, fill));
+  // The full drain must reproduce the oracle's order exactly.
+  std::vector<EventId> drained;
+  while (!q.empty()) drained.push_back(q.pop().id);
+  std::vector<EventId> expected;
+  for (const auto& entry : oracle) expected.push_back(entry.second);
+  ASSERT_EQ(drained, expected);
+}
+
+TEST(EventQueue, HeapMatchesOrderedSetOracleAtSmallSizes) {
+  for (std::size_t cap = 0; cap <= 5; ++cap) {
+    for (std::uint64_t trial = 0; trial < 200; ++trial) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << " trial " << trial);
+      RunHeapAgainstOracle(0xC0FFEEu + 1000 * cap + trial, cap, 200, 0);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventQueue, HeapMatchesOrderedSetOracleAt100kPending) {
+  RunHeapAgainstOracle(0xB16u, 100000, 40000, 100000);
 }
 
 // Slot reuse under heavy churn: the pool stays compact and ids never
