@@ -2036,8 +2036,8 @@ std::shared_ptr<const obs::ObsReport> Session::obs_report() {
     put("engine.peak_queue_depth", sim_.peak_pending());
     put("net.delivery_batches", network_.delivery_batches());
     put("net.batched_deliveries", network_.batched_deliveries());
-    // Windowed-engine diagnostics: skew-stall (shards/lanes a window
-    // could not feed) plus the per-shard lead histogram — how far past
+    // Windowed-engine diagnostics: skew-stall (shards a window could
+    // not feed) plus the per-shard lead histogram — how far past
     // each window's anchor the collected events sat, in grid buckets.
     // Absent on the exact engine, deterministic (thread-count
     // invariant) per skew on the windowed one.
@@ -2046,7 +2046,6 @@ std::shared_ptr<const obs::ObsReport> Session::obs_report() {
       put("engine.lax_events_drained", squeue->lax_events_drained());
       put("engine.lax_stalled_shards", squeue->lax_stalled_shards());
       put("net.lax_handoff_windows", network_.lax_handoff_windows());
-      put("net.lax_stalled_lanes", network_.lax_stalled_lanes());
       const std::vector<std::uint64_t>& hist = squeue->lax_lead_histogram();
       for (std::size_t b = 0; b < hist.size(); ++b) {
         report->counter_values.emplace_back(

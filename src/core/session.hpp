@@ -135,8 +135,8 @@ struct MemoryFootprint {
   std::size_t retry_map_bytes = 0;     ///< of inflight_bytes (hardening)
   std::size_t blacklist_bytes = 0;     ///< of inflight_bytes (hardening)
   /// Pending-work containers of the engine itself: the event queue's
-  /// slot pool and heap plus the network's quantized delivery buckets
-  /// or hand-off lanes. Deliberately NOT part of total_bytes(): the
+  /// slot pool and heap plus the network's pending quantized delivery
+  /// buckets. Deliberately NOT part of total_bytes(): the
   /// per-node budgets measure per-node state, and engine memory scales
   /// with in-flight work rather than with membership.
   std::size_t engine_bytes = 0;

@@ -13,13 +13,15 @@ Network::Network(sim::Simulator& sim, LatencyModel latency)
     : sim_(sim),
       latency_(std::move(latency)),
       grid_s_(latency_.grid_ms() / 1000.0) {
-  // Quantized mode on the windowed engine: hand-offs park in per-lane
-  // heaps instead of proxy-evented buckets, and the simulator sweeps
-  // them once per window.
+  // Quantized mode on the windowed engine: buckets get no proxy event;
+  // the simulator sweeps them once per window instead.
   if (grid_s_ > 0.0 && sim_.windowed()) {
-    lanes_ = std::make_unique<DeliveryLanes>();
     sim::Simulator::FrontierHook hook;
-    hook.next_time = [this](SimTime& time) { return lanes_->next_time(time); };
+    hook.next_time = [this](SimTime& time) {
+      if (buckets_.empty()) return false;
+      time = buckets_.begin()->first;
+      return true;
+    };
     hook.dispatch_window = [this](SimTime limit,
                                   const std::function<void(SimTime)>& begin) {
       return fire_frontier_window(limit, begin);
@@ -84,22 +86,21 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
   // to now, which is fine); entries targeting the current instant land
   // in a bucket whose proxy fires later within this instant.
   if (when < sim_.now()) when = sim_.now();
-  if (lanes_ != nullptr) {
-    // Windowed engine: rank the hand-off with a sequence from the
-    // global stream, so entries at one instant merge in send order —
-    // the order the exact engine's bucket vector holds them in.
-    lanes_->enqueue(to, filtered, when, sim_.allocate_seq(), std::move(action));
-    return;
-  }
   auto [it, inserted] = buckets_.try_emplace(when);
-  if (inserted) {
+  if (sim_.windowed()) {
+    // No proxy: the frontier sweep fires the bucket. The sequence is
+    // still drawn, one per hand-off, because event shard placement is
+    // `seq & 7` — skipping the draw would move every later event to
+    // another shard and change every windowed fingerprint.
+    (void)sim_.allocate_seq();
+  } else if (inserted) {
     // One proxy event per bucket, scheduled at bucket creation — its
     // sequence number (and thus its order among same-instant events)
     // is a pure function of the delivery schedule.
     const SimTime time = when;
     sim_.schedule_at(time, [this, time] { fire_bucket(time); });
   }
-  it->second.entries.push_back(ShardedEntry{to, filtered, std::move(action)});
+  it->second.entries.push_back(HandoffEntry{to, filtered, std::move(action)});
 }
 
 void Network::fire_bucket(SimTime time) {
@@ -109,7 +110,7 @@ void Network::fire_bucket(SimTime time) {
   // later bucket: every pending bucket would inherit the largest
   // capacity any bucket reached, and memory would track that maximum
   // instead of the live deliveries.
-  std::vector<ShardedEntry> entries = std::move(it->second.entries);
+  std::vector<HandoffEntry> entries = std::move(it->second.entries);
   buckets_.erase(it);
   dispatch_bucket(entries);
 }
@@ -117,70 +118,31 @@ void Network::fire_bucket(SimTime time) {
 std::size_t Network::pending_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const auto& [time, bucket] : buckets_) {
-    bytes += bucket.entries.capacity() * sizeof(ShardedEntry);
+    bytes += bucket.entries.capacity() * sizeof(HandoffEntry);
   }
-  if (lanes_ != nullptr) bytes += lanes_->approx_bytes();
   return bytes;
 }
 
 std::size_t Network::fire_frontier_window(
     SimTime limit, const std::function<void(SimTime)>& begin_instant) {
-  SimTime head_time = 0.0;
-  if (!lanes_->next_time(head_time) || head_time > limit) return 0;
+  // Detach every due bucket BEFORE dispatching any: a forward or send
+  // made during the sweep then files into a fresh bucket that fires in
+  // the next window, even when its instant is <= limit. Dispatching in
+  // place would let it join a bucket still pending in this sweep.
+  std::map<SimTime, Bucket> due;
+  while (!buckets_.empty() && buckets_.begin()->first <= limit) {
+    due.insert(buckets_.extract(buckets_.begin()));
+  }
+  if (due.empty()) return 0;
   ++lax_handoff_windows_;
-  constexpr unsigned nlanes = DeliveryLanes::kLanes;
-  // Phase A: per-lane pops of EVERY instant in the window. Each lane
-  // touches only its own heap and due list, so the pops fork across the
-  // session executor (one lane per shard — thread-count independent by
-  // construction); the inline fallback walks the identical
-  // decomposition.
-  if (obs_profiler_ != nullptr) {
-    obs_profiler_->begin_fork_phase(obs::Phase::kLaxDrain, nlanes);
-  }
-  const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t lane = begin; lane < end; ++lane) {
-      lanes_->collect_due_window(static_cast<unsigned>(lane), limit);
-    }
-  };
-  if (exec_ != nullptr) {
-    exec_->for_shards(nlanes, /*grain=*/1, body);
-  } else {
-    body(0, 0, nlanes);
-  }
-  // Phase B: one serial merge by (time, seq) for the whole window,
-  // then each instant's run dispatches through the bucket path at its
-  // own clock — within an instant the entry order is send order, the
-  // exact engine's bucket order.
-  frontier_entries_.clear();
-  frontier_times_.clear();
-  const std::size_t active = lanes_->merge_due_window(frontier_entries_,
-                                                      frontier_times_);
-  lax_stalled_lanes_ += nlanes - active;
-  std::size_t instants = 0;
-  std::size_t begin = 0;
-  std::vector<ShardedEntry> batch;
-  while (begin < frontier_entries_.size()) {
-    const SimTime instant = frontier_times_[begin];
-    std::size_t end = begin;
-    while (end < frontier_entries_.size() && frontier_times_[end] == instant) {
-      ++end;
-    }
+  for (auto& [instant, bucket] : due) {
     begin_instant(instant);
-    ++instants;
-    batch.clear();
-    batch.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      batch.push_back(std::move(frontier_entries_[i]));
-    }
-    dispatch_bucket(batch);
-    begin = end;
+    dispatch_bucket(bucket.entries);
   }
-  frontier_entries_.clear();
-  frontier_times_.clear();
-  return instants;
+  return due.size();
 }
 
-void Network::dispatch_bucket(std::vector<ShardedEntry>& entries) {
+void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   ++delivery_batches_;
   batched_deliveries_ += entries.size();
 
@@ -235,7 +197,7 @@ void Network::dispatch_bucket(std::vector<ShardedEntry>& entries) {
     for (std::size_t g = begin; g < end; ++g) {
       const ReceiverGroup& group = groups_[g];
       for (const std::uint32_t index : group.entry_indices) {
-        ShardedEntry& entry = entries[index];
+        HandoffEntry& entry = entries[index];
         if (entry.filtered && filter_ && !filter_(entry.to)) {
           ++scratch.dropped;
           entry.action.reset();

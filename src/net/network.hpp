@@ -11,11 +11,12 @@
 //   deliveries share an instant, so delivery handlers run serially.
 //
 //   quantized (grid > 0) — delivery instants snap UP to the latency
-//   grid, so all deliveries landing on one grid point form a batch.
-//   The batch hides behind ONE proxy event (on the windowed engine it
-//   waits in per-receiver hand-off lanes instead, net/handoff.hpp);
-//   when it fires, sharded deliveries are grouped by receiver and
-//   forked across the session's ParallelExecutor. Workers run their
+//   grid, so all deliveries landing on one grid point form a batch,
+//   filed in one bucket map on both engines. On the exact engine the
+//   bucket hides behind ONE proxy event; on the windowed engine the
+//   simulator's per-window frontier sweep fires it instead. When it
+//   fires, sharded deliveries are grouped by receiver and forked
+//   across the session's ParallelExecutor. Workers run their
 //   receivers' handlers in schedule order (per-pair FIFO is preserved
 //   — a receiver's deliveries never split across shards) and buffer
 //   everything they may not do from a worker thread; the join settles
@@ -31,13 +32,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "net/delivery.hpp"
-#include "net/handoff.hpp"
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "net/traffic.hpp"
@@ -55,6 +54,14 @@ class TraceSink;
 }  // namespace continu::obs
 
 namespace continu::net {
+
+/// One delivery awaiting its grid instant: receiver, liveness-filter
+/// class, and the handler.
+struct HandoffEntry {
+  std::uint32_t to = 0;
+  bool filtered = true;  ///< wire message (liveness-checked) vs local
+  DeliveryAction action;
+};
 
 class Network {
  public:
@@ -236,22 +243,14 @@ class Network {
   [[nodiscard]] std::uint64_t batched_deliveries() const noexcept {
     return batched_deliveries_;
   }
-  /// Bytes held by deliveries waiting for their grid instant: bucket
-  /// entry capacity on the exact engine, lane slot blocks and heaps on
-  /// the windowed engine (0 in continuous mode, where deliveries are
-  /// plain events).
+  /// Bytes held by deliveries waiting for their grid instant: the
+  /// pending buckets' entry capacity (0 in continuous mode, where
+  /// deliveries are plain events).
   [[nodiscard]] std::size_t pending_bytes() const noexcept;
-  /// True when hand-offs route through delivery lanes (quantized mode
-  /// on the windowed engine).
-  [[nodiscard]] bool laned() const noexcept { return lanes_ != nullptr; }
-  /// Hand-off windows swept (0 off the lanes).
+  /// Windows whose frontier sweep fired at least one bucket (0 on the
+  /// exact engine).
   [[nodiscard]] std::uint64_t lax_handoff_windows() const noexcept {
     return lax_handoff_windows_;
-  }
-  /// Cumulative lanes that held NO due hand-off in a swept window — the
-  /// skew-stall signal, deterministic at every thread count.
-  [[nodiscard]] std::uint64_t lax_stalled_lanes() const noexcept {
-    return lax_stalled_lanes_;
   }
 
  private:
@@ -300,11 +299,8 @@ class Network {
     }
   };
 
-  /// One delivery awaiting its grid bucket (hoisted to handoff.hpp so
-  /// the windowed engine's lanes can park the same records).
-  using ShardedEntry = HandoffEntry;
   struct Bucket {
-    std::vector<ShardedEntry> entries;
+    std::vector<HandoffEntry> entries;
   };
   /// Receiver group: indices into the bucket's entry list, in schedule
   /// order, for one receiver.
@@ -324,23 +320,20 @@ class Network {
   /// forward declaration.
   bool apply_faults(std::size_t from, std::size_t to, SimTime& delay);
 
-  /// Appends a delivery to its grid bucket, creating the bucket (and
-  /// its proxy event) on first use. On the windowed engine this parks
-  /// the delivery in its hand-off lane instead, ranked by a sequence
-  /// from the simulator's global stream.
+  /// Appends a delivery to its grid bucket, creating the bucket on
+  /// first use — and, on the exact engine, its proxy event.
   void enqueue_sharded(std::uint32_t to, SimTime when, DeliveryAction action,
                        bool filtered);
   /// Proxy-event body: detaches the bucket at `time` and dispatches it.
   void fire_bucket(SimTime time);
-  /// Frontier-hook body (windowed engine): drains EVERY pending hand-off
-  /// instant <= limit in one sweep — per-lane pops forked once for the
-  /// whole window under the lax_drain phase, merged by (time, seq),
-  /// then each instant's batch dispatched in time order behind a
-  /// begin_instant(t) clock stamp. Returns instants dispatched.
+  /// Frontier-hook body (windowed engine): detaches EVERY bucket whose
+  /// instant is <= limit, then dispatches them in time order, each
+  /// behind a begin_instant(t) clock stamp. Buckets created during the
+  /// sweep wait for the next window. Returns instants dispatched.
   std::size_t fire_frontier_window(
       SimTime limit, const std::function<void(SimTime)>& begin_instant);
   /// Groups by receiver, forks across shards, settles the join.
-  void dispatch_bucket(std::vector<ShardedEntry>& entries);
+  void dispatch_bucket(std::vector<HandoffEntry>& entries);
 
   sim::Simulator& sim_;
   LatencyModel latency_;
@@ -368,14 +361,14 @@ class Network {
   SimTime grid_s_ = 0.0;
   sim::parallel::ParallelExecutor* exec_ = nullptr;
   ShardHooks hooks_;
-  /// Pending buckets by fire time. std::map: iteration order never
-  /// matters (each bucket owns a proxy event), but deterministic
-  /// structure keeps debugging sane. There are thousands of pending
-  /// buckets at scale (up to 3.4k-3.8k on q1_static_8k: one per
-  /// occupied grid step, seconds ahead), yet a lookup is one per
-  /// enqueue, far below the cost of the delivery it files. A bucket's
-  /// entry vector lives from its first enqueue until fire_bucket has
-  /// dispatched it, so the pending memory is the live deliveries.
+  /// Pending buckets by fire time, on both engines. Ordered because
+  /// the windowed engine's sweep detaches from the front; the exact
+  /// engine only looks buckets up (each owns a proxy event). There are
+  /// thousands of pending buckets at scale (up to 3.4k-3.8k on
+  /// q1_static_8k: one per occupied grid step, seconds ahead), yet a
+  /// lookup is one per enqueue, far below the cost of the delivery it
+  /// files. A bucket's entry vector lives from its first enqueue until
+  /// it is dispatched, so the pending memory is the live deliveries.
   std::map<SimTime, Bucket> buckets_;
   /// Dispatch scratch, reused across buckets.
   std::vector<ReceiverGroup> groups_;
@@ -384,15 +377,7 @@ class Network {
   std::vector<DeliveryShardScratch> shard_scratch_;
   std::uint64_t delivery_batches_ = 0;
   std::uint64_t batched_deliveries_ = 0;
-
-  // --- windowed-engine hand-off lanes (null on the exact engine) ---------
-  std::unique_ptr<DeliveryLanes> lanes_;
-  /// Merged-window scratch, reused across windows: the entries and,
-  /// parallel to them, each entry's instant.
-  std::vector<ShardedEntry> frontier_entries_;
-  std::vector<SimTime> frontier_times_;
   std::uint64_t lax_handoff_windows_ = 0;
-  std::uint64_t lax_stalled_lanes_ = 0;
 };
 
 /// Immediate-mode forward: defined here (not in delivery.hpp) because

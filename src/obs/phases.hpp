@@ -18,7 +18,7 @@ enum class Phase : std::uint8_t {
   kShardDrain,        ///< retired with the strict sharded engine: never
                       ///< recorded, kept for phase-indexed readers
                       ///< (bench/suite)
-  kLaxDrain,          ///< windowed-engine shard and lane pops (forked)
+  kLaxDrain,          ///< windowed-engine shard pops (forked)
   kSampleSweep,       ///< metrics sample tick sweep (forked)
   kChurnSweep,        ///< dead-supplier transfer sweep (forked)
   kOtherFork,         ///< fork/join with no phase bracket

@@ -1,8 +1,7 @@
 #pragma once
 // QuadHeap — the engine's one (time, key) priority queue: a 4-ary
 // implicit min-heap of 16-byte entries with branch-free child
-// selection. EventQueue orders its pending events with it and the
-// windowed engine's delivery lanes order their hand-offs with it.
+// selection. EventQueue orders its pending events with it.
 //
 // Entries store the time as an order-preserving 64-bit image of the
 // double, so (time, key) compares as one unsigned 128-bit integer —

@@ -158,11 +158,9 @@ class ShardedEventQueue {
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;
 
   /// Draws one sequence number from the global stream WITHOUT
-  /// scheduling. The network's delivery hand-off lanes rank their
-  /// entries with these. They share the event stream rather than count
-  /// on their own because event shard placement is `seq`-based: the
-  /// interleaving of hand-off and event sequences is part of every
-  /// windowed fingerprint.
+  /// scheduling. The network draws one per quantized hand-off: event
+  /// shard placement is `seq`-based, so the interleaving of hand-off
+  /// and event sequences is part of every windowed fingerprint.
   [[nodiscard]] std::uint64_t allocate_seq() noexcept { return next_seq_++; }
 
   template <typename F>

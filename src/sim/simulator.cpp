@@ -54,15 +54,15 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     SimTime qt = 0.0;
     SimTime dt = 0.0;
     const bool have_event = squeue_->next_time(qt);
-    const bool have_barrier = frontier_.next_time && frontier_.next_time(dt);
-    if (!have_event && !have_barrier) break;
+    const bool have_bucket = frontier_.next_time && frontier_.next_time(dt);
+    if (!have_event && !have_bucket) break;
     // The window anchors at the earliest pending time across both
     // sources and extends one skew window past it. Anchoring at the
     // global minimum is what bounds the clock skew: nothing in the
     // window runs more than `window_s` ahead of something still pending
     // somewhere.
     SimTime anchor = have_event ? qt : dt;
-    if (have_barrier && dt < anchor) anchor = dt;
+    if (have_bucket && dt < anchor) anchor = dt;
     if (anchor > horizon) break;
     const SimTime limit = std::min(anchor + window_s, horizon);
     // Phase A — forked window collection: every shard pops its events
@@ -91,9 +91,8 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
       ++executed_;
     };
     ran += squeue_->execute_window(stamp);
-    // Windowed barrier sweep: every hand-off instant <= limit drains in
-    // one pass (per-lane pops forked once for the whole window), each
-    // instant's batch dispatched at its own clock in time order.
+    // Bucket sweep: every delivery bucket whose instant is <= limit is
+    // detached, then dispatched in time order, each at its own clock.
     if (frontier_.dispatch_window) ran += frontier_.dispatch_window(limit, stamp);
   }
   return ran;

@@ -17,8 +17,8 @@
 //
 //   windowed (LaxConfig::skew_buckets >= 1) — a ShardedEventQueue
 //   drained in bounded-skew windows whose per-shard pops fork, plus a
-//   frontier hook through which the network's quantized delivery lanes
-//   sweep their hand-offs once per window. Deterministic and
+//   frontier hook through which the network sweeps its quantized
+//   delivery buckets once per window. Deterministic and
 //   thread-count invariant per skew, but its own universe
 //   (docs/DETERMINISM.md contract 7).
 
@@ -77,8 +77,8 @@ class Simulator {
   }
 
   /// Draws a sequence number from the windowed engine's global stream
-  /// (delivery lanes rank their hand-offs with these). Requires
-  /// windowed().
+  /// without scheduling (the network draws one per quantized hand-off
+  /// to keep event shard placement fixed). Requires windowed().
   [[nodiscard]] std::uint64_t allocate_seq() {
     if (!squeue_) {
       throw std::logic_error("Simulator::allocate_seq: exact engine");
@@ -87,12 +87,12 @@ class Simulator {
   }
 
   /// External event source swept once per window (the network's
-  /// quantized delivery lanes). next_time reports the earliest pending
-  /// hand-off instant, which competes for the window anchor;
-  /// dispatch_window drains EVERY pending hand-off instant <= limit,
-  /// calling begin_instant(t) before each instant's batch so the
+  /// quantized delivery buckets). next_time reports the earliest
+  /// pending bucket instant, which competes for the window anchor;
+  /// dispatch_window fires EVERY pending bucket whose instant is
+  /// <= limit, calling begin_instant(t) before each bucket so the
   /// simulator can stamp its clock and executed count, and returns the
-  /// number of instants dispatched.
+  /// number of buckets fired.
   struct FrontierHook {
     std::function<bool(SimTime& time)> next_time;
     std::function<std::size_t(SimTime limit,
@@ -195,7 +195,7 @@ class Simulator {
 
   /// Windowed drain: repeats { anchor at the earliest pending (time,
   /// seq), fork per-shard pops of everything due within the skew window,
-  /// execute serially in shard order, sweep hand-off barriers through
+  /// execute serially in shard order, sweep delivery buckets through
   /// the window }.
   std::size_t drain_lax(SimTime horizon, std::size_t max_windows);
 

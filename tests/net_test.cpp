@@ -486,37 +486,45 @@ TEST(Network, QuantizedDeferSettlesAfterWholeBucket) {
 // Regression: fired buckets used to recycle their entry vectors into
 // the next buckets, so every pending bucket inherited the largest
 // capacity any bucket had reached — 79 MB of hoarded capacity on an
-// 8000-node quantized session. Pending memory must track what is live.
+// 8000-node quantized session. Pending memory must track what is live,
+// on both engines: the windowed engine's sweep fires the same buckets.
 TEST(Network, QuantizedPendingBytesTrackLiveDeliveries) {
-  sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 1.0));
   constexpr std::size_t kBuckets = 64;
   constexpr std::size_t kBurst = 1000;
   constexpr double kGrid = 0.001;
-  std::size_t ran = 0;
-  const auto handler = [&ran](DeliveryContext&) { ++ran; };
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      // Mid-step instants snap up to grid point b + 1 without rounding
-      // ambiguity.
-      net.post_sharded(1, (static_cast<double>(b) + 0.5) * kGrid, handler);
+  for (const unsigned skew : {0u, 1u}) {
+    SCOPED_TRACE(skew == 0 ? "exact engine" : "windowed engine, skew 1");
+    sim::Simulator::LaxConfig lax;
+    lax.skew_buckets = skew;
+    lax.grid_s = kGrid;
+    sim::Simulator sim(lax);
+    Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 1.0));
+    std::size_t ran = 0;
+    const auto handler = [&ran](DeliveryContext&) { ++ran; };
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        // Mid-step instants snap up to grid point b + 1 without
+        // rounding ambiguity.
+        net.post_sharded(1, (static_cast<double>(b) + 0.5) * kGrid, handler);
+      }
     }
-  }
-  EXPECT_GE(net.pending_bytes(), kBuckets * kBurst * sizeof(HandoffEntry));
-  sim.run_all();
-  ASSERT_EQ(ran, kBuckets * kBurst);
-  EXPECT_EQ(net.delivery_batches(), kBuckets);
-  EXPECT_EQ(net.pending_bytes(), 0u);
+    EXPECT_GE(net.pending_bytes(), kBuckets * kBurst * sizeof(HandoffEntry));
+    sim.run_all();
+    ASSERT_EQ(ran, kBuckets * kBurst);
+    EXPECT_EQ(net.delivery_batches(), kBuckets);
+    EXPECT_EQ(net.pending_bytes(), 0u);
 
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    net.post_sharded(1, sim.now() + (static_cast<double>(b) + 0.5) * kGrid, handler);
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      net.post_sharded(1, sim.now() + (static_cast<double>(b) + 0.5) * kGrid,
+                       handler);
+    }
+    const std::size_t live_bytes = kBuckets * sizeof(HandoffEntry);
+    EXPECT_GE(net.pending_bytes(), live_bytes);
+    EXPECT_LE(net.pending_bytes(), 4 * live_bytes)
+        << "pending buckets hold more than their live deliveries";
+    sim.run_all();
+    EXPECT_EQ(ran, kBuckets * kBurst + kBuckets);
   }
-  const std::size_t live_bytes = kBuckets * sizeof(HandoffEntry);
-  EXPECT_GE(net.pending_bytes(), live_bytes);
-  EXPECT_LE(net.pending_bytes(), 4 * live_bytes)
-      << "pending buckets hold more than their live deliveries";
-  sim.run_all();
-  EXPECT_EQ(ran, kBuckets * kBurst + kBuckets);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the windowed engine: MetaHeap ordering, the sharded queue's
-// exact head tracking, delivery-lane hand-offs against the exact
-// engine's buckets, window semantics (fence correctness — no event
+// exact head tracking, swept delivery buckets against the exact engine's
+// proxy-fired ones (including forwards made inside a swept window),
+// window semantics (fence correctness — no event
 // beyond the skew window, emissions invisible to their own window —
 // cancel semantics under skew, inline-vs-threaded collection identity,
 // randomized bounded-skew storms, per-receiver FIFO under skew) and
@@ -145,21 +146,21 @@ struct Storm {
 };
 
 // ---------------------------------------------------------------------------
-// Delivery-lane hand-offs vs the exact engine's buckets
+// Swept buckets (windowed engine) vs proxy-fired buckets (exact engine)
 // ---------------------------------------------------------------------------
 
-TEST(WindowedHandoff, LanedNetworkMatchesBucketedNetwork) {
+TEST(WindowedHandoff, SweptNetworkMatchesBucketedNetwork) {
   // Two simulators, one per engine, each with a quantized Network; the
   // same send_sharded workload must deliver in the same order at the
   // same instants with the same counters. The handlers schedule
-  // nothing, so every window only sweeps hand-offs, in instant order —
-  // the lanes must reproduce the buckets exactly. No executor: the
-  // inline fallback shares the shard decomposition.
+  // nothing, so every window only sweeps buckets, in instant order —
+  // the sweep must fire them exactly as the proxies do. No executor:
+  // the inline fallback shares the shard decomposition.
   auto run = [](unsigned skew) {
     sim::Simulator sim(windowed(skew, /*grid_s=*/0.002));
     net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
                                             /*grid_ms=*/2.0));
-    EXPECT_EQ(net.laned(), skew > 0);
+    EXPECT_EQ(sim.windowed(), skew > 0);
     std::vector<std::pair<double, int>> log;
     auto* logp = &log;
     for (int wave = 0; wave < 5; ++wave) {
@@ -184,18 +185,18 @@ TEST(WindowedHandoff, LanedNetworkMatchesBucketedNetwork) {
   const auto bucketed = run(0);
   ASSERT_FALSE(std::get<0>(bucketed).empty());
   for (const unsigned skew : {1u, 4u}) {
-    const auto laned = run(skew);
-    EXPECT_EQ(std::get<0>(bucketed), std::get<0>(laned)) << "skew " << skew;
-    EXPECT_EQ(std::get<1>(bucketed), std::get<1>(laned)) << "skew " << skew;
-    EXPECT_EQ(std::get<2>(bucketed), std::get<2>(laned)) << "skew " << skew;
-    EXPECT_EQ(std::get<3>(bucketed), std::get<3>(laned)) << "skew " << skew;
+    const auto swept = run(skew);
+    EXPECT_EQ(std::get<0>(bucketed), std::get<0>(swept)) << "skew " << skew;
+    EXPECT_EQ(std::get<1>(bucketed), std::get<1>(swept)) << "skew " << skew;
+    EXPECT_EQ(std::get<2>(bucketed), std::get<2>(swept)) << "skew " << skew;
+    EXPECT_EQ(std::get<3>(bucketed), std::get<3>(swept)) << "skew " << skew;
   }
 }
 
 TEST(WindowedHandoff, SweepCountersTrackWindows) {
   sim::Simulator sim(windowed(/*skew=*/1, /*grid_s=*/0.001));
   net::Network net(sim, net::LatencyModel({10.0, 20.0}, 5.0, /*grid_ms=*/1.0));
-  ASSERT_TRUE(net.laned());
+  ASSERT_TRUE(sim.windowed());
   int delivered = 0;
   auto* dp = &delivered;
   net.send_sharded(0, 1, net::MessageType::kBufferMap, 64,
@@ -206,9 +207,49 @@ TEST(WindowedHandoff, SweepCountersTrackWindows) {
   EXPECT_EQ(delivered, 2);
   EXPECT_GT(net.lax_handoff_windows(), 0u);
   EXPECT_EQ(net.delivery_batches(), sim.executed());
-  // 8 lanes and at most two receivers per window: the rest stall.
-  EXPECT_GE(net.lax_stalled_lanes(),
-            net.lax_handoff_windows() * (net::DeliveryLanes::kLanes - 2));
+}
+
+TEST(WindowedHandoff, ForwardInsideASweptWindowFencesToTheNextWindow) {
+  // Grid 1 ms, skew 4: one window covers both the 10 ms and the 12 ms
+  // bucket. The 10 ms handler forwards to 12 ms, where a batch is
+  // already pending. On the exact engine the forward joins that bucket;
+  // on the windowed engine the sweep detached it before dispatching, so
+  // the forward files into a fresh 12 ms bucket that fires one window
+  // later. Deliveries, order and instants agree; only the batch count
+  // tells the two apart.
+  auto run = [](unsigned skew) {
+    sim::Simulator sim(windowed(skew, /*grid_s=*/0.001));
+    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0}, 5.0,
+                                            /*grid_ms=*/1.0));
+    std::vector<std::pair<double, int>> log;
+    auto* logp = &log;
+    sim::Simulator* simp = &sim;
+    // Mid-step instants snap up to 10 ms and 12 ms without rounding
+    // ambiguity.
+    net.post_sharded(1, 0.0095, [logp, simp](net::DeliveryContext& ctx) {
+      logp->emplace_back(simp->now(), 0);
+      ctx.forward(1, 0.0115, [logp, simp](net::DeliveryContext&) {
+        logp->emplace_back(simp->now(), 2);
+      });
+    });
+    net.post_sharded(2, 0.0115, [logp, simp](net::DeliveryContext&) {
+      logp->emplace_back(simp->now(), 1);
+    });
+    sim.run_all();
+    return std::make_pair(std::move(log), net.delivery_batches());
+  };
+  const auto exact = run(0);
+  const std::vector<std::pair<double, int>> expected = {
+      {0.010, 0}, {0.012, 1}, {0.012, 2}};
+  ASSERT_EQ(exact.first.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_DOUBLE_EQ(exact.first[i].first, expected[i].first) << "delivery " << i;
+    EXPECT_EQ(exact.first[i].second, expected[i].second) << "delivery " << i;
+  }
+  EXPECT_EQ(exact.second, 2u);
+  const auto swept = run(4);
+  EXPECT_EQ(swept.first, exact.first);
+  EXPECT_EQ(swept.second, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +403,7 @@ TEST(WindowedEngine, RandomStormsAreDeterministicOncePerTokenAndBounded) {
 }
 
 TEST(WindowedEngine, PerReceiverDeliveryOrderSurvivesSkew) {
-  // Laned hand-offs under skew, with deliveries interleaved with
+  // Swept buckets under skew, with deliveries interleaved with
   // ordinary events: each receiver must still observe tokens in exactly
   // the order the exact engine delivers them.
   auto run = [](unsigned skew) {

@@ -44,8 +44,17 @@ MATRIX = [
         "threads": [1, 4],
         "obs": [False, True],
     },
+    {
+        # The widest window: forwards made during a bucket sweep fence
+        # to the next window.
+        "group": "windowed_skew4",
+        "scenarios": ["q1_static_small", "f5_q1_static_small"],
+        "args": ["--queue-skew", "4"],
+        "threads": [1, 4],
+        "obs": [False],
+    },
 ]
-DISTINCT = [("exact", "windowed_skew1")]
+DISTINCT = [("exact", "windowed_skew1"), ("exact", "windowed_skew4")]
 
 
 class ToolFailure(Exception):
@@ -66,8 +75,11 @@ def run_cell(binary, out_dir, group, threads, obs):
         raise ToolFailure(
             f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     name = f"fp_{group['group']}_t{threads}{'_obs' if obs else ''}.txt"
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(proc.stdout)
+    try:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(proc.stdout)
+    except OSError as error:
+        raise ToolFailure(f"cannot write {name}: {error}") from error
     lines = {}
     for line in proc.stdout.splitlines():
         lines[line.split(" ", 1)[0]] = line
@@ -83,6 +95,10 @@ def main():
     parser.add_argument("--bin", required=True, help="scenario_fingerprint binary")
     parser.add_argument("--out", default=".", help="directory for cell outputs")
     args = parser.parse_args()
+    if not os.path.isdir(args.out):
+        print(f"fingerprint gate: --out {args.out} is not a directory",
+              file=sys.stderr)
+        return 2
 
     ok = True
     reference = {}
