@@ -1,6 +1,7 @@
 #pragma once
 // Shared plumbing for the figure/table reproduction harnesses: standard
-// workload construction, runner-backed execution, and result records.
+// workload construction, runner-backed execution, result records, and
+// the divergence studies' replication-mean metric sampling.
 //
 // Every bench builds a batch of ReplicationSpecs and hands them to the
 // ExperimentRunner, which shards the independent sessions across a
@@ -11,6 +12,8 @@
 // Every bench prints the paper-style table to stdout and drops a CSV
 // next to the working directory for replotting.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -114,6 +117,86 @@ struct Horizon {
     std::exit(1);
   }
   return *std::move(scenario);
+}
+
+/// Splits a comma-separated CLI list, dropping empty items.
+[[nodiscard]] inline std::vector<std::string> split_csv(const std::string& list) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos != std::string::npos) {
+    const std::size_t comma = list.find(',', pos);
+    std::string item =
+        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!item.empty()) out.push_back(std::move(item));
+    pos = comma == std::string::npos ? comma : comma + 1;
+  }
+  return out;
+}
+
+/// Headline metrics of one replication, as the divergence studies
+/// report them.
+struct MetricSet {
+  double continuity = 0.0;
+  double continuity_index = 0.0;
+  double stabilization_s = 0.0;
+  double control_overhead = 0.0;
+  double prefetch_overhead = 0.0;
+};
+
+[[nodiscard]] inline MetricSet metrics_of(const runner::ReplicationResult& run) {
+  MetricSet m;
+  m.continuity = run.stable_continuity;
+  m.continuity_index = run.continuity_index;
+  m.stabilization_s = run.stabilization_time;
+  m.control_overhead = run.control_overhead;
+  m.prefetch_overhead = run.prefetch_overhead;
+  return m;
+}
+
+/// Mean metrics over `reps` replications (replication_seed streams), plus
+/// the continuity spread. One run of a gossip session is a single draw
+/// from a chaotic system — single-seed deltas between two modes mostly
+/// measure trajectory divergence, not model bias. The divergence
+/// studies therefore compare MEANS at matched replication seeds; the
+/// spread is reported so a delta can be read against the run-to-run
+/// noise.
+struct Sampled {
+  MetricSet mean;  ///< accumulated from zero, then divided by reps
+  double continuity_min = 1.0;
+  double continuity_max = 0.0;
+};
+
+[[nodiscard]] inline Sampled sample_config(runner::ReplicationSpec spec,
+                                           std::uint64_t base_seed,
+                                           std::size_t reps) {
+  Sampled out;
+  for (std::size_t r = 0; r < reps; ++r) {
+    spec.config.seed = runner::replication_seed(base_seed, r);
+    const MetricSet m = metrics_of(runner::ExperimentRunner::run_one(spec));
+    out.mean.continuity += m.continuity;
+    out.mean.continuity_index += m.continuity_index;
+    out.mean.stabilization_s += m.stabilization_s;
+    out.mean.control_overhead += m.control_overhead;
+    out.mean.prefetch_overhead += m.prefetch_overhead;
+    out.continuity_min = std::min(out.continuity_min, m.continuity);
+    out.continuity_max = std::max(out.continuity_max, m.continuity);
+  }
+  const double n = static_cast<double>(reps);
+  out.mean.continuity /= n;
+  out.mean.continuity_index /= n;
+  out.mean.stabilization_s /= n;
+  out.mean.control_overhead /= n;
+  out.mean.prefetch_overhead /= n;
+  return out;
+}
+
+/// Prints `m` as JSON object members (no braces).
+inline void print_metrics_json(const MetricSet& m) {
+  std::printf("\"continuity\": %.6f, \"continuity_index\": %.6f, "
+              "\"stabilization_s\": %.3f, \"control_overhead\": %.6f, "
+              "\"prefetch_overhead\": %.6f",
+              m.continuity, m.continuity_index, m.stabilization_s,
+              m.control_overhead, m.prefetch_overhead);
 }
 
 inline void print_header(const char* figure, const char* caption) {

@@ -40,79 +40,6 @@
 #include "bench_common.hpp"
 #include "runner/cli.hpp"
 
-namespace {
-
-[[nodiscard]] std::vector<std::string> split_csv(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos != std::string::npos) {
-    const std::size_t comma = list.find(',', pos);
-    std::string item =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) out.push_back(std::move(item));
-    pos = comma == std::string::npos ? comma : comma + 1;
-  }
-  return out;
-}
-
-struct MetricSet {
-  double continuity = 0.0;
-  double continuity_index = 0.0;
-  double stabilization_s = 0.0;
-  double control_overhead = 0.0;
-  double prefetch_overhead = 0.0;
-};
-
-[[nodiscard]] MetricSet metrics_of(const continu::runner::ReplicationResult& run) {
-  MetricSet m;
-  m.continuity = run.stable_continuity;
-  m.continuity_index = run.continuity_index;
-  m.stabilization_s = run.stabilization_time;
-  m.control_overhead = run.control_overhead;
-  m.prefetch_overhead = run.prefetch_overhead;
-  return m;
-}
-
-struct Sampled {
-  MetricSet mean;
-  double continuity_min = 1.0;
-  double continuity_max = 0.0;
-};
-
-[[nodiscard]] Sampled sample_config(continu::runner::ReplicationSpec spec,
-                                    std::uint64_t base_seed, std::size_t reps) {
-  using namespace continu;
-  Sampled out;
-  for (std::size_t r = 0; r < reps; ++r) {
-    spec.config.seed = runner::replication_seed(base_seed, r);
-    const MetricSet m = metrics_of(runner::ExperimentRunner::run_one(spec));
-    out.mean.continuity += m.continuity;
-    out.mean.continuity_index += m.continuity_index;
-    out.mean.stabilization_s += m.stabilization_s;
-    out.mean.control_overhead += m.control_overhead;
-    out.mean.prefetch_overhead += m.prefetch_overhead;
-    out.continuity_min = std::min(out.continuity_min, m.continuity);
-    out.continuity_max = std::max(out.continuity_max, m.continuity);
-  }
-  const double n = static_cast<double>(reps);
-  out.mean.continuity /= n;
-  out.mean.continuity_index /= n;
-  out.mean.stabilization_s /= n;
-  out.mean.control_overhead /= n;
-  out.mean.prefetch_overhead /= n;
-  return out;
-}
-
-void print_metrics_json(const MetricSet& m) {
-  std::printf("\"continuity\": %.6f, \"continuity_index\": %.6f, "
-              "\"stabilization_s\": %.3f, \"control_overhead\": %.6f, "
-              "\"prefetch_overhead\": %.6f",
-              m.continuity, m.continuity_index, m.stabilization_s,
-              m.control_overhead, m.prefetch_overhead);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace continu;
 
@@ -123,10 +50,10 @@ int main(int argc, char** argv) {
   double duration = 0.0;  // 0 = scenario default
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scenarios") == 0 && i + 1 < argc) {
-      names = split_csv(argv[++i]);
+      names = bench::split_csv(argv[++i]);
     } else if (std::strcmp(argv[i], "--skews") == 0 && i + 1 < argc) {
       skews.clear();
-      for (const auto& k : split_csv(argv[++i])) {
+      for (const auto& k : bench::split_csv(argv[++i])) {
         const auto parsed = runner::cli::parse_positive_u32(k.c_str());
         if (!parsed.has_value()) {
           std::fprintf(stderr, "--skews expects integers >= 1, got '%s'\n",
@@ -210,7 +137,7 @@ int main(int argc, char** argv) {
     spec.snapshot = std::make_shared<const trace::TraceSnapshot>(
         trace::generate_snapshot(spec.trace));
 
-    const Sampled base = sample_config(spec, seed, reps);
+    const bench::Sampled base = bench::sample_config(spec, seed, reps);
     std::fprintf(stderr, "%-20s %6s %12.6f %12s %10s %10s  [%0.4f, %0.4f]\n",
                  scenario.name.c_str(), "exact", base.mean.continuity, "-",
                  "-", "-", base.continuity_min, base.continuity_max);
@@ -219,7 +146,7 @@ int main(int argc, char** argv) {
                 first_scenario ? "" : ", ", scenario.name.c_str(),
                 scenario.node_count);
     first_scenario = false;
-    print_metrics_json(base.mean);
+    bench::print_metrics_json(base.mean);
     std::printf(", \"continuity_min\": %.6f, \"continuity_max\": %.6f}, "
                 "\"points\": [",
                 base.continuity_min, base.continuity_max);
@@ -228,7 +155,7 @@ int main(int argc, char** argv) {
       auto windowed = spec;
       windowed.config.sharded_queue = true;
       windowed.config.queue_skew_buckets = skews[k];
-      const Sampled lax = sample_config(windowed, seed, reps);
+      const bench::Sampled lax = bench::sample_config(windowed, seed, reps);
       const double delta = lax.mean.continuity - base.mean.continuity;
       const double rel =
           base.mean.continuity > 0.0 ? delta / base.mean.continuity : 0.0;
@@ -241,7 +168,7 @@ int main(int argc, char** argv) {
                    lax.continuity_max);
 
       std::printf("%s{\"skew\": %u, ", k == 0 ? "" : ", ", skews[k]);
-      print_metrics_json(lax.mean);
+      bench::print_metrics_json(lax.mean);
       std::printf(", \"continuity_min\": %.6f, \"continuity_max\": %.6f"
                   ", \"continuity_delta\": %.6f, \"continuity_rel\": %.6f, "
                   "\"stabilization_delta_s\": %.3f}",

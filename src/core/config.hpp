@@ -119,12 +119,6 @@ struct SystemConfig {
   /// per-tick RNG streams and merges stats/emissions in fixed shard
   /// order, so threads only changes wall-clock time.
   unsigned threads = 1;
-  /// Round-phase quantization: node-round phases are drawn from this
-  /// many evenly spaced buckets across the jitter range, so nodes in
-  /// the same bucket tick at the same instant and form a RoundScheduler
-  /// batch the executor can shard. 0 = continuous phases (every batch
-  /// is a single node; parallel execution degenerates to serial).
-  unsigned round_phase_buckets = 32;
   /// Latency quantization grid in milliseconds. 0 = the paper's
   /// continuous pairwise model (every delivery is its own serial
   /// event). Positive (1-5 ms in practice) snaps delivery instants UP

@@ -64,6 +64,10 @@ using net::WireCosts;
 /// runs at exact period boundaries, after every node has ticked).
 constexpr double kPhaseLo = 0.05;
 constexpr double kPhaseHi = 0.90;
+/// Round phases are drawn from this many evenly spaced buckets across
+/// [kPhaseLo, kPhaseHi), so nodes in one bucket tick at one instant and
+/// form a RoundScheduler batch the executor can shard.
+constexpr unsigned kRoundPhaseBuckets = 32;
 /// Churn executes just before the period boundary.
 constexpr double kChurnPhase = 0.95;
 /// In-flight transfers older than this many periods are abandoned.
@@ -332,18 +336,15 @@ void Session::populate_initial_dht() {
 
 SimTime Session::round_phase(util::Rng& rng) const {
   const double tau = config_.scheduling_period;
-  const unsigned buckets = config_.round_phase_buckets;
   const SimTime now = sim_.now();
-  if (buckets == 0) {
-    return now + rng.next_range(kPhaseLo, kPhaseHi) * tau;  // continuous
-  }
-  // Quantized: nodes sharing a bucket tick at the SAME instant, so
-  // RoundScheduler batches them and the executor has something to
-  // shard. Buckets span [kPhaseLo, kPhaseHi) — strictly before the
-  // churn phase (0.95 tau) and the sampler (period boundary), so a
-  // batch is never a mix of node rounds and reserved ticks.
-  const auto bucket = static_cast<double>(rng.next_below(buckets));
-  SimTime tick = (kPhaseLo + (kPhaseHi - kPhaseLo) * bucket / buckets) * tau;
+  // Nodes sharing a bucket tick at the SAME instant, so RoundScheduler
+  // batches them and the executor has something to shard. Buckets span
+  // [kPhaseLo, kPhaseHi) — strictly before the churn phase (0.95 tau)
+  // and the sampler (period boundary), so a batch is never a mix of
+  // node rounds and reserved ticks.
+  const auto bucket = static_cast<double>(rng.next_below(kRoundPhaseBuckets));
+  SimTime tick =
+      (kPhaseLo + (kPhaseHi - kPhaseLo) * bucket / kRoundPhaseBuckets) * tau;
   // A joiner must land on its bucket's ABSOLUTE grid, advanced with the
   // exact accumulation arithmetic the cohort's recurring ticks use
   // (next = fired + period) — phase + k*tau computed directly can miss

@@ -350,8 +350,8 @@ class Session {
   void refresh_dht_peers(Node& node);
   /// Draws a round phase and returns the ABSOLUTE first-tick instant:
   /// the next occurrence of the drawn bucket's grid time (joiners merge
-  /// bit-exactly into an existing cohort's batch). See
-  /// SystemConfig::round_phase_buckets.
+  /// bit-exactly into an existing cohort's batch). The phase is one of
+  /// kRoundPhaseBuckets (session.cpp) evenly spaced buckets.
   [[nodiscard]] SimTime round_phase(util::Rng& rng) const;
   /// GridMedia-style relay: push a freshly received segment onward.
   void push_relay(Node& node, SegmentId id);

@@ -160,8 +160,8 @@ class EventQueue {
 
   /// Head (time, id) of the earliest live event without removing it;
   /// returns false when the queue is empty. Purges lazily-cancelled
-  /// tops, so the reported head is always live — this is how a
-  /// ShardedEventQueue keeps its meta-heap exact.
+  /// tops, so the reported head is always live — a ShardedEventQueue
+  /// takes its window anchor as the minimum of its shards' heads.
   bool peek(SimTime& time, EventId& id) const;
 
   /// Reference to an event collected by a lax window pop: removed from

@@ -4,7 +4,6 @@ namespace continu::sim {
 
 ShardedEventQueue::ShardedEventQueue(unsigned skew_buckets)
     : shards_(kShards),
-      meta_(kShards),
       window_(kShards),
       lax_lead_hist_(static_cast<std::size_t>(skew_buckets) + 1, 0) {}
 
@@ -12,7 +11,7 @@ EventId ShardedEventQueue::push(SimTime time, EventAction action) {
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t shard = shard_of_seq(seq);
   const EventId id = shards_[shard].push_with_seq(seq, time, std::move(action));
-  note_push(shard);
+  note_push();
   return id;
 }
 
@@ -32,28 +31,11 @@ std::size_t ShardedEventQueue::approx_bytes() const noexcept {
   return bytes;
 }
 
-void ShardedEventQueue::note_push(std::uint32_t shard) {
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
-  refresh_meta(shard);
-}
-
-void ShardedEventQueue::refresh_meta(std::uint32_t shard) {
-  SimTime time;
-  EventId id;
-  if (shards_[shard].peek(time, id)) {
-    meta_.update(shard, time, id >> EventQueue::kSlotBits);
-  } else {
-    meta_.clear(shard);
-  }
-}
-
 bool ShardedEventQueue::cancel(EventId id) noexcept {
   if (id == kInvalidEvent) return false;
   const std::uint32_t shard = shard_of_id(id);
   if (!shards_[shard].cancel(id)) return false;
   --live_;
-  refresh_meta(shard);
   return true;
 }
 
@@ -75,14 +57,19 @@ void ShardedEventQueue::finish_window(SimTime anchor, SimTime grid_s) {
         ++lax_lead_hist_[lead];
       }
     }
-    refresh_meta(s);
   }
 }
 
 bool ShardedEventQueue::next_time(SimTime& time) const {
-  if (meta_.empty()) return false;
-  time = meta_.top().time;
-  return true;
+  bool found = false;
+  for (const EventQueue& shard : shards_) {
+    SimTime head = 0.0;
+    EventId id = kInvalidEvent;
+    if (!shard.peek(head, id)) continue;
+    if (!found || head < time) time = head;
+    found = true;
+  }
+  return found;
 }
 
 }  // namespace continu::sim

@@ -1,29 +1,24 @@
 #pragma once
-// ShardedEventQueue — the windowed engine's event queue: per-shard
-// slot-pool event heaps under a meta-heap over per-shard head keys.
+// ShardedEventQueue — the windowed engine's event queue: eight
+// per-shard slot-pool event heaps fed from one global sequence counter.
 //
 // Every event carries a sequence number drawn from ONE global counter;
 // its shard is `seq & (kShards - 1)`, so placement is a pure function
 // of schedule order (never of thread count) and the shard is
-// recoverable from the EventId in O(1) for cancel. The meta-heap
-// orders shards by their head (time, seq) key, so the earliest pending
-// event across all shards — the window anchor — is one heap-top read.
+// recoverable from the EventId in O(1) for cancel.
 //
 // The queue drains in bounded-skew WINDOWS (queue_skew_buckets >= 1):
-// anchored at the earliest pending (time, seq), every shard pops its
-// events due within `anchor + skew` concurrently (collect_window —
-// queue-local heap pops only), then the refs execute serially in
-// shard-index order at their own local clocks. Collection keeps slots
-// registered, so cancels landing mid-window are still honoured at
-// execution. Window order is a pure function of the pending set and
-// the window width — deterministic and thread-count invariant per skew
-// setting — but it is a DIFFERENT universe from the exact engine's
-// global (time, seq) order (docs/DETERMINISM.md contract 7; drift
-// quantified in bench/results/pr10_lax_drain/).
-//
-// The meta-heap is kept EXACT at all times: push, cancel and window
-// settlement each refresh the touched shard's entry, so a cancel of the
-// earliest event moves the next anchor immediately.
+// anchored at the earliest pending time — the minimum of the eight
+// shard heads, read once per window — every shard pops its events due
+// within `anchor + skew` concurrently (collect_window — queue-local
+// heap pops only), then the refs execute serially in shard-index order
+// at their own local clocks. Collection keeps slots registered, so
+// cancels landing mid-window are still honoured at execution. Window
+// order is a pure function of the pending set and the window width —
+// deterministic and thread-count invariant per skew setting — but it
+// is a DIFFERENT universe from the exact engine's global (time, seq)
+// order (docs/DETERMINISM.md contract 7; drift quantified in
+// bench/results/pr10_lax_drain/).
 
 #include <cstdint>
 #include <utility>
@@ -32,117 +27,6 @@
 #include "sim/event_queue.hpp"
 
 namespace continu::sim {
-
-/// Tiny binary min-heap over at most `slots` (time, key) entries, one
-/// per shard, with a position index for O(log n) in-place update. Key
-/// ties cannot happen (keys are globally unique sequences); ordering is
-/// (time, key) ascending — identical to EventQueue's heap order.
-class MetaHeap {
- public:
-  struct Top {
-    SimTime time = 0.0;
-    std::uint64_t key = 0;
-    std::uint32_t slot = 0;
-  };
-
-  explicit MetaHeap(std::uint32_t slots) : pos_(slots, kAbsent) {
-    heap_.reserve(slots);
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-
-  /// Earliest (time, key) entry. Requires !empty().
-  [[nodiscard]] Top top() const noexcept {
-    const Entry& e = heap_.front();
-    return Top{e.time, e.key, e.slot};
-  }
-
-  /// Inserts or repositions `slot`'s entry at (time, key).
-  void update(std::uint32_t slot, SimTime time, std::uint64_t key) {
-    std::uint32_t i = pos_[slot];
-    if (i == kAbsent) {
-      i = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(Entry{time, key, slot});
-      pos_[slot] = i;
-      sift_up(i);
-      return;
-    }
-    Entry& e = heap_[i];
-    if (e.time == time && e.key == key) return;
-    const bool earlier = time < e.time || (time == e.time && key < e.key);
-    e.time = time;
-    e.key = key;
-    if (earlier) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
-  }
-
-  /// Removes `slot`'s entry (the shard went empty). No-op when absent.
-  void clear(std::uint32_t slot) {
-    const std::uint32_t i = pos_[slot];
-    if (i == kAbsent) return;
-    pos_[slot] = kAbsent;
-    const std::uint32_t last = static_cast<std::uint32_t>(heap_.size()) - 1;
-    if (i != last) {
-      heap_[i] = heap_[last];
-      pos_[heap_[i].slot] = i;
-      heap_.pop_back();
-      // The moved entry may need to travel either direction.
-      sift_up(i);
-      sift_down(i);
-    } else {
-      heap_.pop_back();
-    }
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t key;
-    std::uint32_t slot;
-  };
-  static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
-
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
-
-  void sift_up(std::uint32_t i) {
-    while (i > 0) {
-      const std::uint32_t parent = (i - 1) / 2;
-      if (!before(heap_[i], heap_[parent])) break;
-      swap_entries(i, parent);
-      i = parent;
-    }
-  }
-
-  void sift_down(std::uint32_t i) {
-    const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      std::uint32_t best = i;
-      const std::uint32_t left = 2 * i + 1;
-      const std::uint32_t right = 2 * i + 2;
-      if (left < n && before(heap_[left], heap_[best])) best = left;
-      if (right < n && before(heap_[right], heap_[best])) best = right;
-      if (best == i) return;
-      swap_entries(i, best);
-      i = best;
-    }
-  }
-
-  void swap_entries(std::uint32_t a, std::uint32_t b) noexcept {
-    std::swap(heap_[a], heap_[b]);
-    pos_[heap_[a].slot] = a;
-    pos_[heap_[b].slot] = b;
-  }
-
-  std::vector<Entry> heap_;
-  std::vector<std::uint32_t> pos_;  ///< slot -> heap index, kAbsent if out
-};
 
 class ShardedEventQueue {
  public:
@@ -168,7 +52,7 @@ class ShardedEventQueue {
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t shard = shard_of_seq(seq);
     const EventId id = shards_[shard].emplace_with_seq(seq, time, std::forward<F>(f));
-    note_push(shard);
+    note_push();
     return id;
   }
 
@@ -189,18 +73,20 @@ class ShardedEventQueue {
   [[nodiscard]] std::size_t approx_bytes() const noexcept;
 
   /// Earliest pending event time across all shards (the window
-  /// anchor); false when empty.
+  /// anchor): the minimum of the eight live shard heads, read once per
+  /// window. False when empty.
   bool next_time(SimTime& time) const;
 
   /// Phase A (forkable, one worker per shard): pops shard `shard`'s
   /// events due at or before `limit` into its private window list.
-  /// Queue-local heap/slot state only — workers must not touch meta_,
-  /// live_ or any counter; finish_window() settles those serially.
+  /// Queue-local heap/slot state only — workers must not touch live_
+  /// or any counter; finish_window() and execute_window() settle those
+  /// serially.
   void collect_window(std::uint32_t shard, SimTime limit);
 
-  /// Serial post-fork settlement: refreshes every shard's meta entry
-  /// and accounts the window (skew-stalled shards, per-shard lead
-  /// histogram of collected events vs `anchor` on `grid_s` buckets).
+  /// Serial post-fork settlement: accounts the window (skew-stalled
+  /// shards, per-shard lead histogram of collected events vs `anchor`
+  /// on `grid_s` buckets).
   void finish_window(SimTime anchor, SimTime grid_s);
 
   /// Phase B (serial): executes the collected refs in shard-index
@@ -254,12 +140,12 @@ class ShardedEventQueue {
     return shard_of_seq(id >> EventQueue::kSlotBits);
   }
 
-  void note_push(std::uint32_t shard);
-  /// Re-derives `shard`'s meta entry from its queue head (or clears it).
-  void refresh_meta(std::uint32_t shard);
+  void note_push() noexcept {
+    ++live_;
+    if (live_ > peak_live_) peak_live_ = live_;
+  }
 
   std::vector<EventQueue> shards_;
-  MetaHeap meta_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;

@@ -67,7 +67,7 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     const SimTime limit = std::min(anchor + window_s, horizon);
     // Phase A — forked window collection: every shard pops its events
     // due within the window into its private scratch. Queue-local heap
-    // pops only; meta/live settlement is serial in finish_window.
+    // pops only; the window's accounting is serial in finish_window.
     constexpr unsigned nshards = ShardedEventQueue::kShards;
     if (lax_.on_fork) lax_.on_fork(nshards);
     const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {

@@ -73,10 +73,10 @@ class FlatTable {
   FlatTable() noexcept = default;
 
   FlatTable(FlatTable&& other) noexcept
-      : slots_(other.slots_), meta_(other.meta_), capacity_(other.capacity_),
+      : slots_(other.slots_), dist_(other.dist_), capacity_(other.capacity_),
         size_(other.size_) {
     other.slots_ = nullptr;
-    other.meta_ = nullptr;
+    other.dist_ = nullptr;
     other.capacity_ = 0;
     other.size_ = 0;
   }
@@ -85,11 +85,11 @@ class FlatTable {
     if (this != &other) {
       destroy();
       slots_ = other.slots_;
-      meta_ = other.meta_;
+      dist_ = other.dist_;
       capacity_ = other.capacity_;
       size_ = other.size_;
       other.slots_ = nullptr;
-      other.meta_ = nullptr;
+      other.dist_ = nullptr;
       other.capacity_ = 0;
       other.size_ = 0;
     }
@@ -102,7 +102,7 @@ class FlatTable {
     if (this != &other) {
       destroy();
       slots_ = nullptr;
-      meta_ = nullptr;
+      dist_ = nullptr;
       capacity_ = 0;
       size_ = 0;
       copy_from(other);
@@ -165,7 +165,7 @@ class FlatTable {
     friend class FlatTable;
     friend class Iter<true>;
     void skip_empty() noexcept {
-      while (index_ < table_->capacity_ && table_->meta_[index_] == 0) ++index_;
+      while (index_ < table_->capacity_ && table_->dist_[index_] == 0) ++index_;
     }
     Table* table_ = nullptr;
     std::size_t index_ = 0;
@@ -221,9 +221,9 @@ class FlatTable {
   /// refill at the same scale). Use shrink_to_fit() to return memory.
   void clear() noexcept {
     for (std::size_t i = 0; i < capacity_; ++i) {
-      if (meta_[i] != 0) {
+      if (dist_[i] != 0) {
         slots_[i].~Slot();
-        meta_[i] = 0;
+        dist_[i] = 0;
       }
     }
     size_ = 0;
@@ -238,7 +238,7 @@ class FlatTable {
     if (size_ == 0) {
       destroy();
       slots_ = nullptr;
-      meta_ = nullptr;
+      dist_ = nullptr;
       capacity_ = 0;
       return;
     }
@@ -250,7 +250,7 @@ class FlatTable {
     if (size_ == 0) {
       destroy();
       slots_ = nullptr;
-      meta_ = nullptr;
+      dist_ = nullptr;
       capacity_ = 0;
       return;
     }
@@ -272,7 +272,7 @@ class FlatTable {
     iterator it;
     it.table_ = this;
     it.index_ = i;
-    if (i < capacity_ && meta_[i] == 0) it.skip_empty();
+    if (i < capacity_ && dist_[i] == 0) it.skip_empty();
     return it;
   }
 
@@ -284,7 +284,7 @@ class FlatTable {
     std::size_t i = Hash{}(key)&mask;
     std::uint8_t dist = 1;
     for (;;) {
-      const std::uint8_t m = meta_[i];
+      const std::uint8_t m = dist_[i];
       if (m < dist) return kNpos;  // empty (0) or richer resident
       if (m == dist && Policy::key(slots_[i]) == key) return i;
       i = (i + 1) & mask;
@@ -304,16 +304,16 @@ class FlatTable {
     Slot carried = std::move(slot);
     std::size_t placed = kNpos;
     for (;;) {
-      if (meta_[i] == 0) {
+      if (dist_[i] == 0) {
         new (&slots_[i]) Slot(std::move(carried));
-        meta_[i] = dist;
+        dist_[i] = dist;
         ++size_;
         return placed == kNpos ? i : placed;
       }
-      if (meta_[i] < dist) {
+      if (dist_[i] < dist) {
         // Rob the richer resident: it carries on from here.
         std::swap(carried, slots_[i]);
-        std::swap(dist, meta_[i]);
+        std::swap(dist, dist_[i]);
         if (placed == kNpos) placed = i;
       }
       i = (i + 1) & mask;
@@ -343,7 +343,7 @@ class FlatTable {
 
   void rehash_to(std::size_t new_capacity) {
     Slot* old_slots = slots_;
-    std::uint8_t* old_meta = meta_;
+    std::uint8_t* old_meta = dist_;
     const std::size_t old_capacity = capacity_;
 
     allocate(new_capacity);
@@ -362,14 +362,14 @@ class FlatTable {
   void erase_index(std::size_t i) {
     const std::size_t mask = capacity_ - 1;
     std::size_t j = (i + 1) & mask;
-    while (meta_[j] > 1) {
+    while (dist_[j] > 1) {
       slots_[i] = std::move(slots_[j]);
-      meta_[i] = static_cast<std::uint8_t>(meta_[j] - 1);
+      dist_[i] = static_cast<std::uint8_t>(dist_[j] - 1);
       i = j;
       j = (j + 1) & mask;
     }
     slots_[i].~Slot();
-    meta_[i] = 0;
+    dist_[i] = 0;
     --size_;
   }
 
@@ -379,8 +379,8 @@ class FlatTable {
     auto* raw = static_cast<std::uint8_t*>(
         ::operator new(bytes, std::align_val_t{alignof(Slot)}));
     slots_ = reinterpret_cast<Slot*>(raw);
-    meta_ = raw + capacity * sizeof(Slot);
-    std::memset(meta_, 0, capacity);
+    dist_ = raw + capacity * sizeof(Slot);
+    std::memset(dist_, 0, capacity);
     capacity_ = capacity;
   }
 
@@ -394,7 +394,7 @@ class FlatTable {
 
   void destroy() noexcept {
     for (std::size_t i = 0; i < capacity_; ++i) {
-      if (meta_[i] != 0) slots_[i].~Slot();
+      if (dist_[i] != 0) slots_[i].~Slot();
     }
     deallocate(slots_, capacity_);
   }
@@ -404,16 +404,16 @@ class FlatTable {
     allocate(other.capacity_);
     size_ = 0;
     for (std::size_t i = 0; i < other.capacity_; ++i) {
-      if (other.meta_[i] != 0) {
+      if (other.dist_[i] != 0) {
         new (&slots_[i]) Slot(other.slots_[i]);
-        meta_[i] = other.meta_[i];
+        dist_[i] = other.dist_[i];
         ++size_;
       }
     }
   }
 
   Slot* slots_ = nullptr;
-  std::uint8_t* meta_ = nullptr;
+  std::uint8_t* dist_ = nullptr;  ///< per-slot probe distance + 1; 0 = empty
   std::size_t capacity_ = 0;
   std::size_t size_ = 0;
 };

@@ -1,5 +1,5 @@
-// Tests for the windowed engine: MetaHeap ordering, the sharded queue's
-// exact head tracking, swept delivery buckets against the exact engine's
+// Tests for the windowed engine: the sharded queue's window anchor
+// against an ordered-set oracle, swept delivery buckets against the exact engine's
 // proxy-fired ones (including forwards made inside a swept window),
 // window semantics (fence correctness — no event
 // beyond the skew window, emissions invisible to their own window —
@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -33,7 +36,6 @@
 namespace continu {
 namespace {
 
-using sim::MetaHeap;
 using sim::ShardedEventQueue;
 
 sim::Simulator::LaxConfig windowed(unsigned skew, double grid_s,
@@ -46,45 +48,7 @@ sim::Simulator::LaxConfig windowed(unsigned skew, double grid_s,
 }
 
 // ---------------------------------------------------------------------------
-// MetaHeap
-// ---------------------------------------------------------------------------
-
-TEST(MetaHeap, OrdersByTimeThenKey) {
-  MetaHeap heap(4);
-  EXPECT_TRUE(heap.empty());
-  heap.update(0, 5.0, 10);
-  heap.update(1, 3.0, 20);
-  heap.update(2, 3.0, 7);
-  heap.update(3, 9.0, 1);
-  ASSERT_FALSE(heap.empty());
-  EXPECT_EQ(heap.top().slot, 2u);  // earliest time, then smallest key
-  heap.clear(2);
-  EXPECT_EQ(heap.top().slot, 1u);
-  heap.clear(1);
-  EXPECT_EQ(heap.top().slot, 0u);
-}
-
-TEST(MetaHeap, UpdateRepositionsBothDirections) {
-  MetaHeap heap(3);
-  heap.update(0, 1.0, 1);
-  heap.update(1, 2.0, 2);
-  heap.update(2, 3.0, 3);
-  heap.update(0, 10.0, 4);  // head moves later
-  EXPECT_EQ(heap.top().slot, 1u);
-  heap.update(2, 0.5, 5);  // tail moves earliest
-  EXPECT_EQ(heap.top().slot, 2u);
-  heap.update(2, 0.5, 5);  // no-op update keeps the heap consistent
-  EXPECT_EQ(heap.top().slot, 2u);
-  heap.clear(2);
-  heap.clear(1);
-  heap.clear(0);
-  EXPECT_TRUE(heap.empty());
-  heap.clear(0);  // clearing an absent slot is a no-op
-  EXPECT_TRUE(heap.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded queue: exact head tracking
+// Sharded queue: the window anchor
 // ---------------------------------------------------------------------------
 
 TEST(ShardedQueue, CancelOfTheHeadMovesTheAnchor) {
@@ -105,8 +69,150 @@ TEST(ShardedQueue, CancelOfTheHeadMovesTheAnchor) {
   EXPECT_TRUE(queue.cancel(head));
   EXPECT_FALSE(queue.cancel(head));  // second cancel is stale
   ASSERT_TRUE(queue.next_time(t));
-  EXPECT_EQ(t, 2.0);  // the meta-heap advanced past the cancelled head
+  EXPECT_EQ(t, 2.0);  // the anchor advanced past the cancelled head
   EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(ShardedQueue, AnchorMatchesOrderedSetOracle) {
+  // Drives the queue directly, as the window loop does, through random
+  // pushes (often at colliding instants), cancels of the head, of
+  // arbitrary (often stale) handles and of refs collected but not yet
+  // executed, and collect/finish/execute cycles at random limits over a
+  // random subset of shards, so windows drain only part of the pending
+  // set. After every operation the anchor must be the earliest time in
+  // an ordered (time, seq) oracle of the events still in the shard
+  // heaps — false exactly when none are — and size() must count those
+  // plus the collected refs still live.
+  using Key = std::tuple<SimTime, std::uint64_t, sim::EventId>;  // time, seq, id
+  constexpr double kGrid = 0.25;
+  for (std::uint64_t trial = 0; trial < 20 && !::testing::Test::HasFailure();
+       ++trial) {
+    ShardedEventQueue queue(/*skew_buckets=*/4);
+    util::Rng rng(9100 + trial);
+    std::set<Key> pending;    // in a shard heap
+    std::set<Key> collected;  // in a window list, not yet executed
+    std::vector<sim::EventId> handles;
+    std::vector<sim::EventId> ran;
+    SimTime latest_anchor = 0.0;  // latest anchor seen; new pushes land after it
+    bool window_open = false;
+
+    std::function<void(SimTime)> push = [&](SimTime when) {
+      const std::size_t token = handles.size();
+      const sim::EventId id = queue.push(when, sim::EventAction([&, token, when] {
+        ran.push_back(handles[token]);
+        // Emissions from inside a window land in the heaps, not in it.
+        if (rng.next_below(4) == 0) push(when + kGrid * rng.next_below(3));
+      }));
+      handles.push_back(id);
+      pending.emplace(when, id >> sim::EventQueue::kSlotBits, id);
+    };
+    const auto erase_live = [&](sim::EventId id) {
+      for (std::set<Key>* set : {&pending, &collected}) {
+        for (auto it = set->begin(); it != set->end(); ++it) {
+          if (std::get<2>(*it) == id) {
+            set->erase(it);
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    const auto check = [&](const char* op) {
+      SimTime anchor = -1.0;
+      const bool has_anchor = queue.next_time(anchor);
+      ASSERT_EQ(has_anchor, !pending.empty()) << op;
+      if (has_anchor) {
+        ASSERT_EQ(anchor, std::get<0>(*pending.begin())) << op;
+        latest_anchor = std::max(latest_anchor, anchor);
+      }
+      ASSERT_EQ(queue.size(), pending.size() + collected.size()) << op;
+      ASSERT_EQ(queue.empty(), pending.empty() && collected.empty()) << op;
+    };
+    const auto open_window = [&](SimTime limit, bool all_shards) {
+      SimTime anchor = 0.0;
+      if (!queue.next_time(anchor)) return;
+      bool chosen[ShardedEventQueue::kShards] = {};
+      for (std::uint32_t s = 0; s < ShardedEventQueue::kShards; ++s) {
+        chosen[s] = all_shards || rng.next_below(4) != 0;
+        if (chosen[s]) queue.collect_window(s, limit);
+      }
+      queue.finish_window(anchor, kGrid);
+      for (auto it = pending.begin(); it != pending.end();) {
+        const auto shard = std::get<1>(*it) & (ShardedEventQueue::kShards - 1);
+        if (std::get<0>(*it) <= limit && chosen[shard]) {
+          collected.insert(*it);
+          it = pending.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      window_open = true;
+    };
+    const auto run_window = [&] {
+      // Shard-index order, then each shard's own (time, seq) order.
+      std::vector<Key> order(collected.begin(), collected.end());
+      std::stable_sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+        return (std::get<1>(a) & (ShardedEventQueue::kShards - 1)) <
+               (std::get<1>(b) & (ShardedEventQueue::kShards - 1));
+      });
+      std::vector<sim::EventId> expected;
+      for (const Key& key : order) expected.push_back(std::get<2>(key));
+      collected.clear();
+      ran.clear();
+      EXPECT_EQ(queue.execute_window([](SimTime) {}), expected.size());
+      EXPECT_EQ(ran, expected);
+      window_open = false;
+    };
+
+    for (int op = 0; op < 400 && !::testing::Test::HasFailure(); ++op) {
+      const std::uint64_t roll = rng.next_below(100);
+      if (roll < 40) {
+        push(latest_anchor + kGrid * static_cast<double>(rng.next_below(12)));
+        check("push");
+      } else if (roll < 50) {
+        if (pending.empty()) continue;
+        EXPECT_TRUE(queue.cancel(std::get<2>(*pending.begin())));
+        pending.erase(pending.begin());
+        check("cancel head");
+      } else if (roll < 58) {
+        if (collected.empty()) continue;
+        auto it = collected.begin();
+        std::advance(it, static_cast<long>(rng.next_below(collected.size())));
+        EXPECT_TRUE(queue.cancel(std::get<2>(*it)));
+        collected.erase(it);
+        check("cancel collected");
+      } else if (roll < 70) {
+        if (handles.empty()) continue;
+        const sim::EventId id = handles[rng.next_below(handles.size())];
+        const bool live = erase_live(id);
+        EXPECT_EQ(queue.cancel(id), live);
+        check("cancel handle");
+      } else if (roll < 85) {
+        if (window_open) continue;
+        SimTime anchor = 0.0;
+        if (!queue.next_time(anchor)) continue;
+        open_window(anchor + kGrid * static_cast<double>(rng.next_below(6)),
+                    /*all_shards=*/false);
+        check("collect");
+      } else {
+        if (!window_open) continue;
+        run_window();
+        check("execute");
+      }
+    }
+    // Drain: full windows until nothing is pending or collected.
+    if (window_open) run_window();
+    while (!::testing::Test::HasFailure() && !queue.empty()) {
+      SimTime anchor = 0.0;
+      ASSERT_TRUE(queue.next_time(anchor));
+      open_window(anchor + kGrid, /*all_shards=*/true);
+      check("drain collect");
+      run_window();
+      check("drain execute");
+    }
+    EXPECT_TRUE(pending.empty()) << "trial " << trial;
+    EXPECT_GT(queue.lax_windows(), 0u) << "trial " << trial;
+  }
 }
 
 // Drives one simulator through a deterministic schedule/cancel storm:
