@@ -143,7 +143,10 @@ void BM_RoundSchedulerTicks(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
     std::uint64_t ticks = 0;
-    sim::RoundScheduler rounds(sim, 1.0, [&ticks](std::size_t) { ++ticks; });
+    sim::RoundScheduler rounds(sim, 1.0,
+                               [&ticks](const std::vector<std::size_t>& users) {
+                                 ticks += users.size();
+                               });
     for (std::size_t i = 0; i < participants; ++i) {
       (void)rounds.add(phases[i], i);
     }

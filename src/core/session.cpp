@@ -126,23 +126,23 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       // ParallelExecutor resolves 0 to hardware_concurrency itself.
       exec_(config.threads),
       sim_(engine_config()),
-      network_(sim_, net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
-                                                   config.latency_grid_ms)),
+      network_(sim_, exec_,
+               net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
+                                             config.latency_grid_ms)),
       directory_(space_),
       rp_(space_, util::Rng(config.seed ^ 0x5250ULL)),
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
       rounds_(sim_, config.scheduling_period,
-              [this](std::size_t user) { on_round_tick(user); }) {
-  rounds_.set_batch_tick(
-      [this](const std::vector<std::size_t>& users) { on_round_batch(users); });
+              [this](const std::vector<std::size_t>& users) {
+                on_round_batch(users);
+              }) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
   // Quantized-mode delivery buckets fork on the session's executor;
   // the hooks bracket each dispatch with per-shard stats scratch and
   // the shard-order reduction — the same deferred-merge contract the
   // round phases use. Continuous mode never forks, and its immediate
   // contexts write straight into stats_.
-  network_.set_executor(&exec_);
   {
     net::Network::ShardHooks hooks;
     hooks.on_fork = [this](std::size_t shards) {
@@ -383,39 +383,34 @@ void Session::start_processes() {
   }
 }
 
-void Session::on_round_tick(std::size_t user) {
-  if (user == kSampleTickUser) {
-    on_sample_tick();
-  } else if (user == kChurnTickUser) {
-    on_churn_tick();
-  } else {
-    on_node_round(user);
-  }
-}
-
 void Session::on_round_batch(const std::vector<std::size_t>& users) {
   // Reserved ticks ride phases of their own (phase construction keeps
-  // them out of node-round instants); if a config ever mixes them into
-  // one batch, fall back to strict serial dispatch — still
-  // deterministic, batch content does not depend on thread count. The
-  // fallback forfeits BOTH forked phases, so mixing node rounds in is
-  // counted: an accidental phase-layout change cannot quietly
-  // serialize every round (a test pins the counter at zero).
-  bool reserved = false;
-  bool node_rounds = false;
-  for (const std::size_t user : users) {
-    if (user == kSampleTickUser || user == kChurnTickUser) {
-      reserved = true;
-    } else {
-      node_rounds = true;
-    }
-  }
-  if (reserved) {
-    if (node_rounds) ++stats_.mixed_batch_fallbacks;
-    for (const std::size_t user : users) on_round_tick(user);
+  // them out of node-round instants). If a config ever mixes them into
+  // one batch, the reserved ticks run first, in batch order, and the
+  // node rounds follow as one batch of their own — still deterministic,
+  // batch content does not depend on thread count. Mixing is counted
+  // so an accidental phase-layout change cannot go unnoticed (a test
+  // pins the counter at zero).
+  const auto is_reserved = [](std::size_t user) {
+    return user == kSampleTickUser || user == kChurnTickUser;
+  };
+  if (std::none_of(users.begin(), users.end(), is_reserved)) {
+    run_round_batch(users);
     return;
   }
-  run_round_batch(users);
+  std::vector<std::size_t> node_rounds;
+  for (const std::size_t user : users) {
+    if (user == kSampleTickUser) {
+      on_sample_tick();
+    } else if (user == kChurnTickUser) {
+      on_churn_tick();
+    } else {
+      node_rounds.push_back(user);
+    }
+  }
+  if (node_rounds.empty()) return;
+  ++stats_.mixed_batch_fallbacks;
+  run_round_batch(node_rounds);
 }
 
 void Session::run_round_batch(const std::vector<std::size_t>& users) {
@@ -559,34 +554,6 @@ void Session::on_source_emit() {
 // --------------------------------------------------------------------------
 // Node round
 // --------------------------------------------------------------------------
-
-void Session::on_node_round(std::size_t index) {
-  // Serial fallback (mixed batches): the SAME four phases the batched
-  // path runs, composed inline for one node; shard 0's scratch serves
-  // as the (immediately settled) deferred-record buffer. One semantic
-  // difference from the batched path, deliberate and thread-count
-  // independent: deferred records settle per NODE, not per batch, so a
-  // later node in the same mixed batch sees an earlier node's fresh
-  // playback start (pre-split serial semantics) instead of the
-  // batch-start snapshot. Mixed batches never form under the shipped
-  // phase layout — mixed_batch_fallbacks is pinned at zero by test —
-  // so the divergence is documentation, not behavior.
-  if (prepare_shards_.empty()) prepare_shards_.resize(1);
-  PrepareShard& scratch = prepare_shards_.front();
-  scratch.reset();
-  SessionStats prepare_delta;
-  round_prepare_local(index, prepare_delta, scratch, /*obs_shard=*/0);
-  stats_ += prepare_delta;
-  apply_prepare_shard(scratch);
-  round_prepare_link(index);
-  RoundPlan plan;
-  SessionStats delta;
-  sim::parallel::EmissionBuffer emissions;
-  round_plan(index, plan, delta, emissions);
-  stats_ += delta;
-  emissions.flush_into(sim_);
-  round_commit(index, plan);
-}
 
 void Session::round_prepare_local(std::size_t index, SessionStats& stats,
                                   PrepareShard& shard, std::size_t obs_shard) {

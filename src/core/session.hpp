@@ -69,11 +69,11 @@ struct SessionStats {
   std::uint64_t neighbor_replacements = 0;
   std::uint64_t transfer_timeouts = 0;
   /// Round batches that mixed reserved ticks (sample/churn) with node
-  /// rounds and therefore fell back to fully serial per-node dispatch.
-  /// Zero by construction (reserved ticks ride phases of their own);
-  /// a config change that accidentally lands them on node-round
-  /// instants would silently forfeit every forked phase, so the
-  /// degradation is counted and a test pins it at zero.
+  /// rounds; the reserved ticks then run first and the node rounds
+  /// follow as a batch of their own. Zero by construction (reserved
+  /// ticks ride phases of their own); a config change that accidentally
+  /// lands them on node-round instants would silently reorder work, so
+  /// it is counted and a test pins it at zero.
   std::uint64_t mixed_batch_fallbacks = 0;
   /// Deliveries dropped by the network's liveness filter (the receiver
   /// died while the message was in flight). Mirrored from
@@ -267,10 +267,8 @@ class Session {
   // (mutated only by delivery events) and started() flags (playback
   // starts are deferred to the join precisely so these stay frozen).
   void on_source_emit();
-  /// RoundScheduler dispatch: `user` is a node index or a reserved tag.
-  void on_round_tick(std::size_t user);
-  void on_node_round(std::size_t index);
-  /// Batch dispatch (RoundScheduler batch callback).
+  /// RoundScheduler batch callback: each user is a node index or a
+  /// reserved tag.
   void on_round_batch(const std::vector<std::size_t>& users);
   void run_round_batch(const std::vector<std::size_t>& users);
 
@@ -313,8 +311,8 @@ class Session {
     }
   };
 
-  /// `obs_shard` routes trace events to the recording worker's ring
-  /// (0 on the serial fallback path); unused when tracing is off.
+  /// `obs_shard` routes trace events to the recording worker's ring;
+  /// unused when tracing is off.
   void round_prepare_local(std::size_t index, SessionStats& stats,
                            PrepareShard& shard, std::size_t obs_shard);
   void round_prepare_link(std::size_t index);
@@ -423,8 +421,8 @@ class Session {
   SystemConfig config_;
   dht::IdSpace space_;
   /// Fork/join worker pool for round batches, per-period sweeps and the
-  /// windowed engine's collection forks (declared before sim_, which
-  /// holds a pointer to it).
+  /// windowed engine's collection forks (declared before sim_ and
+  /// network_, which hold a pointer and a reference to it).
   sim::parallel::ParallelExecutor exec_;
   sim::Simulator sim_;
   net::Network network_;
@@ -458,8 +456,7 @@ class Session {
   /// batch position (each shard writes a disjoint range); the shard-
   /// indexed buffers merge in shard order after the join. The prepare
   /// shards persist across batches so their arena pools stay warm
-  /// (steady state allocates nothing); shard 0 doubles as the scratch
-  /// for the serial mixed-batch fallback path.
+  /// (steady state allocates nothing).
   std::vector<RoundPlan> plans_;
   std::vector<SessionStats> shard_stats_;
   std::vector<sim::parallel::EmissionBuffer> shard_emissions_;

@@ -81,7 +81,11 @@ class Network {
     void* serial_scratch = nullptr;
   };
 
-  Network(sim::Simulator& sim, LatencyModel latency);
+  /// `exec` runs the forked bucket dispatches of quantized mode; a
+  /// one-thread executor runs them inline through the same shard
+  /// decomposition, so results match at every width.
+  Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
+          LatencyModel latency);
 
   /// Sends a message of `type` and `bits` from `from` to `to`; runs
   /// `on_delivery` after the one-way latency (+ extra_delay, e.g. the
@@ -182,12 +186,6 @@ class Network {
   /// Called from worker shards during a forked bucket dispatch, so it
   /// must only read state frozen for the bucket (liveness flags).
   void set_delivery_filter(std::function<bool(std::size_t to)> filter);
-
-  /// Installs the executor forked bucket dispatches run on. Without
-  /// one, quantized buckets dispatch inline through the IDENTICAL
-  /// shard structure (grouping, contexts, join order), so results
-  /// match a pooled run bit for bit.
-  void set_executor(sim::parallel::ParallelExecutor* exec) noexcept { exec_ = exec; }
 
   /// Installs the session's fork/join scratch hooks (see ShardHooks).
   void set_shard_hooks(ShardHooks hooks);
@@ -336,6 +334,7 @@ class Network {
   void dispatch_bucket(std::vector<HandoffEntry>& entries);
 
   sim::Simulator& sim_;
+  sim::parallel::ParallelExecutor& exec_;
   LatencyModel latency_;
   TrafficAccount traffic_;
   std::function<bool(std::size_t)> filter_;
@@ -359,7 +358,6 @@ class Network {
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
 
   SimTime grid_s_ = 0.0;
-  sim::parallel::ParallelExecutor* exec_ = nullptr;
   ShardHooks hooks_;
   /// Pending buckets by fire time, on both engines. Ordered because
   /// the windowed engine's sweep detaches from the front; the exact

@@ -6,14 +6,13 @@
 
 namespace continu::sim {
 
-RoundScheduler::RoundScheduler(Simulator& sim, SimTime period,
-                               std::function<void(std::size_t)> tick)
-    : sim_(sim), period_(period), tick_(std::move(tick)) {
+RoundScheduler::RoundScheduler(Simulator& sim, SimTime period, BatchTick batch)
+    : sim_(sim), period_(period), batch_tick_(std::move(batch)) {
   if (period_ <= 0.0) {
     throw std::invalid_argument("RoundScheduler: period must be positive");
   }
-  if (!tick_) {
-    throw std::invalid_argument("RoundScheduler: empty tick");
+  if (!batch_tick_) {
+    throw std::invalid_argument("RoundScheduler: empty batch tick");
   }
 }
 
@@ -86,45 +85,28 @@ bool RoundScheduler::contains(Handle handle) const noexcept {
 void RoundScheduler::fire() {
   armed_ = kInvalidEvent;
   // Batch: every live tick due at exactly THIS instant, in add()
-  // order. Anchoring on now() (not the heap minimum) matters: if a
-  // remove() from outside a tick deleted the participant the proxy
-  // was armed for, the surviving minimum lies in the future and must
-  // NOT run early — the rearm below re-aims the proxy instead.
+  // order (the heap tie-break). Anchoring on now() (not the heap
+  // minimum) matters: if a remove() from outside a tick deleted the
+  // participant the proxy was armed for, the surviving minimum lies in
+  // the future and must NOT run early — the rearm below re-aims the
+  // proxy instead. Survivors re-arm at next = fired + period, the exact
+  // arithmetic PeriodicProcess uses (e.time == now for every entry the
+  // proxy was armed for); a participant removed (or its slot recycled)
+  // during the batch fails the generation compare and is not re-armed.
   const SimTime due = sim_.now();
   drop_dead();
-  if (batch_tick_) {
-    // Batch mode: collect every live tick due at this instant (add
-    // order — the heap tie-break), report them in one call, then
-    // re-arm survivors. Seq numbers are assigned after the batch, but
-    // relative order within it matches the interleaved per-tick mode.
-    due_entries_.clear();
-    due_users_.clear();
-    while (!heap_.empty() && heap_.front().time <= due) {
-      const Entry e = pop_entry();
-      if (!entry_live(e)) continue;
-      due_entries_.push_back(e);
-      due_users_.push_back(parts_[e.slot].user);
-    }
-    if (!due_entries_.empty()) batch_tick_(due_users_);
-    for (const Entry& e : due_entries_) {
-      const Participant& p = parts_[e.slot];
-      if (p.alive && p.generation == e.generation) {
-        push_entry(Entry{e.time + period_, next_seq_++, e.slot, e.generation});
-      }
-    }
-  } else {
-    while (!heap_.empty() && heap_.front().time <= due) {
-      const Entry e = pop_entry();
-      if (!entry_live(e)) continue;
-      tick_(parts_[e.slot].user);
-      // The tick may have removed its own participant (or recycled the
-      // slot); only a still-matching generation re-arms the next round.
-      // next = fired + period, the exact arithmetic PeriodicProcess used
-      // (e.time == now for every entry the proxy was armed for).
-      const Participant& p = parts_[e.slot];
-      if (p.alive && p.generation == e.generation) {
-        push_entry(Entry{e.time + period_, next_seq_++, e.slot, e.generation});
-      }
+  due_entries_.clear();
+  due_users_.clear();
+  while (!heap_.empty() && heap_.front().time <= due) {
+    const Entry e = pop_entry();
+    if (!entry_live(e)) continue;
+    due_entries_.push_back(e);
+    due_users_.push_back(parts_[e.slot].user);
+  }
+  if (!due_entries_.empty()) batch_tick_(due_users_);
+  for (const Entry& e : due_entries_) {
+    if (entry_live(e)) {
+      push_entry(Entry{e.time + period_, next_seq_++, e.slot, e.generation});
     }
   }
   rearm();

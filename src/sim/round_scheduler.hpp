@@ -8,17 +8,17 @@
 // nodes those dominate queue depth. A RoundScheduler keeps at most ONE
 // pending simulator event no matter how many participants it drives:
 // participants live in a flat slot vector, their next-fire times in a
-// private (time, seq) min-heap, and the single armed proxy event fires
-// the whole batch of ticks due at that instant, then re-arms at the
-// new minimum.
+// private (time, seq) min-heap, and the single armed proxy event hands
+// every tick due at that instant to the batch callback in one call,
+// then re-arms at the new minimum.
 //
 // Determinism contract (the engine acceptance bar): each participant
 // ticks at exactly initial_time, initial_time + period,
 // initial_time + 2*period, ... with the SAME floating-point arithmetic
 // a self-rescheduling PeriodicProcess would produce (next = fired +
-// period), and equal-time ticks fire in add() order. Sessions driven
-// through a RoundScheduler are bit-identical to the per-node-process
-// fleet they replaced.
+// period), and equal-time ticks appear in add() order within their
+// batch. A callback that loops over its batch sees the tick sequence
+// the per-node-process fleet it replaced would have run.
 //
 // Join/leave is O(1): add() takes a free slot (or appends), remove()
 // bumps the slot's generation and frees it — stale heap entries and
@@ -43,28 +43,21 @@ class RoundScheduler {
     std::uint32_t generation = 0;
   };
 
-  /// `tick` is invoked as tick(user) for every due participant, where
-  /// `user` is the value given to add(). One callback for the whole
-  /// fleet — per-participant state stays with the caller.
-  RoundScheduler(Simulator& sim, SimTime period,
-                 std::function<void(std::size_t user)> tick);
-
-  /// Batch dispatch: with a batch callback installed, every fire
-  /// reports ALL ticks due at the instant in ONE call — the users in
-  /// add() order — instead of one tick() call each. This is the shard
-  /// boundary for intra-session parallelism: the callee may fan the
-  /// batch out across a ParallelExecutor, provided it merges results
-  /// deterministically.
-  ///
-  /// Semantics differences from per-tick mode, both deterministic:
-  ///  * a participant removed by an EARLIER tick of the same batch
-  ///    still appears in the batch (the callee must check liveness);
-  ///    rescheduling honors the removal as usual;
+  /// Every fire reports ALL ticks due at the instant in ONE call: each
+  /// user as given to add(), in add() order. One callback for the
+  /// whole fleet; per-participant state stays with the caller. This is
+  /// the shard boundary for intra-session parallelism: the callee may
+  /// fan the batch out across a ParallelExecutor, provided it merges
+  /// results deterministically. Two consequences, both deterministic:
+  ///  * a participant removed while the callee works through the batch
+  ///    still appears in it (the callee must check liveness); its next
+  ///    tick is not scheduled;
   ///  * a participant add()ed during the batch with zero initial delay
-  ///    fires via an immediate proxy re-arm rather than inside the
-  ///    current batch.
+  ///    fires via an immediate proxy re-arm, not inside the current
+  ///    batch.
   using BatchTick = std::function<void(const std::vector<std::size_t>& users)>;
-  void set_batch_tick(BatchTick batch) { batch_tick_ = std::move(batch); }
+
+  RoundScheduler(Simulator& sim, SimTime period, BatchTick batch);
   /// Cancels the armed proxy event: a scheduler may die before its
   /// simulator without leaving a dangling [this] action behind.
   ~RoundScheduler();
@@ -132,11 +125,10 @@ class RoundScheduler {
 
   Simulator& sim_;
   SimTime period_;
-  std::function<void(std::size_t)> tick_;
   BatchTick batch_tick_;
   std::vector<Participant> parts_;
   std::vector<Entry> heap_;
-  /// Scratch for batch mode, reused across fires (no per-fire allocs).
+  /// Batch scratch, reused across fires (no per-fire allocs).
   std::vector<Entry> due_entries_;
   std::vector<std::size_t> due_users_;
   std::uint32_t free_head_ = kNoSlot;

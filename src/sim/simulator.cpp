@@ -9,24 +9,6 @@
 
 namespace continu::sim {
 
-EventId Simulator::schedule_in(SimTime delay, EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("Simulator: empty action");
-  }
-  if (delay < 0.0) delay = 0.0;
-  if (squeue_) return squeue_->push(now_ + delay, std::move(action));
-  return queue_.push(now_ + delay, std::move(action));
-}
-
-EventId Simulator::schedule_at(SimTime when, EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("Simulator: empty action");
-  }
-  if (when < now_) when = now_;
-  if (squeue_) return squeue_->push(when, std::move(action));
-  return queue_.push(when, std::move(action));
-}
-
 void Simulator::schedule_deferred(std::vector<EventQueue::Deferred>& batch) {
   for (EventQueue::Deferred& deferred : batch) {
     if (deferred.time < now_) deferred.time = now_;
@@ -42,6 +24,9 @@ Simulator::Simulator(LaxConfig lax) {
   if (lax.skew_buckets == 0) return;
   if (lax.grid_s <= 0.0) {
     throw std::logic_error("Simulator: the windowed engine needs a positive grid");
+  }
+  if (lax.exec == nullptr) {
+    throw std::logic_error("Simulator: the windowed engine needs an executor");
   }
   squeue_ = std::make_unique<ShardedEventQueue>(lax.skew_buckets);
   lax_ = std::move(lax);
@@ -70,16 +55,12 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     // pops only; the window's accounting is serial in finish_window.
     constexpr unsigned nshards = ShardedEventQueue::kShards;
     if (lax_.on_fork) lax_.on_fork(nshards);
-    const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        squeue_->collect_window(static_cast<std::uint32_t>(s), limit);
-      }
-    };
-    if (lax_.exec != nullptr) {
-      lax_.exec->for_shards(nshards, /*grain=*/1, body);
-    } else {
-      body(0, 0, nshards);
-    }
+    lax_.exec->for_shards(
+        nshards, /*grain=*/1, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t s = begin; s < end; ++s) {
+            squeue_->collect_window(static_cast<std::uint32_t>(s), limit);
+          }
+        });
     squeue_->finish_window(anchor, lax_.grid_s);
     // Phase B — serial execution in shard-index order, each event at
     // its own local clock (this is the skew: the clock is non-monotonic

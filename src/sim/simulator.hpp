@@ -44,9 +44,9 @@ class Simulator {
   /// Engine selection. skew_buckets == 0 is the exact engine (the other
   /// fields are ignored); skew_buckets >= 1 the windowed engine, which
   /// drains windows `skew_buckets * grid_s` wide: per-shard pops fork on
-  /// `exec` (inline with the identical shard decomposition when null)
-  /// and execution is serial in shard-index order at per-event local
-  /// clocks. `on_fork(shards)` fires before each collection fork (the
+  /// `exec` (a one-thread executor runs them inline with the identical
+  /// shard decomposition) and execution is serial in shard-index order
+  /// at per-event local clocks. `on_fork(shards)` fires before each collection fork (the
   /// session brackets it as obs::Phase::kLaxDrain).
   struct LaxConfig {
     unsigned skew_buckets = 0;
@@ -58,8 +58,8 @@ class Simulator {
   /// The exact engine.
   Simulator() = default;
   /// The engine `lax` selects. A windowed config needs a positive grid
-  /// (the skew unit is a grid bucket); anything else is a logic error,
-  /// not a silent fallback.
+  /// (the skew unit is a grid bucket) and an executor; anything else is
+  /// a logic error, not a silent fallback.
   explicit Simulator(LaxConfig lax);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -113,6 +113,8 @@ class Simulator {
   /// Returns a handle usable with cancel(). Accepts any callable;
   /// captures up to EventAction::kInlineCapacity bytes never allocate
   /// (the callable is constructed directly in the queue's slot pool).
+  /// A pre-built EventAction is rejected at compile time rather than
+  /// wrapped in a second action.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
   EventId schedule_in(SimTime delay, F&& f) {
@@ -131,10 +133,6 @@ class Simulator {
     if (squeue_) return squeue_->emplace(when, std::forward<F>(f));
     return queue_.emplace(when, std::forward<F>(f));
   }
-
-  /// Overloads for pre-built actions.
-  EventId schedule_in(SimTime delay, EventAction action);
-  EventId schedule_at(SimTime when, EventAction action);
 
   /// Schedules a batch of deferred emissions in order (times clamped to
   /// >= now()) and clears the batch. This is the merge half of the

@@ -52,10 +52,11 @@ TraceSnapshot TraceSnapshot::load(std::istream& in) {
   if (!(in >> magic >> version >> n >> m) || magic != "continu-trace" || version != 1) {
     throw std::runtime_error("TraceSnapshot::load: bad header");
   }
+  // Nothing is sized from the header: its counts are unchecked until
+  // every record has been read, and a bogus count must reach the
+  // mismatch diagnosis below rather than an allocation failure.
   std::vector<TraceNode> nodes;
-  nodes.reserve(n);
   std::vector<TraceEdge> edges;
-  edges.reserve(m);
   std::string kind;
   while (in >> kind) {
     if (kind == "node") {

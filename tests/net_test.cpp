@@ -12,11 +12,19 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
+#include "sim/parallel/executor.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 
 namespace continu::net {
 namespace {
+
+/// One-thread executor for the networks built here: it runs every
+/// fork inline on the calling thread.
+sim::parallel::ParallelExecutor& serial_exec() {
+  static sim::parallel::ParallelExecutor exec(1);
+  return exec;
+}
 
 TEST(Message, WireCostsMatchPaper) {
   // Section 5.4.2: 600 window bits + 20 head bits = 620.
@@ -147,7 +155,7 @@ TEST(LatencyModel, RejectsEmptyAndNegativeFloor) {
 
 TEST(Network, DeliversAfterLatency) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered_at = sim.now(); });
   sim.run_all();
@@ -156,7 +164,7 @@ TEST(Network, DeliversAfterLatency) {
 
 TEST(Network, ExtraDelayAddsToLatency) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kSegmentData, 30720, [&] { delivered_at = sim.now(); },
            /*extra_delay=*/0.2);
@@ -166,7 +174,7 @@ TEST(Network, ExtraDelayAddsToLatency) {
 
 TEST(Network, ChargesTrafficAtSendTime) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   net.send(0, 1, MessageType::kSegmentData, 30720, [] {});
   // Charged immediately, before delivery.
   EXPECT_EQ(net.traffic().bits(TrafficClass::kData), 30720u);
@@ -174,7 +182,7 @@ TEST(Network, ChargesTrafficAtSendTime) {
 
 TEST(Network, FilterDropsDeliveries) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   bool delivered = false;
   net.set_delivery_filter([](std::size_t) { return false; });
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered = true; });
@@ -187,7 +195,7 @@ TEST(Network, FilterDropsDeliveries) {
 
 TEST(Network, FilterEvaluatedAtDeliveryTime) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   bool alive = true;
   bool delivered = false;
   net.set_delivery_filter([&](std::size_t) { return alive; });
@@ -200,7 +208,7 @@ TEST(Network, FilterEvaluatedAtDeliveryTime) {
 
 TEST(Network, ChargeOnlyCountsWithoutEvent) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   net.charge_only(MessageType::kBufferMap, 620);
   EXPECT_EQ(net.traffic().bits(TrafficClass::kControl), 620u);
   EXPECT_EQ(sim.pending(), 0u);
@@ -208,7 +216,7 @@ TEST(Network, ChargeOnlyCountsWithoutEvent) {
 
 TEST(Network, OrderedDeliveriesBetweenSamePair) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   std::vector<int> order;
   net.send(0, 1, MessageType::kPing, 80, [&] { order.push_back(1); });
   net.send(0, 1, MessageType::kPing, 80, [&] { order.push_back(2); });
@@ -343,7 +351,7 @@ TEST(LatencyModel, AverageSamplerSurvivesAdversarialIndexCorrelation) {
 TEST(Network, QuantizedSendSnapsDeliveryInstantUp) {
   sim::Simulator sim;
   // Pings 10/17: one-way 7 ms -> 10 ms on the 5 ms grid.
-  Network net(sim, LatencyModel({10.0, 17.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 17.0}, 5.0, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered_at = sim.now(); });
   sim.run_all();
@@ -361,7 +369,7 @@ TEST(Network, QuantizedSendSnapsDeliveryInstantUp) {
 TEST(Network, QuantizedCoInstantDeliveriesFormOneBatch) {
   sim::Simulator sim;
   // All pairwise latencies floor to 5 ms -> one 5 ms grid bucket.
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0, 13.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0, 13.0}, 5.0, 5.0));
   std::vector<std::uint32_t> delivered;
   std::vector<double> instants;
   for (std::uint32_t to = 1; to < 4; ++to) {
@@ -380,7 +388,7 @@ TEST(Network, QuantizedCoInstantDeliveriesFormOneBatch) {
 
 TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 5.0));
   std::vector<int> order;
   net.send_sharded(0, 1, MessageType::kPing, 80,
                    [&order](DeliveryContext&) { order.push_back(1); });
@@ -393,7 +401,7 @@ TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
 
 TEST(Network, QuantizedFilterDropsAreCounted) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   net.set_delivery_filter([](std::size_t to) { return to != 1; });
   int ran = 0;
   net.send_sharded(0, 1, MessageType::kPing, 80,
@@ -409,7 +417,7 @@ TEST(Network, QuantizedFilterDropsAreCounted) {
 
 TEST(Network, PostShardedSkipsChargeAndFilter) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 5.0));
   net.set_delivery_filter([](std::size_t) { return false; });
   double ran_at = -1.0;
   net.post_sharded(1, 0.0042, [&](DeliveryContext&) { ran_at = sim.now(); });
@@ -423,7 +431,7 @@ TEST(Network, PostShardedSkipsChargeAndFilter) {
 
 TEST(Network, ContinuousShardedPathsKeepExactTiming) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));  // continuous
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));  // continuous
   double delivered_at = -1.0;
   double forwarded_at = -1.0;
   bool deferred_ran_inline = false;
@@ -446,7 +454,7 @@ TEST(Network, ContinuousShardedPathsKeepExactTiming) {
 
 TEST(Network, QuantizedForwardChainsAcrossBuckets) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 5.0));
   std::vector<double> hops;
   net.send_sharded(0, 1, MessageType::kPing, 80, [&](DeliveryContext& ctx) {
     hops.push_back(sim.now());
@@ -468,7 +476,7 @@ TEST(Network, QuantizedForwardChainsAcrossBuckets) {
 
 TEST(Network, QuantizedDeferSettlesAfterWholeBucket) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   std::vector<std::string> log;
   for (std::uint32_t to = 1; to < 3; ++to) {
     net.send_sharded(0, to, MessageType::kPing, 80, [&log, to](DeliveryContext& ctx) {
@@ -497,8 +505,9 @@ TEST(Network, QuantizedPendingBytesTrackLiveDeliveries) {
     sim::Simulator::LaxConfig lax;
     lax.skew_buckets = skew;
     lax.grid_s = kGrid;
+    lax.exec = &serial_exec();
     sim::Simulator sim(lax);
-    Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 1.0));
+    Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 1.0));
     std::size_t ran = 0;
     const auto handler = [&ran](DeliveryContext&) { ++ran; };
     for (std::size_t b = 0; b < kBuckets; ++b) {

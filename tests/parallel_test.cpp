@@ -238,8 +238,7 @@ TEST(DeferredEmissions, PastTimesClampToNow) {
 TEST(RoundSchedulerBatch, SameInstantTicksArriveAsOneBatch) {
   sim::Simulator sim;
   std::vector<std::vector<std::size_t>> batches;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) { FAIL() << "per-tick"; });
-  rounds.set_batch_tick([&batches](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler rounds(sim, 1.0, [&batches](const std::vector<std::size_t>& users) {
     batches.push_back(users);
   });
   rounds.add(0.5, 10);
@@ -258,15 +257,16 @@ TEST(RoundSchedulerBatch, SameInstantTicksArriveAsOneBatch) {
 
 TEST(RoundSchedulerBatch, RemovalDuringBatchStopsRescheduling) {
   sim::Simulator sim;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) {});
   std::vector<sim::RoundScheduler::Handle> handles;
   std::vector<std::size_t> seen;
-  rounds.set_batch_tick([&](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler* rptr = nullptr;
+  sim::RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
     for (const std::size_t user : users) {
       seen.push_back(user);
-      if (user == 1) rounds.remove(handles[2]);  // kill participant 2
+      if (user == 1) rptr->remove(handles[2]);  // kill participant 2
     }
   });
+  rptr = &rounds;
   handles.push_back(rounds.add(0.5, 0));
   handles.push_back(rounds.add(0.5, 1));
   handles.push_back(rounds.add(0.5, 2));
@@ -288,8 +288,7 @@ TEST(RoundSchedulerBatch, AddAtMergesLateJoinerIntoCohortBatch) {
   // under churn instead of fragmenting into per-join singletons.
   sim::Simulator sim;
   std::vector<std::vector<std::size_t>> batches;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) {});
-  rounds.set_batch_tick([&batches](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler rounds(sim, 1.0, [&batches](const std::vector<std::size_t>& users) {
     batches.push_back(users);
   });
   const double phase = 0.3;
@@ -382,14 +381,14 @@ TEST(QuantizedDelivery, SessionsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
+TEST(QuantizedDelivery, ForkedBucketMatchesSingleThreadExecutor) {
   // Network-level equivalence: the same delivery schedule dispatched
-  // with a real worker pool and with NO executor (the inline fallback)
-  // must produce identical per-receiver handler sequences, identical
-  // join-replay order, and identical drop counts — the fallback
-  // replicates the executor's exact shard decomposition.
+  // with a real worker pool and with a one-thread executor (which runs
+  // the shards inline) must produce identical per-receiver handler
+  // sequences, identical join-replay order, and identical drop counts
+  // — both use the executor's one shard decomposition.
   const auto run_with =
-      [](sim::parallel::ParallelExecutor* exec) {
+      [](sim::parallel::ParallelExecutor& exec) {
         sim::Simulator sim;
         // 40 nodes, all pairwise latencies floored -> one big bucket
         // of 39 receiver groups across several shards (grain 8).
@@ -397,8 +396,7 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
         for (std::size_t i = 0; i < pings.size(); ++i) {
           pings[i] = 10.0 + 0.001 * static_cast<double>(i);
         }
-        net::Network net(sim, net::LatencyModel(std::move(pings), 5.0, 5.0));
-        if (exec != nullptr) net.set_executor(exec);
+        net::Network net(sim, exec, net::LatencyModel(std::move(pings), 5.0, 5.0));
         // Drop every 7th receiver, as churn would.
         net.set_delivery_filter([](std::size_t to) { return to % 7 != 0; });
 
@@ -428,16 +426,17 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
       };
 
   sim::parallel::ParallelExecutor pool(4);
-  const auto forked = run_with(&pool);
-  const auto inline_run = run_with(nullptr);
+  sim::parallel::ParallelExecutor single(1);
+  const auto forked = run_with(pool);
+  const auto single_run = run_with(single);
 
-  EXPECT_EQ(forked.hits, inline_run.hits);
-  EXPECT_EQ(forked.joined, inline_run.joined);
-  EXPECT_EQ(forked.dropped, inline_run.dropped);
-  EXPECT_EQ(forked.batches, inline_run.batches);
+  EXPECT_EQ(forked.hits, single_run.hits);
+  EXPECT_EQ(forked.joined, single_run.joined);
+  EXPECT_EQ(forked.dropped, single_run.dropped);
+  EXPECT_EQ(forked.batches, single_run.batches);
   EXPECT_EQ(forked.dropped, 5u);  // receivers 7, 14, 21, 28, 35
   // Join replay is shard-major, schedule-ordered within a shard — and
-  // identical whether or not a pool ran the shards.
+  // identical whether a pool or the calling thread ran the shards.
   ASSERT_EQ(forked.joined.size(), 34u);
 }
 

@@ -38,8 +38,16 @@ namespace {
 
 using sim::ShardedEventQueue;
 
-sim::Simulator::LaxConfig windowed(unsigned skew, double grid_s,
-                                   sim::parallel::ParallelExecutor* exec = nullptr) {
+/// One-thread executor for the networks built here: it runs every
+/// fork inline on the calling thread.
+sim::parallel::ParallelExecutor& serial_exec() {
+  static sim::parallel::ParallelExecutor exec(1);
+  return exec;
+}
+
+sim::Simulator::LaxConfig windowed(
+    unsigned skew, double grid_s,
+    sim::parallel::ParallelExecutor* exec = &serial_exec()) {
   sim::Simulator::LaxConfig lax;
   lax.skew_buckets = skew;
   lax.grid_s = grid_s;
@@ -260,11 +268,11 @@ TEST(WindowedHandoff, SweptNetworkMatchesBucketedNetwork) {
   // same send_sharded workload must deliver in the same order at the
   // same instants with the same counters. The handlers schedule
   // nothing, so every window only sweeps buckets, in instant order —
-  // the sweep must fire them exactly as the proxies do. No executor:
-  // the inline fallback shares the shard decomposition.
+  // the sweep must fire them exactly as the proxies do. A one-thread
+  // executor runs the forks inline with the same shard decomposition.
   auto run = [](unsigned skew) {
     sim::Simulator sim(windowed(skew, /*grid_s=*/0.002));
-    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
+    net::Network net(sim, serial_exec(), net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
                                             /*grid_ms=*/2.0));
     EXPECT_EQ(sim.windowed(), skew > 0);
     std::vector<std::pair<double, int>> log;
@@ -301,7 +309,8 @@ TEST(WindowedHandoff, SweptNetworkMatchesBucketedNetwork) {
 
 TEST(WindowedHandoff, SweepCountersTrackWindows) {
   sim::Simulator sim(windowed(/*skew=*/1, /*grid_s=*/0.001));
-  net::Network net(sim, net::LatencyModel({10.0, 20.0}, 5.0, /*grid_ms=*/1.0));
+  net::Network net(sim, serial_exec(),
+                   net::LatencyModel({10.0, 20.0}, 5.0, /*grid_ms=*/1.0));
   ASSERT_TRUE(sim.windowed());
   int delivered = 0;
   auto* dp = &delivered;
@@ -325,7 +334,7 @@ TEST(WindowedHandoff, ForwardInsideASweptWindowFencesToTheNextWindow) {
   // tells the two apart.
   auto run = [](unsigned skew) {
     sim::Simulator sim(windowed(skew, /*grid_s=*/0.001));
-    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0}, 5.0,
+    net::Network net(sim, serial_exec(), net::LatencyModel({10.0, 20.0, 30.0}, 5.0,
                                             /*grid_ms=*/1.0));
     std::vector<std::pair<double, int>> log;
     auto* logp = &log;
@@ -362,10 +371,12 @@ TEST(WindowedHandoff, ForwardInsideASweptWindowFencesToTheNextWindow) {
 // Window semantics
 // ---------------------------------------------------------------------------
 
-TEST(WindowedEngine, SkewZeroIsExactAndWindowsNeedAGrid) {
+TEST(WindowedEngine, SkewZeroIsExactAndWindowsNeedAGridAndAnExecutor) {
   EXPECT_FALSE(sim::Simulator(windowed(0, 1.0)).windowed());
+  EXPECT_FALSE(sim::Simulator(windowed(0, 1.0, nullptr)).windowed());
   EXPECT_TRUE(sim::Simulator(windowed(1, 1.0)).windowed());
   EXPECT_THROW(sim::Simulator(windowed(1, 0.0)), std::logic_error);
+  EXPECT_THROW(sim::Simulator(windowed(1, 1.0, nullptr)), std::logic_error);
   sim::Simulator exact;
   EXPECT_THROW(exact.set_frontier_hook({}), std::logic_error);
   EXPECT_THROW((void)exact.allocate_seq(), std::logic_error);
@@ -456,9 +467,11 @@ TEST(WindowedEngine, CrossShardCancelInsideAWindowIsHonoured) {
 
 TEST(WindowedEngine, ThreadedCollectionMatchesInlineCollection) {
   // The forked Phase A only POPS per-shard heaps; execution stays
-  // serial. A 4-thread executor must therefore reproduce the inline
-  // fallback's log exactly, storm after storm.
+  // serial. A 4-thread executor must therefore reproduce the log of a
+  // one-thread executor (which collects inline) exactly, storm after
+  // storm.
   sim::parallel::ParallelExecutor exec(4);
+  sim::parallel::ParallelExecutor single(1);
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     const unsigned skew = (trial % 2 == 0) ? 1u : 4u;
     auto run = [&](sim::parallel::ParallelExecutor* e) {
@@ -470,7 +483,7 @@ TEST(WindowedEngine, ThreadedCollectionMatchesInlineCollection) {
       sim.run_until(64.0);
       return std::move(storm.log);
     };
-    const auto inline_log = run(nullptr);
+    const auto inline_log = run(&single);
     const auto threaded_log = run(&exec);
     ASSERT_EQ(inline_log, threaded_log) << "trial " << trial << " skew " << skew;
   }
@@ -514,7 +527,7 @@ TEST(WindowedEngine, PerReceiverDeliveryOrderSurvivesSkew) {
   // the order the exact engine delivers them.
   auto run = [](unsigned skew) {
     sim::Simulator sim(windowed(skew, /*grid_s=*/0.002));
-    net::Network net(sim, net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
+    net::Network net(sim, serial_exec(), net::LatencyModel({10.0, 20.0, 30.0, 40.0}, 5.0,
                                             /*grid_ms=*/2.0));
     std::vector<std::vector<int>> per_receiver(4);
     auto* prp = &per_receiver;

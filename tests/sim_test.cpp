@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine: slot-pool event queue,
-// inline event actions, simulator semantics, periodic processes and
-// the batched RoundScheduler.
+// the small-buffer action (as event and as delivery handler),
+// simulator semantics, periodic processes and the batched
+// RoundScheduler.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,17 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "net/delivery.hpp"
+#include "net/latency_model.hpp"
+#include "net/network.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/parallel/executor.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -23,65 +30,124 @@
 namespace continu::sim {
 namespace {
 
-TEST(EventAction, InlineForSmallCaptures) {
+// --- InlineAction ----------------------------------------------------------
+//
+// One small-buffer callable serves the engine twice: EventAction
+// (InlineAction<>) is the event payload and net::DeliveryAction
+// (InlineAction<DeliveryContext&>) the quantized network's delivery
+// handler. Every case runs on both; bodies are written as void()
+// lambdas and ActionOps adapts them to the action's signature.
+
+template <typename Action>
+struct ActionOps;
+
+template <>
+struct ActionOps<EventAction> {
+  using Function = std::function<void()>;
+  template <typename F>
+  static F adapt(F body) {
+    return body;
+  }
+  static void call(EventAction& action) { action(); }
+};
+
+template <>
+struct ActionOps<net::DeliveryAction> {
+  using Function = std::function<void(net::DeliveryContext&)>;
+  template <typename F>
+  static auto adapt(F body) {
+    return [body](net::DeliveryContext&) { body(); };
+  }
+  /// A DeliveryContext only comes from a Network: invoke the action
+  /// inside a continuous-mode delivery, which hands it the immediate
+  /// context.
+  static void call(net::DeliveryAction& action) {
+    Simulator sim;
+    parallel::ParallelExecutor exec(1);
+    net::Network net(sim, exec, net::LatencyModel({10.0, 60.0}, 5.0));
+    net.post_sharded(0, 0.0, [&action](net::DeliveryContext& ctx) { action(ctx); });
+    sim.run_all();
+  }
+};
+
+template <typename Action>
+class SmallBufferAction : public ::testing::Test {};
+
+struct ActionName {
+  template <typename Action>
+  static std::string GetName(int) {
+    return std::is_same_v<Action, EventAction> ? "Event" : "Delivery";
+  }
+};
+
+using ActionTypes = ::testing::Types<EventAction, net::DeliveryAction>;
+TYPED_TEST_SUITE(SmallBufferAction, ActionTypes, ActionName);
+
+TYPED_TEST(SmallBufferAction, InlineForSmallCaptures) {
+  using Ops = ActionOps<TypeParam>;
   int hits = 0;
   // 48-byte payload + pointer capture: the size of the largest
   // protocol capture (DHT route hop + delivery wrapper). Must never
   // allocate.
   std::array<std::uint64_t, 6> payload{};
-  EventAction small([&hits] { ++hits; });
-  EventAction big([&hits, payload] { hits += static_cast<int>(payload[0]) + 1; });
+  TypeParam small(Ops::adapt([&hits] { ++hits; }));
+  TypeParam big(
+      Ops::adapt([&hits, payload] { hits += static_cast<int>(payload[0]) + 1; }));
   EXPECT_TRUE(small.stored_inline());
   EXPECT_TRUE(big.stored_inline());
-  small();
-  big();
+  Ops::call(small);
+  Ops::call(big);
   EXPECT_EQ(hits, 2);
 }
 
-TEST(EventAction, HeapFallbackForOversizedCaptures) {
+TYPED_TEST(SmallBufferAction, HeapFallbackForOversizedCaptures) {
+  using Ops = ActionOps<TypeParam>;
   int hits = 0;
   std::array<std::uint64_t, 32> payload{};  // 256 bytes: exceeds inline
   payload[31] = 41;
-  EventAction action([&hits, payload] { hits = static_cast<int>(payload[31]) + 1; });
+  TypeParam action(
+      Ops::adapt([&hits, payload] { hits = static_cast<int>(payload[31]) + 1; }));
   EXPECT_TRUE(static_cast<bool>(action));
   EXPECT_FALSE(action.stored_inline());
-  action();
+  Ops::call(action);
   EXPECT_EQ(hits, 42);
 }
 
-TEST(EventAction, MoveTransfersOwnership) {
+TYPED_TEST(SmallBufferAction, MoveTransfersOwnership) {
+  using Ops = ActionOps<TypeParam>;
   std::vector<int> order;
-  EventAction a([&order] { order.push_back(1); });
-  EventAction b(std::move(a));
+  TypeParam a(Ops::adapt([&order] { order.push_back(1); }));
+  TypeParam b(std::move(a));
   EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
   ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  b();  // repeat invocation is allowed
+  Ops::call(b);
+  Ops::call(b);  // repeat invocation is allowed
   EXPECT_EQ(order, (std::vector<int>{1, 1}));
 
-  EventAction c;
+  TypeParam c;
   c = std::move(b);
   ASSERT_TRUE(static_cast<bool>(c));
-  c();
+  Ops::call(c);
   EXPECT_EQ(order.size(), 3u);
 }
 
-TEST(EventAction, NonTrivialCapturesDestructRight) {
+TYPED_TEST(SmallBufferAction, NonTrivialCapturesDestructRight) {
+  using Ops = ActionOps<TypeParam>;
   auto counter = std::make_shared<int>(0);
   {
-    EventAction action([counter] { ++*counter; });
+    TypeParam action(Ops::adapt([counter] { ++*counter; }));
     EXPECT_EQ(counter.use_count(), 2);
-    action();
-    EventAction moved(std::move(action));
+    Ops::call(action);
+    TypeParam moved(std::move(action));
     EXPECT_EQ(counter.use_count(), 2);
-    moved();
+    Ops::call(moved);
   }
   EXPECT_EQ(counter.use_count(), 1);
   EXPECT_EQ(*counter, 2);
 }
 
-TEST(EventAction, EmptyStdFunctionStaysEmpty) {
-  EventAction action{std::function<void()>{}};
+TYPED_TEST(SmallBufferAction, EmptyStdFunctionStaysEmpty) {
+  TypeParam action{typename ActionOps<TypeParam>::Function{}};
   EXPECT_FALSE(static_cast<bool>(action));
 }
 
@@ -693,8 +759,8 @@ TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
 
   Simulator sim;
   std::vector<std::pair<double, std::size_t>> ticks;
-  RoundScheduler rounds(sim, 1.0, [&ticks, &sim](std::size_t user) {
-    ticks.emplace_back(sim.now(), user);
+  RoundScheduler rounds(sim, 1.0, [&ticks, &sim](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) ticks.emplace_back(sim.now(), user);
   });
   for (std::size_t i = 0; i < phases.size(); ++i) (void)rounds.add(phases[i], i);
   sim.run_until(5.0);
@@ -707,8 +773,8 @@ TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
 TEST(RoundScheduler, EqualPhasesBatchInAddOrder) {
   Simulator sim;
   std::vector<std::size_t> order;
-  RoundScheduler rounds(sim, 2.0, [&order](std::size_t user) {
-    order.push_back(user);
+  RoundScheduler rounds(sim, 2.0, [&order](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) order.push_back(user);
   });
   (void)rounds.add(0.5, 7);
   (void)rounds.add(0.5, 3);
@@ -723,9 +789,11 @@ TEST(RoundScheduler, RemoveStopsTicks) {
   Simulator sim;
   int a_count = 0;
   int b_count = 0;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) {
-    if (user == 0) ++a_count;
-    if (user == 1) ++b_count;
+  RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) {
+      if (user == 0) ++a_count;
+      if (user == 1) ++b_count;
+    }
   });
   const auto a = rounds.add(0.25, 0);
   (void)rounds.add(0.5, 1);
@@ -742,7 +810,9 @@ TEST(RoundScheduler, RemoveStopsTicks) {
 TEST(RoundScheduler, StaleHandleCannotRemoveSlotReuser) {
   Simulator sim;
   std::vector<std::size_t> ticked;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) { ticked.push_back(user); });
+  RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) ticked.push_back(user);
+  });
   const auto first = rounds.add(0.5, 100);
   EXPECT_TRUE(rounds.remove(first));
   const auto second = rounds.add(0.5, 200);  // reuses the freed slot
@@ -761,11 +831,13 @@ TEST(RoundScheduler, AddAndRemoveFromWithinTick) {
   std::vector<std::size_t> ticked;
   RoundScheduler* rptr = nullptr;
   RoundScheduler::Handle h0;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) {
-    ticked.push_back(user);
-    if (user == 0) {
-      (void)rptr->add(0.4, 5);
-      rptr->remove(h0);
+  RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) {
+      ticked.push_back(user);
+      if (user == 0) {
+        (void)rptr->add(0.4, 5);
+        rptr->remove(h0);
+      }
     }
   });
   rptr = &rounds;
@@ -785,8 +857,8 @@ TEST(RoundScheduler, RemoveOutsideTickNeverTicksSurvivorsEarly) {
   // proxy fire the NEXT participant ahead of its time.
   Simulator sim;
   std::vector<std::pair<double, std::size_t>> ticks;
-  RoundScheduler rounds(sim, 10.0, [&](std::size_t user) {
-    ticks.emplace_back(sim.now(), user);
+  RoundScheduler rounds(sim, 10.0, [&](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) ticks.emplace_back(sim.now(), user);
   });
   const auto a = rounds.add(1.0, 0);  // proxy armed for t=1.0
   (void)rounds.add(2.0, 1);
@@ -800,9 +872,11 @@ TEST(RoundScheduler, SelfRemovalFromOwnTickStopsRearm) {
   int count = 0;
   RoundScheduler* rptr = nullptr;
   RoundScheduler::Handle self;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t) {
-    ++count;
-    if (count == 2) rptr->remove(self);
+  RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      ++count;
+      if (count == 2) rptr->remove(self);
+    }
   });
   rptr = &rounds;
   self = rounds.add(0.5, 0);
@@ -815,7 +889,9 @@ TEST(RoundScheduler, DestructionCancelsArmedProxy) {
   Simulator sim;
   int ticks = 0;
   {
-    RoundScheduler rounds(sim, 1.0, [&](std::size_t) { ++ticks; });
+    RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
+      ticks += static_cast<int>(users.size());
+    });
     (void)rounds.add(0.5, 0);
   }
   sim.run_until(10.0);  // must not fire into the destroyed scheduler
@@ -824,8 +900,9 @@ TEST(RoundScheduler, DestructionCancelsArmedProxy) {
 
 TEST(RoundScheduler, RejectsBadArguments) {
   Simulator sim;
-  EXPECT_THROW(RoundScheduler(sim, 0.0, [](std::size_t) {}), std::invalid_argument);
-  EXPECT_THROW(RoundScheduler(sim, 1.0, std::function<void(std::size_t)>{}),
+  EXPECT_THROW(RoundScheduler(sim, 0.0, [](const std::vector<std::size_t>&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(RoundScheduler(sim, 1.0, RoundScheduler::BatchTick{}),
                std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "trace/generator.hpp"
 #include "trace/topology.hpp"
@@ -67,6 +68,17 @@ TEST(TraceSnapshot, LoadRejectsBadHeader) {
 TEST(TraceSnapshot, LoadRejectsCountMismatch) {
   std::stringstream stream("continu-trace 1 2 0\nnode 0 1 2.0 56.0\n");
   EXPECT_THROW(TraceSnapshot::load(stream), std::runtime_error);
+  // A header count far beyond any real trace is diagnosed as a count
+  // mismatch, not attempted as an allocation.
+  std::stringstream huge("continu-trace 1 99999999999999 0\n");
+  try {
+    (void)TraceSnapshot::load(huge);
+    FAIL() << "a 10^14-node header with no records must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("record counts disagree with header"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FormatIpv4, Format) {

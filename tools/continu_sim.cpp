@@ -332,6 +332,13 @@ void reject_scenario_conflicts(const CliOptions& opt) {
       std::fprintf(stderr, "error: %s\n", e.what());
       std::exit(1);
     }
+    // A session needs the source plus at least one peer.
+    if (spec.snapshot->node_count() < 2) {
+      std::fprintf(stderr,
+                   "error: trace %s has %zu node(s); a session needs at least 2\n",
+                   opt.trace_path.c_str(), spec.snapshot->node_count());
+      std::exit(1);
+    }
     spec.config.expected_nodes = static_cast<double>(spec.snapshot->node_count());
   } else {
     spec.trace.node_count = opt.nodes;
