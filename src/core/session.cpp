@@ -123,6 +123,7 @@ std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
 Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot)
     : config_(config),
       space_(fit_id_space(config.id_space, snapshot.node_count())),
+      hop_cap_(static_cast<unsigned>(std::ceil(space_.hop_upper_bound())) + 2),
       // ParallelExecutor resolves 0 to hardware_concurrency itself.
       exec_(config.threads),
       sim_(engine_config()),
@@ -368,9 +369,9 @@ void Session::start_processes() {
 
   // The metrics sampler and churn planner share the scheduling period;
   // they ride the same RoundScheduler under reserved tags.
-  (void)rounds_.add(tau, kSampleTickUser);
+  sample_tick_ = rounds_.add(tau, kSampleTickUser);
   if (config_.churn_enabled) {
-    (void)rounds_.add(kChurnPhase * tau, kChurnTickUser);
+    churn_tick_ = rounds_.add(kChurnPhase * tau, kChurnTickUser);
   }
 
   // Crash-stop events from the fault plan: plain serial simulator
@@ -488,6 +489,7 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
 }
 
 void Session::run(SimTime duration) {
+  run_thread_ = std::this_thread::get_id();
   if (profiler_ != nullptr) {
     // Bracket the run wall so the Amdahl estimate has its base: serial
     // time = run wall minus the executor's fork walls.
@@ -497,6 +499,13 @@ void Session::run(SimTime duration) {
     return;
   }
   sim_.run_until(duration);
+}
+
+void Session::stop() {
+  emit_process_->stop();
+  for (const auto handle : round_handles_) rounds_.remove(handle);
+  rounds_.remove(sample_tick_);
+  rounds_.remove(churn_tick_);
 }
 
 std::size_t Session::alive_count() const {
@@ -1036,9 +1045,10 @@ void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
     const std::size_t supplier = *supplier_index;
     network_.send_sharded(
         requester, supplier, MessageType::kSegmentRequest, bits,
-        [this, supplier, requester,
+        [this, supplier32 = static_cast<std::uint32_t>(supplier),
+         requester32 = static_cast<std::uint32_t>(requester),
          ids = std::move(ids)](net::DeliveryContext& ctx) mutable {
-          handle_segment_request(supplier, requester, std::move(ids), ctx);
+          handle_segment_request(supplier32, requester32, std::move(ids), ctx);
         });
   }
 }
@@ -1132,7 +1142,8 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
     // The nack send mutates shared engine state (traffic account,
     // event queue), so it rides the context: inline in immediate mode,
     // settled at the join when forked.
-    ctx.defer([this, supplier, requester, supplier_id = sup.id(),
+    ctx.defer([this, supplier = static_cast<std::uint32_t>(supplier),
+               requester = static_cast<std::uint32_t>(requester), supplier_id = sup.id(),
                refused = std::move(refused)]() mutable {
       network_.send_sharded(
           supplier, requester, MessageType::kRequestNack,
@@ -1414,31 +1425,42 @@ void Session::launch_prefetch(std::size_t origin, SegmentId segment) {
   }
   ++stats_.prefetch_launched;
 
-  auto op = std::make_shared<PrefetchOp>();
-  op->origin = origin;
-  op->segment = segment;
-  op->pending_replies = config_.backup_replicas;
+  std::uint32_t index;
+  if (free_prefetch_ops_.empty()) {
+    index = static_cast<std::uint32_t>(prefetch_ops_.size());
+    prefetch_ops_.emplace_back();
+  } else {
+    index = free_prefetch_ops_.back();
+    free_prefetch_ops_.pop_back();
+  }
+  PrefetchOp& op = prefetch_ops_[index];
+  op = PrefetchOp{};
+  op.origin = static_cast<std::uint32_t>(origin);
+  op.segment = segment;
+  op.pending_replies = config_.backup_replicas;
 
+  // Held across the loop: a lookup whose first send is lost drops its
+  // reference at once, which must not free the op under the others.
+  const PrefetchRef launch(this, index);
   for (unsigned replica = 1; replica <= config_.backup_replicas; ++replica) {
     const NodeId target = space_.backup_target(segment, replica);
-    route_hop(origin, target, origin, op, 0);
+    route_hop(origin, target, origin, launch, 0);
   }
 }
 
 void Session::route_hop(std::size_t current, NodeId target, std::size_t origin,
-                        const std::shared_ptr<PrefetchOp>& op, unsigned hops) {
+                        PrefetchRef op, unsigned hops) {
   Node& node = *nodes_[current];
-  const auto hop_cap = static_cast<unsigned>(std::ceil(space_.hop_upper_bound())) + 2;
-  if (hops > hop_cap) {
+  if (hops > hop_cap_) {
     ++stats_.dht_route_failures;
-    finish_locate(current, op);
+    finish_locate(current, std::move(op));
     return;
   }
 
   for (;;) {
     const auto next = node.dht_peers().next_hop(target);
     if (!next.has_value()) {
-      finish_locate(current, op);
+      finish_locate(current, std::move(op));
       return;
     }
     const auto next_index = alive_node_by_id(*next);
@@ -1447,71 +1469,77 @@ void Session::route_hop(std::size_t current, NodeId target, std::size_t origin,
       continue;
     }
     ++stats_.dht_route_messages;
-    // Indices packed to 32 bits so the whole capture (48 bytes) plus
-    // the network delivery wrapper stays within the event action's
-    // inline buffer — this is the engine's largest scheduled capture.
-    const auto nidx32 = static_cast<std::uint32_t>(*next_index);
-    const auto origin32 = static_cast<std::uint32_t>(origin);
-    const auto current32 = static_cast<std::uint32_t>(current);
-    network_.send(current, *next_index, MessageType::kDhtRoute,
-                  WireCosts::kDhtRouteBits,
-                  [this, target, op, nidx32, origin32, current32, hops] {
-                    // Overhearing: the forwarding node learns about the
-                    // query origin and the previous hop for free.
-                    const std::size_t nidx = nidx32;
-                    const std::size_t origin = origin32;
-                    const std::size_t current = current32;
-                    Node& here = *nodes_[nidx];
-                    const Node& org = *nodes_[origin];
-                    const Node& prev = *nodes_[current];
-                    const SimTime now = sim_.now();
-                    if (org.alive() && org.id() != here.id()) {
-                      here.overheard().hear(
-                          org.id(),
-                          network_.latency().latency_ms(nidx, origin), now);
-                    }
-                    if (prev.alive() && prev.id() != here.id()) {
-                      here.overheard().hear(
-                          prev.id(),
-                          network_.latency().latency_ms(nidx, current), now);
-                    }
-                    route_hop(nidx, target, origin, op, hops + 1);
-                  });
+    // DHT hops are the largest in-flight event population, so the hop
+    // is kept to 40 bytes: the op reference (which also carries the
+    // Session pointer) plus five 32-bit fields. The reference moves
+    // hop to hop, so forwarding never touches the op's count.
+    auto hop = [op = std::move(op), target, nidx32 = static_cast<std::uint32_t>(*next_index),
+                origin32 = static_cast<std::uint32_t>(origin),
+                current32 = static_cast<std::uint32_t>(current), hops]() mutable {
+      // Overhearing: the forwarding node learns about the query origin
+      // and the previous hop for free.
+      Session& self = op.session();
+      const std::size_t nidx = nidx32;
+      const std::size_t origin = origin32;
+      const std::size_t current = current32;
+      Node& here = *self.nodes_[nidx];
+      const Node& org = *self.nodes_[origin];
+      const Node& prev = *self.nodes_[current];
+      const SimTime now = self.sim_.now();
+      if (org.alive() && org.id() != here.id()) {
+        here.overheard().hear(org.id(), self.network_.latency().latency_ms(nidx, origin),
+                              now);
+      }
+      if (prev.alive() && prev.id() != here.id()) {
+        here.overheard().hear(prev.id(), self.network_.latency().latency_ms(nidx, current),
+                              now);
+      }
+      self.route_hop(nidx, target, origin, std::move(op), hops + 1);
+    };
+    static_assert(sizeof(hop) <= 40, "DHT hop capture grew past 40 bytes");
+    network_.send(current, *next_index, MessageType::kDhtRoute, WireCosts::kDhtRouteBits,
+                  std::move(hop));
     return;
   }
 }
 
-void Session::finish_locate(std::size_t terminal, const std::shared_ptr<PrefetchOp>& op) {
+void Session::finish_locate(std::size_t terminal, PrefetchRef op) {
   Node& owner = *nodes_[terminal];
-  const bool has =
-      owner.backup().has(op->segment) || owner.buffer().has(op->segment);
+  const SegmentId segment = op.op().segment;
+  const bool has = owner.backup().has(segment) || owner.buffer().has(segment);
   const double rate = owner.available_sending_rate(sim_.now());
-  network_.send(terminal, op->origin, MessageType::kDhtReply, WireCosts::kDhtReplyBits,
-                [this, op, terminal, has, rate] {
-                  on_prefetch_reply(op, terminal, has, rate);
+  const std::uint32_t origin = op.op().origin;
+  network_.send(terminal, origin, MessageType::kDhtReply, WireCosts::kDhtReplyBits,
+                [op = std::move(op), terminal32 = static_cast<std::uint32_t>(terminal),
+                 has, rate] {
+                  op.session().on_prefetch_reply(op.op(), terminal32, has, rate);
                 });
 }
 
-void Session::on_prefetch_reply(const std::shared_ptr<PrefetchOp>& op, std::size_t owner,
-                                bool has_segment, double rate) {
-  if (has_segment && rate > op->best_rate) {
-    op->best_rate = rate;
-    op->best_owner = owner;
+void Session::on_prefetch_reply(PrefetchOp& op, std::size_t owner, bool has_segment,
+                                double rate) {
+  if (has_segment && rate > op.best_rate) {
+    op.best_rate = rate;
+    op.best_owner = owner;
   }
-  if (op->pending_replies == 0) return;  // defensive: already resolved
-  if (--op->pending_replies > 0) return;
+  if (op.pending_replies == 0) return;  // defensive: already resolved
+  if (--op.pending_replies > 0) return;
 
-  Node& origin = *nodes_[op->origin];
+  const std::size_t origin_index = op.origin;
+  const SegmentId segment = op.segment;
+  Node& origin = *nodes_[origin_index];
   if (!origin.alive()) return;
-  if (!op->best_owner.has_value()) {
+  if (!op.best_owner.has_value()) {
     ++stats_.prefetch_no_replica;
-    origin.end_prefetch(op->segment);
+    origin.end_prefetch(segment);
     return;
   }
-  const std::size_t chosen = *op->best_owner;
-  network_.send(op->origin, chosen, MessageType::kPrefetchRequest,
-                WireCosts::kPrefetchRequestBits, [this, chosen, op] {
-                  handle_prefetch_request(chosen, op->origin, op->segment);
+  const std::size_t chosen = *op.best_owner;
+  network_.send(origin_index, chosen, MessageType::kPrefetchRequest,
+                WireCosts::kPrefetchRequestBits,
+                [this, chosen32 = static_cast<std::uint32_t>(chosen),
+                 origin32 = static_cast<std::uint32_t>(origin_index), segment] {
+                  handle_prefetch_request(chosen32, origin32, segment);
                 });
 }
 
@@ -1640,12 +1668,12 @@ void Session::kill_node(std::size_t index, bool graceful) {
     if (heir_id.has_value()) {
       const auto heir_index = alive_node_by_id(*heir_id);
       if (heir_index.has_value()) {
-        const auto contents = node.backup().take_all();
+        auto contents = node.backup().take_all();
         const auto bits = WireCosts::kSmallPacketBits +
                           static_cast<Bits>(contents.size()) * WireCosts::kSegmentBits;
         Node& heir = *nodes_[*heir_index];
         network_.send(index, *heir_index, MessageType::kHandover, bits,
-                      [&heir, contents] {
+                      [&heir, contents = std::move(contents)] {
                         for (const SegmentId id : contents) heir.backup().store(id);
                       });
       }

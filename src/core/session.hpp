@@ -13,8 +13,10 @@
 //   * churn (graceful handover / abrupt failure / RP-bootstrapped join),
 //   * metrics (per-round playback continuity, overhead tracks).
 
+#include <cassert>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/config.hpp"
@@ -160,6 +162,11 @@ class Session {
   /// Runs the simulation until `duration` seconds of virtual time.
   void run(SimTime duration);
 
+  /// Ends source emission and every periodic tick (node rounds,
+  /// sampling, churn). Messages already in flight still land, so
+  /// simulator().run_all() afterwards drains the session.
+  void stop();
+
   // --- results ---------------------------------------------------------
   [[nodiscard]] const metrics::ContinuityTracker& continuity() const noexcept {
     return continuity_;
@@ -209,18 +216,66 @@ class Session {
   [[nodiscard]] SegmentId emitted() const noexcept { return emitted_; }
   [[nodiscard]] std::optional<std::size_t> index_of(NodeId id) const;
   [[nodiscard]] const dht::RingDirectory& directory() const noexcept { return directory_; }
+  /// DHT pre-fetch operations still referenced by a pending hop or
+  /// reply (0 once the event queue has drained).
+  [[nodiscard]] std::size_t live_prefetch_ops() const noexcept {
+    return prefetch_ops_.size() - free_prefetch_ops_.size();
+  }
 
   /// Source node (session index 0).
   [[nodiscard]] const Node& source() const { return *nodes_.front(); }
 
  private:
+  /// One DHT pre-fetch: `backup_replicas` lookups race to the segment's
+  /// replica owners and the best reply wins. Pooled by index; a slot
+  /// returns to the pool when the last hop or reply holding it dies,
+  /// delivered or dropped.
   struct PrefetchOp {
-    std::size_t origin = 0;
+    std::uint32_t origin = 0;
+    std::uint32_t refs = 0;  ///< live PrefetchRefs
     SegmentId segment = kInvalidSegment;
     unsigned pending_replies = 0;
     double best_rate = -1.0;
     std::optional<std::size_t> best_owner;
   };
+
+  /// Counted reference to a pooled PrefetchOp, carried by the DHT hop
+  /// and reply captures. The captures reach the Session through it, so
+  /// the reference costs them nothing beyond the op index. The count is
+  /// not atomic: launches, hops and replies run only on the serial send
+  /// path, on the session's run thread (Debug builds assert it).
+  class PrefetchRef {
+   public:
+    PrefetchRef(Session* session, std::uint32_t op) noexcept
+        : session_(session), op_(op) {
+      session_->retain_prefetch(op_);
+    }
+    PrefetchRef(const PrefetchRef& other) noexcept : PrefetchRef(other.session_, other.op_) {}
+    PrefetchRef(PrefetchRef&& other) noexcept : session_(other.session_), op_(other.op_) {
+      other.session_ = nullptr;
+    }
+    PrefetchRef& operator=(const PrefetchRef&) = delete;
+    PrefetchRef& operator=(PrefetchRef&&) = delete;
+    ~PrefetchRef() {
+      if (session_ != nullptr) session_->release_prefetch(op_);
+    }
+
+    [[nodiscard]] Session& session() const noexcept { return *session_; }
+    [[nodiscard]] PrefetchOp& op() const noexcept { return session_->prefetch_ops_[op_]; }
+
+   private:
+    Session* session_;
+    std::uint32_t op_;
+  };
+
+  void retain_prefetch(std::uint32_t op) noexcept {
+    assert(std::this_thread::get_id() == run_thread_ && "prefetch pool off the run thread");
+    ++prefetch_ops_[op].refs;
+  }
+  void release_prefetch(std::uint32_t op) noexcept {
+    assert(std::this_thread::get_id() == run_thread_ && "prefetch pool off the run thread");
+    if (--prefetch_ops_[op].refs == 0) free_prefetch_ops_.push_back(op);
+  }
 
   // --- construction -----------------------------------------------------
   void build_nodes(const trace::TraceSnapshot& snapshot);
@@ -380,10 +435,10 @@ class Session {
   // --- DHT / prefetch -------------------------------------------------------
   void launch_prefetch(std::size_t origin, SegmentId segment);
   void route_hop(std::size_t current, NodeId target, std::size_t origin,
-                 const std::shared_ptr<PrefetchOp>& op, unsigned hops);
-  void finish_locate(std::size_t terminal, const std::shared_ptr<PrefetchOp>& op);
-  void on_prefetch_reply(const std::shared_ptr<PrefetchOp>& op, std::size_t owner,
-                         bool has_segment, double rate);
+                 PrefetchRef op, unsigned hops);
+  void finish_locate(std::size_t terminal, PrefetchRef op);
+  void on_prefetch_reply(PrefetchOp& op, std::size_t owner, bool has_segment,
+                         double rate);
   void handle_prefetch_request(std::size_t owner, std::size_t origin, SegmentId segment);
 
   // --- churn / faults -----------------------------------------------------
@@ -420,6 +475,14 @@ class Session {
 
   SystemConfig config_;
   dht::IdSpace space_;
+  /// DHT lookup hop limit: ceil(space_.hop_upper_bound()) + 2.
+  unsigned hop_cap_;
+  /// Thread that owns the session: constructs it, then runs it.
+  std::thread::id run_thread_ = std::this_thread::get_id();
+  /// PrefetchOp pool and its free indices. Declared before sim_: pending
+  /// hop and reply events release their ops when the queue is destroyed.
+  std::vector<PrefetchOp> prefetch_ops_;
+  std::vector<std::uint32_t> free_prefetch_ops_;
   /// Fork/join worker pool for round batches, per-period sweeps and the
   /// windowed engine's collection forks (declared before sim_ and
   /// network_, which hold a pointer and a reference to it).
@@ -449,6 +512,10 @@ class Session {
   /// by session index; join/leave is an O(1) add/remove.
   sim::RoundScheduler rounds_;
   std::vector<sim::RoundScheduler::Handle> round_handles_;
+  /// The reserved sampling and churn ticks (churn stays empty when
+  /// churn is disabled).
+  sim::RoundScheduler::Handle sample_tick_;
+  sim::RoundScheduler::Handle churn_tick_;
   std::unique_ptr<sim::PeriodicProcess> emit_process_;
   util::FlatMap<NodeId, std::size_t> index_of_;
 

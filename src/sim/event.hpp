@@ -4,11 +4,14 @@
 //
 // InlineAction<Args...> is a move-only, small-buffer-optimized
 // replacement for std::function<void(Args...)>: captures up to
-// kInlineCapacity bytes live inside the action itself (and therefore
-// inside the queue's slot pool or the delivery bucket's entry), so
-// scheduling an event or filing a delivery performs zero heap
-// allocations for every capture size the protocol layers actually use.
-// Oversized captures fall back to a single heap cell.
+// kInlineActionCapacity bytes live inside the action itself (and
+// therefore inside the queue's slot pool or the delivery bucket's
+// entry), so scheduling an event or filing a delivery performs zero
+// heap allocations. Every engine entry point that builds an action
+// static-asserts fits_inline<F>, so a protocol capture that outgrows
+// the buffer fails to compile instead of silently allocating; only a
+// direct InlineAction construction may still fall back to one heap
+// cell.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,17 +36,31 @@ using EventId = std::uint64_t;
 /// Sequences start at 1, so no valid id is ever 0.
 inline constexpr EventId kInvalidEvent = 0;
 
+/// Inline capture bytes of an InlineAction: with its 8-byte ops
+/// pointer, one action is exactly one 64-byte cache line.
+inline constexpr std::size_t kInlineActionCapacity = 56;
+
+/// True when a callable of type F (decayed) is stored inside an
+/// InlineAction's buffer rather than on the heap: at most
+/// kInlineActionCapacity bytes, at most 8-byte aligned, and nothrow
+/// movable (the queue and the delivery buckets relocate actions from
+/// noexcept paths). Engine entry points static-assert it.
+template <typename F>
+inline constexpr bool fits_inline =
+    sizeof(std::decay_t<F>) <= kInlineActionCapacity &&
+    alignof(std::decay_t<F>) <= alignof(std::uint64_t) &&
+    std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
 /// Move-only, small-buffer-optimized callable invoked as void(Args...).
 /// EventAction (no arguments) is the simulator's event payload;
 /// net::DeliveryAction (a DeliveryContext&) is the quantized network's.
 template <typename... Args>
 class InlineAction {
  public:
-  /// Sized for the largest capture the protocol layers schedule (the
-  /// DHT routing hop: 48 bytes + the network delivery wrapper's 16).
-  /// Keeping this at 64 holds a queue slot to 88 bytes — the slot pool
-  /// footprint is what bounds large-session cache behaviour.
-  static constexpr std::size_t kInlineCapacity = 64;
+  /// Sized so the action is one cache line. The largest protocol
+  /// captures fill it exactly: a continuous-mode sharded delivery of a
+  /// segment request or a nack (40 bytes + the 16-byte wrapper).
+  static constexpr std::size_t kInlineCapacity = kInlineActionCapacity;
 
   InlineAction() noexcept = default;
 
@@ -87,7 +104,7 @@ class InlineAction {
     if constexpr (std::is_same_v<D, std::function<void(Args...)>>) {
       if (!f) return;
     }
-    if constexpr (fits_inline<D>()) {
+    if constexpr (fits_inline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &OpsFor<D, /*Inline=*/true>::ops;
     } else {
@@ -127,13 +144,6 @@ class InlineAction {
     void (*destroy)(void* storage) noexcept;
     bool inline_stored;
   };
-
-  template <typename D>
-  [[nodiscard]] static constexpr bool fits_inline() noexcept {
-    return sizeof(D) <= kInlineCapacity &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D, bool Inline>
   struct OpsFor;
@@ -189,7 +199,7 @@ class InlineAction {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
+  alignas(std::uint64_t) unsigned char buf_[kInlineCapacity];
   const Ops* ops_ = nullptr;
 };
 

@@ -6,11 +6,11 @@
 namespace continu::sim {
 
 std::uint32_t EventQueue::grow_pool() {
-  if (slot_count_ > kSlotMask) {
+  if (slot_count_ >= kNoFree) {
     throw std::length_error("EventQueue: pending-event slot pool exhausted");
   }
   if ((slot_count_ & (kBlockSize - 1)) == 0) {
-    blocks_.push_back(std::make_unique<Slot[]>(kBlockSize));
+    blocks_.push_back(std::make_unique<Block>());
   }
   return slot_count_++;
 }
@@ -18,16 +18,14 @@ std::uint32_t EventQueue::grow_pool() {
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNoFree) {
     const std::uint32_t index = free_head_;
-    free_head_ = slot(index).next_free;
+    free_head_ = static_cast<std::uint32_t>(id_of(index));
     return index;
   }
   return grow_pool();
 }
 
 void EventQueue::release_slot(std::uint32_t index) noexcept {
-  Slot& s = slot(index);
-  s.id = kInvalidEvent;
-  s.next_free = free_head_;
+  id_of(index) = free_head_;
   free_head_ = index;
 }
 
@@ -43,13 +41,12 @@ EventId EventQueue::push_with_seq(std::uint64_t seq, SimTime time,
   const std::uint32_t index = acquire_slot();
   if (seq >= next_seq_) next_seq_ = seq + 1;
   const EventId id = (seq << kSlotBits) | index;
-  Slot& s = slot(index);
   // Same publish-last ordering as emplace(): the slot id is set only
   // once the entry and action are in place, so a heap_ allocation
   // failure cannot leave a live-looking slot behind.
-  s.action = std::move(action);
+  slot(index).action = std::move(action);
   heap_.push(time, id);
-  s.id = id;
+  id_of(index) = id;
   ++live_;
   if (live_ > peak_live_) peak_live_ = live_;
   return id;
@@ -65,7 +62,7 @@ void EventQueue::push_all(std::vector<Deferred>& batch) {
 void EventQueue::drop_dead_top() const {
   while (!heap_.empty()) {
     const std::uint64_t id = heap_.top().key;
-    if (slot(id & kSlotMask).id == id) return;  // live
+    if (id_of(id & kSlotMask) == id) return;  // live
     heap_.pop();
   }
 }
@@ -105,15 +102,15 @@ bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
     // drop_dead_top() purges it whenever ordering queries need it.
     if (top.time > horizon) return false;
     const std::uint32_t index = top.key & kSlotMask;
-    Slot& s = slot(index);
+    EventId& slot_id = id_of(index);
     // Start the slot-line fill now; the heap percolation below hides
     // most of its latency.
-    __builtin_prefetch(&s, 1);
+    __builtin_prefetch(&slot(index), 1);
     heap_.pop();
-    if (s.id != top.key) continue;  // cancelled or stale: discard lazily
+    if (slot_id != top.key) continue;  // cancelled or stale: discard lazily
     // De-register but do NOT free: the slot must not be reused while
     // its action runs, and a cancel() of the running id must no-op.
-    s.id = kInvalidEvent;
+    slot_id = kInvalidEvent;
     --live_;
     out.time = top.time;
     out.slot_index = index;
@@ -121,7 +118,9 @@ bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
     // caller's action execution plus the next heap percolation give
     // the line a full miss latency of lead time.
     if (!heap_.empty()) {
-      __builtin_prefetch(&slot(heap_.top().key & kSlotMask), 1);
+      const auto next = static_cast<std::uint32_t>(heap_.top().key & kSlotMask);
+      __builtin_prefetch(&slot(next), 1);
+      __builtin_prefetch(&id_of(next), 1);
     }
     return true;
   }
@@ -134,11 +133,7 @@ void EventQueue::execute_and_release(const DueEvent& due) {
   struct ReleaseGuard {
     EventQueue* queue;
     std::uint32_t index;
-    ~ReleaseGuard() {
-      Slot& s = queue->slot(index);
-      s.next_free = queue->free_head_;
-      queue->free_head_ = index;
-    }
+    ~ReleaseGuard() { queue->release_slot(index); }
   } guard{this, due.slot_index};
   // Slot blocks never move, so the reference stays valid even if the
   // action schedules new events (growing the pool or the heap).
@@ -149,9 +144,8 @@ bool EventQueue::cancel(EventId id) noexcept {
   if (id == kInvalidEvent) return false;
   const std::uint32_t index = id & kSlotMask;
   if (index >= slot_count_) return false;
-  Slot& s = slot(index);
-  if (s.id != id) return false;
-  s.action.reset();
+  if (id_of(index) != id) return false;
+  slot(index).action.reset();
   release_slot(index);
   --live_;
   return true;
@@ -183,19 +177,19 @@ void EventQueue::collect_window(SimTime limit, std::vector<WindowRef>& out) {
     // Dead tops (cancelled before collection) are reaped here exactly
     // like drop_dead_top(); live entries stay registered so a cancel
     // during the window's execution still lands.
-    if (slot(top.key & kSlotMask).id != top.key) continue;
+    if (id_of(top.key & kSlotMask) != top.key) continue;
     out.push_back(WindowRef{top.time, top.key});
   }
 }
 
 bool EventQueue::execute_collected(const WindowRef& ref) {
   const std::uint32_t index = static_cast<std::uint32_t>(ref.id & kSlotMask);
-  Slot& s = slot(index);
-  if (s.id != ref.id) return false;  // cancelled since collection
+  EventId& slot_id = id_of(index);
+  if (slot_id != ref.id) return false;  // cancelled since collection
   // De-register then execute in place — same contract as
   // acquire_due + execute_and_release, minus the heap pop (collection
   // already removed the entry).
-  s.id = kInvalidEvent;
+  slot_id = kInvalidEvent;
   --live_;
   DueEvent due;
   due.time = ref.time;

@@ -14,13 +14,19 @@
 //     std::pop_heap binary heap and ~127 ns for the same 4-ary heap
 //     with branchy child selection (BM_EventQueueHold,
 //     docs/BENCHMARKS.md).
-//   * Actions live in a chunked slot pool with stable addresses. An
-//     EventId packs (sequence << 24 | slot): the monotonic sequence
-//     gives deterministic FIFO tie-breaking among equal times, the low
-//     bits find the slot in O(1).
+//   * Actions live in a chunked slot pool with stable addresses. Each
+//     slot is one 64-byte line holding only the action; its id lives
+//     in the block's side array (8 bytes), so a pending event costs
+//     72 bytes. An EventId packs (sequence << 24 | slot): the monotonic
+//     sequence gives deterministic FIFO tie-breaking among equal times,
+//     the low bits find the slot in O(1).
+//   * While a slot is free its side entry holds the free-list link, a
+//     bare slot index below 2^24. Every live id carries a sequence of
+//     at least 1 in the bits above, so no id — current or stale — can
+//     ever equal a link.
 //   * cancel() is one compare + one array write (free the slot); the
 //     heap entry dies lazily when it surfaces, validated by a single
-//     id compare against the slot. No side tables, no hashing.
+//     id compare against the side array. No hashing.
 //
 // Cancellation matters: a node that leaves the overlay abandons its
 // pending periodic events; cancelling an already-fired or stale id is
@@ -41,7 +47,8 @@ namespace continu::sim {
 class EventQueue {
  public:
   /// Slot-index bits in an EventId: up to ~16.7M concurrently pending
-  /// events; the 40-bit sequence above them outlasts any plausible run.
+  /// events (one index, kSlotMask, is the free-list terminator); the
+  /// 40-bit sequence above them outlasts any plausible run.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1u;
 
@@ -72,6 +79,9 @@ class EventQueue {
   /// emplace() with a caller-supplied sequence (see push_with_seq).
   template <typename F>
   EventId emplace_with_seq(std::uint64_t seq, SimTime time, F&& f) {
+    static_assert(fits_inline<F>,
+                  "event capture exceeds the inline action buffer; shrink it "
+                  "(pack indices, pool shared state) instead of heap-allocating");
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
     Slot& s = slot(index);  // blocks are stable; heap growth can't move it
     __builtin_prefetch(&s, 1);
@@ -87,13 +97,14 @@ class EventQueue {
     if (!s.action) {
       throw std::invalid_argument("EventQueue: empty action");
     }
+    EventId& slot_id = id_of(index);
     if (index == free_head_) {
-      free_head_ = s.next_free;
+      free_head_ = static_cast<std::uint32_t>(slot_id);
       // Chain-prefetch the next free slot: it gets a whole push of
       // lead time before the next emplace writes it.
       if (free_head_ != kNoFree) __builtin_prefetch(&slot(free_head_), 1);
     }
-    s.id = id;
+    slot_id = id;
     ++live_;
     if (live_ > peak_live_) peak_live_ = live_;
     return id;
@@ -148,11 +159,11 @@ class EventQueue {
   /// High-water mark of live events since construction.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
-  /// Bytes held by the queue: the slot pool (blocks are never freed)
-  /// plus the heap's entry array.
+  /// Bytes held by the queue: the slot pool with its side id arrays
+  /// (blocks are never freed) plus the heap's entry array.
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
-    return blocks_.capacity() * sizeof(blocks_[0]) +
-           blocks_.size() * kBlockSize * sizeof(Slot) + heap_.capacity_bytes();
+    return blocks_.capacity() * sizeof(blocks_[0]) + blocks_.size() * sizeof(Block) +
+           heap_.capacity_bytes();
   }
 
   /// Time of the earliest live event. Requires !empty().
@@ -183,7 +194,7 @@ class EventQueue {
   /// True while a collected ref's event is still live (not cancelled
   /// since collection).
   [[nodiscard]] bool collected_live(const WindowRef& ref) const noexcept {
-    return slot(static_cast<std::uint32_t>(ref.id & kSlotMask)).id == ref.id;
+    return id_of(static_cast<std::uint32_t>(ref.id & kSlotMask)) == ref.id;
   }
 
   /// Executes a collected ref in place iff still live: de-registers,
@@ -192,23 +203,41 @@ class EventQueue {
   bool execute_collected(const WindowRef& ref);
 
  private:
-  struct Slot {
+  /// One pending action, exactly one cache line.
+  struct alignas(64) Slot {
     EventAction action;
-    EventId id = kInvalidEvent;  ///< live id; kInvalidEvent when free
-    std::uint32_t next_free = kNoFree;
   };
 
-  static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
+  /// Free-list terminator: a slot index the pool never hands out, so
+  /// every link stays below 2^kSlotBits and can never equal an id.
+  static constexpr std::uint32_t kNoFree = kSlotMask;
   /// Slots per pool block. Blocks never move, so popped actions can be
   /// relocated out even while an executing action schedules new events.
   static constexpr std::size_t kBlockShift = 9;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
 
+  struct Block {
+    Slot slots[kBlockSize];
+    /// Per slot: its live id; kInvalidEvent while its action runs; the
+    /// next free index (or kNoFree) while it sits on the free list.
+    EventId ids[kBlockSize] = {};
+  };
+
+ public:
+  /// Pool bytes per pending event: the action's line, and the line
+  /// plus its side id.
+  static constexpr std::size_t kSlotLineBytes = sizeof(Slot);
+  static constexpr std::size_t kSlotBytes = sizeof(Block) / kBlockSize;
+
+ private:
   [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
-    return blocks_[index >> kBlockShift][index & (kBlockSize - 1)];
+    return blocks_[index >> kBlockShift]->slots[index & (kBlockSize - 1)];
   }
-  [[nodiscard]] const Slot& slot(std::uint32_t index) const noexcept {
-    return blocks_[index >> kBlockShift][index & (kBlockSize - 1)];
+  [[nodiscard]] EventId& id_of(std::uint32_t index) noexcept {
+    return blocks_[index >> kBlockShift]->ids[index & (kBlockSize - 1)];
+  }
+  [[nodiscard]] const EventId& id_of(std::uint32_t index) const noexcept {
+    return blocks_[index >> kBlockShift]->ids[index & (kBlockSize - 1)];
   }
 
   [[nodiscard]] std::uint32_t acquire_slot();
@@ -222,7 +251,7 @@ class EventQueue {
   /// Extracts the validated top entry and frees its slot.
   Event take_top(QuadHeap::Entry top);
 
-  std::vector<std::unique_ptr<Slot[]>> blocks_;
+  std::vector<std::unique_ptr<Block>> blocks_;
   // (time, id) entries; id order among live entries is schedule order
   // (the sequence occupies the high bits). Mutable so
   // next_time()/pop_until() can purge dead heads without changing

@@ -24,10 +24,11 @@ namespace continu::sim::parallel {
 class EmissionBuffer {
  public:
   /// Records an emission at an ABSOLUTE simulation time. Callables are
-  /// stored as EventActions (small-buffer optimized), so deferring an
-  /// inline-sized capture allocates nothing beyond the buffer's vector.
+  /// stored inline in EventActions, so deferring allocates nothing
+  /// beyond the buffer's vector.
   template <typename F>
   void defer_at(SimTime time, F&& f) {
+    static_assert(fits_inline<F>, "emission capture exceeds the inline action buffer");
     entries_.push_back(EventQueue::Deferred{time, EventAction(std::forward<F>(f))});
   }
 

@@ -110,14 +110,14 @@ class Simulator {
   }
 
   /// Schedules `action` to run at now() + delay (delay clamped to >= 0).
-  /// Returns a handle usable with cancel(). Accepts any callable;
-  /// captures up to EventAction::kInlineCapacity bytes never allocate
-  /// (the callable is constructed directly in the queue's slot pool).
-  /// A pre-built EventAction is rejected at compile time rather than
-  /// wrapped in a second action.
+  /// Returns a handle usable with cancel(). Accepts any callable that
+  /// fits_inline (the callable is constructed directly in the queue's
+  /// slot pool, never on the heap). A pre-built EventAction is
+  /// rejected at compile time rather than wrapped in a second action.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
   EventId schedule_in(SimTime delay, F&& f) {
+    static_assert(fits_inline<F>, "event capture exceeds the inline action buffer");
     validate_callable(f);
     if (delay < 0.0) delay = 0.0;
     if (squeue_) return squeue_->emplace(now_ + delay, std::forward<F>(f));
@@ -128,6 +128,7 @@ class Simulator {
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
   EventId schedule_at(SimTime when, F&& f) {
+    static_assert(fits_inline<F>, "event capture exceeds the inline action buffer");
     validate_callable(f);
     if (when < now_) when = now_;
     if (squeue_) return squeue_->emplace(when, std::forward<F>(f));

@@ -7,6 +7,7 @@
 #include "core/config.hpp"
 #include "core/session.hpp"
 #include "net/message.hpp"
+#include "runner/scenario.hpp"
 #include "trace/generator.hpp"
 
 namespace continu::core {
@@ -383,6 +384,32 @@ TEST(Session, MemoryFootprintSectionsAreConsistent) {
   // under the old ~2.8 KB. Generous bound so trace variance never
   // flakes; the CI budget gate enforces the tight number at static_8k.
   EXPECT_LT(fp.per_node_bytes(), 2200.0);
+}
+
+TEST(Session, PrefetchOpPoolDrainsUnderChurnAndCrashes) {
+  // f5_q1_static_small (5% loss + bursts + a 10% crash-stop at t=25 on
+  // the 1 ms grid) with churn on top: DHT lookups die mid-route to
+  // injected loss and to the liveness filter (a hop or reply addressed
+  // to a node that left). Every pooled PrefetchOp must come back once
+  // the in-flight messages have drained, however its lookups ended.
+  const auto scenario = runner::find_scenario("f5_q1_static_small");
+  ASSERT_TRUE(scenario.has_value());
+  SystemConfig config = scenario->make_config(42);
+  config.churn_enabled = true;
+  const auto snapshot = trace::generate_snapshot(scenario->make_trace());
+  Session session(config, snapshot);
+  session.run(30.0);
+  EXPECT_GT(session.live_prefetch_ops(), 0u) << "no lookup in flight at the cut";
+
+  session.stop();
+  session.simulator().run_all();
+  EXPECT_EQ(session.simulator().pending(), 0u);
+  const auto& stats = session.stats();
+  EXPECT_GT(stats.prefetch_launched, 0u);
+  EXPECT_GT(stats.abrupt_leaves, 0u);
+  EXPECT_GT(stats.deliveries_dropped, 0u);
+  EXPECT_GT(stats.deliveries_lost, 0u);
+  EXPECT_EQ(session.live_prefetch_ops(), 0u);
 }
 
 }  // namespace

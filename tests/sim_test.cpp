@@ -83,21 +83,49 @@ struct ActionName {
 using ActionTypes = ::testing::Types<EventAction, net::DeliveryAction>;
 TYPED_TEST_SUITE(SmallBufferAction, ActionTypes, ActionName);
 
+static_assert(sizeof(EventAction) == 64, "an event action is one cache line");
+static_assert(sizeof(net::DeliveryAction) == 64, "a delivery action is one cache line");
+static_assert(EventQueue::kSlotLineBytes == 64, "a queue slot is one cache line");
+static_assert(EventQueue::kSlotBytes == 72, "a queue slot plus its side id is 72 bytes");
+static_assert(sizeof(net::HandoffEntry) <= 72, "a bucket entry is 8 bytes + one action");
+
 TYPED_TEST(SmallBufferAction, InlineForSmallCaptures) {
   using Ops = ActionOps<TypeParam>;
   int hits = 0;
-  // 48-byte payload + pointer capture: the size of the largest
-  // protocol capture (DHT route hop + delivery wrapper). Must never
-  // allocate.
+  // 48-byte payload + pointer capture: 56 bytes, the inline capacity
+  // and the size of the largest protocol captures (a continuous-mode
+  // sharded delivery of a segment request or a nack: 40 bytes + the
+  // 16-byte wrapper). Must never allocate; 8 bytes more must.
   std::array<std::uint64_t, 6> payload{};
+  std::array<std::uint64_t, 7> over{};
+  const auto fitting = [&hits, payload] { hits += static_cast<int>(payload[0]) + 1; };
+  const auto oversized = [&hits, over] { hits += static_cast<int>(over[0]) + 1; };
+  static_assert(sizeof(fitting) == kInlineActionCapacity);
+  static_assert(fits_inline<decltype(fitting)>);
+  static_assert(!fits_inline<decltype(oversized)>);
   TypeParam small(Ops::adapt([&hits] { ++hits; }));
-  TypeParam big(
-      Ops::adapt([&hits, payload] { hits += static_cast<int>(payload[0]) + 1; }));
+  TypeParam big(Ops::adapt(fitting));
+  TypeParam too_big(Ops::adapt(oversized));
   EXPECT_TRUE(small.stored_inline());
   EXPECT_TRUE(big.stored_inline());
+  EXPECT_FALSE(too_big.stored_inline());
   Ops::call(small);
   Ops::call(big);
-  EXPECT_EQ(hits, 2);
+  Ops::call(too_big);
+  EXPECT_EQ(hits, 3);
+}
+
+TEST(SmallBufferAction, FitsInlineNeedsNothrowMove) {
+  // A copy of a const vector is a const member of the closure, so
+  // moving the closure copies the vector, which may throw: the capture
+  // must move its contents in (as the graceful-leave handover does).
+  const std::vector<int> contents{1, 2, 3};
+  auto by_copy = [contents] { (void)contents.size(); };
+  auto by_move = [moved = std::vector<int>(contents)] { (void)moved.size(); };
+  static_assert(!fits_inline<decltype(by_copy)>);
+  static_assert(fits_inline<decltype(by_move)>);
+  by_copy();
+  by_move();
 }
 
 TYPED_TEST(SmallBufferAction, HeapFallbackForOversizedCaptures) {
@@ -289,6 +317,49 @@ TEST(EventQueue, StaleCancelAfterCancelAndReuse) {
   EXPECT_EQ(old_id & EventQueue::kSlotMask, new_id & EventQueue::kSlotMask);
   EXPECT_FALSE(q.cancel(old_id));
   EXPECT_EQ(q.pop().id, new_id);
+}
+
+TEST(EventQueue, StaleIdsNeverMatchFreeListLinks) {
+  // A free slot's side id entry holds the free-list link: a bare slot
+  // index, or the terminator kSlotMask, never sequence bits. Free two
+  // pool blocks' worth of slots so the first-freed slot holds the
+  // terminator and the pool's top index holds a link; no stale id may
+  // cancel either, before or after the slots are reused.
+  constexpr std::uint32_t kSlots = 600;
+  EventQueue q;
+  std::vector<EventId> first;
+  for (std::uint32_t i = 0; i < kSlots; ++i) first.push_back(q.push(1.0 + i, [] {}));
+  const EventId top = first.back();
+  ASSERT_EQ(top & EventQueue::kSlotMask, kSlots - 1);
+  for (const EventId id : first) EXPECT_TRUE(q.cancel(id));
+  EXPECT_TRUE(q.empty());
+  for (const EventId id : first) EXPECT_FALSE(q.cancel(id));
+  // Values a link can take, read as ids, match nothing either.
+  for (EventId link = 0; link < kSlots; ++link) EXPECT_FALSE(q.cancel(link));
+  EXPECT_FALSE(q.cancel(EventQueue::kSlotMask));
+
+  // Reuse every slot, including the top index, then free them through
+  // the run loop's release path.
+  std::vector<EventId> second;
+  for (std::uint32_t i = 0; i < kSlots; ++i) second.push_back(q.push(2.0, [] {}));
+  EXPECT_EQ(q.size(), kSlots);
+  for (const EventId id : first) EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(q.size(), kSlots);
+  EXPECT_FALSE(q.collected_live(EventQueue::WindowRef{1.0, top}));
+  std::size_t fired = 0;
+  EventQueue::DueEvent due;
+  while (q.acquire_due(10.0, due)) {
+    q.execute_and_release(due);
+    ++fired;
+  }
+  EXPECT_EQ(fired, kSlots);
+  for (const EventId id : first) EXPECT_FALSE(q.cancel(id));
+  for (const EventId id : second) EXPECT_FALSE(q.cancel(id));
+  EXPECT_TRUE(q.empty());
+  // The pool is reused, not grown: the freed slots serve a third round.
+  const std::size_t bytes = q.approx_bytes();
+  for (std::uint32_t i = 0; i < kSlots; ++i) (void)q.push(3.0, [] {});
+  EXPECT_EQ(q.approx_bytes(), bytes);
 }
 
 TEST(EventQueue, PeakSizeTracksHighWaterMark) {
