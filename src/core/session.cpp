@@ -1,7 +1,6 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "analysis/continuity_model.hpp"
@@ -420,7 +419,7 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
   const std::size_t n = users.size();
   const std::size_t shards =
       sim::parallel::ParallelExecutor::shard_count(n, kPlanGrain);
-  if (shard_emissions_.size() < shards) shard_emissions_.resize(shards);
+  if (shard_deferred_.size() < shards) shard_deferred_.resize(shards);
   if (prepare_shards_.size() < shards) prepare_shards_.resize(shards);
   obs_ensure_shards(shards);
   obs::PhaseProfiler* const prof = profiler_.get();
@@ -466,17 +465,21 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
                    [this, &users](std::size_t s, std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
                        round_plan(users[i], plans_[i], shard_stats_[s],
-                                  shard_emissions_[s]);
+                                  shard_deferred_[s]);
                      }
                      if (obs_counters_ != nullptr) {
                        obs_counters_->add(s, ctr_plan_nodes_, end - begin);
                      }
                    });
 
-  // Join — ordered reduction: stats deltas, then deferred emissions
-  // (event seq numbers come out exactly as serial execution's).
+  // Join — ordered reduction: stats deltas, then each shard's deferred
+  // operations (event seq numbers come out exactly as serial
+  // execution's).
   sim::parallel::reduce_in_order(shard_stats_, stats_);
-  for (std::size_t s = 0; s < shards; ++s) shard_emissions_[s].flush_into(sim_);
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (sim::EventAction& op : shard_deferred_[s]) op.consume();
+    shard_deferred_[s].clear();
+  }
 
   // Phase 3 — commit: serial, batch order.
   const std::uint64_t commit_t0 =
@@ -664,12 +667,12 @@ void Session::apply_prepare_shard(PrepareShard& shard) {
 }
 
 void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats,
-                         sim::parallel::EmissionBuffer& emissions) {
+                         std::vector<sim::EventAction>& deferred) {
   Node& node = *nodes_[index];
   // Reads only state that is STABLE for the whole batch: this node's
   // own post-prepare state and other nodes' buffers/liveness (mutated
   // only by transfer deliveries and churn, which are separate events).
-  // All writes go to the per-shard `stats`/`emissions` buffers and to
+  // All writes go to the per-shard `stats`/`deferred` buffers and to
   // `plan`, which lives in a slot only this shard touches.
   if (!node.alive() || node.is_source()) return;
 
@@ -692,13 +695,16 @@ void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats
   // available. (The scheduling PERIOD governs buffer-map exchange;
   // failed pulls retry as soon as the refusal is known, as any
   // TCP-based puller would.) Uses a reduced quota so the round's
-  // total stays near I*tau. Deferred: the emission itself must not
-  // touch the queue from a worker shard.
-  emissions.defer_at(sim_.now() + 0.5 * config_.scheduling_period, [this, index] {
-    Node& retry = *nodes_[index];
-    if (retry.alive() && !retry.is_source()) {
-      run_scheduling(retry, /*budget_fraction=*/0.4);
-    }
+  // total stays near I*tau. Deferred to the join: a worker shard must
+  // not touch the queue (sequence numbers are global mutable state).
+  const SimTime when = sim_.now() + 0.5 * config_.scheduling_period;
+  deferred.emplace_back([this, index, when] {
+    sim_.schedule_at(when, [this, index] {
+      Node& retry = *nodes_[index];
+      if (retry.alive() && !retry.is_source()) {
+        run_scheduling(retry, /*budget_fraction=*/0.4);
+      }
+    });
   });
 }
 
@@ -844,11 +850,10 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
   // This path runs once per (node, neighbor) pair per period — at 100k
   // nodes it is the densest loop in the session — so it runs inside
   // the FORKED prepare-local phase, allocation-free at steady state.
-  // Own-state writes only: the materialized window comes from the
-  // shard's arena, the piggyback writes this node's own overheard
-  // list, and the wire costs are tallied into `shard` (the emission
-  // side, bulk-charged serially at the join). The peer's neighbor
-  // vector is read in place under the batch-frozen-membership
+  // Own-state writes only: the piggyback writes this node's own
+  // overheard list, and the wire costs are tallied into `shard` (the
+  // emission side, bulk-charged serially at the join). The peer's
+  // neighbor vector is read in place under the batch-frozen-membership
   // contract: repair runs in prepare-link, and the only concurrent
   // writes to those entries (a shard folding the PEER's supply rates)
   // touch the float rate fields, never the ids the piggyback reads.
@@ -857,18 +862,6 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
     const auto idx = alive_node_by_id(neighbor.id);
     if (!idx.has_value()) continue;
     ++shard.buffer_map_messages;
-    // Receive side: materialize the advertised window as a real peer's
-    // map table would. The snapshot is deliberately TRANSIENT — the
-    // planner keeps reading live buffers (the fresh-map equivalence
-    // above), so retaining it would only duplicate state; what this
-    // models and measures is the exchange's memory traffic, which the
-    // pooled arena keeps allocation-free at steady state (a session
-    // test pins that). Cost: one ~10-word copy per exchange.
-    {
-      const auto received = shard.arena.checkout_copy(node.buffer().window());
-      assert(received.window().count() == node.buffer().window().count());
-      (void)received;
-    }
     // Membership piggyback: each exchange also carries a couple of
     // peer-table entries (the membership gossip of Ganesh et al. that
     // CoolStreaming builds on). This keeps the Overheard list fresh so
@@ -1918,15 +1911,6 @@ void Session::on_sample_tick() {
 // --------------------------------------------------------------------------
 // Memory footprint (sizing toward the 100k-node goal)
 // --------------------------------------------------------------------------
-
-util::BitWindowArena::Stats Session::window_arena_stats() const noexcept {
-  util::BitWindowArena::Stats total;
-  for (const auto& shard : prepare_shards_) {
-    total.checkouts += shard.arena.stats().checkouts;
-    total.allocations += shard.arena.stats().allocations;
-  }
-  return total;
-}
 
 MemoryFootprint Session::memory_footprint() const {
   MemoryFootprint fp;

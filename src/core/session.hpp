@@ -30,12 +30,10 @@
 #include "net/network.hpp"
 #include "overlay/churn.hpp"
 #include "overlay/rendezvous.hpp"
-#include "sim/parallel/deferred.hpp"
 #include "sim/parallel/executor.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
-#include "util/bitwindow_arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
@@ -194,11 +192,6 @@ class Session {
   [[nodiscard]] MemoryFootprint memory_footprint() const;
   /// Resolved intra-session worker thread count.
   [[nodiscard]] unsigned threads() const noexcept { return exec_.threads(); }
-  /// Aggregate stats of the per-shard pooled-window arenas backing
-  /// buffer-map materialization (the forked prepare-local phase gives
-  /// each shard its own arena); lets tests assert the exchange path
-  /// stops allocating at steady state at every thread count.
-  [[nodiscard]] util::BitWindowArena::Stats window_arena_stats() const noexcept;
   /// Materializes the observability snapshot (profiler totals, drained
   /// trace, settled counters plus session/engine/network mirrors).
   /// Returns nullptr when SystemConfig::obs left every pillar off.
@@ -304,8 +297,8 @@ class Session {
   //             order, after the prepare-local join.
   //   plan    — the expensive read-only half (candidate building,
   //             Algorithm 1 / rarest-first, prefetch target selection);
-  //             forked, stats deltas and event emissions buffered per
-  //             shard.
+  //             forked; stats deltas and join-deferred operations (the
+  //             mid-round retry's schedule_at) buffered per shard.
   //   commit  — applies plans (transfer bookkeeping, network sends, DHT
   //             prefetch launches); serial, batch order, after the
   //             shard buffers merged in shard order.
@@ -355,9 +348,6 @@ class Session {
     /// the join (bit-identical to per-message charging).
     std::uint64_t buffer_map_messages = 0;
     std::uint64_t membership_messages = 0;
-    /// Pooled windows for this shard's buffer-map materializations
-    /// (arenas are per shard so checkouts never contend or race).
-    util::BitWindowArena arena;
     void reset() noexcept {
       rate_decays.clear();
       playback_starts.clear();
@@ -374,8 +364,10 @@ class Session {
   /// Settles one shard's deferred prepare records: rate decays, then
   /// playback starts (record order), then the bulk wire charges.
   void apply_prepare_shard(PrepareShard& shard);
+  /// Forked planning half of a round. The mid-round retry lands in
+  /// `deferred` as a join-deferred operation that calls schedule_at.
   void round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats,
-                  sim::parallel::EmissionBuffer& emissions);
+                  std::vector<sim::EventAction>& deferred);
   void round_commit(std::size_t index, RoundPlan& plan);
 
   void repair_neighbors(Node& node);
@@ -384,10 +376,9 @@ class Session {
   /// when the node should start playback this round. The start itself
   /// is applied at the join.
   [[nodiscard]] std::optional<SegmentId> plan_playback_start(const Node& node) const;
-  /// Forked receive half of the per-round buffer-map exchange:
-  /// window materialization from the shard arena plus the membership
-  /// piggyback (own-state writes only); wire costs are tallied into
-  /// `shard` and charged at the join.
+  /// Forked receive half of the per-round buffer-map exchange: the
+  /// membership piggyback (own-state writes only); wire costs are
+  /// tallied into `shard` and charged at the join.
   void exchange_buffer_maps(Node& node, util::Rng& tick_rng, PrepareShard& shard);
   /// Read-only planning half of a scheduling round. Returns false when
   /// nothing is schedulable; `seen` reports candidates considered.
@@ -521,12 +512,13 @@ class Session {
 
   /// Fork/join scratch, reused across batches. plans_ is indexed by
   /// batch position (each shard writes a disjoint range); the shard-
-  /// indexed buffers merge in shard order after the join. The prepare
-  /// shards persist across batches so their arena pools stay warm
-  /// (steady state allocates nothing).
+  /// indexed buffers merge in shard order after the join: the plan
+  /// shards' join-deferred operations run in shard order, record order
+  /// within a shard, so their schedule_at calls draw sequence numbers
+  /// exactly as serial execution would.
   std::vector<RoundPlan> plans_;
   std::vector<SessionStats> shard_stats_;
-  std::vector<sim::parallel::EmissionBuffer> shard_emissions_;
+  std::vector<std::vector<sim::EventAction>> shard_deferred_;
   std::vector<PrepareShard> prepare_shards_;
   /// Per-shard stats deltas for forked delivery-bucket dispatches
   /// (quantized mode). Separate from shard_stats_ on purpose: a bucket

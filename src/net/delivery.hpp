@@ -91,8 +91,6 @@ class DeliveryContext {
   /// shard); runs it inline in immediate mode.
   template <typename F>
   void defer(F&& f) {
-    static_assert(sim::fits_inline<F>,
-                  "deferred capture exceeds the inline action buffer");
     if (scratch_buf_ != nullptr) {
       scratch_buf_->deferred.emplace_back(std::forward<F>(f));
     } else {

@@ -99,13 +99,11 @@ class Network {
   /// Templated so the delivery capture is stored FLAT inside the
   /// scheduled event (callback + 16 bytes of filter state), keeping
   /// the whole send path allocation-free. The wrapped capture must
-  /// fits_inline: at most 40 bytes.
+  /// fit inline (sim::fits_inline, checked where the action is built):
+  /// at most 40 bytes.
   template <typename F>
   void send(std::size_t from, std::size_t to, MessageType type, Bits bits,
             F&& on_delivery, SimTime extra_delay = 0.0) {
-    static_assert(sim::fits_inline<Delivery<std::decay_t<F>>>,
-                  "delivery capture exceeds the inline action buffer; shrink "
-                  "the capture (pack indices, pool shared state)");
     // Traffic is charged at send time: the bits hit the wire whether or
     // not the destination is still alive (and whether or not the fault
     // injector eats it — a lost message still cost its sender).
@@ -131,11 +129,6 @@ class Network {
   template <typename F>
   void send_sharded(std::size_t from, std::size_t to, MessageType type, Bits bits,
                     F&& on_delivery, SimTime extra_delay = 0.0) {
-    // The continuous-mode wrapper is the larger of the two forms, so
-    // this one check covers the quantized bucket entry as well.
-    static_assert(sim::fits_inline<ShardedDelivery<std::decay_t<F>>>,
-                  "sharded delivery capture exceeds the inline action buffer; "
-                  "shrink the capture (pack indices)");
     traffic_.charge(traffic_class_of(type), bits);
     SimTime delay = latency_.latency_s(from, to) + extra_delay;
     if (fault_ != nullptr && !apply_faults(from, to, delay)) return;
@@ -159,9 +152,6 @@ class Network {
   /// delivery completions fork alongside arrivals in quantized mode.
   template <typename F>
   void post_sharded(std::size_t to, SimTime when, F&& handler) {
-    static_assert(sim::fits_inline<ImmediateInvoke<std::decay_t<F>>>,
-                  "sharded continuation capture exceeds the inline action "
-                  "buffer; shrink the capture");
     if (grid_s_ > 0.0) {
       enqueue_sharded(static_cast<std::uint32_t>(to), quantize_up_s(when),
                       DeliveryAction(std::forward<F>(handler)),
@@ -385,8 +375,6 @@ class Network {
 /// continuous-mode path.
 template <typename F>
 void DeliveryContext::forward(std::size_t to, SimTime when, F&& handler) {
-  static_assert(sim::fits_inline<F>,
-                "forwarded capture exceeds the inline action buffer");
   if (scratch_buf_ != nullptr) {
     scratch_buf_->forwards.push_back(LocalForward{
         static_cast<std::uint32_t>(to), when,

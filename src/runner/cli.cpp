@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -35,6 +36,22 @@ std::optional<unsigned> parse_positive_u32(const char* text) {
     return std::nullopt;
   }
   return static_cast<unsigned>(*value);
+}
+
+std::optional<double> parse_double(const char* text) {
+  // strtod skips leading whitespace and stops at trailing garbage; a
+  // flag value must be exactly one number.
+  if (text == nullptr || *text == '\0' ||
+      std::isspace(static_cast<unsigned char>(*text)) != 0) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno == ERANGE || end == text || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string unknown_scenario_message(const std::string& name) {

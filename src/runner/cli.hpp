@@ -26,6 +26,13 @@ namespace continu::runner::cli {
 /// values where 0 is legitimate, e.g. seeds.
 [[nodiscard]] std::optional<std::uint64_t> parse_uint(const char* text);
 
+/// Parses a FINITE decimal number: the whole text must be one number
+/// (no leading space, no trailing garbage such as "5s"); inf, nan and
+/// values beyond double range are rejected. Signs are accepted —
+/// callers enforce their own range (a duration must be > 0, a churn
+/// fraction in [0, 1]).
+[[nodiscard]] std::optional<double> parse_double(const char* text);
+
 /// Diagnostic for an unknown --scenario value: names the offender and
 /// lists every valid scenario (matrix and families), so the fix is in
 /// the error message.

@@ -1,21 +1,17 @@
 #pragma once
-// Event record and allocation-free action callable for the
-// discrete-event engine.
+// Allocation-free action callable for the discrete-event engine.
 //
-// InlineAction<Args...> is a move-only, small-buffer-optimized
-// replacement for std::function<void(Args...)>: captures up to
-// kInlineActionCapacity bytes live inside the action itself (and
-// therefore inside the queue's slot pool or the delivery bucket's
-// entry), so scheduling an event or filing a delivery performs zero
-// heap allocations. Every engine entry point that builds an action
-// static-asserts fits_inline<F>, so a protocol capture that outgrows
-// the buffer fails to compile instead of silently allocating; only a
-// direct InlineAction construction may still fall back to one heap
-// cell.
+// InlineAction<Args...> is a move-only, small-buffer replacement for
+// std::function<void(Args...)>: the capture lives inside the action
+// itself (and therefore inside the queue's slot pool or the delivery
+// bucket's entry), so scheduling an event or filing a delivery
+// performs zero heap allocations. There is no heap fallback:
+// InlineAction::emplace — the one constructor every engine entry
+// point goes through — static-asserts fits_inline<F>, so a protocol
+// capture that outgrows the buffer fails to compile.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <new>
 #include <type_traits>
@@ -40,18 +36,18 @@ inline constexpr EventId kInvalidEvent = 0;
 /// pointer, one action is exactly one 64-byte cache line.
 inline constexpr std::size_t kInlineActionCapacity = 56;
 
-/// True when a callable of type F (decayed) is stored inside an
-/// InlineAction's buffer rather than on the heap: at most
-/// kInlineActionCapacity bytes, at most 8-byte aligned, and nothrow
-/// movable (the queue and the delivery buckets relocate actions from
-/// noexcept paths). Engine entry points static-assert it.
+/// True when a callable of type F (decayed) fits an InlineAction's
+/// buffer: at most kInlineActionCapacity bytes, at most 8-byte aligned,
+/// and nothrow movable (the queue and the delivery buckets relocate
+/// actions from noexcept paths). InlineAction::emplace static-asserts
+/// it.
 template <typename F>
 inline constexpr bool fits_inline =
     sizeof(std::decay_t<F>) <= kInlineActionCapacity &&
     alignof(std::decay_t<F>) <= alignof(std::uint64_t) &&
     std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
-/// Move-only, small-buffer-optimized callable invoked as void(Args...).
+/// Move-only callable with inline storage, invoked as void(Args...).
 /// EventAction (no arguments) is the simulator's event payload;
 /// net::DeliveryAction (a DeliveryContext&) is the quantized network's.
 template <typename... Args>
@@ -100,17 +96,15 @@ class InlineAction {
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
+    static_assert(fits_inline<D>,
+                  "action capture exceeds the inline buffer; shrink it (pack "
+                  "indices, pool shared state) instead of heap-allocating");
     reset();
     if constexpr (std::is_same_v<D, std::function<void(Args...)>>) {
       if (!f) return;
     }
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/true>::ops;
-    } else {
-      *reinterpret_cast<D**>(static_cast<void*>(buf_)) = new D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/false>::ops;
-    }
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &OpsFor<D>::ops;
   }
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
@@ -128,12 +122,6 @@ class InlineAction {
     ops->consume(buf_, args...);
   }
 
-  /// True when the callable lives in the inline buffer (introspection
-  /// for tests and benches; heap fallback means an oversized capture).
-  [[nodiscard]] bool stored_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_stored;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* storage, Args... args);
@@ -142,14 +130,10 @@ class InlineAction {
     /// Move-constructs into dst from src's storage, destroying src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
-    bool inline_stored;
   };
 
-  template <typename D, bool Inline>
-  struct OpsFor;
-
   template <typename D>
-  struct OpsFor<D, true> {
+  struct OpsFor {
     static D* self(void* p) noexcept { return std::launder(reinterpret_cast<D*>(p)); }
     static void invoke(void* p, Args... args) { (*self(p))(args...); }
     static void consume(void* p, Args... args) {
@@ -168,27 +152,7 @@ class InlineAction {
       s->~D();
     }
     static void destroy(void* p) noexcept { self(p)->~D(); }
-    static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy, true};
-  };
-
-  template <typename D>
-  struct OpsFor<D, false> {
-    static D* held(void* p) noexcept {
-      return *std::launder(reinterpret_cast<D**>(p));
-    }
-    static void invoke(void* p, Args... args) { (*held(p))(args...); }
-    static void consume(void* p, Args... args) {
-      struct Guard {
-        D* h;
-        ~Guard() { delete h; }
-      } guard{held(p)};
-      (*guard.h)(args...);
-    }
-    static void relocate(void* dst, void* src) noexcept {
-      std::memcpy(dst, src, sizeof(D*));
-    }
-    static void destroy(void* p) noexcept { delete held(p); }
-    static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy, false};
+    static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy};
   };
 
   void move_from(InlineAction& other) noexcept {
@@ -204,14 +168,5 @@ class InlineAction {
 };
 
 using EventAction = InlineAction<>;
-
-/// A popped event: fire order is (time, id) — earlier time first, FIFO
-/// (schedule order) among equal times, so runs are bit-for-bit
-/// reproducible.
-struct Event {
-  SimTime time = 0.0;
-  EventId id = kInvalidEvent;
-  EventAction action;
-};
 
 }  // namespace continu::sim

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace continu::sim {
 
@@ -15,48 +14,9 @@ std::uint32_t EventQueue::grow_pool() {
   return slot_count_++;
 }
 
-std::uint32_t EventQueue::acquire_slot() {
-  if (free_head_ != kNoFree) {
-    const std::uint32_t index = free_head_;
-    free_head_ = static_cast<std::uint32_t>(id_of(index));
-    return index;
-  }
-  return grow_pool();
-}
-
 void EventQueue::release_slot(std::uint32_t index) noexcept {
   id_of(index) = free_head_;
   free_head_ = index;
-}
-
-EventId EventQueue::push(SimTime time, EventAction action) {
-  return push_with_seq(next_seq_, time, std::move(action));
-}
-
-EventId EventQueue::push_with_seq(std::uint64_t seq, SimTime time,
-                                  EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("EventQueue: empty action");
-  }
-  const std::uint32_t index = acquire_slot();
-  if (seq >= next_seq_) next_seq_ = seq + 1;
-  const EventId id = (seq << kSlotBits) | index;
-  // Same publish-last ordering as emplace(): the slot id is set only
-  // once the entry and action are in place, so a heap_ allocation
-  // failure cannot leave a live-looking slot behind.
-  slot(index).action = std::move(action);
-  heap_.push(time, id);
-  id_of(index) = id;
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
-  return id;
-}
-
-void EventQueue::push_all(std::vector<Deferred>& batch) {
-  for (Deferred& deferred : batch) {
-    (void)push(deferred.time, std::move(deferred.action));
-  }
-  batch.clear();
 }
 
 void EventQueue::drop_dead_top() const {
@@ -65,33 +25,6 @@ void EventQueue::drop_dead_top() const {
     if (id_of(id & kSlotMask) == id) return;  // live
     heap_.pop();
   }
-}
-
-Event EventQueue::take_top(QuadHeap::Entry top) {
-  const std::uint32_t index = top.key & kSlotMask;
-  Event out;
-  out.time = top.time;
-  out.id = top.key;
-  out.action = std::move(slot(index).action);
-  release_slot(index);
-  --live_;
-  heap_.pop();
-  return out;
-}
-
-Event EventQueue::pop() {
-  drop_dead_top();
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::pop on empty queue");
-  }
-  return take_top(heap_.top());
-}
-
-bool EventQueue::pop_until(SimTime horizon, Event& out) {
-  drop_dead_top();
-  if (heap_.empty() || heap_.top().time > horizon) return false;
-  out = take_top(heap_.top());
-  return true;
 }
 
 bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
@@ -149,14 +82,6 @@ bool EventQueue::cancel(EventId id) noexcept {
   release_slot(index);
   --live_;
   return true;
-}
-
-SimTime EventQueue::next_time() const {
-  drop_dead_top();
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::next_time on empty queue");
-  }
-  return heap_.top().time;
 }
 
 bool EventQueue::peek(SimTime& time, EventId& id) const {

@@ -4,16 +4,16 @@
 // of event slots.
 //
 // Design, and why it is fast:
-//   * The heap holds only (time, id) — 16 bytes per entry instead of a
-//     48+ byte Event with its action, so sift paths touch 3x fewer
-//     cache lines. Four children per node halve the depth of a binary
-//     heap, and QuadHeap picks the smallest child of each group with
-//     compares folded into index arithmetic, so a pop costs no
-//     mispredicted branches on its way down. At 90k pending events a
-//     pop-one-push-one op costs ~92 ns, against ~147 ns for a
-//     std::pop_heap binary heap and ~127 ns for the same 4-ary heap
-//     with branchy child selection (BM_EventQueueHold,
-//     docs/BENCHMARKS.md).
+//   * The heap holds only (time, id) — 16 bytes per entry, never the
+//     64-byte action, so sift paths touch a quarter of the cache lines.
+//     Four children per node halve the depth of a binary heap, and
+//     QuadHeap picks the smallest child of each group with compares
+//     folded into index arithmetic, so a pop costs no mispredicted
+//     branches on its way down. BM_EventQueueHold (pop one, schedule
+//     one, at 8k and 90k pending) is the row this design is judged by;
+//     docs/BENCHMARKS.md holds its re-measured table against a binary
+//     heap and against the same 4-ary heap with branchy child
+//     selection.
 //   * Actions live in a chunked slot pool with stable addresses. Each
 //     slot is one 64-byte line holding only the action; its id lives
 //     in the block's side array (8 bytes), so a pending event costs
@@ -31,6 +31,12 @@
 // Cancellation matters: a node that leaves the overlay abandons its
 // pending periodic events; cancelling an already-fired or stale id is
 // a strict no-op (the slot's current id no longer matches).
+//
+// One way in, one way out per engine: events enter only through
+// emplace()/emplace_with_seq(), constructed in their slot. The exact
+// engine drains with acquire_due() + execute_and_release(); the
+// windowed engine with collect_window() + execute_collected(), its
+// window anchor read through peek().
 
 #include <cstddef>
 #include <cstdint>
@@ -56,32 +62,23 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `action` at `time`; returns the unique handle. The
-  /// action must be non-empty.
-  EventId push(SimTime time, EventAction action);
-
-  /// push() with a caller-supplied sequence number instead of the
-  /// queue's own counter — the per-shard member queues of a
-  /// ShardedEventQueue share ONE global sequence stream, so every
-  /// event's (time, seq) key is unique across shards. Sequences must be
-  /// unique per queue; the internal counter is bumped past `seq` so
-  /// mixing with plain push()/emplace() stays collision-free.
-  EventId push_with_seq(std::uint64_t seq, SimTime time, EventAction action);
-
-  /// Hot scheduling path: constructs the callable directly in its pool
-  /// slot (zero moves, zero allocations for inline-sized captures).
-  /// The slot line is prefetched while the heap insertion runs.
+  /// Schedules `f` at `time` and returns the unique handle. The
+  /// callable is constructed directly in its pool slot (zero moves,
+  /// zero allocations); the slot line is prefetched while the heap
+  /// insertion runs.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
     return emplace_with_seq(next_seq_++, time, std::forward<F>(f));
   }
 
-  /// emplace() with a caller-supplied sequence (see push_with_seq).
+  /// emplace() with a caller-supplied sequence number instead of the
+  /// queue's own counter — the per-shard member queues of a
+  /// ShardedEventQueue share ONE global sequence stream, so every
+  /// event's (time, seq) key is unique across shards. Sequences must be
+  /// unique per queue; the internal counter is bumped past `seq` so
+  /// mixing with plain emplace() stays collision-free.
   template <typename F>
   EventId emplace_with_seq(std::uint64_t seq, SimTime time, F&& f) {
-    static_assert(fits_inline<F>,
-                  "event capture exceeds the inline action buffer; shrink it "
-                  "(pack indices, pool shared state) instead of heap-allocating");
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
     Slot& s = slot(index);  // blocks are stable; heap growth can't move it
     __builtin_prefetch(&s, 1);
@@ -110,35 +107,12 @@ class EventQueue {
     return id;
   }
 
-  /// Deferred-emission record: a (time, action) pair captured OFF the
-  /// queue. Worker shards of a fork/join phase must not touch the queue
-  /// (sequence numbers are global mutable state), so they buffer their
-  /// emissions as Deferred entries and the join pushes each shard's
-  /// buffer in shard order — reproducing exactly the sequence-number
-  /// assignment serial execution would have produced.
-  struct Deferred {
-    SimTime time = 0.0;
-    EventAction action;
-  };
-
-  /// Pushes every deferred emission in order (sequence numbers are
-  /// assigned here, at push time) and clears the batch. Entries with an
-  /// empty action are rejected like any other push.
-  void push_all(std::vector<Deferred>& batch);
-
-  /// Pops the earliest live event. Requires !empty().
-  [[nodiscard]] Event pop();
-
-  /// Pops the earliest live event into `out` iff its time <= horizon.
-  /// Returns false (leaving `out` untouched) when the queue is empty
-  /// or the next event lies beyond the horizon.
-  bool pop_until(SimTime horizon, Event& out);
-
-  /// Zero-copy execution path for the simulator's run loop. A due
-  /// event is acquired (de-queued, de-registered so cancels no-op) and
-  /// then executed IN PLACE in its slot — the action is never moved.
-  /// Every acquire_due must be paired with exactly one
-  /// execute_and_release before the next acquire.
+  /// The exact engine's way out. A due event is acquired (de-queued,
+  /// de-registered so cancels no-op) and then executed IN PLACE in its
+  /// slot — the action is never moved. acquire_due returns false when
+  /// nothing is due at or before `horizon`. Every acquire_due must be
+  /// paired with exactly one execute_and_release before the next
+  /// acquire.
   struct DueEvent {
     SimTime time = 0.0;
     std::uint32_t slot_index = 0;
@@ -165,9 +139,6 @@ class EventQueue {
     return blocks_.capacity() * sizeof(blocks_[0]) + blocks_.size() * sizeof(Block) +
            heap_.capacity_bytes();
   }
-
-  /// Time of the earliest live event. Requires !empty().
-  [[nodiscard]] SimTime next_time() const;
 
   /// Head (time, id) of the earliest live event without removing it;
   /// returns false when the queue is empty. Purges lazily-cancelled
@@ -211,8 +182,8 @@ class EventQueue {
   /// Free-list terminator: a slot index the pool never hands out, so
   /// every link stays below 2^kSlotBits and can never equal an id.
   static constexpr std::uint32_t kNoFree = kSlotMask;
-  /// Slots per pool block. Blocks never move, so popped actions can be
-  /// relocated out even while an executing action schedules new events.
+  /// Slots per pool block. Blocks never move, so an action can run in
+  /// its slot even while it schedules new events.
   static constexpr std::size_t kBlockShift = 9;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
 
@@ -240,7 +211,6 @@ class EventQueue {
     return blocks_[index >> kBlockShift]->ids[index & (kBlockSize - 1)];
   }
 
-  [[nodiscard]] std::uint32_t acquire_slot();
   /// Appends a fresh slot (and a new block at block boundaries).
   [[nodiscard]] std::uint32_t grow_pool();
   void release_slot(std::uint32_t index) noexcept;
@@ -248,14 +218,11 @@ class EventQueue {
   /// Discards heap entries whose slot no longer carries their id
   /// (cancelled, or the slot was freed and reused).
   void drop_dead_top() const;
-  /// Extracts the validated top entry and frees its slot.
-  Event take_top(QuadHeap::Entry top);
 
   std::vector<std::unique_ptr<Block>> blocks_;
   // (time, id) entries; id order among live entries is schedule order
-  // (the sequence occupies the high bits). Mutable so
-  // next_time()/pop_until() can purge dead heads without changing
-  // observable state.
+  // (the sequence occupies the high bits). Mutable so peek() can purge
+  // dead heads without changing observable state.
   mutable QuadHeap heap_;
   std::uint32_t free_head_ = kNoFree;
   std::uint32_t slot_count_ = 0;

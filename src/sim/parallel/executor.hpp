@@ -123,4 +123,15 @@ class ParallelExecutor {
   std::vector<std::exception_ptr> errors_;
 };
 
+/// Ordered reduction helper: folds per-shard partials into `total` in
+/// shard order with `total += partial`. Trivial on purpose — the value
+/// is the NAME at call sites: it marks the spots whose correctness
+/// depends on the fixed shard structure, not on thread count.
+template <typename T>
+void reduce_in_order(std::vector<T>& partials, T& total) {
+  for (T& partial : partials) {
+    total += partial;
+  }
+}
+
 }  // namespace continu::sim::parallel

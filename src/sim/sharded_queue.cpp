@@ -7,21 +7,6 @@ ShardedEventQueue::ShardedEventQueue(unsigned skew_buckets)
       window_(kShards),
       lax_lead_hist_(static_cast<std::size_t>(skew_buckets) + 1, 0) {}
 
-EventId ShardedEventQueue::push(SimTime time, EventAction action) {
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t shard = shard_of_seq(seq);
-  const EventId id = shards_[shard].push_with_seq(seq, time, std::move(action));
-  note_push();
-  return id;
-}
-
-void ShardedEventQueue::push_all(std::vector<EventQueue::Deferred>& batch) {
-  for (EventQueue::Deferred& deferred : batch) {
-    (void)push(deferred.time, std::move(deferred.action));
-  }
-  batch.clear();
-}
-
 std::size_t ShardedEventQueue::approx_bytes() const noexcept {
   std::size_t bytes = 0;
   for (std::uint32_t s = 0; s < kShards; ++s) {

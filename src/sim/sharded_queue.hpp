@@ -56,13 +56,6 @@ class ShardedEventQueue {
     return id;
   }
 
-  EventId push(SimTime time, EventAction action);
-
-  /// Pushes every deferred emission in order and clears the batch —
-  /// same contract as EventQueue::push_all, with sequences drawn from
-  /// the shared global stream.
-  void push_all(std::vector<EventQueue::Deferred>& batch);
-
   bool cancel(EventId id) noexcept;
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }

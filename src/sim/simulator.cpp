@@ -9,17 +9,6 @@
 
 namespace continu::sim {
 
-void Simulator::schedule_deferred(std::vector<EventQueue::Deferred>& batch) {
-  for (EventQueue::Deferred& deferred : batch) {
-    if (deferred.time < now_) deferred.time = now_;
-  }
-  if (squeue_) {
-    squeue_->push_all(batch);
-  } else {
-    queue_.push_all(batch);
-  }
-}
-
 Simulator::Simulator(LaxConfig lax) {
   if (lax.skew_buckets == 0) return;
   if (lax.grid_s <= 0.0) {

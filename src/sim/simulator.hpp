@@ -6,9 +6,9 @@
 // events on one Simulator instance, so a (seed, config) pair fully
 // determines a run.
 //
-// Scheduling is allocation-free for ordinary captures: actions are
-// EventActions (small-buffer optimized) stored directly in the queue's
-// slot pool, and cancel() is an O(1) slot write.
+// Scheduling is allocation-free: actions are EventActions, whose
+// capture is stored inline, constructed directly in the queue's slot
+// pool, and cancel() is an O(1) slot write.
 //
 // Two engines, chosen at construction:
 //
@@ -109,38 +109,27 @@ class Simulator {
     frontier_ = std::move(hook);
   }
 
-  /// Schedules `action` to run at now() + delay (delay clamped to >= 0).
-  /// Returns a handle usable with cancel(). Accepts any callable that
-  /// fits_inline (the callable is constructed directly in the queue's
-  /// slot pool, never on the heap). A pre-built EventAction is
-  /// rejected at compile time rather than wrapped in a second action.
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
-  EventId schedule_in(SimTime delay, F&& f) {
-    static_assert(fits_inline<F>, "event capture exceeds the inline action buffer");
-    validate_callable(f);
-    if (delay < 0.0) delay = 0.0;
-    if (squeue_) return squeue_->emplace(now_ + delay, std::forward<F>(f));
-    return queue_.emplace(now_ + delay, std::forward<F>(f));
-  }
-
-  /// Schedules `action` at an absolute time (clamped to >= now()).
+  /// Schedules `f` at an absolute time (clamped to >= now()) and
+  /// returns a handle usable with cancel(). The callable is constructed
+  /// directly in the queue's slot pool, never on the heap; a capture
+  /// that does not fit_inline fails to compile. A pre-built EventAction
+  /// is rejected at compile time rather than wrapped in a second
+  /// action.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
   EventId schedule_at(SimTime when, F&& f) {
-    static_assert(fits_inline<F>, "event capture exceeds the inline action buffer");
     validate_callable(f);
     if (when < now_) when = now_;
     if (squeue_) return squeue_->emplace(when, std::forward<F>(f));
     return queue_.emplace(when, std::forward<F>(f));
   }
 
-  /// Schedules a batch of deferred emissions in order (times clamped to
-  /// >= now()) and clears the batch. This is the merge half of the
-  /// fork/join deferred-emission protocol: shards buffer emissions,
-  /// the join commits each shard's buffer in shard order, and sequence
-  /// numbers come out identical to serial execution.
-  void schedule_deferred(std::vector<EventQueue::Deferred>& batch);
+  /// Schedules `f` to run at now() + delay (a negative delay runs now).
+  template <typename F,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
+  EventId schedule_in(SimTime delay, F&& f) {
+    return schedule_at(now_ + delay, std::forward<F>(f));
+  }
 
   /// Cancels a pending event; returns true iff it was still pending.
   bool cancel(EventId id) noexcept {

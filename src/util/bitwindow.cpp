@@ -1,6 +1,5 @@
 #include "util/bitwindow.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -149,42 +148,6 @@ std::optional<SegmentId> BitWindow::highest() const noexcept {
     }
   }
   return std::nullopt;
-}
-
-void BitWindow::copy_from(const BitWindow& other) {
-  capacity_ = other.capacity_;
-  head_ = other.head_;
-  if (words_.size() == other.words_.size()) {
-    std::copy(other.words_.begin(), other.words_.end(), words_.begin());
-  } else {
-    words_.assign(other.words_.begin(), other.words_.end());
-  }
-}
-
-std::vector<std::uint64_t> BitWindow::take_words() noexcept {
-  std::vector<std::uint64_t> out = std::move(words_);
-  words_.clear();
-  capacity_ = 0;  // back to the storage-less shell state
-  head_ = 0;
-  return out;
-}
-
-void BitWindow::adopt(std::size_t capacity, SegmentId head,
-                      std::vector<std::uint64_t>&& storage) {
-  if (capacity == 0) {
-    throw std::invalid_argument("BitWindow capacity must be positive");
-  }
-  capacity_ = capacity;
-  head_ = head;
-  words_ = std::move(storage);
-  words_.assign(words_for(capacity), 0);
-}
-
-void BitWindow::adopt_copy(const BitWindow& other,
-                           std::vector<std::uint64_t>&& storage) {
-  words_ = std::move(storage);
-  words_.clear();  // keeps the recycled capacity; no zero-fill pass
-  copy_from(other);  // size mismatch (0 vs n) -> assign: one write per word
 }
 
 BitWindow BitWindow::from_words(std::size_t capacity, SegmentId head,

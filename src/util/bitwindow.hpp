@@ -19,12 +19,6 @@ class BitWindow {
   /// Window of `capacity` bits starting (empty) at segment id `head`.
   explicit BitWindow(std::size_t capacity, SegmentId head = 0);
 
-  /// Storage-less shell (capacity 0) — only valid as an adopt() target
-  /// or move-assignment destination; every other member requires a
-  /// positive capacity. Lets BitWindowArena build windows without an
-  /// intermediate allocation.
-  BitWindow() noexcept : capacity_(0), head_(0) {}
-
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] SegmentId head() const noexcept { return head_; }
   /// One past the last id covered by the window.
@@ -73,26 +67,6 @@ class BitWindow {
   /// Rebuilds the window from a decoded wire image.
   static BitWindow from_words(std::size_t capacity, SegmentId head,
                               std::vector<std::uint64_t> words);
-
-  /// Copies another window's head and presence bits into this one
-  /// (word-level copy; reuses this window's storage when the word
-  /// counts match, so pooled windows copy without allocating).
-  void copy_from(const BitWindow& other);
-
-  /// Moves the word storage out, leaving the storage-less shell state
-  /// (capacity 0, head 0). Storage-recycling hook for BitWindowArena.
-  [[nodiscard]] std::vector<std::uint64_t> take_words() noexcept;
-
-  /// Reinitializes to an empty window of `capacity` bits at `head`,
-  /// adopting `storage` as the backing words (resized and cleared; its
-  /// capacity is reused, so recycled storage makes this allocation-free).
-  void adopt(std::size_t capacity, SegmentId head,
-             std::vector<std::uint64_t>&& storage);
-
-  /// Reinitializes to a copy of `other` over adopted storage, writing
-  /// each word exactly once (no clear-then-copy double pass — this is
-  /// the per-exchange hot path).
-  void adopt_copy(const BitWindow& other, std::vector<std::uint64_t>&& storage);
 
   /// Estimated heap footprint (capacity, not live bits) — memory
   /// sizing for large sessions.

@@ -1,6 +1,6 @@
 // Tests for the deterministic intra-session parallel executor: per-tick
 // RNG stream derivation, fork/join shard coverage, ordered reductions,
-// the deferred-emission API, RoundScheduler batch dispatch, session
+// join-deferred scheduling, RoundScheduler batch dispatch, session
 // threads-invariance, runner core arbitration, CLI validation and the
 // parameterized scenario families.
 
@@ -15,6 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -24,7 +25,6 @@
 #include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
-#include "sim/parallel/deferred.hpp"
 #include "sim/parallel/executor.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -34,7 +34,6 @@
 namespace continu {
 namespace {
 
-using sim::parallel::EmissionBuffer;
 using sim::parallel::ParallelExecutor;
 
 // ---------------------------------------------------------------------------
@@ -193,42 +192,77 @@ TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred-emission API
+// Join-deferred scheduling
 // ---------------------------------------------------------------------------
 
-TEST(DeferredEmissions, MergedBuffersReproduceSerialSequence) {
-  // Two shard buffers merged in shard order must execute in exactly the
+/// Both engines: the exact one, and the windowed one at skew 1 on a
+/// 1 ms grid.
+std::unique_ptr<sim::Simulator> make_engine(bool windowed, ParallelExecutor& exec) {
+  if (!windowed) return std::make_unique<sim::Simulator>();
+  sim::Simulator::LaxConfig lax;
+  lax.skew_buckets = 1;
+  lax.grid_s = 0.001;
+  lax.exec = &exec;
+  return std::make_unique<sim::Simulator>(std::move(lax));
+}
+
+/// The join half of a forked phase: every shard's deferred operations
+/// run in shard order, record order within a shard.
+void run_in_shard_order(std::vector<std::vector<sim::EventAction>>& shards) {
+  for (auto& ops : shards) {
+    for (sim::EventAction& op : ops) op.consume();
+    ops.clear();
+  }
+}
+
+TEST(DeferredEmissions, ShardOrderJoinReproducesSerialSequence) {
+  // Two shards' op lists run in shard order must execute in exactly the
   // order a serial loop over (shard 0 entries, shard 1 entries) would —
   // including FIFO among equal times, which is what sequence numbers
-  // encode.
-  sim::Simulator sim;
-  std::vector<int> order;
-  EmissionBuffer shard0;
-  EmissionBuffer shard1;
-  shard0.defer_at(1.0, [&order] { order.push_back(0); });
-  shard0.defer_at(2.0, [&order] { order.push_back(1); });
-  shard1.defer_at(1.0, [&order] { order.push_back(2); });  // ties with #0
-  shard1.defer_at(0.5, [&order] { order.push_back(3); });
-  EXPECT_EQ(shard0.size(), 2u);
-  shard0.flush_into(sim);
-  shard1.flush_into(sim);
-  EXPECT_TRUE(shard0.empty());
-  sim.run_all();
-  EXPECT_EQ(order, (std::vector<int>{3, 0, 2, 1}));
+  // encode (the windowed engine places and orders equal-time events by
+  // sequence too).
+  for (const bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "exact");
+    ParallelExecutor exec(2);
+    const auto engine = make_engine(windowed, exec);
+    std::vector<int> order;
+    const auto defer_at = [&](std::vector<sim::EventAction>& ops, SimTime when,
+                              int tag) {
+      ops.emplace_back([&engine, &order, when, tag] {
+        engine->schedule_at(when, [&order, tag] { order.push_back(tag); });
+      });
+    };
+    std::vector<std::vector<sim::EventAction>> shards(2);
+    defer_at(shards[0], 1.0, 0);
+    defer_at(shards[0], 2.0, 1);
+    defer_at(shards[1], 1.0, 2);  // ties with #0
+    defer_at(shards[1], 0.5, 3);
+    EXPECT_EQ(engine->pending(), 0u);  // recording touches no queue
+    run_in_shard_order(shards);
+    EXPECT_TRUE(shards[0].empty());
+    engine->run_all();
+    EXPECT_EQ(order, (std::vector<int>{3, 0, 2, 1}));
+  }
 }
 
 TEST(DeferredEmissions, PastTimesClampToNow) {
-  sim::Simulator sim;
-  sim.schedule_in(5.0, [] {});
-  sim.run_all();
-  ASSERT_DOUBLE_EQ(sim.now(), 5.0);
-  EmissionBuffer buffer;
-  bool ran = false;
-  buffer.defer_at(1.0, [&ran] { ran = true; });  // in the past
-  buffer.flush_into(sim);
-  sim.run_all();
-  EXPECT_TRUE(ran);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  for (const bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "exact");
+    ParallelExecutor exec(2);
+    const auto engine = make_engine(windowed, exec);
+    engine->schedule_in(5.0, [] {});
+    engine->run_all();
+    ASSERT_DOUBLE_EQ(engine->now(), 5.0);
+    bool ran = false;
+    std::vector<std::vector<sim::EventAction>> shards(1);
+    shards[0].emplace_back([&engine, &ran] {
+      engine->schedule_at(1.0, [&ran] { ran = true; });  // in the past
+    });
+    run_in_shard_order(shards);
+    engine->run_all();
+    EXPECT_TRUE(ran);
+    EXPECT_DOUBLE_EQ(engine->now(), 5.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -562,40 +596,6 @@ TEST(PrepareSplit, DeferredRateDecayLeavesIdenticalEstimatesAtAnyThreadCount) {
   }
 }
 
-TEST(PrepareSplit, WindowMaterializationStaysAllocationFreeWhenForked) {
-  // The buffer-map materialization moved into the forked prepare-local
-  // phase with per-shard arenas: after warm-up, tens of thousands of
-  // further checkouts must allocate NOTHING at thread counts above 1,
-  // and the aggregate checkout tally must match serial execution
-  // (arena traffic is part of the determinism contract).
-  trace::GeneratorConfig tc;
-  tc.node_count = 200;
-  tc.seed = 55;
-  const auto snapshot = trace::generate_snapshot(tc);
-
-  core::SystemConfig config;
-  config.seed = 26;
-  config.expected_nodes = 200.0;
-  config.threads = 4;
-  core::Session session(config, snapshot);
-  session.run(10.0);  // warm-up: shard pools fill, buffers saturate
-
-  const auto warm = session.window_arena_stats();
-  EXPECT_GT(warm.checkouts, 0u);
-
-  session.run(35.0);  // steady state
-  const auto steady = session.window_arena_stats();
-  EXPECT_GT(steady.checkouts, warm.checkouts + 10000u)
-      << "exchange stopped running — the assertion below would be vacuous";
-  EXPECT_EQ(steady.allocations, warm.allocations)
-      << "forked buffer-map materialization allocated at steady state";
-
-  config.threads = 1;
-  core::Session serial(config, snapshot);
-  serial.run(35.0);
-  EXPECT_EQ(serial.window_arena_stats().checkouts, steady.checkouts);
-}
-
 TEST(PrepareSplit, MixedBatchFallbacksStayZeroAcrossMatrix) {
   // Reserved ticks (sampler, churn) ride phases of their own, so no
   // batch should ever mix them with node rounds and fall back to
@@ -686,6 +686,25 @@ TEST(CliValidation, ParseUintAllowsZeroButNotGarbage) {
   EXPECT_FALSE(parse_uint("42x").has_value());
   EXPECT_FALSE(parse_uint("-1").has_value());
   EXPECT_FALSE(parse_uint("").has_value());
+}
+
+TEST(CliValidation, ParseDoubleAcceptsOnlyOneFiniteNumber) {
+  using runner::cli::parse_double;
+  EXPECT_EQ(parse_double("45").value(), 45.0);
+  EXPECT_EQ(parse_double("0.05").value(), 0.05);
+  EXPECT_EQ(parse_double("-5").value(), -5.0);  // the caller checks range
+  EXPECT_EQ(parse_double("1e2").value(), 100.0);
+  EXPECT_FALSE(parse_double("abc").has_value());
+  EXPECT_FALSE(parse_double("5s").has_value());
+  EXPECT_FALSE(parse_double("4x").has_value());
+  EXPECT_FALSE(parse_double(" 5").has_value());
+  EXPECT_FALSE(parse_double("5 ").has_value());
+  EXPECT_FALSE(parse_double("").has_value());
+  EXPECT_FALSE(parse_double("inf").has_value());
+  EXPECT_FALSE(parse_double("-infinity").has_value());
+  EXPECT_FALSE(parse_double("nan").has_value());
+  EXPECT_FALSE(parse_double("1e999").has_value());
+  EXPECT_FALSE(parse_double(nullptr).has_value());
 }
 
 TEST(CliValidation, UnknownScenarioMessageListsValidNames) {

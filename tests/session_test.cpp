@@ -342,26 +342,6 @@ TEST(Session, PushPullRedundancyExceedsPull) {
 // Memory footprint / allocation discipline
 // ---------------------------------------------------------------------------
 
-TEST(Session, BufferMapExchangeDoesNotAllocateAtSteadyState) {
-  // The exchange path materializes one pooled window per (node,
-  // neighbor) pair per round. After warm-up the arena must serve every
-  // checkout from the pool: tens of thousands of further checkouts,
-  // zero further allocations.
-  const auto snapshot = small_trace(200, 21);
-  Session session(small_config(24), snapshot);
-  session.run(10.0);  // warm-up: pool fills, buffers saturate
-
-  const auto warm = session.window_arena_stats();
-  EXPECT_GT(warm.checkouts, 0u);
-
-  session.run(25.0);  // steady state
-  const auto steady = session.window_arena_stats();
-  EXPECT_GT(steady.checkouts, warm.checkouts + 10000u)
-      << "exchange stopped running — the assertion below would be vacuous";
-  EXPECT_EQ(steady.allocations, warm.allocations)
-      << "buffer-map exchange allocated at steady state";
-}
-
 TEST(Session, MemoryFootprintSectionsAreConsistent) {
   const auto snapshot = small_trace(200, 22);
   Session session(small_config(25), snapshot);

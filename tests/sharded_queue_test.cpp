@@ -63,10 +63,7 @@ TEST(ShardedQueue, CancelOfTheHeadMovesTheAnchor) {
   ShardedEventQueue queue(/*skew_buckets=*/1);
   std::vector<int> fired;
   auto push_at = [&](double when, int token) {
-    auto* firedp = &fired;
-    return queue.push(when, sim::EventAction([firedp, token] {
-                        firedp->push_back(token);
-                      }));
+    return queue.emplace(when, [&fired, token] { fired.push_back(token); });
   };
   const sim::EventId head = push_at(1.0, 0);
   (void)push_at(2.0, 1);
@@ -106,11 +103,11 @@ TEST(ShardedQueue, AnchorMatchesOrderedSetOracle) {
 
     std::function<void(SimTime)> push = [&](SimTime when) {
       const std::size_t token = handles.size();
-      const sim::EventId id = queue.push(when, sim::EventAction([&, token, when] {
+      const sim::EventId id = queue.emplace(when, [&, token, when] {
         ran.push_back(handles[token]);
         // Emissions from inside a window land in the heaps, not in it.
         if (rng.next_below(4) == 0) push(when + kGrid * rng.next_below(3));
-      }));
+      });
       handles.push_back(id);
       pending.emplace(when, id >> sim::EventQueue::kSlotBits, id);
     };

@@ -95,7 +95,7 @@ TYPED_TEST(SmallBufferAction, InlineForSmallCaptures) {
   // 48-byte payload + pointer capture: 56 bytes, the inline capacity
   // and the size of the largest protocol captures (a continuous-mode
   // sharded delivery of a segment request or a nack: 40 bytes + the
-  // 16-byte wrapper). Must never allocate; 8 bytes more must.
+  // 16-byte wrapper). 8 bytes more does not fit, and would not compile.
   std::array<std::uint64_t, 6> payload{};
   std::array<std::uint64_t, 7> over{};
   const auto fitting = [&hits, payload] { hits += static_cast<int>(payload[0]) + 1; };
@@ -105,14 +105,9 @@ TYPED_TEST(SmallBufferAction, InlineForSmallCaptures) {
   static_assert(!fits_inline<decltype(oversized)>);
   TypeParam small(Ops::adapt([&hits] { ++hits; }));
   TypeParam big(Ops::adapt(fitting));
-  TypeParam too_big(Ops::adapt(oversized));
-  EXPECT_TRUE(small.stored_inline());
-  EXPECT_TRUE(big.stored_inline());
-  EXPECT_FALSE(too_big.stored_inline());
   Ops::call(small);
   Ops::call(big);
-  Ops::call(too_big);
-  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(hits, 2);
 }
 
 TEST(SmallBufferAction, FitsInlineNeedsNothrowMove) {
@@ -126,19 +121,6 @@ TEST(SmallBufferAction, FitsInlineNeedsNothrowMove) {
   static_assert(fits_inline<decltype(by_move)>);
   by_copy();
   by_move();
-}
-
-TYPED_TEST(SmallBufferAction, HeapFallbackForOversizedCaptures) {
-  using Ops = ActionOps<TypeParam>;
-  int hits = 0;
-  std::array<std::uint64_t, 32> payload{};  // 256 bytes: exceeds inline
-  payload[31] = 41;
-  TypeParam action(
-      Ops::adapt([&hits, payload] { hits = static_cast<int>(payload[31]) + 1; }));
-  EXPECT_TRUE(static_cast<bool>(action));
-  EXPECT_FALSE(action.stored_inline());
-  Ops::call(action);
-  EXPECT_EQ(hits, 42);
 }
 
 TYPED_TEST(SmallBufferAction, MoveTransfersOwnership) {
@@ -179,40 +161,78 @@ TYPED_TEST(SmallBufferAction, EmptyStdFunctionStaysEmpty) {
   EXPECT_FALSE(static_cast<bool>(action));
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
+// --- EventQueue -----------------------------------------------------------
+//
+// Events enter only through emplace and leave only through the engines'
+// own exits: acquire_due + execute_and_release (the exact engine's run
+// loop, as in Simulator::drain) or collect_window + execute_collected
+// (the windowed engine's). Each test action writes a tag, so the tests
+// identify events by what actually ran.
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
+
+/// An action that appends `tag` to `log` when it runs.
+auto tagged(std::vector<int>& log, int tag) {
+  return [&log, tag] { log.push_back(tag); };
+}
+
+/// Runs every event due at or before `horizon` through the exact
+/// engine's exit; returns the fire times in order.
+std::vector<SimTime> drain(EventQueue& q, SimTime horizon = kForever) {
+  std::vector<SimTime> times;
+  EventQueue::DueEvent due;
+  while (q.acquire_due(horizon, due)) {
+    times.push_back(due.time);
+    q.execute_and_release(due);
+  }
+  return times;
+}
+
+/// Runs the earliest pending event; false when the queue is empty.
+bool run_next(EventQueue& q) {
+  EventQueue::DueEvent due;
+  if (!q.acquire_due(kForever, due)) return false;
+  q.execute_and_release(due);
+  return true;
+}
+
+TEST(EventQueue, DrainsInTimeOrder) {
   EventQueue q;
-  std::vector<double> popped;
-  q.push(3.0, [] {});
-  q.push(1.0, [] {});
-  q.push(2.0, [] {});
-  while (!q.empty()) popped.push_back(q.pop().time);
-  EXPECT_EQ(popped, (std::vector<double>{1.0, 2.0, 3.0}));
+  std::vector<int> log;
+  (void)q.emplace(3.0, tagged(log, 3));
+  (void)q.emplace(1.0, tagged(log, 1));
+  (void)q.emplace(2.0, tagged(log, 2));
+  EXPECT_EQ(drain(q), (std::vector<SimTime>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, FifoAmongEqualTimes) {
   EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  const EventId b = q.push(1.0, [] {});
-  const EventId c = q.push(1.0, [] {});
+  std::vector<int> log;
+  const EventId a = q.emplace(1.0, tagged(log, 0));
+  const EventId b = q.emplace(1.0, tagged(log, 1));
+  const EventId c = q.emplace(1.0, tagged(log, 2));
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
-  std::vector<EventId> order;
-  while (!q.empty()) order.push_back(q.pop().id);
-  EXPECT_EQ(order, (std::vector<EventId>{a, b, c}));
+  (void)drain(q);
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, CancelPendingEvent) {
   EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  const EventId b = q.push(2.0, [] {});
+  std::vector<int> log;
+  const EventId a = q.emplace(1.0, tagged(log, 0));
+  (void)q.emplace(2.0, tagged(log, 1));
   EXPECT_TRUE(q.cancel(a));
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.pop().id, b);
+  (void)drain(q);
+  EXPECT_EQ(log, (std::vector<int>{1}));
 }
 
 TEST(EventQueue, CancelUnknownIsNoOp) {
   EventQueue q;
-  q.push(1.0, [] {});
+  (void)q.emplace(1.0, [] {});
   EXPECT_FALSE(q.cancel(kInvalidEvent));
   EXPECT_FALSE(q.cancel(0xFFFFFF000000ULL));  // never-issued id
   EXPECT_EQ(q.size(), 1u);
@@ -220,45 +240,44 @@ TEST(EventQueue, CancelUnknownIsNoOp) {
 
 TEST(EventQueue, CancelFiredIsNoOp) {
   EventQueue q;
-  const EventId id = q.push(1.0, [] {});
-  (void)q.pop();
+  const EventId id = q.emplace(1.0, [] {});
+  ASSERT_TRUE(run_next(q));
   EXPECT_FALSE(q.cancel(id));
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DoubleCancelCountsOnce) {
   EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  q.push(2.0, [] {});
+  const EventId a = q.emplace(1.0, [] {});
+  (void)q.emplace(2.0, [] {});
   EXPECT_TRUE(q.cancel(a));
   EXPECT_FALSE(q.cancel(a));
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
+TEST(EventQueue, PeekSkipsCancelled) {
   EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  q.push(5.0, [] {});
+  const EventId a = q.emplace(1.0, [] {});
+  const EventId b = q.emplace(5.0, [] {});
   q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
-}
-
-TEST(EventQueue, PopOnEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW((void)q.pop(), std::logic_error);
+  SimTime time = 0.0;
+  EventId id = kInvalidEvent;
+  ASSERT_TRUE(q.peek(time, id));
+  EXPECT_DOUBLE_EQ(time, 5.0);
+  EXPECT_EQ(id, b);
+  q.cancel(b);
+  EXPECT_FALSE(q.peek(time, id));
 }
 
 TEST(EventQueue, EmptyActionRejectedConsistently) {
   EventQueue q;
   EXPECT_THROW((void)q.emplace(1.0, std::function<void()>{}), std::invalid_argument);
-  EXPECT_THROW((void)q.push(1.0, EventAction{}), std::invalid_argument);
   EXPECT_TRUE(q.empty());
   // The queue stays usable: the reaped heap entry must not disturb
   // later scheduling.
   bool fired = false;
   (void)q.emplace(2.0, [&fired] { fired = true; });
-  Event e = q.pop();
-  e.action();
+  EXPECT_EQ(drain(q), (std::vector<SimTime>{2.0}));
   EXPECT_TRUE(fired);
   EXPECT_TRUE(q.empty());
 }
@@ -276,47 +295,49 @@ TEST(Simulator, ThrowingActionLeavesQueueConsistent) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST(EventQueue, PopUntilRespectsHorizon) {
+TEST(EventQueue, AcquireDueRespectsHorizon) {
   EventQueue q;
-  q.push(1.0, [] {});
-  q.push(3.0, [] {});
-  Event e;
-  EXPECT_TRUE(q.pop_until(2.0, e));
-  EXPECT_DOUBLE_EQ(e.time, 1.0);
-  EXPECT_FALSE(q.pop_until(2.0, e));
+  (void)q.emplace(1.0, [] {});
+  (void)q.emplace(3.0, [] {});
+  EventQueue::DueEvent due;
+  ASSERT_TRUE(q.acquire_due(2.0, due));
+  EXPECT_DOUBLE_EQ(due.time, 1.0);
+  q.execute_and_release(due);
+  EXPECT_FALSE(q.acquire_due(2.0, due));
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.pop_until(3.0, e));
-  EXPECT_FALSE(q.pop_until(100.0, e));
+  ASSERT_TRUE(q.acquire_due(3.0, due));  // an event at the horizon is due
+  q.execute_and_release(due);
+  EXPECT_FALSE(q.acquire_due(100.0, due));
 }
 
-// Generation stamping: a slot freed by pop or cancel and reused by a
-// later push must reject the stale id — the regression the slot-pool
-// design exists to prevent.
+// Generation stamping: a slot freed by execution or cancel and reused
+// by a later emplace must reject the stale id — the regression the
+// slot-pool design exists to prevent.
 TEST(EventQueue, StaleCancelCannotKillSlotReuser) {
   EventQueue q;
-  const EventId old_id = q.push(1.0, [] {});
-  (void)q.pop();  // frees the slot
+  const EventId old_id = q.emplace(1.0, [] {});
+  ASSERT_TRUE(run_next(q));  // frees the slot
   bool fired = false;
-  const EventId new_id = q.push(2.0, [&fired] { fired = true; });
+  const EventId new_id = q.emplace(2.0, [&fired] { fired = true; });
   EXPECT_EQ(old_id & EventQueue::kSlotMask, new_id & EventQueue::kSlotMask)
       << "test premise: the slot must be reused";
   EXPECT_NE(old_id, new_id);
   EXPECT_FALSE(q.cancel(old_id)) << "stale cancel must be a no-op";
   EXPECT_EQ(q.size(), 1u);
-  Event e = q.pop();
-  EXPECT_EQ(e.id, new_id);
-  e.action();
+  EXPECT_EQ(drain(q), (std::vector<SimTime>{2.0}));
   EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, StaleCancelAfterCancelAndReuse) {
   EventQueue q;
-  const EventId old_id = q.push(5.0, [] {});
+  std::vector<int> log;
+  const EventId old_id = q.emplace(5.0, tagged(log, 0));
   EXPECT_TRUE(q.cancel(old_id));
-  const EventId new_id = q.push(7.0, [] {});
+  const EventId new_id = q.emplace(7.0, tagged(log, 1));
   EXPECT_EQ(old_id & EventQueue::kSlotMask, new_id & EventQueue::kSlotMask);
   EXPECT_FALSE(q.cancel(old_id));
-  EXPECT_EQ(q.pop().id, new_id);
+  (void)drain(q);
+  EXPECT_EQ(log, (std::vector<int>{1}));
 }
 
 TEST(EventQueue, StaleIdsNeverMatchFreeListLinks) {
@@ -328,7 +349,7 @@ TEST(EventQueue, StaleIdsNeverMatchFreeListLinks) {
   constexpr std::uint32_t kSlots = 600;
   EventQueue q;
   std::vector<EventId> first;
-  for (std::uint32_t i = 0; i < kSlots; ++i) first.push_back(q.push(1.0 + i, [] {}));
+  for (std::uint32_t i = 0; i < kSlots; ++i) first.push_back(q.emplace(1.0 + i, [] {}));
   const EventId top = first.back();
   ASSERT_EQ(top & EventQueue::kSlotMask, kSlots - 1);
   for (const EventId id : first) EXPECT_TRUE(q.cancel(id));
@@ -341,40 +362,35 @@ TEST(EventQueue, StaleIdsNeverMatchFreeListLinks) {
   // Reuse every slot, including the top index, then free them through
   // the run loop's release path.
   std::vector<EventId> second;
-  for (std::uint32_t i = 0; i < kSlots; ++i) second.push_back(q.push(2.0, [] {}));
+  for (std::uint32_t i = 0; i < kSlots; ++i) second.push_back(q.emplace(2.0, [] {}));
   EXPECT_EQ(q.size(), kSlots);
   for (const EventId id : first) EXPECT_FALSE(q.cancel(id));
   EXPECT_EQ(q.size(), kSlots);
   EXPECT_FALSE(q.collected_live(EventQueue::WindowRef{1.0, top}));
-  std::size_t fired = 0;
-  EventQueue::DueEvent due;
-  while (q.acquire_due(10.0, due)) {
-    q.execute_and_release(due);
-    ++fired;
-  }
-  EXPECT_EQ(fired, kSlots);
+  EXPECT_EQ(drain(q, 10.0).size(), kSlots);
   for (const EventId id : first) EXPECT_FALSE(q.cancel(id));
   for (const EventId id : second) EXPECT_FALSE(q.cancel(id));
   EXPECT_TRUE(q.empty());
   // The pool is reused, not grown: the freed slots serve a third round.
   const std::size_t bytes = q.approx_bytes();
-  for (std::uint32_t i = 0; i < kSlots; ++i) (void)q.push(3.0, [] {});
+  for (std::uint32_t i = 0; i < kSlots; ++i) (void)q.emplace(3.0, [] {});
   EXPECT_EQ(q.approx_bytes(), bytes);
 }
 
 TEST(EventQueue, PeakSizeTracksHighWaterMark) {
   EventQueue q;
   std::vector<EventId> ids;
-  for (int i = 0; i < 8; ++i) ids.push_back(q.push(i, [] {}));
-  for (int i = 0; i < 4; ++i) (void)q.pop();
-  q.push(99.0, [] {});
+  for (int i = 0; i < 8; ++i) ids.push_back(q.emplace(i, [] {}));
+  EXPECT_EQ(drain(q, 3.0).size(), 4u);
+  (void)q.emplace(99.0, [] {});
   EXPECT_EQ(q.peak_size(), 8u);
   EXPECT_EQ(q.size(), 5u);
 }
 
-// Property test: N randomized schedule/cancel/pop interleavings must
+// Property test: N randomized schedule/cancel/run interleavings must
 // produce exactly the execution order of a reference model (stable
-// sort by (time, schedule order), minus cancelled entries).
+// sort by (time, schedule order), minus cancelled entries). Each event
+// is tagged with its schedule index.
 TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
   struct ModelEntry {
     double time;
@@ -384,9 +400,9 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
   util::Rng rng(0xE7E77u);
   for (int trial = 0; trial < 100; ++trial) {
     EventQueue q;
-    std::vector<ModelEntry> model;   // schedule order
-    std::vector<EventId> executed;   // ids popped from the queue
-    std::vector<EventId> live;       // candidates for cancellation
+    std::vector<ModelEntry> model;   // schedule order; index = tag
+    std::vector<int> executed;       // tags, in run order
+    std::vector<int> live;           // tags, candidates for cancellation
 
     const int ops = 120;
     for (int op = 0; op < ops; ++op) {
@@ -394,71 +410,56 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
       if (roll < 0.55) {
         // Schedule at a coarse-grained time so equal-time ties are common.
         const double time = static_cast<double>(rng.next_below(16));
-        const EventId id = q.push(time, [] {});
-        model.push_back(ModelEntry{time, id});
-        live.push_back(id);
+        const int tag = static_cast<int>(model.size());
+        model.push_back(ModelEntry{time, q.emplace(time, tagged(executed, tag))});
+        live.push_back(tag);
       } else if (roll < 0.75 && !live.empty()) {
-        // Cancel a random outstanding id (may already be popped).
-        const std::size_t pick = rng.next_below(live.size());
-        const EventId id = live[pick];
-        const bool was_pending = q.cancel(id);
-        for (auto& entry : model) {
-          if (entry.id != id) continue;
-          const bool already_done =
-              std::find(executed.begin(), executed.end(), id) != executed.end();
-          EXPECT_EQ(was_pending, !already_done && !entry.cancelled);
-          if (was_pending) entry.cancelled = true;
-        }
-      } else if (!q.empty()) {
-        executed.push_back(q.pop().id);
+        // Cancel a random outstanding event (it may already have run).
+        const int tag = live[rng.next_below(live.size())];
+        ModelEntry& entry = model[static_cast<std::size_t>(tag)];
+        const bool was_pending = q.cancel(entry.id);
+        const bool already_done =
+            std::find(executed.begin(), executed.end(), tag) != executed.end();
+        EXPECT_EQ(was_pending, !already_done && !entry.cancelled);
+        if (was_pending) entry.cancelled = true;
+      } else {
+        (void)run_next(q);
       }
     }
-    while (!q.empty()) executed.push_back(q.pop().id);
+    (void)drain(q);
 
-    // Reference order: stable sort by time (ids are schedule order),
-    // skipping cancelled entries. Pops interleaved with pushes only ever
-    // remove the current minimum, so the global pop sequence must still
-    // respect (time, id) order among the events each pop could see —
-    // and the FULL drain at the end makes the total sets comparable.
-    std::vector<ModelEntry> expected(model);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const ModelEntry& a, const ModelEntry& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.id < b.id;
-                     });
-    std::vector<EventId> expected_ids;
-    for (const auto& entry : expected) {
-      if (!entry.cancelled) expected_ids.push_back(entry.id);
+    // Reference order: stable sort by time (tags are schedule order),
+    // skipping cancelled entries.
+    std::vector<int> expected;
+    for (std::size_t tag = 0; tag < model.size(); ++tag) {
+      if (!model[tag].cancelled) expected.push_back(static_cast<int>(tag));
     }
-    // Interleaved pops always remove the pending minimum, so the full
-    // run must execute exactly the non-cancelled multiset...
-    std::vector<EventId> sorted_exec(executed);
+    std::stable_sort(expected.begin(), expected.end(), [&model](int a, int b) {
+      return model[static_cast<std::size_t>(a)].time <
+             model[static_cast<std::size_t>(b)].time;
+    });
+    // Interleaved runs always take the pending minimum, so the full run
+    // must execute exactly the non-cancelled set...
+    std::vector<int> sorted_exec(executed);
     std::sort(sorted_exec.begin(), sorted_exec.end());
-    std::vector<EventId> sorted_expect(expected_ids);
+    std::vector<int> sorted_expect(expected);
     std::sort(sorted_expect.begin(), sorted_expect.end());
     ASSERT_EQ(sorted_exec, sorted_expect) << "trial " << trial;
 
     // ...and replaying the same schedule/cancel sequence with no
-    // interleaved pops must drain in exactly the reference order.
+    // interleaved runs must drain in exactly the reference order.
     EventQueue q2;
-    std::vector<std::pair<EventId, EventId>> idmap;  // original -> new
-    for (const auto& entry : model) {
-      const EventId nid = q2.push(entry.time, [] {});
-      idmap.emplace_back(entry.id, nid);
+    std::vector<int> drained;
+    std::vector<EventId> replay_ids;
+    for (std::size_t tag = 0; tag < model.size(); ++tag) {
+      replay_ids.push_back(
+          q2.emplace(model[tag].time, tagged(drained, static_cast<int>(tag))));
     }
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      if (model[i].cancelled) q2.cancel(idmap[i].second);
+    for (std::size_t tag = 0; tag < model.size(); ++tag) {
+      if (model[tag].cancelled) q2.cancel(replay_ids[tag]);
     }
-    std::vector<EventId> drained;
-    while (!q2.empty()) drained.push_back(q2.pop().id);
-    std::vector<EventId> expected_new;
-    for (const auto& entry : expected) {
-      if (entry.cancelled) continue;
-      for (const auto& [orig, nid] : idmap) {
-        if (orig == entry.id) expected_new.push_back(nid);
-      }
-    }
-    ASSERT_EQ(drained, expected_new) << "trial " << trial;
+    (void)drain(q2);
+    ASSERT_EQ(drained, expected) << "trial " << trial;
   }
 }
 
@@ -496,12 +497,10 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
   std::vector<EventId> issued;  // every id ever returned (cancel picks)
   std::uint64_t next_tag = 0;
   std::uint64_t ran_tag = ~std::uint64_t{0};
-  const auto schedule = [&](bool via_emplace) {
+  const auto schedule = [&] {
     const double time = draw_time();
     const std::uint64_t tag = next_tag++;
-    const EventId id =
-        via_emplace ? q.emplace(time, [&ran_tag, tag] { ran_tag = tag; })
-                    : q.push(time, EventAction([&ran_tag, tag] { ran_tag = tag; }));
+    const EventId id = q.emplace(time, [&ran_tag, tag] { ran_tag = tag; });
     ASSERT_TRUE(oracle.emplace(time, id).second);
     info[id] = Issued{time, tag};
     issued.push_back(id);
@@ -523,29 +522,18 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
   };
 
   for (std::size_t i = 0; i < fill && oracle.size() < cap; ++i) {
-    schedule(i % 2 == 0);
+    schedule();
   }
   for (std::size_t op = 0; op < ops; ++op) {
     const double roll = rng.next_double();
     std::pair<double, EventId> want{};
     if (roll < 0.40) {
-      if (oracle.size() < cap) schedule(roll < 0.20);
+      if (oracle.size() < cap) schedule();
     } else if (roll < 0.50) {
       if (issued.empty()) continue;
       const EventId id = issued[rng.next_below(issued.size())];
       const bool live = oracle.erase({info[id].time, id}) > 0;
       ASSERT_EQ(q.cancel(id), live);
-    } else if (roll < 0.65) {
-      const double limit = horizon();
-      Event ev;
-      const bool due = expect_due(limit, want);
-      ASSERT_EQ(q.pop_until(limit, ev), due);
-      if (due) {
-        ASSERT_EQ(ev.id, want.second);
-        ASSERT_EQ(ev.time, want.first);
-        ev.action();
-        ASSERT_EQ(ran_tag, info[want.second].tag);
-      }
     } else if (roll < 0.80) {
       const double limit = horizon();
       EventQueue::DueEvent due{};
@@ -591,10 +579,14 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
   }
   ASSERT_GE(q.peak_size(), std::min(cap, fill));
   // The full drain must reproduce the oracle's order exactly.
-  std::vector<EventId> drained;
-  while (!q.empty()) drained.push_back(q.pop().id);
-  std::vector<EventId> expected;
-  for (const auto& entry : oracle) expected.push_back(entry.second);
+  std::vector<std::uint64_t> drained;
+  EventQueue::DueEvent due;
+  while (q.acquire_due(kForever, due)) {
+    q.execute_and_release(due);
+    drained.push_back(ran_tag);
+  }
+  std::vector<std::uint64_t> expected;
+  for (const auto& entry : oracle) expected.push_back(info[entry.second].tag);
   ASSERT_EQ(drained, expected);
 }
 
@@ -613,14 +605,14 @@ TEST(EventQueue, HeapMatchesOrderedSetOracleAt100kPending) {
 }
 
 // Slot reuse under heavy churn: the pool stays compact and ids never
-// collide even when most pushes land on recycled slots.
+// collide even when most schedules land on recycled slots.
 TEST(EventQueue, HeavySlotRecyclingKeepsIdsUnique) {
   EventQueue q;
   util::Rng rng(99);
   std::vector<EventId> pending;
   std::vector<EventId> all_ids;
   for (int round = 0; round < 2000; ++round) {
-    const EventId id = q.push(rng.next_double() * 100.0, [] {});
+    const EventId id = q.emplace(rng.next_double() * 100.0, [] {});
     all_ids.push_back(id);
     pending.push_back(id);
     if (pending.size() > 32) {
@@ -628,7 +620,7 @@ TEST(EventQueue, HeavySlotRecyclingKeepsIdsUnique) {
       q.cancel(pending[pick]);
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    if (round % 3 == 0 && !q.empty()) (void)q.pop();
+    if (round % 3 == 0) (void)run_next(q);
   }
   std::sort(all_ids.begin(), all_ids.end());
   EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end())

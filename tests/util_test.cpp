@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "util/bitwindow.hpp"
-#include "util/bitwindow_arena.hpp"
 #include "util/csv.hpp"
 #include "util/hash.hpp"
 #include "util/ring_math.hpp"
@@ -429,100 +428,6 @@ TEST(BitWindow, FromWordsRoundtrip) {
 
 TEST(BitWindow, FromWordsValidatesSize) {
   EXPECT_THROW(BitWindow::from_words(100, 0, {}), std::invalid_argument);
-}
-
-TEST(BitWindow, CopyFromMatchesSourceWithoutReallocation) {
-  BitWindow src(600, 1000);
-  for (SegmentId id = 1000; id < 1600; id += 13) src.set(id);
-  BitWindow dst(600, 0);
-  const auto* words_before = dst.words().data();
-  dst.copy_from(src);
-  EXPECT_EQ(dst.words().data(), words_before) << "equal-size copy must reuse storage";
-  EXPECT_EQ(dst.head(), src.head());
-  EXPECT_EQ(dst.count(), src.count());
-  for (SegmentId id = 1000; id < 1600; ++id) EXPECT_EQ(dst.test(id), src.test(id));
-}
-
-// ---------------------------------------------------------------------------
-// BitWindowArena
-// ---------------------------------------------------------------------------
-
-TEST(BitWindowArena, CheckoutGivesClearedWindowAtRequestedHead) {
-  BitWindowArena arena;
-  auto lease = arena.checkout(600, 77);
-  EXPECT_EQ(lease.window().capacity(), 600u);
-  EXPECT_EQ(lease.window().head(), 77);
-  EXPECT_EQ(lease.window().count(), 0u);
-  EXPECT_EQ(arena.stats().checkouts, 1u);
-  EXPECT_EQ(arena.stats().allocations, 1u);
-}
-
-TEST(BitWindowArena, ReusesReturnedStorageWithoutAllocatingOrLeakingBits) {
-  BitWindowArena arena;
-  {
-    auto lease = arena.checkout(600, 0);
-    for (SegmentId id = 0; id < 600; ++id) lease.window().set(id);
-  }
-  EXPECT_EQ(arena.pooled(), 1u);
-  // Reset semantics: the recycled window comes back EMPTY even though
-  // the previous tenant filled every bit.
-  auto lease = arena.checkout(600, 500);
-  EXPECT_EQ(lease.window().count(), 0u);
-  EXPECT_EQ(lease.window().head(), 500);
-  EXPECT_EQ(arena.stats().checkouts, 2u);
-  EXPECT_EQ(arena.stats().allocations, 1u) << "second checkout must reuse the pool";
-}
-
-TEST(BitWindowArena, SteadyStateChurnNeverAllocatesAgain) {
-  BitWindowArena arena;
-  { auto warmup = arena.checkout(600, 0); }
-  const auto allocations = arena.stats().allocations;
-  for (int round = 0; round < 1000; ++round) {
-    auto lease = arena.checkout(600, round);
-    lease.window().set(round);
-  }
-  EXPECT_EQ(arena.stats().allocations, allocations);
-  EXPECT_EQ(arena.stats().checkouts, 1001u);
-}
-
-TEST(BitWindowArena, ConcurrentLeasesDoNotAlias) {
-  BitWindowArena arena;
-  auto a = arena.checkout(600, 0);
-  auto b = arena.checkout(600, 0);
-  a.window().set(5);
-  EXPECT_FALSE(b.window().test(5)) << "outstanding leases must hold disjoint buffers";
-  b.window().set(9);
-  EXPECT_FALSE(a.window().test(9));
-  EXPECT_NE(a.window().words().data(), b.window().words().data());
-}
-
-TEST(BitWindowArena, CheckoutCopyMaterializesExactImage) {
-  BitWindowArena arena;
-  BitWindow source(600, 4321);
-  for (SegmentId id = 4321; id < 4921; id += 5) source.set(id);
-  { auto warmup = arena.checkout(600, 0); }  // pool one buffer
-  const auto allocations = arena.stats().allocations;
-  auto copy = arena.checkout_copy(source);
-  EXPECT_EQ(arena.stats().allocations, allocations) << "pooled copy must not allocate";
-  EXPECT_EQ(copy.window().head(), source.head());
-  EXPECT_EQ(copy.window().count(), source.count());
-  for (SegmentId id = 4321; id < 4921; ++id) {
-    EXPECT_EQ(copy.window().test(id), source.test(id));
-  }
-  // And mutating the copy never touches the source.
-  copy.window().reset(4321 + 5);
-  EXPECT_TRUE(source.test(4321 + 5));
-}
-
-TEST(BitWindowArena, MoveOnlyLeaseReleasesOnce) {
-  BitWindowArena arena;
-  {
-    auto lease = arena.checkout(128, 0);
-    auto moved = std::move(lease);
-    EXPECT_EQ(moved.window().capacity(), 128u);
-    EXPECT_EQ(arena.pooled(), 0u);
-  }
-  EXPECT_EQ(arena.pooled(), 1u) << "exactly one buffer returns from the moved chain";
 }
 
 // Property sweep: random fill then slide, invariants hold.

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -124,7 +125,28 @@ void print_usage(const char* argv0) {
       argv0);
 }
 
+/// Stores a strictly parsed flag value that passes `in_range`. Anything
+/// else — a parse failure or an out-of-range value — prints one
+/// diagnostic line and returns false, so main exits 1 instead of
+/// crashing deep in the library or silently running another workload.
+template <typename T, typename V, typename InRange>
+[[nodiscard]] bool take(const std::string& flag, const char* text,
+                        const std::optional<V>& parsed, InRange in_range,
+                        const char* expects, T& out) {
+  if (!parsed.has_value() || !in_range(*parsed)) {
+    std::fprintf(stderr, "%s expects %s, got '%s'\n", flag.c_str(), expects, text);
+    return false;
+  }
+  out = static_cast<T>(*parsed);
+  return true;
+}
+
 [[nodiscard]] std::optional<CliOptions> parse(int argc, char** argv) {
+  namespace cli = continu::runner::cli;
+  const auto any = [](auto) { return true; };
+  const auto fits_unsigned = [](std::uint64_t v) {
+    return v <= std::numeric_limits<unsigned>::max();
+  };
   static const std::set<std::string> kWorkloadFlags = {
       "--nodes",    "--trace",          "--trace-seed",  "--system",
       "--churn",    "--neighbors",      "--replicas",    "--prefetch-limit",
@@ -146,8 +168,10 @@ void print_usage(const char* argv0) {
       return std::nullopt;
     } else if (arg == "--nodes") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.nodes = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!v || !take(arg, v, cli::parse_uint(v), [](std::uint64_t n) { return n >= 2; },
+                      "an integer >= 2 (the source plus a peer)", opt.nodes)) {
+        return std::nullopt;
+      }
     } else if (arg == "--trace") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -160,78 +184,82 @@ void print_usage(const char* argv0) {
       opt.list_scenarios = true;
     } else if (arg == "--duration") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.duration = std::strtod(v, nullptr);
+      if (!v || !take(arg, v, cli::parse_double(v), [](double d) { return d > 0.0; },
+                      "a number of seconds > 0", opt.duration)) {
+        return std::nullopt;
+      }
     } else if (arg == "--stable-from") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.stable_from = std::strtod(v, nullptr);
+      if (!v || !take(arg, v, cli::parse_double(v), [](double d) { return d >= 0.0; },
+                      "a number of seconds >= 0", opt.stable_from)) {
+        return std::nullopt;
+      }
     } else if (arg == "--system") {
       const char* v = next();
       if (!v) return std::nullopt;
       opt.system = v;
     } else if (arg == "--churn") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.churn = std::strtod(v, nullptr);
+      if (!v || !take(arg, v, cli::parse_double(v),
+                      [](double f) { return f >= 0.0 && f <= 1.0; },
+                      "a fraction in [0, 1]", opt.churn)) {
+        return std::nullopt;
+      }
     } else if (arg == "--neighbors") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.neighbors = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!v || !take(arg, v, cli::parse_positive(v), any, "a positive integer",
+                      opt.neighbors)) {
+        return std::nullopt;
+      }
     } else if (arg == "--replicas") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.replicas = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!v || !take(arg, v, cli::parse_positive_u32(v), any, "a positive integer",
+                      opt.replicas)) {
+        return std::nullopt;
+      }
     } else if (arg == "--prefetch-limit") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.prefetch_limit = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!v || !take(arg, v, cli::parse_uint(v), fits_unsigned, "an integer >= 0",
+                      opt.prefetch_limit)) {
+        return std::nullopt;
+      }
     } else if (arg == "--homogeneous") {
       opt.homogeneous = true;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!v || !take(arg, v, cli::parse_uint(v), any, "an integer >= 0", opt.seed)) {
+        return std::nullopt;
+      }
     } else if (arg == "--trace-seed") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.trace_seed = std::strtoull(v, nullptr, 10);
+      if (!v || !take(arg, v, cli::parse_uint(v), any, "an integer >= 0",
+                      opt.trace_seed)) {
+        return std::nullopt;
+      }
     } else if (arg == "--replications") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--replications expects a positive integer, got '%s'\n", v);
+      if (!v || !take(arg, v, cli::parse_positive(v), any, "a positive integer",
+                      opt.replications)) {
         return std::nullopt;
       }
-      opt.replications = static_cast<std::size_t>(*parsed);
     } else if (arg == "--jobs") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive_u32(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--jobs expects a positive integer, got '%s'\n", v);
+      if (!v || !take(arg, v, cli::parse_positive_u32(v), any, "a positive integer",
+                      opt.jobs)) {
         return std::nullopt;
       }
-      opt.jobs = *parsed;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive_u32(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--threads expects a positive integer, got '%s'\n", v);
+      if (!v || !take(arg, v, cli::parse_positive_u32(v), any, "a positive integer",
+                      opt.threads)) {
         return std::nullopt;
       }
-      opt.threads = *parsed;
     } else if (arg == "--queue-skew") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_uint(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--queue-skew expects an integer >= 0, got '%s'\n", v);
+      if (!v || !take(arg, v, cli::parse_uint(v), fits_unsigned, "an integer >= 0",
+                      opt.queue_skew)) {
         return std::nullopt;
       }
-      opt.queue_skew = static_cast<unsigned>(*parsed);
     } else if (arg == "--csv") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -257,10 +285,11 @@ void print_usage(const char* argv0) {
       opt.trace_out = v;
     } else if (arg == "--trace-node") {
       const char* v = next();
-      if (!v) return std::nullopt;
-      opt.trace_node = std::strtoll(v, nullptr, 10);
-      if (opt.trace_node < 0) {
-        std::fprintf(stderr, "--trace-node expects a node index >= 0, got '%s'\n", v);
+      if (!v || !take(arg, v, cli::parse_uint(v),
+                      [](std::uint64_t n) {
+                        return n <= std::numeric_limits<std::uint32_t>::max();
+                      },
+                      "a node index >= 0", opt.trace_node)) {
         return std::nullopt;
       }
     } else if (arg == "--stats-json") {
@@ -272,6 +301,13 @@ void print_usage(const char* argv0) {
       print_usage(argv[0]);
       return std::nullopt;
     }
+  }
+  // The stable measurement window must be non-empty (checked once all
+  // flags are in, so their order does not matter).
+  if (opt.stable_from >= opt.duration) {
+    std::fprintf(stderr, "--stable-from %g must be below --duration %g\n",
+                 opt.stable_from, opt.duration);
+    return std::nullopt;
   }
   return opt;
 }
