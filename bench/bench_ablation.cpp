@@ -46,27 +46,27 @@ int main() {
 
   std::vector<runner::ReplicationSpec> specs;
   for (const unsigned k : replicas) {
-    auto config = bench::standard_config(kNodes, 29, false);
+    auto config = bench::standard_config(29, false);
     config.backup_replicas = k;
     specs.push_back(bench::snapshot_spec(config, snapshot, "replicas_k"));
   }
   for (const unsigned l : prefetch_caps) {
-    auto config = bench::standard_config(kNodes, 31, false);
+    auto config = bench::standard_config(31, false);
     config.prefetch_limit = l;
     specs.push_back(bench::snapshot_spec(config, snapshot, "prefetch_l"));
   }
   for (const double g : graceful) {
-    auto config = bench::standard_config(kNodes, 37, true);
+    auto config = bench::standard_config(37, true);
     config.churn.graceful_fraction = g;
     specs.push_back(bench::snapshot_spec(config, snapshot, "graceful_fraction"));
   }
   for (const std::size_t m : neighbor_targets) {
-    auto config = bench::standard_config(kNodes, 41, false);
+    auto config = bench::standard_config(41, false);
     config.connected_neighbors = m;
     specs.push_back(bench::snapshot_spec(config, snapshot, "neighbors_m"));
   }
   for (const auto& row : systems) {
-    auto config = bench::standard_config(kNodes, 43, false);
+    auto config = bench::standard_config(43, false);
     config.scheduler = row.kind;
     specs.push_back(bench::snapshot_spec(config, snapshot, "system"));
   }

@@ -24,6 +24,7 @@
 #include "core/config.hpp"
 #include "core/session.hpp"
 #include "net/message.hpp"
+#include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
 #include "trace/generator.hpp"
@@ -55,13 +56,11 @@ struct Horizon {
   double stable_from = 20.0;
 };
 
-/// Paper-standard system configuration for a run over `nodes` hosts.
-[[nodiscard]] inline core::SystemConfig standard_config(std::size_t nodes,
-                                                        std::uint64_t seed,
-                                                        bool churn) {
+/// Paper-standard system configuration (the session sizes itself from
+/// the trace it runs on).
+[[nodiscard]] inline core::SystemConfig standard_config(std::uint64_t seed, bool churn) {
   core::SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = static_cast<double>(nodes);
   config.churn_enabled = churn;
   return config;
 }
@@ -117,6 +116,28 @@ struct Horizon {
     std::exit(1);
   }
   return *std::move(scenario);
+}
+
+/// Strict `--duration` value: a finite number of seconds > 0. Anything
+/// else exits 1 with a one-line diagnostic.
+[[nodiscard]] inline double require_duration(const char* text) {
+  const auto parsed = runner::cli::parse_double(text);
+  if (!parsed.has_value() || *parsed <= 0.0) {
+    std::fprintf(stderr, "--duration expects a number of seconds > 0, got '%s'\n", text);
+    std::exit(1);
+  }
+  return *parsed;
+}
+
+/// Strict `--seed` value: a non-negative integer (no sign, no trailing
+/// garbage). Anything else exits 1 with a one-line diagnostic.
+[[nodiscard]] inline std::uint64_t require_seed(const char* text) {
+  const auto parsed = runner::cli::parse_uint(text);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "--seed expects a non-negative integer, got '%s'\n", text);
+    std::exit(1);
+  }
+  return *parsed;
 }
 
 /// Splits a comma-separated CLI list, dropping empty items.

@@ -31,8 +31,7 @@ int main() {
 
   std::vector<runner::ReplicationSpec> specs;
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
-    const auto config =
-        bench::standard_config(snapshots[i]->node_count(), 90 + i, /*churn=*/false);
+    const auto config = bench::standard_config(90 + i, /*churn=*/false);
     specs.push_back(bench::snapshot_spec(config, snapshots[i], "continu"));
     specs.push_back(bench::snapshot_spec(config.as_coolstreaming(), snapshots[i], "cool"));
   }

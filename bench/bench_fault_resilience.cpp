@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     for (const double loss : loss_rates) {
       auto spec = base_spec;
       spec.config.fault.loss_rate = loss;
-      spec.config.retry.enabled = true;
+      spec.config.harden = true;
       if (!mode.cdp) spec.config.prefetch_limit = 0;
 
       LossCell cell;
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
       spec.duration = kPartitionDuration;
       spec.config.fault.partitions.push_back(
           {kPartitionStart, heal, /*regions=*/2});
-      spec.config.retry.enabled = true;
+      spec.config.harden = true;
       if (!mode.cdp) spec.config.prefetch_limit = 0;
 
       PartitionCell cell;

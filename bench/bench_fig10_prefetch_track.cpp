@@ -19,8 +19,8 @@ int main() {
   const auto snapshot = std::make_shared<const trace::TraceSnapshot>(
       bench::standard_trace(1000, 57));
   const auto results = bench::run_batch(
-      {bench::snapshot_spec(bench::standard_config(1000, 19, false), snapshot, "static"),
-       bench::snapshot_spec(bench::standard_config(1000, 19, true), snapshot, "dynamic")});
+      {bench::snapshot_spec(bench::standard_config(19, false), snapshot, "static"),
+       bench::snapshot_spec(bench::standard_config(19, true), snapshot, "dynamic")});
   const auto& static_run = results[0];
   const auto& dynamic_run = results[1];
 

@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
       name = argv[++i];
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::strtod(argv[++i], nullptr);
+      duration = bench::require_duration(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = bench::require_seed(argv[++i]);
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       obs = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {

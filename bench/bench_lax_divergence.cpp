@@ -63,13 +63,7 @@ int main(int argc, char** argv) {
         skews.push_back(*parsed);
       }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto parsed = runner::cli::parse_uint(argv[++i]);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--seed expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      seed = *parsed;
+      seed = bench::require_seed(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_positive_u32(argv[++i]);
       if (!parsed.has_value()) {
@@ -79,7 +73,7 @@ int main(int argc, char** argv) {
       }
       reps = *parsed;
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::strtod(argv[++i], nullptr);
+      duration = bench::require_duration(argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scenarios A,B,...] [--skews K,K,...] "

@@ -48,24 +48,18 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--grids") == 0 && i + 1 < argc) {
       grids.clear();
       for (const auto& g : bench::split_csv(argv[++i])) {
-        const double grid = std::strtod(g.c_str(), nullptr);
-        if (grid <= 0.0) {
+        const auto grid = runner::cli::parse_double(g.c_str());
+        if (!grid.has_value() || *grid <= 0.0) {
           std::fprintf(stderr, "--grids expects positive ms values, got '%s'\n",
                        g.c_str());
           return 1;
         }
-        grids.push_back(grid);
+        grids.push_back(*grid);
       }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto parsed = runner::cli::parse_uint(argv[++i]);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--seed expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      seed = *parsed;
+      seed = bench::require_seed(argv[++i]);
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::strtod(argv[++i], nullptr);
+      duration = bench::require_duration(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_positive_u32(argv[++i]);
       if (!parsed.has_value()) {

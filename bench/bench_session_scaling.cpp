@@ -43,15 +43,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
       name = argv[++i];
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::strtod(argv[++i], nullptr);
+      duration = bench::require_duration(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto parsed = runner::cli::parse_uint(argv[++i]);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--seed expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      seed = *parsed;
+      seed = bench::require_seed(argv[++i]);
     } else if (std::strcmp(argv[i], "--queue-skew") == 0 && i + 1 < argc) {
       const auto parsed = runner::cli::parse_uint(argv[++i]);
       if (!parsed.has_value()) {

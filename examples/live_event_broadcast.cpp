@@ -20,7 +20,6 @@ int main() {
 
   core::SystemConfig config;
   config.seed = 5;
-  config.expected_nodes = 600.0;  // sized for the post-surge audience
   config.churn_enabled = true;
   config.churn.leave_fraction = 0.01;   // light departures
   config.churn.join_fraction = 0.035;   // flash crowd: +3.5%/s compounding

@@ -42,7 +42,6 @@ int main() {
   const auto snapshot = trace::generate_snapshot(trace_config);
   core::SystemConfig config;
   config.seed = 11;
-  config.expected_nodes = 400.0;
 
   core::Session continu_session(config, snapshot);
   continu_session.run(45.0);
@@ -50,7 +49,7 @@ int main() {
   cool_session.run(45.0);
 
   analysis::ContinuityInputs in;
-  in.lambda = config.mean_inbound();
+  in.lambda = core::kMeanInbound;
   const auto predicted = analysis::predict_continuity(in);
 
   std::printf("  theory  (lambda = %.1f): PC_old %.3f, PC_new %.3f\n", in.lambda,

@@ -1,7 +1,9 @@
 #pragma once
-// System configuration — every paper parameter in one place, with the
-// paper's defaults (Section 5.2 simulation methodology).
+// System parameters. The paper fixes most of them in Section 5.2's
+// simulation methodology and no experiment varies them: those are the
+// constants below. SystemConfig holds only what some workload sets.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "fault/fault_plan.hpp"
@@ -25,59 +27,75 @@ enum class SchedulerKind {
   kGridMediaPushPull,
 };
 
+// --- fixed parameters: Section 5.2 values and model choices -------------
+// No workload varies these.
+
+// Stream.
+/// Buffer capacity B in segments (60 s of media).
+inline constexpr std::size_t kBufferCapacity = 600;
+/// Scheduling period tau in seconds.
+inline constexpr double kSchedulingPeriod = 1.0;
+/// Segments a node must accumulate before starting playback — the
+/// startup cushion that absorbs per-round supply fluctuations. 5 s of
+/// media (CoolStreaming-era players buffered 5-120 s).
+inline constexpr std::size_t kStartupSegments = 50;
+/// How long playback waits (rebuffers) for a missing due segment
+/// before skipping it. Era players wait rather than skip; waiting
+/// also sinks a node to a depth its supply can sustain.
+inline constexpr double kStallPatience = 2.0;
+
+// Overlay.
+/// Overheard Nodes capacity H.
+inline constexpr std::size_t kOverheardCapacity = 20;
+/// ID space size N (power of two; the paper uses 8192). The session
+/// raises it automatically if the trace needs more room.
+inline constexpr std::uint64_t kIdSpace = 8192;
+
+// Bandwidth (segments/second; 1 segment = 30 Kb).
+/// Node inbound rate range [10, 33] ~ 300 Kbps - 1 Mbps, mean ~15.
+inline constexpr double kInboundMin = 10.0;
+inline constexpr double kInboundMax = 33.0;
+/// Outbound arranged "alike" per the paper.
+inline constexpr double kOutboundMin = 10.0;
+inline constexpr double kOutboundMax = 33.0;
+/// The source: zero inbound, much larger outbound (I = 100).
+inline constexpr double kSourceOutbound = 100.0;
+/// Mean inbound rate (the lambda of Section 5.1). The rate
+/// distribution is a truncated exponential on [min, max] with mean at
+/// min + (max-min)/4.6 ~ 15 segments/s for the paper's 300 Kbps -
+/// 1 Mbps range (average 450 Kbps).
+inline constexpr double kMeanInbound = kInboundMin + (kInboundMax - kInboundMin) / 4.6;
+/// Push fan-out for the GridMedia-style scheduler: how many partners
+/// a fresh segment is relayed to on receipt.
+inline constexpr std::size_t kPushFanout = 2;
+
+// Neighbor maintenance.
+/// Replace a neighbor whose smoothed supply rate is below this many
+/// segments per period (after the grace period).
+inline constexpr double kLowSupplyThreshold = 0.25;
+/// Grace period (seconds) before a neighbor can be judged weak.
+inline constexpr double kNeighborMinAge = 10.0;
+
+// --- the config: what a workload sets ---------------------------------------
+
 struct SystemConfig {
-  // --- stream parameters -------------------------------------------------
+  // --- stream / overlay ----------------------------------------------------
   /// Playback rate p: segments per second (300 Kbps / 30 Kb).
   std::uint64_t playback_rate = 10;
-  /// Buffer capacity B in segments (60 s of media).
-  std::size_t buffer_capacity = 600;
-  /// Scheduling period tau in seconds.
-  double scheduling_period = 1.0;
-  /// Segments a node must accumulate before starting playback — the
-  /// startup cushion that absorbs per-round supply fluctuations. 5 s of
-  /// media by default (CoolStreaming-era players buffered 5-120 s).
-  std::size_t startup_segments = 50;
-  /// How long playback waits (rebuffers) for a missing due segment
-  /// before skipping it. Era players wait rather than skip; waiting
-  /// also sinks a node to a depth its supply can sustain.
-  double stall_patience = 2.0;
-
-  // --- overlay parameters ------------------------------------------------
   /// Connected neighbors M.
   std::size_t connected_neighbors = 5;
-  /// Overheard Nodes capacity H.
-  std::size_t overheard_capacity = 20;
-  /// ID space size N (power of two; paper uses 8192). The session
-  /// raises it automatically if the trace needs more room.
-  std::uint64_t id_space = 8192;
-
-  // --- bandwidth (segments/second; 1 segment = 30 Kb) ---------------------
-  /// Node inbound rate range [10, 33] ~ 300 Kbps - 1 Mbps, mean ~15.
-  double inbound_min = 10.0;
-  double inbound_max = 33.0;
   /// Whether inbound/outbound rates vary per node ("heterogeneous") or
   /// every node gets the mean ("homogeneous", used by the 5.1 table).
   bool heterogeneous_bandwidth = true;
-  /// Outbound arranged "alike" per the paper.
-  double outbound_min = 10.0;
-  double outbound_max = 33.0;
-  /// The source: zero inbound, much larger outbound (I = 100).
-  double source_outbound = 100.0;
-  /// Push fan-out for the GridMedia-style scheduler: how many partners
-  /// a fresh segment is relayed to on receipt.
-  std::size_t push_fanout = 2;
 
   // --- DHT / pre-fetch ---------------------------------------------------
+  // The urgent line's t_hop and t_fetch (the paper's "rough
+  // estimates") are not settable: the session derives them from the
+  // trace's mean one-hop latency and node count.
   /// Replicas per segment k.
   unsigned backup_replicas = 4;
   /// Max segments fetched per on-demand invocation l.
   unsigned prefetch_limit = 5;
-  /// Average one-hop overlay latency estimate t_hop (seconds) used for
-  /// the alpha adaptation step size; the paper estimates ~50 ms.
-  double t_hop_estimate = 0.05;
-  /// Expected overlay population estimate used in t_fetch (the paper:
-  /// "we can set n = N/2 initially; it does not need to be accurate").
-  double expected_nodes = 4096.0;
 
   // --- scheduler / churn ---------------------------------------------------
   SchedulerKind scheduler = SchedulerKind::kContinuStreaming;
@@ -91,10 +109,11 @@ struct SystemConfig {
   /// injector is installed and the simulation is bit-identical to a
   /// fault-free build.
   fault::FaultPlan fault{};
-  /// Retry/backoff + supplier-blacklist hardening for the pull and
-  /// prefetch planes. Off by default (zero-fault hot path untouched);
-  /// the f*_ scenario families switch it on.
-  fault::RetryPolicy retry{};
+  /// Retry/backoff + supplier-blacklist hardening (the default
+  /// fault::RetryPolicy) for the pull and prefetch planes. Off by
+  /// default (zero-fault hot path untouched); the f*_ scenario
+  /// families switch it on.
+  bool harden = false;
 
   // --- observability -------------------------------------------------------
   /// Deterministic observability layer (src/obs/): phase profiler,
@@ -103,13 +122,6 @@ struct SystemConfig {
   /// only to obs-owned state — CI diffs fingerprints obs-on vs
   /// obs-off to enforce it).
   obs::ObsConfig obs{};
-
-  // --- neighbor maintenance ----------------------------------------------
-  /// Replace a neighbor whose smoothed supply rate is below this many
-  /// segments per period (after the grace period).
-  double low_supply_threshold = 0.25;
-  /// Grace period (seconds) before a neighbor can be judged weak.
-  double neighbor_min_age = 10.0;
 
   // --- run control ---------------------------------------------------------
   std::uint64_t seed = 42;
@@ -142,14 +154,6 @@ struct SystemConfig {
   /// True when this config selects the windowed engine.
   [[nodiscard]] bool windowed_engine() const noexcept {
     return sharded_queue && queue_skew_buckets > 0 && latency_grid_ms > 0.0;
-  }
-
-  /// Convenience: mean inbound rate (the lambda of Section 5.1). The
-  /// rate distribution is a truncated exponential on [min, max] with
-  /// mean at min + (max-min)/4.6 ~ 15 segments/s for the paper's
-  /// 300 Kbps - 1 Mbps range (average 450 Kbps).
-  [[nodiscard]] double mean_inbound() const noexcept {
-    return inbound_min + (inbound_max - inbound_min) / 4.6;
   }
 
   /// Preset: the paper's CoolStreaming baseline on identical substrate.

@@ -4,42 +4,27 @@
 #include <cassert>
 #include <limits>
 
-#include "analysis/continuity_model.hpp"
-
 namespace continu::core {
 
-namespace {
-[[nodiscard]] UrgentLineConfig urgent_config(const SystemConfig& config) {
-  UrgentLineConfig ul;
-  ul.playback_rate = config.playback_rate;
-  ul.buffer_capacity = config.buffer_capacity;
-  ul.scheduling_period = config.scheduling_period;
-  ul.t_hop = config.t_hop_estimate;
-  ul.t_fetch =
-      analysis::expected_fetch_time_s(config.expected_nodes, config.t_hop_estimate);
-  return ul;
-}
-}  // namespace
-
 Node::Node(NodeId id, std::size_t session_index, const SystemConfig& config,
-           const dht::IdSpace& space, double inbound_rate, double outbound_rate,
-           double ping_ms)
+           const UrgentLineConfig& urgent, const dht::IdSpace& space,
+           double inbound_rate, double outbound_rate, double ping_ms)
     : id_(id),
       session_index_(session_index),
       ping_ms_(ping_ms),
       inbound_rate_(inbound_rate),
       outbound_rate_(outbound_rate),
-      buffer_(config.buffer_capacity, config.playback_rate, config.stall_patience),
+      buffer_(kBufferCapacity, config.playback_rate, kStallPatience),
       // Partnerships are bidirectional TCP connections over the overlay's
       // undirected edges: a node initiates M but also accepts incoming
       // links, so the set is sized with headroom (degree ~ M on average,
       // bounded by 2M).
       neighbors_(2 * config.connected_neighbors),
       dht_peers_(space, id),
-      overheard_(config.overheard_capacity),
+      overheard_(kOverheardCapacity),
       backup_(space, id, config.backup_replicas),
       rates_(/*initial_rate=*/static_cast<double>(config.playback_rate)),
-      urgent_line_(urgent_config(config)) {}
+      urgent_line_(urgent) {}
 
 double Node::available_sending_rate(SimTime now) const noexcept {
   const double backlog_s = std::max(0.0, uplink_free_at_ - now);

@@ -70,9 +70,11 @@ struct PackedStrike {
 
 class Node {
  public:
+  /// `urgent` seeds the node's urgent line; the session derives it once
+  /// from the trace and hands the same value to every node.
   Node(NodeId id, std::size_t session_index, const SystemConfig& config,
-       const dht::IdSpace& space, double inbound_rate, double outbound_rate,
-       double ping_ms);
+       const UrgentLineConfig& urgent, const dht::IdSpace& space,
+       double inbound_rate, double outbound_rate, double ping_ms);
 
   // --- identity -----------------------------------------------------------
   [[nodiscard]] NodeId id() const noexcept { return id_; }

@@ -109,6 +109,26 @@ constexpr SegmentId kLookaheadSegments = 150;
 constexpr std::size_t kPlanGrain = 32;    ///< round-plan items per shard
 constexpr std::size_t kSweepGrain = 256;  ///< per-node sweep items per shard
 
+/// The retry/backoff + blacklist schedule every hardened session runs.
+constexpr fault::RetryPolicy kRetryPolicy{};
+
+/// The urgent line's inputs (paper eqs. 4-9), derived from the trace
+/// instead of set: t_hop is its mean one-hop latency (the paper calls
+/// t_hop "an approximate estimation from our simulation experience")
+/// and t_fetch uses its node count as n ("it does not need to be
+/// accurate").
+[[nodiscard]] UrgentLineConfig derive_urgent_line(std::uint64_t playback_rate,
+                                                  const net::LatencyModel& latency,
+                                                  std::size_t nodes) {
+  UrgentLineConfig ul;
+  ul.playback_rate = playback_rate;
+  ul.buffer_capacity = kBufferCapacity;
+  ul.scheduling_period = kSchedulingPeriod;
+  ul.t_hop = latency.average_latency_ms() / 1000.0;
+  ul.t_fetch = analysis::expected_fetch_time_s(static_cast<double>(nodes), ul.t_hop);
+  return ul;
+}
+
 }  // namespace
 
 std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
@@ -121,7 +141,7 @@ std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
 
 Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot)
     : config_(config),
-      space_(fit_id_space(config.id_space, snapshot.node_count())),
+      space_(fit_id_space(kIdSpace, snapshot.node_count())),
       hop_cap_(static_cast<unsigned>(std::ceil(space_.hop_upper_bound())) + 2),
       // ParallelExecutor resolves 0 to hardware_concurrency itself.
       exec_(config.threads),
@@ -129,14 +149,19 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       network_(sim_, exec_,
                net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
                                              config.latency_grid_ms)),
+      urgent_(derive_urgent_line(config.playback_rate, network_.latency(),
+                                 snapshot.node_count())),
+      hardened_(config.harden),
       directory_(space_),
       rp_(space_, util::Rng(config.seed ^ 0x5250ULL)),
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
-      rounds_(sim_, config.scheduling_period,
+      rounds_(sim_, kSchedulingPeriod,
               [this](const std::vector<std::size_t>& users) {
                 on_round_batch(users);
-              }) {
+              }),
+      emission_(sim_, 1.0 / static_cast<double>(config.playback_rate),
+                [this](const std::vector<std::size_t>&) { on_source_emit(); }) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
   // Quantized-mode delivery buckets fork on the session's executor;
   // the hooks bracket each dispatch with per-shard stats scratch and
@@ -158,14 +183,8 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     hooks.serial_scratch = &stats_;
     network_.set_shard_hooks(std::move(hooks));
   }
-  // Self-calibrate t_hop from the trace (the paper: "t_hop is ... an
-  // approximate estimation from our simulation experience"). Drives the
-  // urgent line's initial alpha, lower bound and adaptation step.
-  config_.t_hop_estimate = network_.latency().average_latency_ms() / 1000.0;
-  config_.expected_nodes = static_cast<double>(snapshot.node_count());
   // Compile the fault plan. An inert plan installs nothing, so the
   // zero-fault send path never even branches into the injector.
-  hardened_ = config_.retry.enabled;
   if (config_.fault.active()) {
     fault_injector_ =
         std::make_unique<fault::FaultInjector>(config_.fault, config_.seed);
@@ -179,7 +198,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     exec_.set_observer(profiler_.get());
   }
   if (config_.obs.trace) {
-    trace_ = std::make_unique<obs::TraceSink>(config_.obs.trace_capacity,
+    trace_ = std::make_unique<obs::TraceSink>(obs::kTraceCapacity,
                                               config_.obs.trace_node);
     if (profiler_ != nullptr) profiler_->set_span_sink(trace_.get());
   }
@@ -192,7 +211,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     ctr_stall_transitions_ = obs_counters_->declare("sample.stall_transitions");
     obs_counters_->ensure_shards(1);
   }
-  network_.set_observability(profiler_.get(), trace_.get());
+  network_.set_trace(trace_.get());
   build_nodes(snapshot);
   assign_initial_neighbors(snapshot);
   populate_initial_dht();
@@ -207,11 +226,6 @@ sim::Simulator::LaxConfig Session::engine_config() {
   lax.skew_buckets = config_.queue_skew_buckets;
   lax.grid_s = config_.latency_grid_ms / 1000.0;
   lax.exec = &exec_;
-  lax.on_fork = [this](std::size_t shards) {
-    if (profiler_ != nullptr) {
-      profiler_->begin_fork_phase(obs::Phase::kLaxDrain, shards);
-    }
-  };
   return lax;
 }
 
@@ -221,17 +235,15 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   round_handles_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = rp_.assign_id();
-    double inbound =
-        sample_rate(config_.inbound_min, config_.inbound_max, /*skewed=*/true);
-    double outbound =
-        sample_rate(config_.outbound_min, config_.outbound_max, /*skewed=*/false);
+    double inbound = sample_rate(kInboundMin, kInboundMax, /*skewed=*/true);
+    double outbound = sample_rate(kOutboundMin, kOutboundMax, /*skewed=*/false);
     if (i == 0) {
       // The source: zero inbound, much larger outbound.
       inbound = 0.0;
-      outbound = config_.source_outbound;
+      outbound = kSourceOutbound;
     }
-    auto node = std::make_unique<Node>(id, i, config_, space_, inbound, outbound,
-                                       snapshot.nodes()[i].ping_ms);
+    auto node = std::make_unique<Node>(id, i, config_, urgent_, space_, inbound,
+                                       outbound, snapshot.nodes()[i].ping_ms);
     if (i == 0) node->mark_source();
     directory_.insert(id);
     rp_.register_node(id);
@@ -335,7 +347,7 @@ void Session::populate_initial_dht() {
 }
 
 SimTime Session::round_phase(util::Rng& rng) const {
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
   const SimTime now = sim_.now();
   // Nodes sharing a bucket tick at the SAME instant, so RoundScheduler
   // batches them and the executor has something to shard. Buckets span
@@ -355,12 +367,10 @@ SimTime Session::round_phase(util::Rng& rng) const {
 }
 
 void Session::start_processes() {
-  const double tau = config_.scheduling_period;
-  const double emit_period = 1.0 / static_cast<double>(config_.playback_rate);
+  const double tau = kSchedulingPeriod;
 
-  emit_process_ = std::make_unique<sim::PeriodicProcess>(
-      sim_, emit_period, [this] { on_source_emit(); });
-  emit_process_->start(emit_period);
+  // Source emission: segment s appears at the (s+1)-th 1/p tick.
+  emission_tick_ = emission_.add(emission_.period(), /*user=*/0);
 
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     round_handles_.push_back(rounds_.add_at(round_phase(rng_), i));
@@ -430,8 +440,7 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
   // the per-shard PrepareShard scratch.
   shard_stats_.assign(shards, SessionStats{});
   for (std::size_t s = 0; s < shards; ++s) prepare_shards_[s].reset();
-  if (prof != nullptr) prof->begin_fork_phase(obs::Phase::kPrepareLocal, n);
-  exec_.for_shards(n, kPlanGrain,
+  exec_.for_shards(obs::Phase::kPrepareLocal, n, kPlanGrain,
                    [this, &users](std::size_t s, std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
                        round_prepare_local(users[i], shard_stats_[s],
@@ -460,8 +469,7 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
   // Phase 2 — plan: forked across shards.
   plans_.assign(n, RoundPlan{});
   shard_stats_.assign(shards, SessionStats{});
-  if (prof != nullptr) prof->begin_fork_phase(obs::Phase::kPlan, n);
-  exec_.for_shards(n, kPlanGrain,
+  exec_.for_shards(obs::Phase::kPlan, n, kPlanGrain,
                    [this, &users](std::size_t s, std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
                        round_plan(users[i], plans_[i], shard_stats_[s],
@@ -505,7 +513,7 @@ void Session::run(SimTime duration) {
 }
 
 void Session::stop() {
-  emit_process_->stop();
+  emission_.remove(emission_tick_);
   for (const auto handle : round_handles_) rounds_.remove(handle);
   rounds_.remove(sample_tick_);
   rounds_.remove(churn_tick_);
@@ -572,7 +580,7 @@ void Session::round_prepare_local(std::size_t index, SessionStats& stats,
   Node& node = *nodes_[index];
   if (!node.alive()) return;
   const SimTime now = sim_.now();
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
   // Per-tick RNG stream: every draw a round makes comes from
   // (session seed, tick time, node id), never from the shared session
   // generator — rounds are RNG-independent of each other, which is what
@@ -592,26 +600,22 @@ void Session::round_prepare_local(std::size_t index, SessionStats& stats,
   const auto on_failed = [&shard, index32](NodeId supplier) {
     shard.rate_decays.emplace_back(index32, supplier);
   };
-  if (hardened_) {
-    // The same one-pass sweep also records retry-backoff and
-    // supplier-strike state — all own-node writes, so the fork-safety
-    // argument is unchanged; the tallies ride the per-shard stats.
-    Node::SweepHardening hard;
-    stats.transfer_timeouts +=
-        node.sweep_timeouts(cutoff, on_failed, &config_.retry, now, &hard);
-    stats.retry_backoffs += hard.backoffs;
-    stats.suppliers_blacklisted += hard.blacklists;
-    if (trace_ != nullptr && (hard.backoffs > 0 || hard.blacklists > 0)) {
-      obs::TraceEvent event;
-      event.time = now;
-      event.kind = obs::TraceEventKind::kRetryBackoff;
-      event.node = index32;
-      event.a = hard.backoffs;
-      event.b = hard.blacklists;
-      trace_->record(obs_shard, event);
-    }
-  } else {
-    stats.transfer_timeouts += node.sweep_timeouts(cutoff, on_failed);
+  // Hardened, the same one-pass sweep also records retry-backoff and
+  // supplier-strike state — all own-node writes, so the fork-safety
+  // argument is unchanged; the tallies ride the per-shard stats.
+  Node::SweepHardening hard;
+  stats.transfer_timeouts += node.sweep_timeouts(
+      cutoff, on_failed, hardened_ ? &kRetryPolicy : nullptr, now, &hard);
+  stats.retry_backoffs += hard.backoffs;
+  stats.suppliers_blacklisted += hard.blacklists;
+  if (trace_ != nullptr && (hard.backoffs > 0 || hard.blacklists > 0)) {
+    obs::TraceEvent event;
+    event.time = now;
+    event.kind = obs::TraceEventKind::kRetryBackoff;
+    event.node = index32;
+    event.a = hard.backoffs;
+    event.b = hard.blacklists;
+    trace_->record(obs_shard, event);
   }
 
   if (node.buffer().started()) {
@@ -659,7 +663,7 @@ void Session::apply_prepare_shard(PrepareShard& shard) {
   // charged here in bulk — bit-identical to per-message charging
   // (TrafficAccount keeps per-class sums of bits and message counts).
   network_.charge_only_bulk(MessageType::kBufferMap,
-                            buffer_map_bits(config_.buffer_capacity),
+                            buffer_map_bits(kBufferCapacity),
                             shard.buffer_map_messages);
   network_.charge_only_bulk(MessageType::kJoinNotify,
                             kPiggybackEntries * kMembershipEntryBits,
@@ -697,7 +701,7 @@ void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats
   // TCP-based puller would.) Uses a reduced quota so the round's
   // total stays near I*tau. Deferred to the join: a worker shard must
   // not touch the queue (sequence numbers are global mutable state).
-  const SimTime when = sim_.now() + 0.5 * config_.scheduling_period;
+  const SimTime when = sim_.now() + 0.5 * kSchedulingPeriod;
   deferred.emplace_back([this, index, when] {
     sim_.schedule_at(when, [this, index] {
       Node& retry = *nodes_[index];
@@ -723,8 +727,8 @@ void Session::round_commit(std::size_t index, RoundPlan& plan) {
 
   // Garbage-collect state that can no longer matter. (Bookkeeping
   // compaction runs in round_prepare, at the in-flight low point.)
-  if (emitted_ > static_cast<SegmentId>(config_.buffer_capacity)) {
-    node.backup().expire_before(emitted_ - static_cast<SegmentId>(config_.buffer_capacity));
+  if (emitted_ > static_cast<SegmentId>(kBufferCapacity)) {
+    node.backup().expire_before(emitted_ - static_cast<SegmentId>(kBufferCapacity));
   }
   node.expire_tags(node.buffer().window_head());
 }
@@ -767,8 +771,8 @@ void Session::repair_neighbors(Node& node) {
   // asymmetry and repairs independently.
   const bool struggling = node.round_stats().missed > 0;
   if (struggling && node.neighbors().size() >= config_.connected_neighbors) {
-    const auto weakest = node.neighbors().weakest(now, config_.neighbor_min_age);
-    if (weakest.has_value() && weakest->supply_rate < config_.low_supply_threshold) {
+    const auto weakest = node.neighbors().weakest(now, kNeighborMinAge);
+    if (weakest.has_value() && weakest->supply_rate < kLowSupplyThreshold) {
       const auto candidate = node.overheard().best_candidate(excluded);
       if (candidate.has_value()) {
         const auto cidx = alive_node_by_id(candidate->id);
@@ -822,7 +826,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
     return false;
   }();
   const std::size_t runway =
-      following ? kJoinStartSegments : config_.startup_segments;
+      following ? kJoinStartSegments : kStartupSegments;
   if (!node.buffer().startup_ready(runway)) return std::nullopt;
   const auto newest = node.buffer().newest();
   if (!newest.has_value()) return std::nullopt;
@@ -835,7 +839,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
   // arrival-FIFO buffers, and the urgency channel fetches it first.
   const SegmentId anchor =
       std::max({node.buffer().window_head(),
-                *newest - static_cast<SegmentId>(config_.startup_segments),
+                *newest - static_cast<SegmentId>(kStartupSegments),
                 SegmentId{0}});
   return anchor;
 }
@@ -887,7 +891,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
 bool Session::plan_scheduling(const Node& node, double budget_fraction,
                               ScheduleResult& out, std::uint64_t& seen) const {
   const SimTime now = sim_.now();
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
 
   // Collect alive neighbor views.
   struct NeighborView {
@@ -903,7 +907,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
     // Supplier failover: a blacklisted neighbor's offers are ignored
     // until its window decays, so demand routes around a peer whose
     // transfers keep timing out (lossy link or silently dead).
-    if (hardened_ && node.supplier_blacklisted(id, now, config_.retry)) continue;
+    if (hardened_ && node.supplier_blacklisted(id, now, kRetryPolicy)) continue;
     const Node& peer = *nodes_[*idx];
     const auto newest = peer.buffer().newest();
     if (!newest.has_value()) continue;
@@ -946,7 +950,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   lo = std::max<SegmentId>(lo, 0);
   SegmentId hi = lo;
   for (const auto& view : views) hi = std::max(hi, view.newest + 1);
-  hi = std::min(hi, lo + static_cast<SegmentId>(config_.buffer_capacity));
+  hi = std::min(hi, lo + static_cast<SegmentId>(kBufferCapacity));
   hi = std::min(hi, lo + kLookaheadSegments);
 
   // Build candidates: fresh segments = in some neighbor's buffer, not
@@ -956,7 +960,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   request.priority_inputs.play_point =
       started ? node.buffer().play_point(now) : kInvalidSegment;
   request.priority_inputs.playback_rate = config_.playback_rate;
-  request.priority_inputs.buffer_capacity = config_.buffer_capacity;
+  request.priority_inputs.buffer_capacity = kBufferCapacity;
 
   // Inbound quota (Algorithm 1 line 1): min(m, I*tau). The downlink
   // queue model enforces actual absorption; transfer_pending prevents
@@ -984,7 +988,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
       offer.rate = view.rate;
       const auto distance = static_cast<std::size_t>(
           std::max<SegmentId>(view.newest - id + 1, 1));
-      offer.buffer_position = std::min(distance, config_.buffer_capacity);
+      offer.buffer_position = std::min(distance, kBufferCapacity);
       candidate.offers.push_back(offer);
     }
     if (!candidate.offers.empty()) {
@@ -1071,7 +1075,7 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
     event.a = ids.size();
     trace_->record(ctx.shard(), event);
   }
-  const double horizon = kServeWithinPeriods * config_.scheduling_period;
+  const double horizon = kServeWithinPeriods * kSchedulingPeriod;
   const double service_time = 1.0 / std::max(sup.outbound_rate(), 0.01);
   // Keep the urgent head of the request in priority order (the
   // requester ranked deadline-critical segments first), but serve the
@@ -1325,7 +1329,7 @@ void Session::push_relay(Node& node, SegmentId id) {
   // GridMedia for), starving the pull plane. Respect the uplink
   // admission horizon so pushes cannot monopolize a saturated uplink.
   const std::size_t fanout =
-      node.is_source() ? config_.push_fanout + 2 : std::size_t{1};
+      node.is_source() ? kPushFanout + 2 : std::size_t{1};
   auto partners = node.neighbors().ids();
   rng_.shuffle(partners);
   std::size_t pushed = 0;
@@ -1335,7 +1339,7 @@ void Session::push_relay(Node& node, SegmentId id) {
     if (!pidx.has_value()) continue;
     Node& peer = *nodes_[*pidx];
     if (peer.buffer().has(id)) continue;
-    const double horizon = kServeWithinPeriods * config_.scheduling_period;
+    const double horizon = kServeWithinPeriods * kSchedulingPeriod;
     const double service = 1.0 / std::max(node.outbound_rate(), 0.01);
     if (std::max(node.uplink_free_at(), sim_.now()) + service - sim_.now() > horizon) {
       break;  // uplink saturated: pulls take precedence
@@ -1372,11 +1376,9 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
   // the paper's "repeated data" case and alpha shrinks. Further out,
   // a segment already riding a gossip request is not yet "predicted
   // missed" and is left to the scheduler.
-  const double t_fetch = analysis::expected_fetch_time_s(
-      config_.expected_nodes, config_.t_hop_estimate);
   const SegmentId imminent =
       head + static_cast<SegmentId>(std::ceil(
-                 static_cast<double>(config_.playback_rate) * t_fetch)) + 1;
+                 static_cast<double>(config_.playback_rate) * urgent_.t_fetch)) + 1;
   // A segment the SAME round's scheduling plan just booked is not yet
   // in transfer_pending (bookings commit after the plan join), so
   // consult the plan directly — reproducing the serial rule that a
@@ -1405,7 +1407,7 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
   // Pre-fetch shares the inbound rate with the scheduler: skip when the
   // downlink is already saturated with scheduled arrivals.
   const double backlog_s = std::max(0.0, node.downlink_free_at() - now);
-  if (backlog_s > 0.5 * config_.scheduling_period) return plan;
+  if (backlog_s > 0.5 * kSchedulingPeriod) return plan;
 
   plan.launch.assign(missed.begin(), missed.begin() + quota);
   return plan;
@@ -1545,7 +1547,7 @@ void Session::handle_prefetch_request(std::size_t owner, std::size_t origin,
   // owner for its available sending rate, so serve unless the uplink is
   // severely backed up (then the origin's timeout recovers).
   if (node.uplink_free_at() - sim_.now() >
-      2.0 * kServeWithinPeriods * config_.scheduling_period) {
+      2.0 * kServeWithinPeriods * kSchedulingPeriod) {
     return;
   }
   start_fluid_transfer(owner, origin, segment, MessageType::kPrefetchData,
@@ -1603,10 +1605,7 @@ void Session::drop_transfers_from_dead(const std::vector<NodeId>& dead_ids) {
   // in-flight table), so it shards across the executor — the serial
   // mass of a churn tick at 8000 nodes is this O(N) scan.
   if (dead_ids.empty()) return;
-  if (profiler_ != nullptr) {
-    profiler_->begin_fork_phase(obs::Phase::kChurnSweep, nodes_.size());
-  }
-  exec_.for_shards(nodes_.size(), kSweepGrain,
+  exec_.for_shards(obs::Phase::kChurnSweep, nodes_.size(), kSweepGrain,
                    [this, &dead_ids](std::size_t, std::size_t begin,
                                      std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
@@ -1692,9 +1691,9 @@ void Session::do_join() {
   const double ping = sample_ping();
   const std::size_t index = network_.latency().add_node(ping);
   auto node = std::make_unique<Node>(
-      id, index, config_, space_,
-      sample_rate(config_.inbound_min, config_.inbound_max, /*skewed=*/true),
-      sample_rate(config_.outbound_min, config_.outbound_max, /*skewed=*/false),
+      id, index, config_, urgent_, space_,
+      sample_rate(kInboundMin, kInboundMax, /*skewed=*/true),
+      sample_rate(kOutboundMin, kOutboundMax, /*skewed=*/false),
       ping);
   const SimTime now = sim_.now();
   ++stats_.joins;
@@ -1803,10 +1802,7 @@ void Session::on_sample_tick() {
   std::vector<SampleAccum> partials(
       sim::parallel::ParallelExecutor::shard_count(n, kSweepGrain));
   obs_ensure_shards(partials.size());
-  if (profiler_ != nullptr) {
-    profiler_->begin_fork_phase(obs::Phase::kSampleSweep, n);
-  }
-  exec_.for_shards(n, kSweepGrain,
+  exec_.for_shards(obs::Phase::kSampleSweep, n, kSweepGrain,
                    [this, &partials, now](std::size_t s, std::size_t begin,
                                           std::size_t end) {
                      SampleAccum& acc = partials[s];

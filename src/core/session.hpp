@@ -480,13 +480,16 @@ class Session {
   sim::parallel::ParallelExecutor exec_;
   sim::Simulator sim_;
   net::Network network_;
+  /// The urgent line's inputs, derived from the trace at construction
+  /// (mean one-hop latency, node count) and handed to every node.
+  const UrgentLineConfig urgent_;
   /// Compiled FaultPlan (null when the plan is inert — the network
   /// then never consults it and the send path is bit-identical to a
   /// fault-free build).
   std::unique_ptr<fault::FaultInjector> fault_injector_;
-  /// Cached config_.retry.enabled: hardening consults ride hot
-  /// scheduling loops, and the zero-fault path must stay branch-cheap.
-  bool hardened_ = false;
+  /// Cached config_.harden: hardening consults ride hot scheduling
+  /// loops, and the zero-fault path must stay branch-cheap.
+  const bool hardened_;
   dht::RingDirectory directory_;
   overlay::RendezvousServer rp_;
   overlay::ChurnPlanner churn_;
@@ -507,7 +510,9 @@ class Session {
   /// churn is disabled).
   sim::RoundScheduler::Handle sample_tick_;
   sim::RoundScheduler::Handle churn_tick_;
-  std::unique_ptr<sim::PeriodicProcess> emit_process_;
+  /// Source emission: one participant ticking every 1/p seconds.
+  sim::RoundScheduler emission_;
+  sim::RoundScheduler::Handle emission_tick_;
   util::FlatMap<NodeId, std::size_t> index_of_;
 
   /// Fork/join scratch, reused across batches. plans_ is indexed by

@@ -69,11 +69,10 @@ struct FaultPlan {
 
 /// Hardening policy for the pull/prefetch planes: bounded
 /// retry-with-backoff on timed-out transfers and a decaying supplier
-/// blacklist after repeated failures. Disabled by default so the
-/// zero-fault hot path is untouched; fault scenarios switch it on.
+/// blacklist after repeated failures. A hardened session
+/// (SystemConfig::harden) runs the default policy; the Node hardening
+/// functions take it as a parameter so tests can pass other schedules.
 struct RetryPolicy {
-  bool enabled = false;
-
   /// Backoff after the k-th consecutive timeout of one segment:
   /// min(backoff_base * 2^(k-1), backoff_cap) seconds. Attempts are
   /// capped at max_attempts; further failures keep the cap.

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "fault/fault_injector.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace continu::net {
@@ -183,9 +182,6 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
     event.b = count;
     obs_trace_->record_serial(event);
   }
-  if (obs_profiler_ != nullptr) {
-    obs_profiler_->begin_fork_phase(obs::Phase::kDeliveryBucket, entries.size());
-  }
   if (hooks_.on_fork) hooks_.on_fork(shards);
 
   // Fork. A worker owns a contiguous run of receiver groups; every
@@ -208,7 +204,7 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
       }
     }
   };
-  exec_.for_shards(count, kReceiverGrain, body);
+  exec_.for_shards(obs::Phase::kDeliveryBucket, count, kReceiverGrain, body);
 
   // Join, in shard order. Drops first (pure sums), then the session
   // reduces its stats scratch, then each shard's buffered work runs

@@ -49,7 +49,6 @@ class FaultInjector;
 }
 
 namespace continu::obs {
-class PhaseProfiler;
 class TraceSink;
 }  // namespace continu::obs
 
@@ -191,16 +190,11 @@ class Network {
     fault_ = injector;
   }
 
-  /// Installs the session's observability sinks (either may be null =
-  /// that pillar is off). The network only ever WRITES obs-owned state
-  /// through these — bucket-fire phase brackets into the profiler,
-  /// fault-classification events into the trace — so installing them
-  /// cannot move a delivery schedule or a fingerprint.
-  void set_observability(obs::PhaseProfiler* profiler,
-                         obs::TraceSink* trace) noexcept {
-    obs_profiler_ = profiler;
-    obs_trace_ = trace;
-  }
+  /// Installs the session's trace sink (null = the pillar is off). The
+  /// network only ever WRITES obs-owned state through it — bucket-fire
+  /// and fault-classification events — so installing it cannot move a
+  /// delivery schedule or a fingerprint.
+  void set_trace(obs::TraceSink* trace) noexcept { obs_trace_ = trace; }
 
   [[nodiscard]] const TrafficAccount& traffic() const noexcept { return traffic_; }
   [[nodiscard]] TrafficAccount& traffic() noexcept { return traffic_; }
@@ -337,7 +331,6 @@ class Network {
   std::uint64_t fault_partitioned_ = 0;
 
   // --- observability (null = off) -----------------------------------------
-  obs::PhaseProfiler* obs_profiler_ = nullptr;
   obs::TraceSink* obs_trace_ = nullptr;
 
   // --- quantized mode ----------------------------------------------------

@@ -4,11 +4,6 @@
 
 namespace continu::obs {
 
-void PhaseProfiler::begin_fork_phase(Phase phase, std::size_t batch_items) noexcept {
-  current_ = phase;
-  ++hist_[static_cast<std::size_t>(phase)][histogram_bucket(batch_items)];
-}
-
 void PhaseProfiler::record_serial(Phase phase, std::uint64_t t0_ns,
                                   std::uint64_t t1_ns) {
   PhaseTotals& totals = totals_[static_cast<std::size_t>(phase)];
@@ -19,7 +14,9 @@ void PhaseProfiler::record_serial(Phase phase, std::uint64_t t0_ns,
   }
 }
 
-void PhaseProfiler::on_fork(std::size_t shards) {
+void PhaseProfiler::on_fork(Phase phase, std::size_t items, std::size_t shards) {
+  current_ = phase;
+  ++hist_[static_cast<std::size_t>(phase)][histogram_bucket(items)];
   fork_shards_ = shards;
   if (slots_.size() < shards) slots_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) slots_[s] = ShardSlot{};
@@ -55,9 +52,6 @@ void PhaseProfiler::on_join(std::uint64_t fork_t0_ns, std::uint64_t join_t1_ns) 
     totals.mean_shard_ns +=
         static_cast<double>(work) / static_cast<double>(fork_shards_);
   }
-  // A fork launched without a bracket (there should be none) counts
-  // against kOtherFork rather than the previous phase.
-  current_ = Phase::kOtherFork;
 }
 
 ProfileReport PhaseProfiler::report() const {

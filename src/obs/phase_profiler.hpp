@@ -63,6 +63,9 @@ struct ProfileReport {
   std::array<PhaseTotals, kPhaseCount> phases{};
   /// Log2 batch-size histogram per phase: bucket b counts forks whose
   /// item count n satisfies 2^b <= n < 2^(b+1) (bucket 0 includes n<=1).
+  /// Items are what the fork shards over: nodes for the round phases and
+  /// sweeps, receivers (not deliveries) for delivery_bucket, queue
+  /// shards for lax_drain.
   std::array<std::array<std::uint64_t, 20>, kPhaseCount> batch_hist{};
   AmdahlEstimate amdahl{};
 };
@@ -78,18 +81,15 @@ class PhaseProfiler final : public sim::parallel::ForkObserver {
   /// (drawn as the wall-clock track of the Chrome trace export).
   void set_span_sink(TraceSink* sink) noexcept { span_sink_ = sink; }
 
-  /// Attributes the NEXT fork/join to `phase` and bumps that phase's
-  /// batch-size histogram. Call serially, immediately before the fork.
-  void begin_fork_phase(Phase phase, std::size_t batch_items) noexcept;
-
   /// Accounts an explicit serial span (prepare-link, commit).
   void record_serial(Phase phase, std::uint64_t t0_ns, std::uint64_t t1_ns);
 
   /// Adds a Session::run() wall-clock bracket to the Amdahl base.
   void add_run_wall(std::uint64_t wall_ns) noexcept { run_wall_ns_ += wall_ns; }
 
-  // ForkObserver — called by the executor.
-  void on_fork(std::size_t shards) override;
+  // ForkObserver — called by the executor. on_fork attributes the
+  // fork/join to `phase` and bumps that phase's batch-size histogram.
+  void on_fork(Phase phase, std::size_t items, std::size_t shards) override;
   void on_shard_done(std::size_t shard, std::uint64_t t0_ns,
                      std::uint64_t t1_ns) override;
   void on_join(std::uint64_t fork_t0_ns, std::uint64_t join_t1_ns) override;

@@ -1,8 +1,9 @@
 #pragma once
 // Phase taxonomy shared by the profiler (per-phase timing totals) and
 // the trace sink (wall-time phase spans). One entry per instrumented
-// region of the engine; kOtherFork catches fork/joins launched without
-// an explicit phase bracket so nothing is silently unattributed.
+// region of the engine. Every fork names its phase in
+// ParallelExecutor::for_shards; kOtherFork is the name for forks outside
+// the engine's phases (ad-hoc and test forks).
 
 #include <cstddef>
 #include <cstdint>
@@ -21,7 +22,7 @@ enum class Phase : std::uint8_t {
   kLaxDrain,          ///< windowed-engine shard pops (forked)
   kSampleSweep,       ///< metrics sample tick sweep (forked)
   kChurnSweep,        ///< dead-supplier transfer sweep (forked)
-  kOtherFork,         ///< fork/join with no phase bracket
+  kOtherFork,         ///< fork/join outside the engine's phases
   kCount,
 };
 

@@ -32,14 +32,14 @@ ParallelExecutor::~ParallelExecutor() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ParallelExecutor::for_shards(std::size_t count, std::size_t grain,
-                                  const ShardFn& fn) {
+void ParallelExecutor::for_shards(obs::Phase phase, std::size_t count,
+                                  std::size_t grain, const ShardFn& fn) {
   if (grain == 0) grain = 1;
   const std::size_t shards = shard_count(count, grain);
   if (shards == 0) return;
   ForkObserver* const obs = observer_;
   const std::uint64_t fork_t0 = obs != nullptr ? monotonic_ns() : 0;
-  if (obs != nullptr) obs->on_fork(shards);
+  if (obs != nullptr) obs->on_fork(phase, count, shards);
   if (workers_.empty() || shards == 1) {
     // Inline path: the SAME shard decomposition as the pooled path, so
     // per-shard accumulation (and its floating-point merge order) is

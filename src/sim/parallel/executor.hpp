@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/phases.hpp"
+
 namespace continu::sim::parallel {
 
 /// Monotonic wall clock in nanoseconds, shared by the executor's shard
@@ -46,8 +48,9 @@ namespace continu::sim::parallel {
 class ForkObserver {
  public:
   virtual ~ForkObserver() = default;
-  /// A job of `shards` shards is about to launch (serial, pre-fork).
-  virtual void on_fork(std::size_t shards) = 0;
+  /// A `phase` job of `items` items in `shards` shards is about to
+  /// launch (serial, pre-fork).
+  virtual void on_fork(obs::Phase phase, std::size_t items, std::size_t shards) = 0;
   /// Shard `shard` ran on [t0_ns, t1_ns] (worker thread, mid-fork).
   virtual void on_shard_done(std::size_t shard, std::uint64_t t0_ns,
                              std::uint64_t t1_ns) = 0;
@@ -84,10 +87,13 @@ class ParallelExecutor {
   }
 
   /// Runs fn over every shard of [0, count); returns after ALL shards
-  /// completed (the join). The first shard exception (lowest shard
-  /// index) is rethrown on the calling thread. Reentrant calls from
-  /// inside a shard are not supported.
-  void for_shards(std::size_t count, std::size_t grain, const ShardFn& fn);
+  /// completed (the join). `phase` names the fork for the observer
+  /// (profiler attribution, batch-size histogram) and nothing else.
+  /// The first shard exception (lowest shard index) is rethrown on the
+  /// calling thread. Reentrant calls from inside a shard are not
+  /// supported.
+  void for_shards(obs::Phase phase, std::size_t count, std::size_t grain,
+                  const ShardFn& fn);
 
   /// Installs (or clears, with nullptr) the fork/join observer. Serial
   /// only — never call while a job is in flight. When no observer is

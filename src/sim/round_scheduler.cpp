@@ -90,9 +90,10 @@ void RoundScheduler::fire() {
   // participant the proxy was armed for, the surviving minimum lies in
   // the future and must NOT run early — the rearm below re-aims the
   // proxy instead. Survivors re-arm at next = fired + period, the exact
-  // arithmetic PeriodicProcess uses (e.time == now for every entry the
-  // proxy was armed for); a participant removed (or its slot recycled)
-  // during the batch fails the generation compare and is not re-armed.
+  // arithmetic of a self-rescheduling event (e.time == now for every
+  // entry the proxy was armed for); a participant removed (or its slot
+  // recycled) during the batch fails the generation compare and is not
+  // re-armed.
   const SimTime due = sim_.now();
   drop_dead();
   due_entries_.clear();

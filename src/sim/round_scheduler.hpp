@@ -1,12 +1,13 @@
 #pragma once
-// RoundScheduler — batched periodic scheduling for fleets of
-// same-period ticks (per-node scheduling rounds, playback, metric
-// sampling, churn).
+// RoundScheduler — the engine's one periodic primitive: same-period
+// ticks for fleets (per-node scheduling rounds, playback, metric
+// sampling, churn) and for single participants (source emission, a
+// scheduler of its own at period 1/p).
 //
-// One PeriodicProcess per node means N standing events in the
-// simulator queue plus a heap-allocated closure per node; at 8000+
-// nodes those dominate queue depth. A RoundScheduler keeps at most ONE
-// pending simulator event no matter how many participants it drives:
+// One self-rescheduling event per node means N standing events in the
+// simulator queue; at 8000+ nodes those dominate queue depth. A
+// RoundScheduler keeps at most ONE pending simulator event no matter
+// how many participants it drives:
 // participants live in a flat slot vector, their next-fire times in a
 // private (time, seq) min-heap, and the single armed proxy event hands
 // every tick due at that instant to the batch callback in one call,
@@ -15,10 +16,10 @@
 // Determinism contract (the engine acceptance bar): each participant
 // ticks at exactly initial_time, initial_time + period,
 // initial_time + 2*period, ... with the SAME floating-point arithmetic
-// a self-rescheduling PeriodicProcess would produce (next = fired +
+// a self-rescheduling schedule_at loop would produce (next = fired +
 // period), and equal-time ticks appear in add() order within their
 // batch. A callback that loops over its batch sees the tick sequence
-// the per-node-process fleet it replaced would have run.
+// one such loop per participant would have run.
 //
 // Join/leave is O(1): add() takes a free slot (or appends), remove()
 // bumps the slot's generation and frees it — stale heap entries and

@@ -43,9 +43,9 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     // due within the window into its private scratch. Queue-local heap
     // pops only; the window's accounting is serial in finish_window.
     constexpr unsigned nshards = ShardedEventQueue::kShards;
-    if (lax_.on_fork) lax_.on_fork(nshards);
     lax_.exec->for_shards(
-        nshards, /*grain=*/1, [&](std::size_t, std::size_t begin, std::size_t end) {
+        obs::Phase::kLaxDrain, nshards, /*grain=*/1,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t s = begin; s < end; ++s) {
             squeue_->collect_window(static_cast<std::uint32_t>(s), limit);
           }
@@ -95,44 +95,6 @@ std::size_t Simulator::run_all() {
 
 bool Simulator::step() {
   return drain(std::numeric_limits<SimTime>::infinity(), 1) > 0;
-}
-
-PeriodicProcess::PeriodicProcess(Simulator& sim, SimTime period, EventAction tick)
-    : sim_(sim), period_(period), tick_(std::move(tick)) {
-  if (period_ <= 0.0) {
-    throw std::invalid_argument("PeriodicProcess: period must be positive");
-  }
-  if (!tick_) {
-    throw std::invalid_argument("PeriodicProcess: empty tick");
-  }
-}
-
-PeriodicProcess::~PeriodicProcess() { stop(); }
-
-void PeriodicProcess::start(SimTime initial_delay) {
-  if (running_) return;
-  running_ = true;
-  arm(initial_delay);
-}
-
-void PeriodicProcess::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_event_ != kInvalidEvent) {
-    sim_.cancel(pending_event_);
-    pending_event_ = kInvalidEvent;
-  }
-}
-
-void PeriodicProcess::arm(SimTime delay) {
-  pending_event_ = sim_.schedule_in(delay, [this] { fire(); });
-}
-
-void PeriodicProcess::fire() {
-  pending_event_ = kInvalidEvent;
-  if (!running_) return;
-  tick_();
-  if (running_) arm(period_);
 }
 
 }  // namespace continu::sim

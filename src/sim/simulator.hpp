@@ -4,7 +4,9 @@
 // Everything in the reproduction — buffer-map exchanges, segment
 // transfers, DHT routing hops, churn, playback ticks — executes as
 // events on one Simulator instance, so a (seed, config) pair fully
-// determines a run.
+// determines a run. Periodic work (source emission, node rounds,
+// sampling, churn) runs on a RoundScheduler, which keeps one pending
+// event per scheduler and re-arms it itself.
 //
 // Scheduling is allocation-free: actions are EventActions, whose
 // capture is stored inline, constructed directly in the queue's slot
@@ -46,13 +48,12 @@ class Simulator {
   /// drains windows `skew_buckets * grid_s` wide: per-shard pops fork on
   /// `exec` (a one-thread executor runs them inline with the identical
   /// shard decomposition) and execution is serial in shard-index order
-  /// at per-event local clocks. `on_fork(shards)` fires before each collection fork (the
-  /// session brackets it as obs::Phase::kLaxDrain).
+  /// at per-event local clocks. Each collection fork is named
+  /// obs::Phase::kLaxDrain.
   struct LaxConfig {
     unsigned skew_buckets = 0;
     SimTime grid_s = 0.0;
     parallel::ParallelExecutor* exec = nullptr;
-    std::function<void(std::size_t shards)> on_fork;
   };
 
   /// The exact engine.
@@ -193,38 +194,6 @@ class Simulator {
   LaxConfig lax_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
-};
-
-/// Repeating event helper: reschedules itself every `period` until
-/// stop() or the owning simulator drains. One pending event at a time;
-/// re-arming reuses the inline [this] capture, so ticking never
-/// allocates. Used for source emission and ad-hoc periodic work; fleets
-/// of same-period ticks belong on a RoundScheduler instead.
-class PeriodicProcess {
- public:
-  PeriodicProcess(Simulator& sim, SimTime period, EventAction tick);
-  ~PeriodicProcess();
-  PeriodicProcess(const PeriodicProcess&) = delete;
-  PeriodicProcess& operator=(const PeriodicProcess&) = delete;
-
-  /// Starts with the first tick after `initial_delay`.
-  void start(SimTime initial_delay = 0.0);
-
-  /// Cancels the pending tick; further ticks stop.
-  void stop();
-
-  [[nodiscard]] bool running() const noexcept { return running_; }
-  [[nodiscard]] SimTime period() const noexcept { return period_; }
-
- private:
-  void arm(SimTime delay);
-  void fire();
-
-  Simulator& sim_;
-  SimTime period_;
-  EventAction tick_;
-  EventId pending_event_ = kInvalidEvent;
-  bool running_ = false;
 };
 
 }  // namespace continu::sim

@@ -22,7 +22,6 @@ trace::TraceSnapshot small_trace(std::size_t n, std::uint64_t seed) {
 SystemConfig small_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = 100.0;
   return config;
 }
 
@@ -146,8 +145,7 @@ TEST(Prefetch, InflightBookkeepingBounded) {
   // rate (requests + the mid-round top-up + the 3-round timeout).
   const auto snapshot = small_trace(80, 8);
   auto config = small_config(14);
-  config.inbound_min = 11.0;
-  config.inbound_max = 12.0;
+  config.heterogeneous_bandwidth = false;
   Session session(config, snapshot);
   session.run(25.0);
   for (std::size_t i = 1; i < session.node_count(); ++i) {

@@ -116,8 +116,8 @@ TEST(FaultInjector, LatencySpikesAddDelayOnlyInsideTheWindow) {
 
 core::Node test_node(NodeId id, const dht::IdSpace& space,
                      const core::SystemConfig& config) {
-  return core::Node(id, /*session_index=*/0, config, space,
-                    /*inbound_rate=*/15.0, /*outbound_rate=*/15.0,
+  return core::Node(id, /*session_index=*/0, config, core::UrgentLineConfig{},
+                    space, /*inbound_rate=*/15.0, /*outbound_rate=*/15.0,
                     /*ping_ms=*/50.0);
 }
 
@@ -127,7 +127,6 @@ TEST(RetryHardening, BackoffDoublesAndSaturatesAtTheCap) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.backoff_base = 0.5;
   policy.backoff_cap = 4.0;
   policy.max_attempts = 4;
@@ -173,7 +172,6 @@ TEST(RetryHardening, SupplierBlacklistEngagesDecaysAndClears) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.blacklist_strikes = 3;
   policy.blacklist_base = 2.0;
   policy.blacklist_cap = 8.0;
@@ -210,7 +208,6 @@ TEST(RetryHardening, CompactionSweepsStaleRetryRecords) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.backoff_base = 0.5;
   policy.backoff_cap = 2.0;
 
@@ -298,7 +295,6 @@ TEST(FaultSession, GracefulAndAbruptLeavesDifferInRecoveryCounters) {
     const auto snapshot = trace::generate_snapshot(tc);
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200.0;
     config.backup_replicas = 1;
     config.churn_enabled = true;
     config.churn.leave_fraction = 0.05;
@@ -330,10 +326,9 @@ TEST(FaultSession, SteadyStateStaysAllocationLeanUnderFaults) {
   const auto snapshot = trace::generate_snapshot(tc);
   core::SystemConfig config;
   config.seed = 24;
-  config.expected_nodes = 200.0;
   config.threads = 4;
   config.fault.loss_rate = 0.02;
-  config.retry.enabled = true;
+  config.harden = true;
   core::Session session(config, snapshot);
   session.run(15.0);  // warm-up: loss is already flowing
   session.run(25.0);  // steady state under sustained loss

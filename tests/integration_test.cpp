@@ -19,10 +19,9 @@ trace::TraceSnapshot make_trace(std::size_t n, std::uint64_t seed) {
   return trace::generate_snapshot(config);
 }
 
-SystemConfig base_config(std::uint64_t seed, std::size_t n) {
+SystemConfig base_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = static_cast<double>(n);
   return config;
 }
 
@@ -52,7 +51,7 @@ RunResult run_session(const SystemConfig& config, const trace::TraceSnapshot& sn
 // on playback continuity, in both static and dynamic environments.
 TEST(Integration, ContinuBeatsCoolStreamingStatic) {
   const auto snapshot = make_trace(250, 21);
-  const auto config = base_config(31, 250);
+  const auto config = base_config(31);
   const auto continu = run_session(config, snapshot, 40.0, 25.0);
   const auto cool = run_session(config.as_coolstreaming(), snapshot, 40.0, 25.0);
   EXPECT_GT(continu.stable_continuity, cool.stable_continuity);
@@ -61,7 +60,7 @@ TEST(Integration, ContinuBeatsCoolStreamingStatic) {
 
 TEST(Integration, ContinuBeatsCoolStreamingDynamic) {
   const auto snapshot = make_trace(250, 22);
-  auto config = base_config(32, 250);
+  auto config = base_config(32);
   config.churn_enabled = true;
   const auto continu = run_session(config, snapshot, 40.0, 25.0);
   const auto cool = run_session(config.as_coolstreaming(), snapshot, 40.0, 25.0);
@@ -71,7 +70,7 @@ TEST(Integration, ContinuBeatsCoolStreamingDynamic) {
 // Section 5.4.2: control overhead ~ M/495, and similar for both systems.
 TEST(Integration, ControlOverheadNearModel) {
   const auto snapshot = make_trace(200, 23);
-  const auto config = base_config(33, 200);
+  const auto config = base_config(33);
   const auto continu = run_session(config, snapshot, 40.0, 20.0);
   const auto cool = run_session(config.as_coolstreaming(), snapshot, 40.0, 20.0);
   const double model = 5.0 / 495.0;
@@ -89,7 +88,7 @@ TEST(Integration, ControlOverheadNearModel) {
 // has proportionally more misses per node, so the bound is looser.)
 TEST(Integration, PrefetchOverheadSmall) {
   const auto snapshot = make_trace(200, 24);
-  const auto config = base_config(34, 200);
+  const auto config = base_config(34);
   const auto continu = run_session(config, snapshot, 45.0, 25.0);
   EXPECT_GT(continu.stats.prefetch_launched, 0u);
   EXPECT_LT(continu.prefetch_overhead, 0.12);
@@ -107,7 +106,7 @@ TEST(Integration, PrefetchOverheadHigherUnderChurn) {
   double dynamic_mean = 0.0;
   const std::uint64_t seeds[] = {35, 36, 37};
   for (const std::uint64_t seed : seeds) {
-    auto config = base_config(seed, 250);
+    auto config = base_config(seed);
     static_mean += run_session(config, snapshot, 40.0, 20.0).prefetch_overhead;
     config.churn_enabled = true;
     dynamic_mean += run_session(config, snapshot, 40.0, 20.0).prefetch_overhead;
@@ -118,7 +117,7 @@ TEST(Integration, PrefetchOverheadHigherUnderChurn) {
 // Failure injection: abrupt mass failure mid-stream.
 TEST(Integration, SurvivesMassAbruptFailure) {
   const auto snapshot = make_trace(200, 26);
-  auto config = base_config(36, 200);
+  auto config = base_config(36);
   config.churn_enabled = true;
   config.churn.leave_fraction = 0.15;     // heavy
   config.churn.graceful_fraction = 0.0;   // all abrupt
@@ -140,7 +139,7 @@ TEST(Integration, SurvivesMassAbruptFailure) {
 // but the survivors keep playing.
 TEST(Integration, ShrinkingOverlayKeepsPlaying) {
   const auto snapshot = make_trace(200, 27);
-  auto config = base_config(37, 200);
+  auto config = base_config(37);
   config.churn_enabled = true;
   config.churn.leave_fraction = 0.05;
   config.churn.join_fraction = 0.0;
@@ -158,7 +157,7 @@ TEST(Integration, TheoryPredictsImprovementDirection) {
   const auto prediction = analysis::predict_continuity(in);
 
   const auto snapshot = make_trace(250, 28);
-  const auto config = base_config(38, 250);
+  const auto config = base_config(38);
   const auto continu = run_session(config, snapshot, 40.0, 25.0);
   const auto cool = run_session(config.as_coolstreaming(), snapshot, 40.0, 25.0);
   const double measured_delta = continu.stable_continuity - cool.stable_continuity;
@@ -170,7 +169,7 @@ TEST(Integration, TheoryPredictsImprovementDirection) {
 // deliveries reference emitted ids.
 TEST(Integration, NoSegmentFromThinAir) {
   const auto snapshot = make_trace(150, 29);
-  Session session(base_config(39, 150), snapshot);
+  Session session(base_config(39), snapshot);
   session.run(20.0);
   for (std::size_t i = 0; i < session.node_count(); ++i) {
     const auto newest = session.node(i).buffer().newest();
@@ -188,9 +187,9 @@ TEST(Integration, NoSegmentFromThinAir) {
 // rate") — and must cost proportionally more control overhead.
 TEST(Integration, LargerMCostsMoreControl) {
   const auto snapshot = make_trace(200, 30);
-  auto config4 = base_config(40, 200);
+  auto config4 = base_config(40);
   config4.connected_neighbors = 4;
-  auto config6 = base_config(40, 200);
+  auto config6 = base_config(40);
   config6.connected_neighbors = 6;
   const auto m4 = run_session(config4, snapshot, 30.0, 20.0);
   const auto m6 = run_session(config6, snapshot, 30.0, 20.0);

@@ -30,8 +30,7 @@ TEST(PhaseProfiler, HandComputedForkAccumulation) {
   PhaseProfiler prof;
   prof.set_threads(2);
 
-  prof.begin_fork_phase(Phase::kPlan, 100);
-  prof.on_fork(2);
+  prof.on_fork(Phase::kPlan, 100, 2);
   prof.on_shard_done(0, 1000, 1600);  // 600 ns of work, the slow shard
   prof.on_shard_done(1, 1000, 1400);  // 400 ns of work
   prof.on_join(900, 1700);            // 800 ns fork wall
@@ -83,15 +82,13 @@ TEST(PhaseProfiler, EmptyReportIsAllSerial) {
 
 TEST(PhaseProfiler, SteadyStateSlotsStopMoving) {
   PhaseProfiler prof;
-  prof.begin_fork_phase(Phase::kPrepareLocal, 64);
-  prof.on_fork(8);  // widest fork: slots grow once
+  prof.on_fork(Phase::kPrepareLocal, 64, 8);  // widest fork: slots grow once
   for (std::size_t s = 0; s < 8; ++s) prof.on_shard_done(s, 10, 20);
   prof.on_join(0, 30);
   const void* data = prof.shard_slot_data();
   const std::size_t cap = prof.shard_slot_capacity();
   for (int round = 0; round < 100; ++round) {
-    prof.begin_fork_phase(Phase::kPlan, 64);
-    prof.on_fork(8);
+    prof.on_fork(Phase::kPlan, 64, 8);
     for (std::size_t s = 0; s < 8; ++s) prof.on_shard_done(s, 10, 20);
     prof.on_join(0, 30);
   }
@@ -216,7 +213,6 @@ runner::ReplicationSpec small_quantized_spec(bool obs_on, unsigned threads) {
   spec.config.seed = 7;
   spec.config.threads = threads;
   spec.config.latency_grid_ms = 1.0;  // quantized mode: delivery forks run
-  spec.config.expected_nodes = 200.0;
   spec.trace.node_count = 200;
   spec.trace.average_degree = 2.5;
   spec.trace.seed = 3;

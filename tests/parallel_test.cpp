@@ -36,6 +36,9 @@ namespace {
 
 using sim::parallel::ParallelExecutor;
 
+/// Ad-hoc forks outside the engine's phases.
+constexpr obs::Phase kAdHoc = obs::Phase::kOtherFork;
+
 // ---------------------------------------------------------------------------
 // Per-tick RNG streams
 // ---------------------------------------------------------------------------
@@ -113,9 +116,10 @@ TEST(ParallelExecutor, EveryItemRunsExactlyOnce) {
     ParallelExecutor exec(threads);
     constexpr std::size_t kCount = 1013;  // not a multiple of the grain
     std::vector<std::atomic<int>> hits(kCount);
-    exec.for_shards(kCount, 16, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    exec.for_shards(kAdHoc, kCount, 16,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+                    });
     for (std::size_t i = 0; i < kCount; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "item " << i << " at threads " << threads;
     }
@@ -129,9 +133,10 @@ TEST(ParallelExecutor, RepeatedJobsOnOnePool) {
   for (int round = 0; round < 50; ++round) {
     const std::size_t count = 64 + static_cast<std::size_t>(round) * 7;
     std::vector<std::atomic<int>> hits(count);
-    exec.for_shards(count, 8, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    exec.for_shards(kAdHoc, count, 8,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+                    });
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "round " << round << " item " << i;
     }
@@ -151,7 +156,7 @@ TEST(ParallelExecutor, OrderedReductionIsThreadCountInvariant) {
   const auto sharded_sum = [&](unsigned threads) {
     ParallelExecutor exec(threads);
     std::vector<double> partials(ParallelExecutor::shard_count(kCount, kGrain), 0.0);
-    exec.for_shards(kCount, kGrain,
+    exec.for_shards(kAdHoc, kCount, kGrain,
                     [&](std::size_t s, std::size_t begin, std::size_t end) {
                       for (std::size_t i = begin; i < end; ++i) {
                         partials[s] += values[i];
@@ -176,7 +181,7 @@ TEST(ParallelExecutor, OrderedReductionIsThreadCountInvariant) {
 TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
   ParallelExecutor exec(4);
   try {
-    exec.for_shards(100, 10, [](std::size_t s, std::size_t, std::size_t) {
+    exec.for_shards(kAdHoc, 100, 10, [](std::size_t s, std::size_t, std::size_t) {
       if (s == 3 || s == 7) {
         throw std::runtime_error("shard " + std::to_string(s));
       }
@@ -187,7 +192,7 @@ TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
   }
   // The pool must survive a throwing job.
   std::atomic<int> ran{0};
-  exec.for_shards(10, 1, [&](std::size_t, std::size_t, std::size_t) { ++ran; });
+  exec.for_shards(kAdHoc, 10, 1, [&](std::size_t, std::size_t, std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 10);
 }
 
@@ -351,7 +356,6 @@ TEST(SessionThreads, ResultsBitIdenticalAcrossThreadCounts) {
   const auto fingerprint_at = [&snapshot](unsigned threads, bool churn) {
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200;
     config.threads = threads;
     config.churn_enabled = churn;
     runner::ReplicationSpec spec;
@@ -391,7 +395,6 @@ TEST(QuantizedDelivery, SessionsBitIdenticalAcrossThreadCounts) {
                                           double grid_ms) {
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200;
     config.threads = threads;
     config.churn_enabled = churn;
     config.latency_grid_ms = grid_ms;
@@ -480,10 +483,9 @@ TEST(QuantizedDelivery, ForkedBucketMatchesSingleThreadExecutor) {
 
 TEST(PrepareSplit, TimeoutSweepDropsStaleEntriesAndReportsSuppliersOnce) {
   core::SystemConfig config;
-  config.expected_nodes = 100.0;
   const dht::IdSpace space(1024);
-  core::Node node(/*id=*/7, /*session_index=*/1, config, space,
-                  /*inbound=*/10.0, /*outbound=*/10.0, /*ping_ms=*/50.0);
+  core::Node node(/*id=*/7, /*session_index=*/1, config, core::UrgentLineConfig{},
+                  space, /*inbound=*/10.0, /*outbound=*/10.0, /*ping_ms=*/50.0);
 
   ASSERT_TRUE(node.begin_transfer(1, core::TransferKind::kScheduled, 11, 0.0));
   ASSERT_TRUE(node.begin_transfer(2, core::TransferKind::kScheduled, 12, 1.0));
@@ -530,7 +532,6 @@ TEST(PrepareSplit, ThreadsInvarianceExercisesTimeoutsAndChurnStarts) {
     for (const unsigned threads : {1u, 4u}) {
       core::SystemConfig config;
       config.seed = 44;
-      config.expected_nodes = 200.0;
       config.threads = threads;
       config.churn_enabled = churn;
       runner::ReplicationSpec spec;
@@ -570,7 +571,6 @@ TEST(PrepareSplit, DeferredRateDecayLeavesIdenticalEstimatesAtAnyThreadCount) {
   const auto run_session = [&snapshot](unsigned threads) {
     core::SystemConfig config;
     config.seed = 17;
-    config.expected_nodes = 150.0;
     config.threads = threads;
     config.churn_enabled = true;
     auto session = std::make_unique<core::Session>(config, snapshot);
@@ -640,7 +640,6 @@ TEST(RunnerThreads, ArbitratesCoreBudget) {
 TEST(RunnerThreads, ThreadsOverrideDoesNotChangeResults) {
   runner::ReplicationSpec base;
   base.config.seed = 5;
-  base.config.expected_nodes = 150;
   base.trace.node_count = 150;
   base.trace.seed = 77;
   base.duration = 20.0;
@@ -817,7 +816,7 @@ TEST(ScenarioFamilies, FaultFamiliesAndGroupsResolve) {
   EXPECT_DOUBLE_EQ(f5->fault.crashes[0].fraction, 0.10);
 
   const auto config = f5->make_config(7);
-  EXPECT_TRUE(config.retry.enabled);
+  EXPECT_TRUE(config.harden);
   EXPECT_TRUE(config.fault.active());
 
   // The quantized variant carries the same plan over the grid mode.

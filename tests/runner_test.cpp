@@ -16,7 +16,6 @@ namespace {
   ReplicationSpec spec;
   spec.label = "test";
   spec.config.seed = seed;
-  spec.config.expected_nodes = 120.0;
   spec.config.churn_enabled = churn;
   spec.trace.node_count = 120;
   spec.trace.seed = 5;
@@ -244,7 +243,6 @@ TEST(ScenarioMatrix, ConfigReflectsScenario) {
   const auto config = dynamic.make_config(99);
   EXPECT_EQ(config.seed, 99u);
   EXPECT_TRUE(config.churn_enabled);
-  EXPECT_DOUBLE_EQ(config.expected_nodes, static_cast<double>(dynamic.node_count));
 
   const auto cool = *find_scenario("cool_static_1k");
   EXPECT_EQ(cool.make_config(1).scheduler, core::SchedulerKind::kCoolStreaming);

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "analysis/continuity_model.hpp"
 #include "core/config.hpp"
 #include "core/session.hpp"
+#include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "runner/scenario.hpp"
 #include "trace/generator.hpp"
@@ -23,7 +26,6 @@ trace::TraceSnapshot small_trace(std::size_t n, std::uint64_t seed) {
 SystemConfig small_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = 100.0;
   return config;
 }
 
@@ -76,7 +78,7 @@ TEST(Session, SourceConfiguration) {
   Session session(config, snapshot);
   EXPECT_TRUE(session.source().is_source());
   EXPECT_DOUBLE_EQ(session.source().inbound_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(session.source().outbound_rate(), config.source_outbound);
+  EXPECT_DOUBLE_EQ(session.source().outbound_rate(), kSourceOutbound);
 }
 
 TEST(Session, HeterogeneousRatesWithinRange) {
@@ -87,8 +89,8 @@ TEST(Session, HeterogeneousRatesWithinRange) {
   double first = -1.0;
   for (std::size_t i = 1; i < session.node_count(); ++i) {
     const double rate = session.node(i).inbound_rate();
-    EXPECT_GE(rate, config.inbound_min);
-    EXPECT_LE(rate, config.inbound_max);
+    EXPECT_GE(rate, kInboundMin);
+    EXPECT_LE(rate, kInboundMax);
     if (first < 0.0) {
       first = rate;
     } else if (rate != first) {
@@ -105,9 +107,37 @@ TEST(Session, HomogeneousRatesAllEqual) {
   Session session(config, snapshot);
   // Every node gets the distribution mean (~15 segments/s = 450 Kbps).
   const double first = session.node(1).inbound_rate();
-  EXPECT_NEAR(first, config.mean_inbound(), 0.6);
+  EXPECT_NEAR(first, kMeanInbound, 0.6);
   for (std::size_t i = 2; i < session.node_count(); ++i) {
     EXPECT_DOUBLE_EQ(session.node(i).inbound_rate(), first);
+  }
+}
+
+TEST(Session, DerivesUrgentLineInputsFromTheTrace) {
+  // t_hop is the trace's mean one-hop latency and t_fetch the eq. 6-7
+  // estimate for the trace's node count; every node, joiners included,
+  // starts its urgent line from those two values.
+  const auto snapshot = small_trace(150, 12);
+  auto config = small_config(13);
+  config.churn_enabled = true;
+  Session session(config, snapshot);
+  session.run(10.0);
+  ASSERT_GT(session.node_count(), snapshot.node_count()) << "no joiner to check";
+
+  const double t_hop =
+      net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0, /*grid_ms=*/0.0)
+          .average_latency_ms() /
+      1000.0;
+  const double t_fetch = analysis::expected_fetch_time_s(
+      static_cast<double>(snapshot.node_count()), t_hop);
+  const double p = static_cast<double>(config.playback_rate);
+  const double b = static_cast<double>(kBufferCapacity);
+  const double step = p * t_hop / b;
+  const double lower = std::min(p / b * std::max(kSchedulingPeriod, t_fetch), 1.0);
+  for (std::size_t i = 0; i < session.node_count(); ++i) {
+    const UrgentLine& line = session.node(i).urgent_line();
+    EXPECT_DOUBLE_EQ(line.step(), step) << "node " << i;
+    EXPECT_DOUBLE_EQ(line.lower_bound(), lower) << "node " << i;
   }
 }
 
@@ -296,7 +326,6 @@ TEST(Session, StallMechanismSelfHeals) {
   const auto snapshot = trace::generate_snapshot(tc);
   SystemConfig config;
   config.seed = 9;
-  config.expected_nodes = 400.0;
   Session session(config, snapshot);
   session.run(45.0);
   const double late = session.continuity().stable_mean(30.0);

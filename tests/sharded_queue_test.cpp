@@ -564,7 +564,6 @@ std::uint64_t session_fingerprint(const trace::TraceSnapshot& snapshot,
                                   bool sharded_queue, unsigned queue_skew) {
   core::SystemConfig config;
   config.seed = 42;
-  config.expected_nodes = 200;
   config.threads = threads;
   config.churn_enabled = true;
   config.latency_grid_ms = grid_ms;

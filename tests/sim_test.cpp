@@ -729,94 +729,22 @@ TEST(Simulator, DeterministicTieBreaking) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(PeriodicProcess, TicksAtPeriod) {
-  Simulator sim;
-  std::vector<double> ticks;
-  PeriodicProcess p(sim, 1.0, [&] { ticks.push_back(sim.now()); });
-  p.start(0.5);
-  sim.run_until(4.0);
-  EXPECT_EQ(ticks, (std::vector<double>{0.5, 1.5, 2.5, 3.5}));
-}
-
-TEST(PeriodicProcess, StopHaltsTicks) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess p(sim, 1.0, [&] { ++count; });
-  p.start(1.0);
-  sim.run_until(2.5);
-  p.stop();
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 2);
-  EXPECT_FALSE(p.running());
-}
-
-TEST(PeriodicProcess, StopFromWithinTick) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess p(sim, 1.0, [&] {
-    ++count;
-    if (count == 3) p.stop();
-  });
-  p.start(1.0);
-  sim.run_until(100.0);
-  EXPECT_EQ(count, 3);
-}
-
-TEST(PeriodicProcess, RestartAfterStop) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess p(sim, 1.0, [&] { ++count; });
-  p.start(1.0);
-  sim.run_until(1.5);
-  p.stop();
-  p.start(1.0);
-  sim.run_until(3.0);
-  EXPECT_EQ(count, 2);  // one before stop, one after restart (t=2.5)
-}
-
-TEST(PeriodicProcess, DoubleStartIsNoOp) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess p(sim, 1.0, [&] { ++count; });
-  p.start(1.0);
-  p.start(0.1);  // ignored
-  sim.run_until(1.0);
-  EXPECT_EQ(count, 1);
-}
-
-TEST(PeriodicProcess, RejectsBadArguments) {
-  Simulator sim;
-  EXPECT_THROW(PeriodicProcess(sim, 0.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(PeriodicProcess(sim, 1.0, std::function<void()>{}), std::invalid_argument);
-}
-
-TEST(PeriodicProcess, DestructorCancelsPendingTick) {
-  Simulator sim;
-  int count = 0;
-  {
-    PeriodicProcess p(sim, 1.0, [&] { ++count; });
-    p.start(1.0);
-  }
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 0);
-}
-
 // --- RoundScheduler --------------------------------------------------------
 
 TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
   // The determinism contract: a RoundScheduler fleet fires at exactly
-  // the times (and in exactly the order) the per-participant
-  // PeriodicProcess fleet it replaces would.
+  // the times (and in exactly the order) of one self-rescheduling event
+  // per participant, each re-armed at next = fired + period after its
+  // tick.
   Simulator ref_sim;
   std::vector<std::pair<double, std::size_t>> ref_ticks;
-  std::vector<std::unique_ptr<PeriodicProcess>> procs;
+  std::function<void(std::size_t)> tick = [&](std::size_t i) {
+    ref_ticks.emplace_back(ref_sim.now(), i);
+    ref_sim.schedule_at(ref_sim.now() + 1.0, [&tick, i] { tick(i); });
+  };
   const std::array<double, 3> phases = {0.31, 0.07, 0.83};
   for (std::size_t i = 0; i < phases.size(); ++i) {
-    procs.push_back(std::make_unique<PeriodicProcess>(
-        ref_sim, 1.0, [&ref_ticks, &ref_sim, i] {
-          ref_ticks.emplace_back(ref_sim.now(), i);
-        }));
-    procs[i]->start(phases[i]);
+    ref_sim.schedule_at(phases[i], [&tick, i] { tick(i); });
   }
   ref_sim.run_until(5.0);
 

@@ -375,11 +375,9 @@ void reject_scenario_conflicts(const CliOptions& opt) {
                    opt.trace_path.c_str(), spec.snapshot->node_count());
       std::exit(1);
     }
-    spec.config.expected_nodes = static_cast<double>(spec.snapshot->node_count());
   } else {
     spec.trace.node_count = opt.nodes;
     spec.trace.seed = opt.trace_seed;
-    spec.config.expected_nodes = static_cast<double>(opt.nodes);
   }
   spec.duration = opt.duration;
   spec.stable_from = opt.stable_from;
