@@ -148,7 +148,8 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       sim_(engine_config()),
       network_(sim_, exec_,
                net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
-                                             config.latency_grid_ms)),
+                                             config.latency_grid_ms),
+               this),
       urgent_(derive_urgent_line(config.playback_rate, network_.latency(),
                                  snapshot.node_count())),
       hardened_(config.harden),
@@ -162,27 +163,6 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
               }),
       emission_(sim_, 1.0 / static_cast<double>(config.playback_rate),
                 [this](const std::vector<std::size_t>&) { on_source_emit(); }) {
-  network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
-  // Quantized-mode delivery buckets fork on the session's executor;
-  // the hooks bracket each dispatch with per-shard stats scratch and
-  // the shard-order reduction — the same deferred-merge contract the
-  // round phases use. Continuous mode never forks, and its immediate
-  // contexts write straight into stats_.
-  {
-    net::Network::ShardHooks hooks;
-    hooks.on_fork = [this](std::size_t shards) {
-      delivery_shard_stats_.assign(shards, SessionStats{});
-      obs_ensure_shards(shards);
-    };
-    hooks.scratch = [this](std::size_t shard) -> void* {
-      return &delivery_shard_stats_[shard];
-    };
-    hooks.on_join = [this](std::size_t) {
-      sim::parallel::reduce_in_order(delivery_shard_stats_, stats_);
-    };
-    hooks.serial_scratch = &stats_;
-    network_.set_shard_hooks(std::move(hooks));
-  }
   // Compile the fault plan. An inert plan installs nothing, so the
   // zero-fault send path never even branches into the injector.
   if (config_.fault.active()) {
@@ -533,8 +513,21 @@ std::optional<std::size_t> Session::index_of(NodeId id) const {
   return it->second;
 }
 
-bool Session::alive_index(std::size_t index) const {
-  return index < nodes_.size() && nodes_[index]->alive();
+bool Session::reachable(std::uint32_t to) const {
+  return to < nodes_.size() && nodes_[to]->alive();
+}
+
+void Session::before_fork(std::size_t shards) {
+  delivery_shard_stats_.assign(shards, SessionStats{});
+  obs_ensure_shards(shards);
+}
+
+void Session::after_join(std::size_t) {
+  sim::parallel::reduce_in_order(delivery_shard_stats_, stats_);
+}
+
+SessionStats& Session::delivery_stats(const net::DeliveryContext& ctx) {
+  return ctx.parallel() ? delivery_shard_stats_[ctx.shard()] : stats_;
 }
 
 std::optional<std::size_t> Session::alive_node_by_id(NodeId id) const {
@@ -1059,7 +1052,7 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
                                      net::DeliveryContext& ctx) {
   Node& sup = *nodes_[supplier];
   if (!sup.alive()) return;
-  auto& stats = *static_cast<SessionStats*>(ctx.scratch());
+  SessionStats& stats = delivery_stats(ctx);
   const SimTime now = sim_.now();
   // Obs-owned writes only (counter lane + trace ring of this shard);
   // ctx.shard() is 0 on the serial/immediate path.
@@ -1232,7 +1225,7 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
                               net::DeliveryContext& ctx) {
   Node& node = *nodes_[receiver];
   if (!node.alive()) return;
-  auto& stats = *static_cast<SessionStats*>(ctx.scratch());
+  SessionStats& stats = delivery_stats(ctx);
   const SimTime now = sim_.now();
 
   const auto record = (kind == TransferKind::kScheduled)

@@ -150,7 +150,7 @@ struct MemoryFootprint {
   }
 };
 
-class Session {
+class Session : private net::DeliveryHost {
  public:
   Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot);
   Session(const Session&) = delete;
@@ -405,11 +405,11 @@ class Session {
   // The transfer-plane handlers run through the network's sharded
   // delivery path: in quantized mode they may execute on a worker
   // shard (receiver-shard ownership contract — own-node writes plus
-  // the per-shard stats scratch behind ctx.scratch(); sends, relays
-  // and shared-RNG work deferred through the context), in continuous
-  // mode the context is immediate and they execute exactly as the
-  // serial forms did. The DHT/prefetch chain and churn handover stay
-  // on the serial send path this PR.
+  // the per-shard stats scratch behind delivery_stats(ctx); sends,
+  // relays and shared-RNG work deferred through the context), in
+  // continuous mode the context is immediate and they execute exactly
+  // as the serial forms did. The DHT/prefetch chain and churn handover
+  // stay on the serial send path.
   void handle_segment_request(std::size_t supplier, std::size_t requester,
                               std::vector<SegmentId> ids, net::DeliveryContext& ctx);
   /// Books the supplier's uplink inline (supplier-own state) and
@@ -459,7 +459,16 @@ class Session {
   /// argument: windowed on exec_ when config_.windowed_engine(), exact
   /// otherwise.
   [[nodiscard]] sim::Simulator::LaxConfig engine_config();
-  [[nodiscard]] bool alive_index(std::size_t index) const;
+
+  // net::DeliveryHost: a forked delivery bucket writes per-shard stats,
+  // reduced in shard order at the join — the same deferred-merge
+  // contract the round phases use.
+  [[nodiscard]] bool reachable(std::uint32_t to) const override;
+  void before_fork(std::size_t shards) override;
+  void after_join(std::size_t shards) override;
+  /// The stats a delivery handler writes: its shard's scratch when
+  /// forked, stats_ itself in immediate mode.
+  [[nodiscard]] SessionStats& delivery_stats(const net::DeliveryContext& ctx);
   [[nodiscard]] std::optional<std::size_t> alive_node_by_id(NodeId id) const;
   [[nodiscard]] bool in_time(const Node& node, SegmentId id, SimTime now) const;
   void store_backup_if_responsible(Node& node, SegmentId id);

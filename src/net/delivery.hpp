@@ -5,8 +5,9 @@
 // latency-grid point into a bucket and, at the bucket boundary, forks
 // the batch across receiver shards. A handler that participates takes
 // a DeliveryContext& instead of running bare: the context tells it
-// which shard it is on, hands it the session-installed per-shard stats
-// scratch, and buffers everything the handler may NOT do from a worker
+// which shard it is on (the index into the host's per-shard stats
+// scratch, which the host reduces at the join before any deferred work
+// runs) and buffers everything the handler may NOT do from a worker
 // thread (event scheduling, network sends, cross-node writes) for the
 // join to settle in shard order — the same deferred-emission contract
 // the forked prepare-local and plan phases follow.
@@ -65,16 +66,18 @@ struct DeliveryShardScratch {
 /// parallel() context runs on a worker thread and may write ONLY the
 /// receiving node's own state (buffers, in-flight tables, link-rate
 /// estimators, neighbor supply fields, up/downlink bookings) plus the
-/// per-shard scratch behind scratch(). Cross-node reads are limited to
-/// state frozen for the whole bucket (liveness flags, inbound rates,
-/// other nodes' buffer windows). Everything else — event scheduling,
-/// network sends, cross-node writes, shared-RNG draws — goes through
-/// defer()/forward(), which the join settles serially in shard order.
+/// host's per-shard scratch at index shard(), which the DeliveryHost
+/// reduces in shard order at the join, before any deferred work runs.
+/// Cross-node reads are limited to state frozen for the whole bucket
+/// (liveness flags, inbound rates, other nodes' buffer windows).
+/// Everything else — event scheduling, network sends, cross-node
+/// writes, shared-RNG draws — goes through defer()/forward(), which the
+/// join settles serially in shard order.
 ///
-/// In continuous mode (and for the serial entries of a bucket) the
-/// context is "immediate": defer() runs its argument inline and
-/// forward() schedules directly, so a handler written against this API
-/// executes bit-identically to its pre-context serial form.
+/// In continuous mode the context is "immediate": defer() runs its
+/// argument inline and forward() schedules directly, so a handler
+/// written against this API executes bit-identically to its
+/// pre-context serial form.
 class DeliveryContext {
  public:
   /// Shard index (0 in immediate mode).
@@ -82,10 +85,6 @@ class DeliveryContext {
 
   /// True when running forked on a worker shard.
   [[nodiscard]] bool parallel() const noexcept { return scratch_buf_ != nullptr; }
-
-  /// Session-installed per-shard stats scratch (the live SessionStats
-  /// in immediate mode). Never null once hooks are installed.
-  [[nodiscard]] void* scratch() const noexcept { return user_scratch_; }
 
   /// Defers `f` to the join (shard order, record order within the
   /// shard); runs it inline in immediate mode.
@@ -108,13 +107,11 @@ class DeliveryContext {
 
  private:
   friend class Network;
-  DeliveryContext(Network* net, std::size_t shard, void* user_scratch,
-                  DeliveryShardScratch* buf) noexcept
-      : net_(net), shard_(shard), user_scratch_(user_scratch), scratch_buf_(buf) {}
+  DeliveryContext(Network* net, std::size_t shard, DeliveryShardScratch* buf) noexcept
+      : net_(net), shard_(shard), scratch_buf_(buf) {}
 
   Network* net_;
   std::size_t shard_;
-  void* user_scratch_;
   DeliveryShardScratch* scratch_buf_;
 };
 

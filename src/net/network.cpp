@@ -8,26 +8,15 @@
 namespace continu::net {
 
 Network::Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
-                 LatencyModel latency)
+                 LatencyModel latency, DeliveryHost* host)
     : sim_(sim),
       exec_(exec),
       latency_(std::move(latency)),
+      host_(host),
       grid_s_(latency_.grid_ms() / 1000.0) {
   // Quantized mode on the windowed engine: buckets get no proxy event;
   // the simulator sweeps them once per window instead.
-  if (grid_s_ > 0.0 && sim_.windowed()) {
-    sim::Simulator::FrontierHook hook;
-    hook.next_time = [this](SimTime& time) {
-      if (buckets_.empty()) return false;
-      time = buckets_.begin()->first;
-      return true;
-    };
-    hook.dispatch_window = [this](SimTime limit,
-                                  const std::function<void(SimTime)>& begin) {
-      return fire_frontier_window(limit, begin);
-    };
-    sim_.set_frontier_hook(std::move(hook));
-  }
+  if (grid_s_ > 0.0 && sim_.windowed()) sim_.set_frontier(*this);
 }
 
 void Network::charge_only(MessageType type, Bits bits) {
@@ -39,12 +28,6 @@ void Network::charge_only_bulk(MessageType type, Bits bits_each,
   if (messages == 0) return;
   traffic_.charge(traffic_class_of(type), bits_each * messages, messages);
 }
-
-void Network::set_delivery_filter(std::function<bool(std::size_t)> filter) {
-  filter_ = std::move(filter);
-}
-
-void Network::set_shard_hooks(ShardHooks hooks) { hooks_ = std::move(hooks); }
 
 bool Network::apply_faults(std::size_t from, std::size_t to, SimTime& delay) {
   // Fault classification happens on the serial send path, so the trace
@@ -123,8 +106,13 @@ std::size_t Network::pending_bytes() const noexcept {
   return bytes;
 }
 
-std::size_t Network::fire_frontier_window(
-    SimTime limit, const std::function<void(SimTime)>& begin_instant) {
+bool Network::next_time(SimTime& time) const {
+  if (buckets_.empty()) return false;
+  time = buckets_.begin()->first;
+  return true;
+}
+
+std::size_t Network::dispatch_window(SimTime limit) {
   // Detach every due bucket BEFORE dispatching any: a forward or send
   // made during the sweep then files into a fresh bucket that fires in
   // the next window, even when its instant is <= limit. Dispatching in
@@ -136,7 +124,7 @@ std::size_t Network::fire_frontier_window(
   if (due.empty()) return 0;
   ++lax_handoff_windows_;
   for (auto& [instant, bucket] : due) {
-    begin_instant(instant);
+    begin_instant(sim_, instant);
     dispatch_bucket(bucket.entries);
   }
   return due.size();
@@ -182,20 +170,19 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
     event.b = count;
     obs_trace_->record_serial(event);
   }
-  if (hooks_.on_fork) hooks_.on_fork(shards);
+  if (host_ != nullptr) host_->before_fork(shards);
 
   // Fork. A worker owns a contiguous run of receiver groups; every
   // write it performs lands either in its receivers' own node state
   // (the handler contract) or in its private DeliveryShardScratch.
   const auto body = [&](std::size_t s, std::size_t begin, std::size_t end) {
     DeliveryShardScratch& scratch = shard_scratch_[s];
-    void* user = hooks_.scratch ? hooks_.scratch(s) : hooks_.serial_scratch;
-    DeliveryContext ctx(this, s, user, &scratch);
+    DeliveryContext ctx(this, s, &scratch);
     for (std::size_t g = begin; g < end; ++g) {
       const ReceiverGroup& group = groups_[g];
       for (const std::uint32_t index : group.entry_indices) {
         HandoffEntry& entry = entries[index];
-        if (entry.filtered && filter_ && !filter_(entry.to)) {
+        if (entry.filtered && !reachable(entry.to)) {
           ++scratch.dropped;
           entry.action.reset();
           continue;
@@ -206,13 +193,13 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   };
   exec_.for_shards(obs::Phase::kDeliveryBucket, count, kReceiverGrain, body);
 
-  // Join, in shard order. Drops first (pure sums), then the session
+  // Join, in shard order. Drops first (pure sums), then the host
   // reduces its stats scratch, then each shard's buffered work runs
   // serially: forwards (stage-3 continuations into future buckets)
   // before deferred operations (sends, relays) — a fixed, thread-count
   // independent replay order.
   for (std::size_t s = 0; s < shards; ++s) dropped_ += shard_scratch_[s].dropped;
-  if (hooks_.on_join) hooks_.on_join(shards);
+  if (host_ != nullptr) host_->after_join(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     DeliveryShardScratch& scratch = shard_scratch_[s];
     for (LocalForward& forward : scratch.forwards) {

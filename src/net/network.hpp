@@ -14,23 +14,26 @@
 //   grid, so all deliveries landing on one grid point form a batch,
 //   filed in one bucket map on both engines. On the exact engine the
 //   bucket hides behind ONE proxy event; on the windowed engine the
-//   simulator's per-window frontier sweep fires it instead. When it
-//   fires, sharded deliveries are grouped by receiver and forked
-//   across the session's ParallelExecutor. Workers run their
-//   receivers' handlers in schedule order (per-pair FIFO is preserved
-//   — a receiver's deliveries never split across shards) and buffer
-//   everything they may not do from a worker thread; the join settles
-//   those buffers in shard order, so the result is bit-identical at
-//   every thread count.
+//   simulator sweeps the network, its sim::Frontier, once per window
+//   instead. When it fires, sharded deliveries are grouped by receiver
+//   and forked across the session's ParallelExecutor. Workers run
+//   their receivers' handlers in schedule order (per-pair FIFO is
+//   preserved — a receiver's deliveries never split across shards) and
+//   buffer everything they may not do from a worker thread; the join
+//   settles those buffers in shard order, so the result is
+//   bit-identical at every thread count.
 //
 // send() keeps the serial handler contract in both modes (quantized
 // mode merely snaps its instant); send_sharded()/post_sharded() carry
 // the handlers that fork, and hand them a DeliveryContext in either
 // mode — immediate in continuous mode, per-shard in quantized mode.
+//
+// The network reaches its client only through a DeliveryHost: the
+// liveness filter and the fork/join brackets of a bucket dispatch.
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <type_traits>
 #include <utility>
@@ -62,38 +65,43 @@ struct HandoffEntry {
   DeliveryAction action;
 };
 
-class Network {
+/// The network's client (the Session), declared here and implemented
+/// above, like sim::parallel::ForkObserver. The host owns the per-shard
+/// scratch that forked handlers index by DeliveryContext::shard().
+class DeliveryHost {
  public:
-  /// Session-installed callbacks bracketing a forked bucket dispatch.
-  /// The network cannot know the session's stats type, so the session
-  /// provides per-shard scratch pointers and the reduction points.
-  struct ShardHooks {
-    /// Called before the fork with the shard count (resize scratch).
-    std::function<void(std::size_t shards)> on_fork;
-    /// Per-shard scratch pointer, valid between on_fork and on_join.
-    std::function<void*(std::size_t shard)> scratch;
-    /// Called at the join, before deferred work runs: reduce the
-    /// per-shard scratch into shared state, in shard order.
-    std::function<void(std::size_t shards)> on_join;
-    /// Scratch handed to immediate-mode contexts (continuous-mode
-    /// deliveries): typically the live stats object itself.
-    void* serial_scratch = nullptr;
-  };
+  /// Liveness filter: false drops a wire delivery to `to`. Called from
+  /// worker shards during a forked bucket dispatch, so it may only read
+  /// state frozen for the bucket (liveness flags).
+  [[nodiscard]] virtual bool reachable(std::uint32_t to) const = 0;
+  /// Serial, before a bucket forks into `shards` shards: size the
+  /// per-shard scratch.
+  virtual void before_fork(std::size_t shards) = 0;
+  /// Serial, at the join and before any deferred work runs: reduce the
+  /// per-shard scratch into shared state, in shard order.
+  virtual void after_join(std::size_t shards) = 0;
 
+ protected:
+  ~DeliveryHost() = default;
+};
+
+class Network : private sim::Frontier {
+ public:
   /// `exec` runs the forked bucket dispatches of quantized mode; a
   /// one-thread executor runs them inline through the same shard
-  /// decomposition, so results match at every width.
+  /// decomposition, so results match at every width. A null `host`
+  /// reaches every node and brackets no fork.
   Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
-          LatencyModel latency);
+          LatencyModel latency, DeliveryHost* host = nullptr);
 
   /// Sends a message of `type` and `bits` from `from` to `to`; runs
   /// `on_delivery` after the one-way latency (+ extra_delay, e.g. the
   /// payload transfer time computed by the sender's rate controller).
-  /// Dropped silently if a drop filter rejects the destination (dead
-  /// node) — exactly like a UDP packet into the void. The handler runs
-  /// SERIALLY in both modes (quantized mode only snaps the instant);
-  /// use send_sharded for handlers that obey the receiver-shard
-  /// ownership contract.
+  /// Dropped silently if the host finds the destination unreachable
+  /// (dead node) — exactly like a UDP packet into the void. The handler
+  /// runs SERIALLY in both modes (quantized mode only snaps the
+  /// instant); use send_sharded for handlers that obey the
+  /// receiver-shard ownership contract.
   ///
   /// Templated so the delivery capture is stored FLAT inside the
   /// scheduled event (callback + 16 bytes of filter state), keeping
@@ -109,15 +117,11 @@ class Network {
     traffic_.charge(traffic_class_of(type), bits);
     SimTime delay = latency_.latency_s(from, to) + extra_delay;
     if (fault_ != nullptr && !apply_faults(from, to, delay)) return;
-    if (grid_s_ > 0.0) {
-      sim_.schedule_at(
-          quantize_up_s(sim_.now() + delay),
-          Delivery<std::decay_t<F>>{this, static_cast<std::uint32_t>(to),
-                                    std::forward<F>(on_delivery)});
-    } else {
-      sim_.schedule_in(delay, Delivery<std::decay_t<F>>{this, static_cast<std::uint32_t>(to),
-                                                        std::forward<F>(on_delivery)});
-    }
+    SimTime when = sim_.now() + delay;
+    if (grid_s_ > 0.0) when = quantize_up_s(when);
+    sim_.schedule_at(when, Delivery<std::decay_t<F>, true>{
+                               this, static_cast<std::uint32_t>(to),
+                               std::forward<F>(on_delivery)});
   }
 
   /// Like send(), but the handler takes a DeliveryContext& and obeys
@@ -137,10 +141,9 @@ class Network {
                       DeliveryAction(std::forward<F>(on_delivery)),
                       /*filtered=*/true);
     } else {
-      sim_.schedule_in(delay,
-                       ShardedDelivery<std::decay_t<F>>{
-                           this, static_cast<std::uint32_t>(to),
-                           std::forward<F>(on_delivery)});
+      sim_.schedule_in(delay, Delivery<std::decay_t<F>, true>{
+                                  this, static_cast<std::uint32_t>(to),
+                                  std::forward<F>(on_delivery)});
     }
   }
 
@@ -156,8 +159,9 @@ class Network {
                       DeliveryAction(std::forward<F>(handler)),
                       /*filtered=*/false);
     } else {
-      sim_.schedule_at(when, ImmediateInvoke<std::decay_t<F>>{
-                                 this, std::forward<F>(handler)});
+      sim_.schedule_at(when, Delivery<std::decay_t<F>, false>{
+                                 this, static_cast<std::uint32_t>(to),
+                                 std::forward<F>(handler)});
     }
   }
 
@@ -171,14 +175,6 @@ class Network {
   /// per-shard buffer-map wire tallies at the join without touching the
   /// shared account from worker threads.
   void charge_only_bulk(MessageType type, Bits bits_each, std::uint64_t messages);
-
-  /// Installs the liveness filter; return false to drop deliveries.
-  /// Called from worker shards during a forked bucket dispatch, so it
-  /// must only read state frozen for the bucket (liveness flags).
-  void set_delivery_filter(std::function<bool(std::size_t to)> filter);
-
-  /// Installs the session's fork/join scratch hooks (see ShardHooks).
-  void set_shard_hooks(ShardHooks hooks);
 
   /// Installs the fault injector (nullptr = fault-free). Every wire
   /// send — both network modes, sharded or not — consults it after the
@@ -197,17 +193,10 @@ class Network {
   void set_trace(obs::TraceSink* trace) noexcept { obs_trace_ = trace; }
 
   [[nodiscard]] const TrafficAccount& traffic() const noexcept { return traffic_; }
-  [[nodiscard]] TrafficAccount& traffic() noexcept { return traffic_; }
   [[nodiscard]] const LatencyModel& latency() const noexcept { return latency_; }
   [[nodiscard]] LatencyModel& latency() noexcept { return latency_; }
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
 
-  /// True when the latency model carries a quantization grid.
-  [[nodiscard]] bool quantized() const noexcept { return grid_s_ > 0.0; }
-  /// The delivery grid in seconds (0 in continuous mode).
-  [[nodiscard]] SimTime grid_s() const noexcept { return grid_s_; }
-
-  /// Count of messages dropped by the liveness filter (surfaced as
+  /// Count of messages the host found unreachable (surfaced as
   /// SessionStats::deliveries_dropped — a filter regression is visible
   /// to the fingerprint oracle, not silently swallowed).
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
@@ -237,48 +226,27 @@ class Network {
   }
 
  private:
-  friend class DeliveryContext;
-
-  template <typename F>
+  /// Continuous-mode event body, and quantized send()'s: the liveness
+  /// check (wire deliveries only), then the handler — with an
+  /// immediate context when it takes one, bare otherwise.
+  template <typename F, bool kFiltered>
   struct Delivery {
     Network* net;
     std::uint32_t to;
     F fn;
     void operator()() {
-      if (net->filter_ && !net->filter_(to)) {
-        ++net->dropped_;
-        return;
+      if constexpr (kFiltered) {
+        if (!net->reachable(to)) {
+          ++net->dropped_;
+          return;
+        }
       }
-      fn();
-    }
-  };
-
-  /// Continuous-mode wrapper for a sharded handler: filter check, then
-  /// invoke with an immediate context.
-  template <typename F>
-  struct ShardedDelivery {
-    Network* net;
-    std::uint32_t to;
-    F fn;
-    void operator()() {
-      if (net->filter_ && !net->filter_(to)) {
-        ++net->dropped_;
-        return;
+      if constexpr (std::is_invocable_v<F&, DeliveryContext&>) {
+        DeliveryContext ctx(net, 0, nullptr);
+        fn(ctx);
+      } else {
+        fn();
       }
-      DeliveryContext ctx(net, 0, net->hooks_.serial_scratch, nullptr);
-      fn(ctx);
-    }
-  };
-
-  /// Continuous-mode wrapper for a local sharded continuation (no
-  /// filter — mirrors a plain scheduled event).
-  template <typename F>
-  struct ImmediateInvoke {
-    Network* net;
-    F fn;
-    void operator()() {
-      DeliveryContext ctx(net, 0, net->hooks_.serial_scratch, nullptr);
-      fn(ctx);
     }
   };
 
@@ -291,6 +259,10 @@ class Network {
     std::uint32_t to = 0;
     std::vector<std::uint32_t> entry_indices;
   };
+
+  [[nodiscard]] bool reachable(std::uint32_t to) const {
+    return host_ == nullptr || host_->reachable(to);
+  }
 
   [[nodiscard]] SimTime quantize_up_s(SimTime t) const {
     return std::ceil(t / grid_s_) * grid_s_;
@@ -309,12 +281,13 @@ class Network {
                        bool filtered);
   /// Proxy-event body: detaches the bucket at `time` and dispatches it.
   void fire_bucket(SimTime time);
-  /// Frontier-hook body (windowed engine): detaches EVERY bucket whose
-  /// instant is <= limit, then dispatches them in time order, each
-  /// behind a begin_instant(t) clock stamp. Buckets created during the
-  /// sweep wait for the next window. Returns instants dispatched.
-  std::size_t fire_frontier_window(
-      SimTime limit, const std::function<void(SimTime)>& begin_instant);
+  // sim::Frontier (windowed engine): the earliest pending bucket.
+  bool next_time(SimTime& time) const override;
+  /// Detaches EVERY bucket whose instant is <= limit, then dispatches
+  /// them in time order, each behind a begin_instant clock stamp.
+  /// Buckets created during the sweep wait for the next window. Returns
+  /// instants dispatched.
+  std::size_t dispatch_window(SimTime limit) override;
   /// Groups by receiver, forks across shards, settles the join.
   void dispatch_bucket(std::vector<HandoffEntry>& entries);
 
@@ -322,7 +295,7 @@ class Network {
   sim::parallel::ParallelExecutor& exec_;
   LatencyModel latency_;
   TrafficAccount traffic_;
-  std::function<bool(std::size_t)> filter_;
+  DeliveryHost* host_;
   std::uint64_t dropped_ = 0;
 
   // --- fault injection ---------------------------------------------------
@@ -342,7 +315,6 @@ class Network {
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
 
   SimTime grid_s_ = 0.0;
-  ShardHooks hooks_;
   /// Pending buckets by fire time, on both engines. Ordered because
   /// the windowed engine's sweep detaches from the front; the exact
   /// engine only looks buckets up (each owns a proxy event). There are

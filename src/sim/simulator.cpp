@@ -28,7 +28,7 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     SimTime qt = 0.0;
     SimTime dt = 0.0;
     const bool have_event = squeue_->next_time(qt);
-    const bool have_bucket = frontier_.next_time && frontier_.next_time(dt);
+    const bool have_bucket = frontier_ != nullptr && frontier_->next_time(dt);
     if (!have_event && !have_bucket) break;
     // The window anchors at the earliest pending time across both
     // sources and extends one skew window past it. Anchoring at the
@@ -56,14 +56,13 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     // within the window, bounded by window_s). Emissions landing inside
     // the window were not collected — they fence to the next window —
     // and cancels of collected refs are honoured at execution.
-    const auto stamp = [this](SimTime t) {
+    ran += squeue_->execute_window([this](SimTime t) {
       now_ = t;
       ++executed_;
-    };
-    ran += squeue_->execute_window(stamp);
+    });
     // Bucket sweep: every delivery bucket whose instant is <= limit is
     // detached, then dispatched in time order, each at its own clock.
-    if (frontier_.dispatch_window) ran += frontier_.dispatch_window(limit, stamp);
+    if (frontier_ != nullptr) ran += frontier_->dispatch_window(limit);
   }
   return ran;
 }

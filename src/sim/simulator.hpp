@@ -19,11 +19,11 @@
 //
 //   windowed (LaxConfig::skew_buckets >= 1) — a ShardedEventQueue
 //   drained in bounded-skew windows whose per-shard pops fork, plus a
-//   frontier hook through which the network sweeps its quantized
-//   delivery buckets once per window. Deterministic and
-//   thread-count invariant per skew, but its own universe
-//   (docs/DETERMINISM.md contract 7).
+//   Frontier through which the network sweeps its quantized delivery
+//   buckets once per window. Deterministic and thread-count invariant
+//   per skew, but its own universe (docs/DETERMINISM.md contract 7).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,6 +40,28 @@ namespace continu::sim {
 namespace parallel {
 class ParallelExecutor;
 }
+
+class Simulator;
+
+/// External event source the windowed engine sweeps once per window
+/// (the network's quantized delivery buckets). Declared here and
+/// implemented above, like parallel::ForkObserver: the simulator holds
+/// a typed pointer, not closures.
+class Frontier {
+ public:
+  /// Reports the earliest pending instant, which competes for the
+  /// window anchor; false when nothing is pending.
+  [[nodiscard]] virtual bool next_time(SimTime& time) const = 0;
+  /// Fires EVERY pending item whose instant is <= limit, in time order,
+  /// calling begin_instant before each; returns the number fired.
+  virtual std::size_t dispatch_window(SimTime limit) = 0;
+
+ protected:
+  ~Frontier() = default;
+  /// Stamps `sim`'s clock at `time` and counts one executed instant.
+  /// Only a frontier's sweep moves the clock from outside the drain.
+  static void begin_instant(Simulator& sim, SimTime time) noexcept;
+};
 
 class Simulator {
  public:
@@ -87,27 +109,13 @@ class Simulator {
     return squeue_->allocate_seq();
   }
 
-  /// External event source swept once per window (the network's
-  /// quantized delivery buckets). next_time reports the earliest
-  /// pending bucket instant, which competes for the window anchor;
-  /// dispatch_window fires EVERY pending bucket whose instant is
-  /// <= limit, calling begin_instant(t) before each bucket so the
-  /// simulator can stamp its clock and executed count, and returns the
-  /// number of buckets fired.
-  struct FrontierHook {
-    std::function<bool(SimTime& time)> next_time;
-    std::function<std::size_t(SimTime limit,
-                              const std::function<void(SimTime)>& begin_instant)>
-        dispatch_window;
-  };
-
-  /// Installs the frontier hook (windowed engine only; the exact engine
-  /// schedules bucket proxy events instead and never calls this).
-  void set_frontier_hook(FrontierHook hook) {
+  /// Installs the frontier the window drain sweeps (windowed engine
+  /// only; the exact engine schedules bucket proxy events instead).
+  void set_frontier(Frontier& frontier) {
     if (!squeue_) {
-      throw std::logic_error("Simulator::set_frontier_hook: exact engine");
+      throw std::logic_error("Simulator::set_frontier: exact engine");
     }
-    frontier_ = std::move(hook);
+    frontier_ = &frontier;
   }
 
   /// Schedules `f` at an absolute time (clamped to >= now()) and
@@ -167,6 +175,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
+  friend class Frontier;
+
   /// Rejects the one empty callable the API can meet (a null
   /// std::function); arbitrary callables are always invocable.
   template <typename F>
@@ -190,10 +200,15 @@ class Simulator {
 
   EventQueue queue_;
   std::unique_ptr<ShardedEventQueue> squeue_;
-  FrontierHook frontier_;
+  Frontier* frontier_ = nullptr;
   LaxConfig lax_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
 };
+
+inline void Frontier::begin_instant(Simulator& sim, SimTime time) noexcept {
+  sim.now_ = time;
+  ++sim.executed_;
+}
 
 }  // namespace continu::sim

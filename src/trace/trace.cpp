@@ -1,10 +1,12 @@
 #include "trace/trace.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace continu::trace {
 
@@ -18,6 +20,12 @@ void TraceSnapshot::validate() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].trace_id != static_cast<std::uint32_t>(i)) {
       throw std::invalid_argument("TraceSnapshot: node ids must be dense and 0-based");
+    }
+    // Latency is |ping_a - ping_b|, so a negative ping would pass for a
+    // plausible but wrong distance.
+    if (!std::isfinite(nodes_[i].ping_ms) || nodes_[i].ping_ms < 0.0) {
+      throw std::invalid_argument("TraceSnapshot: node " + std::to_string(i) +
+                                  " ping must be finite and >= 0");
     }
   }
   for (const auto& [a, b] : edges_) {

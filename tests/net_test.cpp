@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/latency_model.hpp"
@@ -25,6 +26,20 @@ sim::parallel::ParallelExecutor& serial_exec() {
   static sim::parallel::ParallelExecutor exec(1);
   return exec;
 }
+
+/// A host whose only job is the liveness filter: `keep(to)` false drops
+/// the delivery. No fork needs scratch.
+template <typename Keep>
+class FilterHost final : public DeliveryHost {
+ public:
+  explicit FilterHost(Keep keep) : keep_(std::move(keep)) {}
+  [[nodiscard]] bool reachable(std::uint32_t to) const override { return keep_(to); }
+  void before_fork(std::size_t) override {}
+  void after_join(std::size_t) override {}
+
+ private:
+  Keep keep_;
+};
 
 TEST(Message, WireCostsMatchPaper) {
   // Section 5.4.2: 600 window bits + 20 head bits = 620.
@@ -182,9 +197,9 @@ TEST(Network, ChargesTrafficAtSendTime) {
 
 TEST(Network, FilterDropsDeliveries) {
   sim::Simulator sim;
-  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
+  FilterHost host([](std::uint32_t) { return false; });
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0), &host);
   bool delivered = false;
-  net.set_delivery_filter([](std::size_t) { return false; });
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered = true; });
   sim.run_all();
   EXPECT_FALSE(delivered);
@@ -195,10 +210,10 @@ TEST(Network, FilterDropsDeliveries) {
 
 TEST(Network, FilterEvaluatedAtDeliveryTime) {
   sim::Simulator sim;
-  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0));
   bool alive = true;
+  FilterHost host([&alive](std::uint32_t) { return alive; });
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0), &host);
   bool delivered = false;
-  net.set_delivery_filter([&](std::size_t) { return alive; });
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered = true; });
   // The destination dies while the packet is in flight.
   sim.schedule_in(0.01, [&] { alive = false; });
@@ -401,8 +416,8 @@ TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
 
 TEST(Network, QuantizedFilterDropsAreCounted) {
   sim::Simulator sim;
-  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
-  net.set_delivery_filter([](std::size_t to) { return to != 1; });
+  FilterHost host([](std::uint32_t to) { return to != 1; });
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0), &host);
   int ran = 0;
   net.send_sharded(0, 1, MessageType::kPing, 80,
                    [&ran](DeliveryContext&) { ++ran; });
@@ -417,8 +432,8 @@ TEST(Network, QuantizedFilterDropsAreCounted) {
 
 TEST(Network, PostShardedSkipsChargeAndFilter) {
   sim::Simulator sim;
-  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 5.0));
-  net.set_delivery_filter([](std::size_t) { return false; });
+  FilterHost host([](std::uint32_t) { return false; });
+  Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 5.0), &host);
   double ran_at = -1.0;
   net.post_sharded(1, 0.0042, [&](DeliveryContext&) { ran_at = sim.now(); });
   sim.run_all();
@@ -489,6 +504,78 @@ TEST(Network, QuantizedDeferSettlesAfterWholeBucket) {
   // replays buffers only after the fork completes.
   EXPECT_EQ(log, (std::vector<std::string>{"handler1", "handler2", "defer1",
                                            "defer2"}));
+}
+
+/// A host that reaches every node and logs its fork/join brackets.
+class LoggingHost final : public DeliveryHost {
+ public:
+  explicit LoggingHost(std::vector<std::string>& log) : log_(log) {}
+  [[nodiscard]] bool reachable(std::uint32_t) const override { return true; }
+  void before_fork(std::size_t shards) override {
+    log_.push_back("fork" + std::to_string(shards));
+  }
+  void after_join(std::size_t shards) override {
+    log_.push_back("join" + std::to_string(shards));
+  }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+TEST(Network, HostBracketsEachForkedBucket) {
+  // 20 nodes, every pairwise latency floored to the 5 ms grid: the 19
+  // receivers share one bucket of three shards (grain 8). Receivers 1
+  // and 2 forward into a second bucket of two receivers, one shard.
+  std::vector<double> pings(20);
+  for (std::size_t i = 0; i < pings.size(); ++i) {
+    pings[i] = 10.0 + 0.001 * static_cast<double>(i);
+  }
+  std::vector<std::string> expected = {"fork3", "join3"};
+  for (std::uint32_t to = 1; to < 20; ++to) expected.push_back("defer" + std::to_string(to));
+  for (const char* line : {"fork1", "join1", "late1", "late2"}) expected.emplace_back(line);
+
+  for (const unsigned skew : {0u, 1u}) {
+    SCOPED_TRACE(skew == 0 ? "exact engine" : "windowed engine, skew 1");
+    sim::Simulator::LaxConfig lax;
+    lax.skew_buckets = skew;
+    lax.grid_s = 0.005;
+    lax.exec = &serial_exec();
+    sim::Simulator sim(lax);
+    std::vector<std::string> log;
+    LoggingHost host(log);
+    Network net(sim, serial_exec(), LatencyModel(pings, 5.0, 5.0), &host);
+    for (std::uint32_t to = 1; to < 20; ++to) {
+      net.send_sharded(0, to, MessageType::kPing, 80, [&log, &sim, to](DeliveryContext& ctx) {
+        ctx.defer([&log, to] { log.push_back("defer" + std::to_string(to)); });
+        if (to > 2) return;
+        ctx.forward(to, sim.now() + 0.0021, [&log, to](DeliveryContext& inner) {
+          inner.defer([&log, to] { log.push_back("late" + std::to_string(to)); });
+        });
+      });
+    }
+    sim.run_all();
+    EXPECT_EQ(net.delivery_batches(), 2u);
+    // One before_fork/after_join pair per fired bucket, with the same
+    // shard count, and the reduction runs before the bucket's deferred
+    // ops replay.
+    EXPECT_EQ(log, expected);
+  }
+
+  // Continuous mode never forks, so the host is only asked for liveness.
+  sim::Simulator sim;
+  std::vector<std::string> log;
+  LoggingHost host(log);
+  Network net(sim, serial_exec(), LatencyModel({10.0, 60.0}, 5.0), &host);
+  int ran = 0;
+  net.send(0, 1, MessageType::kPing, 80, [&ran] { ++ran; });
+  net.send_sharded(0, 1, MessageType::kPing, 80, [&ran](DeliveryContext& ctx) {
+    ++ran;
+    ctx.defer([&ran] { ++ran; });
+  });
+  net.post_sharded(1, 0.001, [&ran](DeliveryContext&) { ++ran; });
+  sim.run_all();
+  EXPECT_EQ(ran, 4);
+  EXPECT_TRUE(log.empty());
 }
 
 // Regression: fired buckets used to recycle their entry vectors into

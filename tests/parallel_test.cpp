@@ -433,9 +433,14 @@ TEST(QuantizedDelivery, ForkedBucketMatchesSingleThreadExecutor) {
         for (std::size_t i = 0; i < pings.size(); ++i) {
           pings[i] = 10.0 + 0.001 * static_cast<double>(i);
         }
-        net::Network net(sim, exec, net::LatencyModel(std::move(pings), 5.0, 5.0));
         // Drop every 7th receiver, as churn would.
-        net.set_delivery_filter([](std::size_t to) { return to % 7 != 0; });
+        struct DropSevenths final : net::DeliveryHost {
+          bool reachable(std::uint32_t to) const override { return to % 7 != 0; }
+          void before_fork(std::size_t) override {}
+          void after_join(std::size_t) override {}
+        } host;
+        net::Network net(sim, exec, net::LatencyModel(std::move(pings), 5.0, 5.0),
+                         &host);
 
         // Handlers write ONLY receiver-own state (their slot) plus what
         // they defer; the deferred ops replay serially at the join, so

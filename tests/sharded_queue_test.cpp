@@ -374,8 +374,12 @@ TEST(WindowedEngine, SkewZeroIsExactAndWindowsNeedAGridAndAnExecutor) {
   EXPECT_TRUE(sim::Simulator(windowed(1, 1.0)).windowed());
   EXPECT_THROW(sim::Simulator(windowed(1, 0.0)), std::logic_error);
   EXPECT_THROW(sim::Simulator(windowed(1, 1.0, nullptr)), std::logic_error);
+  struct NoFrontier final : sim::Frontier {
+    bool next_time(SimTime&) const override { return false; }
+    std::size_t dispatch_window(SimTime) override { return 0; }
+  } none;
   sim::Simulator exact;
-  EXPECT_THROW(exact.set_frontier_hook({}), std::logic_error);
+  EXPECT_THROW(exact.set_frontier(none), std::logic_error);
   EXPECT_THROW((void)exact.allocate_seq(), std::logic_error);
 }
 

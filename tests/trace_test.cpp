@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,6 +35,18 @@ TEST(TraceSnapshot, RejectsOutOfRangeEdges) {
   nodes[0].trace_id = 0;
   nodes[1].trace_id = 1;
   EXPECT_THROW(TraceSnapshot(std::move(nodes), {{0, 7}}), std::invalid_argument);
+}
+
+TEST(TraceSnapshot, RejectsNegativeOrNonFinitePing) {
+  for (const double ping : {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    std::vector<TraceNode> nodes(2);
+    nodes[0].trace_id = 0;
+    nodes[1].trace_id = 1;
+    nodes[1].ping_ms = ping;
+    EXPECT_THROW(TraceSnapshot(std::move(nodes), {}), std::invalid_argument) << ping;
+  }
+  std::istringstream in("continu-trace 1 2 0\nnode 0 1 20 100\nnode 1 2 -50 100\n");
+  EXPECT_THROW((void)TraceSnapshot::load(in), std::invalid_argument);
 }
 
 TEST(TraceSnapshot, AverageDegree) {

@@ -13,6 +13,7 @@
 //   continu_sim --scenario dynamic_1k --replications 20 --jobs 8
 //   continu_sim --trace snapshot.trace --system gridmedia --csv run.csv
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -153,6 +154,7 @@ template <typename T, typename V, typename InRange>
       "--homogeneous", "--duration",    "--stable-from",
   };
   CliOptions opt;
+  bool csv_mode_seen = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (kWorkloadFlags.count(arg) != 0) opt.workload_flags_seen.push_back(arg);
@@ -268,6 +270,7 @@ template <typename T, typename V, typename InRange>
       const char* v = next();
       if (!v) return std::nullopt;
       opt.csv_mode = v;
+      csv_mode_seen = true;
       if (opt.csv_mode != "first" && opt.csv_mode != "per-rep" &&
           opt.csv_mode != "long") {
         std::fprintf(stderr, "unknown --csv-mode '%s' (first|per-rep|long)\n", v);
@@ -307,6 +310,28 @@ template <typename T, typename V, typename InRange>
   if (opt.stable_from >= opt.duration) {
     std::fprintf(stderr, "--stable-from %g must be below --duration %g\n",
                  opt.stable_from, opt.duration);
+    return std::nullopt;
+  }
+  // Flags that would be silently ignored by the flags they come with.
+  if (!opt.trace_path.empty()) {
+    for (const char* shape : {"--nodes", "--trace-seed"}) {
+      if (std::find(opt.workload_flags_seen.begin(), opt.workload_flags_seen.end(),
+                    shape) != opt.workload_flags_seen.end()) {
+        std::fprintf(stderr,
+                     "%s conflicts with --trace (the loaded snapshot pins the "
+                     "topology)\n",
+                     shape);
+        return std::nullopt;
+      }
+    }
+  }
+  // No range check: churn joiners take indices past the initial count.
+  if (opt.trace_node >= 0 && opt.trace_out.empty()) {
+    std::fprintf(stderr, "--trace-node needs --trace-out (it filters that export)\n");
+    return std::nullopt;
+  }
+  if (csv_mode_seen && opt.csv_path.empty()) {
+    std::fprintf(stderr, "--csv-mode needs --csv (it shapes that file)\n");
     return std::nullopt;
   }
   return opt;
