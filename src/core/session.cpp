@@ -11,6 +11,7 @@
 #include "obs/report.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/topology.hpp"
+#include "util/flat_map.hpp"
 #include "util/logging.hpp"
 
 namespace continu::core {
@@ -213,6 +214,7 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   const std::size_t n = snapshot.node_count();
   nodes_.reserve(n);
   round_handles_.reserve(n);
+  index_of_.assign(space_.size(), kNoIndex);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = rp_.assign_id();
     double inbound = sample_rate(kInboundMin, kInboundMax, /*skewed=*/true);
@@ -227,7 +229,7 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
     if (i == 0) node->mark_source();
     directory_.insert(id);
     rp_.register_node(id);
-    index_of_[id] = i;
+    index_of_[id] = static_cast<std::uint32_t>(i);
     nodes_.push_back(std::move(node));
   }
 }
@@ -317,7 +319,7 @@ void Session::populate_initial_dht() {
       arc.erase(std::remove(arc.begin(), arc.end(), node->id()), arc.end());
       if (arc.empty()) continue;
       const NodeId pick = arc[rng_.next_below(arc.size())];
-      const auto pick_index = index_of_.at(pick);
+      const auto pick_index = index_of(pick).value();
       node->dht_peers().offer(pick,
                               network_.latency().latency_ms(node->session_index(),
                                                             pick_index),
@@ -508,9 +510,12 @@ std::size_t Session::alive_count() const {
 }
 
 std::optional<std::size_t> Session::index_of(NodeId id) const {
-  const auto it = index_of_.find(id);
-  if (it == index_of_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t idx = id < index_of_.size() ? index_of_[id] : kNoIndex;
+  if (idx == kNoIndex) return std::nullopt;
+  // kill_node clears the entry with the liveness bit, so the table is
+  // the alive set: no Node read is needed to answer.
+  assert(nodes_[idx]->alive() && nodes_[idx]->id() == id);
+  return idx;
 }
 
 bool Session::reachable(std::uint32_t to) const {
@@ -528,12 +533,6 @@ void Session::after_join(std::size_t) {
 
 SessionStats& Session::delivery_stats(const net::DeliveryContext& ctx) {
   return ctx.parallel() ? delivery_shard_stats_[ctx.shard()] : stats_;
-}
-
-std::optional<std::size_t> Session::alive_node_by_id(NodeId id) const {
-  const auto idx = index_of(id);
-  if (!idx.has_value() || !nodes_[*idx]->alive()) return std::nullopt;
-  return idx;
 }
 
 bool Session::in_time(const Node& node, SegmentId id, SimTime now) const {
@@ -731,7 +730,7 @@ void Session::repair_neighbors(Node& node) {
 
   // Drop dead neighbors.
   for (const NodeId id : node.neighbors().ids()) {
-    if (!alive_node_by_id(id).has_value()) {
+    if (!index_of(id).has_value()) {
       node.neighbors().remove(id);
       node.rates().forget(id);
       node.overheard().forget(id);
@@ -746,7 +745,7 @@ void Session::repair_neighbors(Node& node) {
   while (node.neighbors().size() < config_.connected_neighbors) {
     const auto candidate = node.overheard().best_candidate(excluded);
     if (!candidate.has_value()) break;
-    const auto cidx = alive_node_by_id(candidate->id);
+    const auto cidx = index_of(candidate->id);
     if (!cidx.has_value()) {
       node.overheard().forget(candidate->id);
       continue;
@@ -768,7 +767,7 @@ void Session::repair_neighbors(Node& node) {
     if (weakest.has_value() && weakest->supply_rate < kLowSupplyThreshold) {
       const auto candidate = node.overheard().best_candidate(excluded);
       if (candidate.has_value()) {
-        const auto cidx = alive_node_by_id(candidate->id);
+        const auto cidx = index_of(candidate->id);
         if (cidx.has_value()) {
           node.neighbors().remove(weakest->id);
           node.rates().forget(weakest->id);
@@ -813,7 +812,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
   // round later regardless of batch position or thread count.
   const bool following = [&] {
     for (const auto& neighbor : node.neighbors().all()) {
-      const auto idx = alive_node_by_id(neighbor.id);
+      const auto idx = index_of(neighbor.id);
       if (idx.has_value() && nodes_[*idx]->buffer().started()) return true;
     }
     return false;
@@ -856,7 +855,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
   // touch the float rate fields, never the ids the piggyback reads.
   const SimTime now = sim_.now();
   for (const auto& neighbor : node.neighbors().all()) {
-    const auto idx = alive_node_by_id(neighbor.id);
+    const auto idx = index_of(neighbor.id);
     if (!idx.has_value()) continue;
     ++shard.buffer_map_messages;
     // Membership piggyback: each exchange also carries a couple of
@@ -873,7 +872,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
       const NodeId heard =
           peer_neighbors[tick_rng.next_below(peer_neighbors.size())].id;
       if (heard == node.id()) continue;
-      const auto hidx = alive_node_by_id(heard);
+      const auto hidx = index_of(heard);
       if (!hidx.has_value()) continue;
       node.overheard().hear(
           heard, network_.latency().latency_ms(node.session_index(), *hidx), now);
@@ -895,7 +894,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   };
   std::vector<NeighborView> views;
   for (const NodeId id : node.neighbors().ids()) {
-    const auto idx = alive_node_by_id(id);
+    const auto idx = index_of(id);
     if (!idx.has_value()) continue;
     // Supplier failover: a blacklisted neighbor's offers are ignored
     // until its window decays, so demand routes around a peer whose
@@ -1026,7 +1025,7 @@ void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
     per_supplier[assignment.supplier].push_back(assignment.segment);
   }
   for (auto& [supplier_id, ids] : per_supplier) {
-    const auto supplier_index = alive_node_by_id(supplier_id);
+    const auto supplier_index = index_of(supplier_id);
     if (!supplier_index.has_value()) continue;
     const auto bits =
         static_cast<Bits>(ids.size()) * WireCosts::kSegmentRequestPerIdBits;
@@ -1328,7 +1327,7 @@ void Session::push_relay(Node& node, SegmentId id) {
   std::size_t pushed = 0;
   for (const NodeId partner : partners) {
     if (pushed >= fanout) break;
-    const auto pidx = alive_node_by_id(partner);
+    const auto pidx = index_of(partner);
     if (!pidx.has_value()) continue;
     Node& peer = *nodes_[*pidx];
     if (peer.buffer().has(id)) continue;
@@ -1451,7 +1450,7 @@ void Session::route_hop(std::size_t current, NodeId target, std::size_t origin,
       finish_locate(current, std::move(op));
       return;
     }
-    const auto next_index = alive_node_by_id(*next);
+    const auto next_index = index_of(*next);
     if (!next_index.has_value()) {
       node.dht_peers().evict(*next);  // stale entry: peer is gone
       continue;
@@ -1558,7 +1557,7 @@ void Session::refresh_dht_peers(Node& node) {
   }
   // Evict any DHT peer we know to be dead (cheap liveness sweep).
   for (const auto& peer : node.dht_peers().peers()) {
-    if (!alive_node_by_id(peer.id).has_value()) {
+    if (!index_of(peer.id).has_value()) {
       node.dht_peers().evict(peer.id);
     }
   }
@@ -1651,7 +1650,7 @@ void Session::kill_node(std::size_t index, bool graceful) {
     // Hand the VoD backup to the counter-clockwise closest alive node.
     const auto heir_id = directory_.predecessor_of(node.id());
     if (heir_id.has_value()) {
-      const auto heir_index = alive_node_by_id(*heir_id);
+      const auto heir_index = index_of(*heir_id);
       if (heir_index.has_value()) {
         auto contents = node.backup().take_all();
         const auto bits = WireCosts::kSmallPacketBits +
@@ -1670,7 +1669,7 @@ void Session::kill_node(std::size_t index, bool graceful) {
   node.set_alive(false);
   directory_.erase(node.id());
   rp_.report_failure(node.id());
-  index_of_.erase(node.id());
+  index_of_[node.id()] = kNoIndex;
   rounds_.remove(round_handles_[index]);
 }
 
@@ -1697,7 +1696,7 @@ void Session::do_join() {
   std::optional<std::size_t> base;
   double base_latency = 0.0;
   for (const NodeId candidate : close) {
-    const auto cidx = alive_node_by_id(candidate);
+    const auto cidx = index_of(candidate);
     // PING + PONG (the probe happens whether or not the peer is alive).
     network_.charge_only(MessageType::kPing, WireCosts::kSmallPacketBits);
     if (!cidx.has_value()) {
@@ -1740,7 +1739,7 @@ void Session::do_join() {
       const auto candidate = node->overheard().best_candidate(excluded);
       if (!candidate.has_value()) break;
       excluded.push_back(candidate->id);
-      const auto cidx = alive_node_by_id(candidate->id);
+      const auto cidx = index_of(candidate->id);
       if (!cidx.has_value()) continue;
       node->neighbors().add(candidate->id, candidate->latency_ms, now);
       nodes_[*cidx]->neighbors().add(id, candidate->latency_ms, now);
@@ -1750,7 +1749,7 @@ void Session::do_join() {
 
   directory_.insert(id);
   rp_.register_node(id);
-  index_of_[id] = index;
+  index_of_[id] = static_cast<std::uint32_t>(index);
   nodes_.push_back(std::move(node));
 
   round_handles_.push_back(rounds_.add_at(round_phase(rng_), index));

@@ -34,7 +34,6 @@
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
-#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace continu::obs {
@@ -207,6 +206,8 @@ class Session : private net::DeliveryHost {
   [[nodiscard]] Node& node(std::size_t index) { return *nodes_.at(index); }
   [[nodiscard]] const Node& node(std::size_t index) const { return *nodes_.at(index); }
   [[nodiscard]] SegmentId emitted() const noexcept { return emitted_; }
+  /// Index of the alive node holding `id`; nullopt when no alive node
+  /// does (never issued, departed, or crashed). One table load.
   [[nodiscard]] std::optional<std::size_t> index_of(NodeId id) const;
   [[nodiscard]] const dht::RingDirectory& directory() const noexcept { return directory_; }
   /// DHT pre-fetch operations still referenced by a pending hop or
@@ -469,7 +470,6 @@ class Session : private net::DeliveryHost {
   /// The stats a delivery handler writes: its shard's scratch when
   /// forked, stats_ itself in immediate mode.
   [[nodiscard]] SessionStats& delivery_stats(const net::DeliveryContext& ctx);
-  [[nodiscard]] std::optional<std::size_t> alive_node_by_id(NodeId id) const;
   [[nodiscard]] bool in_time(const Node& node, SegmentId id, SimTime now) const;
   void store_backup_if_responsible(Node& node, SegmentId id);
 
@@ -522,7 +522,12 @@ class Session : private net::DeliveryHost {
   /// Source emission: one participant ticking every 1/p seconds.
   sim::RoundScheduler emission_;
   sim::RoundScheduler::Handle emission_tick_;
-  util::FlatMap<NodeId, std::size_t> index_of_;
+  /// Dense id -> session index over the whole id space (4 B per id),
+  /// kNoIndex where no alive node holds the id. Written only by
+  /// build_nodes, do_join and kill_node, which clears an entry together
+  /// with the node's liveness bit, so the table is exactly the alive set.
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+  std::vector<std::uint32_t> index_of_;
 
   /// Fork/join scratch, reused across batches. plans_ is indexed by
   /// batch position (each shard writes a disjoint range); the shard-

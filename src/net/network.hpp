@@ -319,10 +319,14 @@ class Network : private sim::Frontier {
   /// the windowed engine's sweep detaches from the front; the exact
   /// engine only looks buckets up (each owns a proxy event). There are
   /// thousands of pending buckets at scale (up to 3.4k-3.8k on
-  /// q1_static_8k: one per occupied grid step, seconds ahead), yet a
-  /// lookup is one per enqueue, far below the cost of the delivery it
-  /// files. A bucket's entry vector lives from its first enqueue until
-  /// it is dispatched, so the pending memory is the live deliveries.
+  /// q1_static_8k: one per occupied grid step, seconds ahead), and
+  /// every enqueue does one tree lookup. That is not free: frames
+  /// inside this map are 5.0-6.5% of grid_8k's main-thread samples and
+  /// enqueue_sharded is 6.3-7.2% inclusive (tools/sample_profile.py
+  /// --frame 'Network::Bucket>', RelWithDebInfo, 4-vCPU Xeon), which
+  /// bounds what a ring of grid slots could save. A bucket's entry
+  /// vector lives from its first enqueue until it is dispatched, so the
+  /// pending memory is the live deliveries.
   std::map<SimTime, Bucket> buckets_;
   /// Dispatch scratch, reused across buckets.
   std::vector<ReceiverGroup> groups_;

@@ -250,6 +250,49 @@ TEST(Session, ChurnChangesMembership) {
   EXPECT_EQ(session.directory().size(), alive);
 }
 
+TEST(Session, IdTableHoldsExactlyTheAliveNodes) {
+  // index_of answers from the id table alone, without reading the Node;
+  // that is sound only while the table holds exactly the alive nodes.
+  // Joins, graceful and abrupt leaves and a crash-stop event all move
+  // membership, so check both directions at several horizons.
+  const auto snapshot = small_trace(200, 22);
+  auto config = small_config(23);
+  config.churn_enabled = true;
+  config.fault.crashes.push_back({/*time=*/12.0, /*fraction=*/0.10});
+  Session session(config, snapshot);
+
+  const auto check = [&session](SimTime horizon) {
+    for (std::size_t i = 0; i < session.node_count(); ++i) {
+      const auto& node = session.node(i);
+      const auto idx = session.index_of(node.id());
+      EXPECT_EQ(node.alive(), idx == std::optional<std::size_t>(i))
+          << "node " << i << " at t=" << horizon;
+    }
+    std::size_t mapped = 0;
+    for (NodeId id = 0; id < session.space().size(); ++id) {
+      const auto idx = session.index_of(id);
+      if (!idx.has_value()) continue;
+      ++mapped;
+      ASSERT_LT(*idx, session.node_count());
+      EXPECT_TRUE(session.node(*idx).alive()) << "id " << id << " at t=" << horizon;
+      EXPECT_EQ(session.node(*idx).id(), id) << "at t=" << horizon;
+    }
+    EXPECT_EQ(mapped, session.alive_count()) << "at t=" << horizon;
+  };
+  check(0.0);
+  for (const SimTime horizon : {6.0, 12.5, 20.0, 30.0}) {
+    session.run(horizon);
+    check(horizon);
+  }
+
+  // Not vacuous: every way in and out of the table happened.
+  const auto& s = session.stats();
+  EXPECT_GT(s.joins, 0u);
+  EXPECT_GT(s.fault_crashes, 0u);
+  EXPECT_GT(s.graceful_leaves, 0u);
+  EXPECT_GT(s.abrupt_leaves, s.fault_crashes);
+}
+
 TEST(Session, DeadNodesStopParticipating) {
   const auto snapshot = small_trace(200, 16);
   auto config = small_config(19);
