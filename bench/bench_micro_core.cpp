@@ -184,41 +184,60 @@ void BM_BitWindowMissingScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BitWindowMissingScan);
 
+/// A scheduling request over `offers`, which must outlive it.
 [[nodiscard]] core::ScheduleRequest make_request(std::size_t candidates,
-                                                 std::size_t suppliers) {
+                                                 std::size_t suppliers,
+                                                 std::vector<core::SupplierOffer>& offers) {
   util::Rng rng(4);
   core::ScheduleRequest request;
   request.priority_inputs.play_point = 100;
   request.inbound_budget = 15;
   request.rank_jitter = 0.4;
   request.jitter_seed = 99;
+  offers.clear();
+  std::vector<std::size_t> counts;
   for (std::size_t i = 0; i < candidates; ++i) {
-    core::Candidate c;
-    c.id = 110 + static_cast<SegmentId>(i);
+    const std::size_t first = offers.size();
     for (std::size_t s = 0; s < suppliers; ++s) {
       if (rng.next_bool(0.7)) {
-        c.offers.push_back(core::SupplierOffer{static_cast<NodeId>(s + 1),
-                                               rng.next_range(2.0, 30.0),
-                                               1 + rng.next_below(600)});
+        offers.push_back(core::SupplierOffer{static_cast<NodeId>(s + 1),
+                                             rng.next_range(2.0, 30.0),
+                                             1 + rng.next_below(600)});
       }
     }
-    if (!c.offers.empty()) request.candidates.push_back(std::move(c));
+    if (offers.size() > first) {
+      request.candidates.push_back(core::Candidate{110 + static_cast<SegmentId>(i), {}});
+      counts.push_back(offers.size() - first);
+    }
+  }
+  const core::SupplierOffer* next = offers.data();
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    request.candidates[i].offers = core::OfferSpan(next, counts[i]);
+    next += counts[i];
   }
   return request;
 }
 
 void BM_ScheduleContinu(benchmark::State& state) {
-  const auto request = make_request(static_cast<std::size_t>(state.range(0)), 6);
+  std::vector<core::SupplierOffer> offers;
+  const auto request = make_request(static_cast<std::size_t>(state.range(0)), 6, offers);
+  core::ScheduleWorkspace work;
+  core::ScheduleResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_continu(request));
+    core::schedule_continu(request, work, result);
+    benchmark::DoNotOptimize(result.assignments.data());
   }
 }
 BENCHMARK(BM_ScheduleContinu)->Arg(20)->Arg(100)->Arg(400);
 
 void BM_ScheduleCoolStreaming(benchmark::State& state) {
-  const auto request = make_request(static_cast<std::size_t>(state.range(0)), 6);
+  std::vector<core::SupplierOffer> offers;
+  const auto request = make_request(static_cast<std::size_t>(state.range(0)), 6, offers);
+  core::ScheduleWorkspace work;
+  core::ScheduleResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_coolstreaming(request));
+    core::schedule_coolstreaming(request, work, result);
+    benchmark::DoNotOptimize(result.assignments.data());
   }
 }
 BENCHMARK(BM_ScheduleCoolStreaming)->Arg(20)->Arg(100)->Arg(400);

@@ -15,6 +15,7 @@
 // The CoolStreaming baseline replaces all of this with the traditional
 // rarest-first score 1/n_i.
 
+#include <cstddef>
 #include <vector>
 
 #include "util/types.hpp"
@@ -31,10 +32,29 @@ struct SupplierOffer {
   std::size_t buffer_position = 1;
 };
 
+/// A read-only run of supplier offers. A request's offers live in one
+/// flat array owned by its caller, and each candidate views its own run
+/// of it.
+class OfferSpan {
+ public:
+  OfferSpan() = default;
+  OfferSpan(const SupplierOffer* first, std::size_t count) noexcept
+      : first_(first), count_(count) {}
+
+  [[nodiscard]] const SupplierOffer* begin() const noexcept { return first_; }
+  [[nodiscard]] const SupplierOffer* end() const noexcept { return first_ + count_; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+
+ private:
+  const SupplierOffer* first_ = nullptr;
+  std::size_t count_ = 0;
+};
+
 /// A candidate segment with every supplier that can offer it.
 struct Candidate {
   SegmentId id = kInvalidSegment;
-  std::vector<SupplierOffer> offers;
+  OfferSpan offers;
 };
 
 struct PriorityInputs {

@@ -4,31 +4,32 @@
 #include <cmath>
 #include <limits>
 
-#include "util/flat_map.hpp"
 #include "util/hash.hpp"
 
 namespace continu::core {
 
 namespace {
 
-struct Ranked {
-  std::size_t index = 0;   ///< into request.candidates
-  double score = 0.0;
-};
+using Ranked = ScheduleWorkspace::Ranked;
 
 /// The greedy supplier-selection pass shared by both systems
-/// (Algorithm 1 lines 2-15).
-[[nodiscard]] ScheduleResult greedy_assign(const ScheduleRequest& request,
-                                           std::vector<Ranked> ranked) {
-  ScheduleResult result;
+/// (Algorithm 1 lines 2-15), over `work.ranked`.
+void greedy_assign(const ScheduleRequest& request, ScheduleWorkspace& work,
+                   ScheduleResult& result) {
+  const std::vector<Ranked>& ranked = work.ranked;
+  result.assignments.clear();
+  result.unassigned = 0;
   // Line 1: the maximum number of inbound segments this period.
   const std::size_t limit = std::min(ranked.size(), request.inbound_budget);
+  result.assignments.reserve(limit);
 
-  // Queuing time per supplier, tau(j), initially 0. Flat maps: one
-  // allocation each for the handful of suppliers a round sees, on the
-  // hottest per-round path in the system.
-  util::FlatMap<NodeId, double> queue_time;
-  util::FlatMap<NodeId, std::size_t> booked;
+  // Queuing time per supplier, tau(j), initially 0. Flat maps for the
+  // handful of suppliers a round sees, on the hottest per-round path in
+  // the system; cleared, not freed, between calls.
+  util::FlatMap<NodeId, double>& queue_time = work.queue_time;
+  util::FlatMap<NodeId, std::size_t>& booked = work.booked;
+  queue_time.clear();
+  booked.clear();
 
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     if (result.assignments.size() >= limit) {
@@ -62,14 +63,13 @@ struct Ranked {
     result.assignments.push_back(
         Assignment{candidate.id, chosen, t_min, ranked[r].score});
   }
-  return result;
 }
 
-[[nodiscard]] std::vector<Ranked> rank_by(const ScheduleRequest& request,
-                                          double (*score_fn)(const Candidate&,
-                                                             const PriorityInputs&)) {
-  std::vector<Ranked> ranked;
-  ranked.reserve(request.candidates.size());
+/// Fills `work.ranked` with every candidate, best first.
+void rank_by(const ScheduleRequest& request, ScheduleWorkspace& work,
+             double (*score_fn)(const Candidate&, const PriorityInputs&)) {
+  std::vector<Ranked>& ranked = work.ranked;
+  ranked.clear();
   for (std::size_t i = 0; i < request.candidates.size(); ++i) {
     double score = score_fn(request.candidates[i], request.priority_inputs);
     if (request.rank_jitter > 0.0) {
@@ -87,23 +87,28 @@ struct Ranked {
     if (a.score != b.score) return a.score > b.score;
     return request.candidates[a.index].id < request.candidates[b.index].id;
   });
-  return ranked;
+}
+
+double continu_score(const Candidate& c, const PriorityInputs& in) {
+  return priority(c, in);
+}
+
+double rarest_score(const Candidate& c, const PriorityInputs&) {
+  return rarest_first_score(c);
 }
 
 }  // namespace
 
-ScheduleResult schedule_continu(const ScheduleRequest& request) {
-  return greedy_assign(request, rank_by(request, [](const Candidate& c,
-                                                    const PriorityInputs& in) {
-                         return priority(c, in);
-                       }));
+void schedule_continu(const ScheduleRequest& request, ScheduleWorkspace& work,
+                      ScheduleResult& out) {
+  rank_by(request, work, continu_score);
+  greedy_assign(request, work, out);
 }
 
-ScheduleResult schedule_coolstreaming(const ScheduleRequest& request) {
-  return greedy_assign(request, rank_by(request, [](const Candidate& c,
-                                                    const PriorityInputs&) {
-                         return rarest_first_score(c);
-                       }));
+void schedule_coolstreaming(const ScheduleRequest& request, ScheduleWorkspace& work,
+                            ScheduleResult& out) {
+  rank_by(request, work, rarest_score);
+  greedy_assign(request, work, out);
 }
 
 }  // namespace continu::core

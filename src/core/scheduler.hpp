@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "core/priority.hpp"
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace continu::core {
 
 struct ScheduleRequest {
-  /// Candidate segments (each with its supplier offers).
+  /// Candidate segments (each viewing its supplier offers, which the
+  /// caller keeps alive for the call).
   std::vector<Candidate> candidates;
   PriorityInputs priority_inputs;
   /// Scheduling period tau (seconds).
@@ -57,12 +59,29 @@ struct ScheduleResult {
   std::size_t unassigned = 0;
 };
 
+/// Buffers of one scheduling pass. A caller that keeps one across calls
+/// schedules without allocating once the buffers have grown to the
+/// largest request seen.
+struct ScheduleWorkspace {
+  struct Ranked {
+    std::size_t index = 0;  ///< into request.candidates
+    double score = 0.0;
+  };
+  std::vector<Ranked> ranked;
+  /// Algorithm 1's queuing time tau(j) and the bookings per supplier.
+  util::FlatMap<NodeId, double> queue_time;
+  util::FlatMap<NodeId, std::size_t> booked;
+};
+
 /// ContinuStreaming's scheduler: rank by priority = max(urgency, rarity)
-/// then run the greedy supplier-selection pass of Algorithm 1.
-[[nodiscard]] ScheduleResult schedule_continu(const ScheduleRequest& request);
+/// then run the greedy supplier-selection pass of Algorithm 1. `out` is
+/// overwritten; its assignment buffer is reused.
+void schedule_continu(const ScheduleRequest& request, ScheduleWorkspace& work,
+                      ScheduleResult& out);
 
 /// CoolStreaming baseline: rank by rarest-first (1/n_i, ties broken by
 /// earlier deadline i.e. smaller id), same greedy supplier pass.
-[[nodiscard]] ScheduleResult schedule_coolstreaming(const ScheduleRequest& request);
+void schedule_coolstreaming(const ScheduleRequest& request, ScheduleWorkspace& work,
+                            ScheduleResult& out);
 
 }  // namespace continu::core

@@ -113,6 +113,44 @@ constexpr std::size_t kSweepGrain = 256;  ///< per-node sweep items per shard
 /// The retry/backoff + blacklist schedule every hardened session runs.
 constexpr fault::RetryPolicy kRetryPolicy{};
 
+/// A neighbor as plan_scheduling sees it.
+struct NeighborView {
+  std::size_t index;
+  NodeId id;
+  double rate;
+  SegmentId newest;
+};
+
+/// Buffers of the round path (playback, neighbor repair, scheduling).
+/// Each use clears and refills them, so one set per thread serves every
+/// session and shard that thread runs, and the round path stops
+/// allocating once they have grown to the largest round seen; a set
+/// per shard would cost resident memory per shard for no gain.
+struct RoundScratch {
+  /// do_playback: the segments that came due.
+  std::vector<DueSegment> due;
+  /// repair_neighbors: ids a replacement may not be.
+  std::vector<NodeId> excluded;
+  /// plan_scheduling: the usable neighbors, then every candidate's
+  /// supplier offers, candidate after candidate (request.candidates
+  /// view runs of it), and the scheduler's own buffers.
+  std::vector<NeighborView> views;
+  std::vector<SupplierOffer> offers;
+  ScheduleRequest request;
+  ScheduleWorkspace work;
+  /// run_scheduling's plan (a round's plan lives in its RoundPlan).
+  ScheduleResult retry_result;
+  /// commit_scheduling: the assignments booked, and each supplier's
+  /// share of them.
+  std::vector<const Assignment*> booked;
+  util::FlatMap<NodeId, std::size_t> share;
+};
+
+RoundScratch& round_scratch() {
+  thread_local RoundScratch scratch;
+  return scratch;
+}
+
 /// The urgent line's inputs (paper eqs. 4-9), derived from the trace
 /// instead of set: t_hop is its mean one-hop latency (the paper calls
 /// t_hop "an approximate estimation from our simulation experience")
@@ -449,7 +487,10 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
   }
 
   // Phase 2 — plan: forked across shards.
-  plans_.assign(n, RoundPlan{});
+  // Fresh plans, not reassigned ones: a reassigned plan would keep its
+  // assignment buffer, and a buffer per batch slot stays resident.
+  plans_.clear();
+  plans_.resize(n);
   shard_stats_.assign(shards, SessionStats{});
   exec_.for_shards(obs::Phase::kPlan, n, kPlanGrain,
                    [this, &users](std::size_t s, std::size_t begin, std::size_t end) {
@@ -728,16 +769,22 @@ void Session::round_commit(std::size_t index, RoundPlan& plan) {
 void Session::repair_neighbors(Node& node) {
   const SimTime now = sim_.now();
 
-  // Drop dead neighbors.
-  for (const NodeId id : node.neighbors().ids()) {
-    if (!index_of(id).has_value()) {
-      node.neighbors().remove(id);
-      node.rates().forget(id);
-      node.overheard().forget(id);
+  // Drop dead neighbors, in place: remove() keeps the order of the rest.
+  const std::vector<overlay::Neighbor>& neighbors = node.neighbors().all();
+  for (std::size_t i = 0; i < neighbors.size();) {
+    const NodeId id = neighbors[i].id;
+    if (index_of(id).has_value()) {
+      ++i;
+      continue;
     }
+    node.neighbors().remove(id);
+    node.rates().forget(id);
+    node.overheard().forget(id);
   }
 
-  auto excluded = node.neighbors().ids();
+  std::vector<NodeId>& excluded = round_scratch().excluded;
+  excluded.clear();
+  for (const overlay::Neighbor& neighbor : neighbors) excluded.push_back(neighbor.id);
   excluded.push_back(node.id());
 
   // Refill toward M initiated links from the lowest-latency overheard
@@ -781,7 +828,9 @@ void Session::repair_neighbors(Node& node) {
 }
 
 void Session::do_playback(Node& node) {
-  const auto due = node.buffer().advance_playback(sim_.now());
+  std::vector<DueSegment>& due = round_scratch().due;
+  due.clear();
+  node.buffer().advance_playback(sim_.now(), due);
   for (const auto& segment : due) {
     if (segment.present) {
       ++node.round_stats().played;
@@ -882,18 +931,15 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
 
 bool Session::plan_scheduling(const Node& node, double budget_fraction,
                               ScheduleResult& out, std::uint64_t& seen) const {
+  RoundScratch& scratch = round_scratch();
   const SimTime now = sim_.now();
   const double tau = kSchedulingPeriod;
 
   // Collect alive neighbor views.
-  struct NeighborView {
-    std::size_t index;
-    NodeId id;
-    double rate;
-    SegmentId newest;
-  };
-  std::vector<NeighborView> views;
-  for (const NodeId id : node.neighbors().ids()) {
+  auto& views = scratch.views;
+  views.clear();
+  for (const overlay::Neighbor& neighbor : node.neighbors().all()) {
+    const NodeId id = neighbor.id;
     const auto idx = index_of(id);
     if (!idx.has_value()) continue;
     // Supplier failover: a blacklisted neighbor's offers are ignored
@@ -947,8 +993,12 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
 
   // Build candidates: fresh segments = in some neighbor's buffer, not
   // ours, not in flight.
-  ScheduleRequest request;
+  ScheduleRequest& request = scratch.request;
+  std::vector<SupplierOffer>& offers = scratch.offers;
+  request.candidates.clear();
+  offers.clear();
   request.period = tau;
+  request.priority_inputs = PriorityInputs{};
   request.priority_inputs.play_point =
       started ? node.buffer().play_point(now) : kInvalidSegment;
   request.priority_inputs.playback_rate = config_.playback_rate;
@@ -963,6 +1013,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   // No per-supplier cap: Algorithm 1's queue-time term is the paper's
   // own limiter, and the frontier (e.g. the source's neighbors pulling
   // the live edge) must be able to use a supplier's full rate.
+  request.per_supplier_cap = 0;
   request.rank_jitter = 0.8;
   request.jitter_seed = node.id();
 
@@ -971,8 +1022,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
     // Bounded retry: a timed-out segment sits out its backoff window
     // before it may be re-requested.
     if (hardened_ && node.retry_blocked(id, now)) continue;
-    Candidate candidate;
-    candidate.id = id;
+    const std::size_t first = offers.size();
     for (const auto& view : views) {
       if (!nodes_[view.index]->buffer().has(id)) continue;
       SupplierOffer offer;
@@ -981,26 +1031,35 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
       const auto distance = static_cast<std::size_t>(
           std::max<SegmentId>(view.newest - id + 1, 1));
       offer.buffer_position = std::min(distance, kBufferCapacity);
-      candidate.offers.push_back(offer);
+      offers.push_back(offer);
     }
-    if (!candidate.offers.empty()) {
-      request.candidates.push_back(std::move(candidate));
+    if (offers.size() > first) {
+      // The span is bound below, once the flat array stops growing.
+      request.candidates.push_back(
+          Candidate{id, OfferSpan(nullptr, offers.size() - first)});
     }
     if (request.candidates.size() >= kMaxCandidates) break;
   }
   if (request.candidates.empty()) return false;
   seen = request.candidates.size();
+  const SupplierOffer* next = offers.data();
+  for (Candidate& candidate : request.candidates) {
+    candidate.offers = OfferSpan(next, candidate.offers.size());
+    next += candidate.offers.size();
+  }
 
   // GridMedia's pull half uses the same rarest-first rule as the
   // CoolStreaming baseline; pushes handle the fresh edge.
-  out = (config_.scheduler == SchedulerKind::kContinuStreaming)
-            ? schedule_continu(request)
-            : schedule_coolstreaming(request);
+  if (config_.scheduler == SchedulerKind::kContinuStreaming) {
+    schedule_continu(request, scratch.work, out);
+  } else {
+    schedule_coolstreaming(request, scratch.work, out);
+  }
   return true;
 }
 
 void Session::run_scheduling(Node& node, double budget_fraction) {
-  ScheduleResult result;
+  ScheduleResult& result = round_scratch().retry_result;
   std::uint64_t seen = 0;
   const bool planned = plan_scheduling(node, budget_fraction, result, seen);
   stats_.candidates_seen += seen;
@@ -1012,17 +1071,32 @@ void Session::run_scheduling(Node& node, double budget_fraction) {
 
 void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
   const SimTime now = sim_.now();
-  // Group assignments per supplier into one pull request each. Flat
-  // map: requests go out in deterministic slot order (a pure function
-  // of the assignment list), where unordered_map order depended on
-  // libstdc++ bucket internals.
-  util::FlatMap<NodeId, std::vector<SegmentId>> per_supplier;
+  // Book every assignment the node can start, counting each supplier's
+  // share, so that each request's id list is allocated once at its
+  // final size.
+  RoundScratch& scratch = round_scratch();
+  std::vector<const Assignment*>& booked = scratch.booked;
+  util::FlatMap<NodeId, std::size_t>& share = scratch.share;
+  booked.clear();
+  share.clear();
   for (const auto& assignment : result.assignments) {
     if (!node.begin_transfer(assignment.segment, TransferKind::kScheduled,
                              assignment.supplier, now)) {
       continue;
     }
-    per_supplier[assignment.supplier].push_back(assignment.segment);
+    booked.push_back(&assignment);
+    ++share[assignment.supplier];
+  }
+  // Group them per supplier into one pull request each. Flat map,
+  // fresh per call: requests go out in its slot order, a pure function
+  // of the booked list (unordered_map order depended on libstdc++
+  // bucket internals, and a reused map's capacity would depend on
+  // earlier calls).
+  util::FlatMap<NodeId, std::vector<SegmentId>> per_supplier;
+  for (const Assignment* assignment : booked) {
+    std::vector<SegmentId>& ids = per_supplier[assignment->supplier];
+    if (ids.empty()) ids.reserve(share[assignment->supplier]);
+    ids.push_back(assignment->segment);
   }
   for (auto& [supplier_id, ids] : per_supplier) {
     const auto supplier_index = index_of(supplier_id);
@@ -1556,11 +1630,8 @@ void Session::refresh_dht_peers(Node& node) {
     node.dht_peers().offer(heard.id, heard.latency_ms, now);
   }
   // Evict any DHT peer we know to be dead (cheap liveness sweep).
-  for (const auto& peer : node.dht_peers().peers()) {
-    if (!index_of(peer.id).has_value()) {
-      node.dht_peers().evict(peer.id);
-    }
-  }
+  node.dht_peers().evict_if(
+      [this](NodeId peer) { return !index_of(peer).has_value(); });
 }
 
 // --------------------------------------------------------------------------

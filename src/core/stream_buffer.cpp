@@ -64,11 +64,10 @@ SimTime StreamBuffer::deadline(SegmentId id) const {
   return start_time_ + offset / static_cast<double>(playback_rate_);
 }
 
-std::vector<DueSegment> StreamBuffer::advance_playback(SimTime now) {
+void StreamBuffer::advance_playback(SimTime now, std::vector<DueSegment>& due) {
   if (!started_) {
     throw std::logic_error("StreamBuffer: advance before playback start");
   }
-  std::vector<DueSegment> due;
   while (deadline(next_due_) <= now) {
     DueSegment d;
     d.id = next_due_;
@@ -107,7 +106,6 @@ std::vector<DueSegment> StreamBuffer::advance_playback(SimTime now) {
   // played segment keeps serving neighbors for up to B/p seconds — the
   // paper's case 2 ("playbacked ... and removed from B's buffer") only
   // occurs once capacity pushes it out.
-  return due;
 }
 
 }  // namespace continu::core

@@ -98,8 +98,9 @@ class StreamBuffer {
   /// only then is it skipped as a miss. Waiting is what real players
   /// do, and it lets a node sink to a depth its supply can sustain
   /// instead of being pinned at an infeasible distance behind the live
-  /// edge. Requires started().
-  [[nodiscard]] std::vector<DueSegment> advance_playback(SimTime now);
+  /// edge. Appends the segments that came due to `due`. Requires
+  /// started().
+  void advance_playback(SimTime now, std::vector<DueSegment>& due);
 
   /// Number of rebuffering stalls so far.
   [[nodiscard]] std::uint64_t stall_count() const noexcept { return stalls_; }

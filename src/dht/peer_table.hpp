@@ -50,6 +50,14 @@ class PeerTable {
   /// Drops `node` from whatever slot holds it (failure handling).
   void evict(NodeId node);
 
+  /// Drops every populated peer whose id satisfies `dead`, in place.
+  template <typename Pred>
+  void evict_if(Pred&& dead) {
+    for (auto& slot : slots_) {
+      if (occupied(slot) && dead(slot.id)) slot = DhtPeer{};
+    }
+  }
+
   /// Clockwise-closest populated peer to `target` that is strictly
   /// closer (clockwise) than the owner itself — the greedy next hop.
   /// Empty when no peer improves on the owner, i.e. routing terminates.

@@ -68,9 +68,15 @@ void print_profile(const ObsReport& report, std::FILE* out) {
     }
     if (top == 0) continue;
     std::fprintf(out, "  batch sizes %-14s:", phase_name(static_cast<Phase>(p)));
+    // Bin b counts forks of [2^b, 2^(b+1)) items; bin 0 also takes 0,
+    // and the last bin everything above.
     for (std::size_t b = 0; b < top; ++b) {
-      std::fprintf(out, " [>=%zu]=%" PRIu64, static_cast<std::size_t>(1) << b,
-                   hist[b]);
+      const std::size_t low = b == 0 ? 0 : std::size_t{1} << b;
+      if (b + 1 == PhaseProfiler::kHistBuckets) {
+        std::fprintf(out, " [>=%zu]=%" PRIu64, low, hist[b]);
+      } else {
+        std::fprintf(out, " [%zu-%zu]=%" PRIu64, low, (std::size_t{2} << b) - 1, hist[b]);
+      }
     }
     std::fprintf(out, "\n");
   }

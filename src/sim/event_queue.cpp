@@ -20,26 +20,26 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
 }
 
 void EventQueue::drop_dead_top() const {
-  while (!heap_.empty()) {
-    const std::uint64_t id = heap_.top().key;
+  while (!calendar_.empty()) {
+    const std::uint64_t id = calendar_.top().key;
     if (id_of(id & kSlotMask) == id) return;  // live
-    heap_.pop();
+    calendar_.pop();
   }
 }
 
 bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
   for (;;) {
-    if (heap_.empty()) return false;
-    const QuadHeap::Entry top = heap_.top();
+    if (calendar_.empty()) return false;
+    const CalendarQueue::Entry top = calendar_.top();
     // A stale (cancelled) top beyond the horizon is left in place —
     // drop_dead_top() purges it whenever ordering queries need it.
     if (top.time > horizon) return false;
     const std::uint32_t index = top.key & kSlotMask;
     EventId& slot_id = id_of(index);
-    // Start the slot-line fill now; the heap percolation below hides
+    // Start the slot-line fill now; the calendar pop below hides
     // most of its latency.
     __builtin_prefetch(&slot(index), 1);
-    heap_.pop();
+    calendar_.pop();
     if (slot_id != top.key) continue;  // cancelled or stale: discard lazily
     // De-register but do NOT free: the slot must not be reused while
     // its action runs, and a cancel() of the running id must no-op.
@@ -48,10 +48,10 @@ bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
     out.time = top.time;
     out.slot_index = index;
     // Start fetching the NEXT event's slot a whole pop early — the
-    // caller's action execution plus the next heap percolation give
+    // caller's action execution plus the next calendar pop give
     // the line a full miss latency of lead time.
-    if (!heap_.empty()) {
-      const auto next = static_cast<std::uint32_t>(heap_.top().key & kSlotMask);
+    if (!calendar_.empty()) {
+      const auto next = static_cast<std::uint32_t>(calendar_.top().key & kSlotMask);
       __builtin_prefetch(&slot(next), 1);
       __builtin_prefetch(&id_of(next), 1);
     }
@@ -69,7 +69,7 @@ void EventQueue::execute_and_release(const DueEvent& due) {
     ~ReleaseGuard() { queue->release_slot(index); }
   } guard{this, due.slot_index};
   // Slot blocks never move, so the reference stays valid even if the
-  // action schedules new events (growing the pool or the heap).
+  // action schedules new events (growing the pool or the calendar).
   slot(due.slot_index).action.consume();
 }
 
@@ -86,8 +86,8 @@ bool EventQueue::cancel(EventId id) noexcept {
 
 bool EventQueue::peek(SimTime& time, EventId& id) const {
   drop_dead_top();
-  if (heap_.empty()) return false;
-  const QuadHeap::Entry top = heap_.top();
+  if (calendar_.empty()) return false;
+  const CalendarQueue::Entry top = calendar_.top();
   time = top.time;
   id = top.key;
   return true;
@@ -95,10 +95,10 @@ bool EventQueue::peek(SimTime& time, EventId& id) const {
 
 void EventQueue::collect_window(SimTime limit, std::vector<WindowRef>& out) {
   for (;;) {
-    if (heap_.empty()) return;
-    const QuadHeap::Entry top = heap_.top();
+    if (calendar_.empty()) return;
+    const CalendarQueue::Entry top = calendar_.top();
     if (top.time > limit) return;
-    heap_.pop();
+    calendar_.pop();
     // Dead tops (cancelled before collection) are reaped here exactly
     // like drop_dead_top(); live entries stay registered so a cancel
     // during the window's execution still lands.
@@ -112,7 +112,7 @@ bool EventQueue::execute_collected(const WindowRef& ref) {
   EventId& slot_id = id_of(index);
   if (slot_id != ref.id) return false;  // cancelled since collection
   // De-register then execute in place — same contract as
-  // acquire_due + execute_and_release, minus the heap pop (collection
+  // acquire_due + execute_and_release, minus the calendar pop (collection
   // already removed the entry).
   slot_id = kInvalidEvent;
   --live_;

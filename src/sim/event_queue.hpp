@@ -1,19 +1,17 @@
 #pragma once
-// Slot-pool event queue: a 4-ary implicit heap of 16-byte (time, id)
-// entries (QuadHeap, sim/quad_heap.hpp) over a generation-stamped pool
-// of event slots.
+// Slot-pool event queue: 16-byte (time, id) entries ordered by a
+// calendar (CalendarQueue, sim/calendar_queue.hpp) over a
+// generation-stamped pool of event slots.
 //
 // Design, and why it is fast:
-//   * The heap holds only (time, id) — 16 bytes per entry, never the
-//     64-byte action, so sift paths touch a quarter of the cache lines.
-//     Four children per node halve the depth of a binary heap, and
-//     QuadHeap picks the smallest child of each group with compares
-//     folded into index arithmetic, so a pop costs no mispredicted
-//     branches on its way down. BM_EventQueueHold (pop one, schedule
-//     one, at 8k and 90k pending) is the row this design is judged by;
-//     docs/BENCHMARKS.md holds its re-measured table against a binary
-//     heap and against the same 4-ary heap with branchy child
-//     selection.
+//   * The calendar holds only (time, id) — 16 bytes per entry, never
+//     the 64-byte action. Most pending events sit unsorted in the
+//     buckets of its one-second ring, so a schedule is a chunk append
+//     and a pop walks a small heap holding one 2^-10 s bucket of events
+//     (QuadHeap, sim/quad_heap.hpp) instead of a heap of every pending
+//     event. BM_EventQueueHold (pop one, schedule one, at 8k and 90k
+//     pending) is the row this design is judged by; docs/BENCHMARKS.md
+//     holds its re-measured tables.
 //   * Actions live in a chunked slot pool with stable addresses. Each
 //     slot is one 64-byte line holding only the action; its id lives
 //     in the block's side array (8 bytes), so a pending event costs
@@ -25,7 +23,7 @@
 //     at least 1 in the bits above, so no id — current or stale — can
 //     ever equal a link.
 //   * cancel() is one compare + one array write (free the slot); the
-//     heap entry dies lazily when it surfaces, validated by a single
+//     calendar entry dies lazily when it surfaces, validated by a single
 //     id compare against the side array. No hashing.
 //
 // Cancellation matters: a node that leaves the overlay abandons its
@@ -46,7 +44,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/quad_heap.hpp"
+#include "sim/calendar_queue.hpp"
 
 namespace continu::sim {
 
@@ -64,7 +62,7 @@ class EventQueue {
 
   /// Schedules `f` at `time` and returns the unique handle. The
   /// callable is constructed directly in its pool slot (zero moves,
-  /// zero allocations); the slot line is prefetched while the heap
+  /// zero allocations); the slot line is prefetched while the calendar
   /// insertion runs.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
@@ -80,14 +78,14 @@ class EventQueue {
   template <typename F>
   EventId emplace_with_seq(std::uint64_t seq, SimTime time, F&& f) {
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
-    Slot& s = slot(index);  // blocks are stable; heap growth can't move it
+    Slot& s = slot(index);  // blocks are stable; calendar growth can't move it
     __builtin_prefetch(&s, 1);
     if (seq >= next_seq_) next_seq_ = seq + 1;
     const EventId id = (seq << kSlotBits) | index;
-    heap_.push(time, id);
+    calendar_.push(time, id);
     // Construct the action BEFORE publishing the slot: if the capture's
     // construction throws (or was an empty std::function), the slot
-    // still reads as free (id mismatch), so the heap entry above is
+    // still reads as free (id mismatch), so the calendar entry above is
     // lazily reaped and the freelist is untouched — the queue stays
     // consistent.
     s.action.emplace(std::forward<F>(f));
@@ -134,10 +132,11 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
   /// Bytes held by the queue: the slot pool with its side id arrays
-  /// (blocks are never freed) plus the heap's entry array.
+  /// (blocks are never freed) plus the calendar (ring, chunk pool and
+  /// both heaps).
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
     return blocks_.capacity() * sizeof(blocks_[0]) + blocks_.size() * sizeof(Block) +
-           heap_.capacity_bytes();
+           calendar_.capacity_bytes();
   }
 
   /// Head (time, id) of the earliest live event without removing it;
@@ -147,7 +146,7 @@ class EventQueue {
   bool peek(SimTime& time, EventId& id) const;
 
   /// Reference to an event collected by a lax window pop: removed from
-  /// the heap but still REGISTERED in its slot, so cancels issued
+  /// the calendar but still REGISTERED in its slot, so cancels issued
   /// between collection and execution are honoured (the slot id stops
   /// matching and execute_collected skips the ref).
   struct WindowRef {
@@ -155,9 +154,9 @@ class EventQueue {
     EventId id = kInvalidEvent;
   };
 
-  /// Lax window collection: pops every live heap entry with time <=
-  /// limit into `out`, in (time, id) order, WITHOUT de-registering the
-  /// slots. Touches only this queue's heap plus slot-id reads, so the
+  /// Lax window collection: pops every live calendar entry with time
+  /// <= limit into `out`, in (time, id) order, WITHOUT de-registering
+  /// the slots. Touches only this queue's calendar plus slot-id reads, so the
   /// per-shard member queues of a ShardedEventQueue can run this
   /// concurrently — one worker per queue, no shared state.
   void collect_window(SimTime limit, std::vector<WindowRef>& out);
@@ -215,7 +214,7 @@ class EventQueue {
   [[nodiscard]] std::uint32_t grow_pool();
   void release_slot(std::uint32_t index) noexcept;
 
-  /// Discards heap entries whose slot no longer carries their id
+  /// Discards calendar entries whose slot no longer carries their id
   /// (cancelled, or the slot was freed and reused).
   void drop_dead_top() const;
 
@@ -223,7 +222,7 @@ class EventQueue {
   // (time, id) entries; id order among live entries is schedule order
   // (the sequence occupies the high bits). Mutable so peek() can purge
   // dead heads without changing observable state.
-  mutable QuadHeap heap_;
+  mutable CalendarQueue calendar_;
   std::uint32_t free_head_ = kNoFree;
   std::uint32_t slot_count_ = 0;
   std::uint64_t next_seq_ = 1;

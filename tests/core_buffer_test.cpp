@@ -12,6 +12,13 @@
 namespace continu::core {
 namespace {
 
+/// The segments that come due by `now`.
+std::vector<DueSegment> advance(StreamBuffer& buf, SimTime now) {
+  std::vector<DueSegment> due;
+  buf.advance_playback(now, due);
+  return due;
+}
+
 // ---------------------------------------------------------------------------
 // StreamBuffer
 // ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ TEST(StreamBuffer, AdvancePlaybackReportsPresence) {
   buf.insert(0);
   buf.insert(2);  // 1 missing
   buf.start_playback(0, 0.0);
-  const auto due = buf.advance_playback(0.35);  // deadlines 0.1, 0.2, 0.3
+  const auto due = advance(buf, 0.35);  // deadlines 0.1, 0.2, 0.3
   // Segment 0 plays; the missing segment 1 triggers a rebuffering stall
   // (the player waits for it rather than skipping).
   ASSERT_EQ(due.size(), 2u);
@@ -98,7 +105,7 @@ TEST(StreamBuffer, PlayedSegmentsStayAvailable) {
   StreamBuffer buf(100, 10);
   for (SegmentId id = 0; id < 10; ++id) buf.insert(id);
   buf.start_playback(0, 0.0);
-  (void)buf.advance_playback(0.55);  // plays 0..4
+  (void)advance(buf, 0.55);  // plays 0..4
   EXPECT_EQ(buf.window_head(), 0);
   EXPECT_TRUE(buf.has(4));
   EXPECT_TRUE(buf.has(5));
@@ -119,8 +126,8 @@ TEST(StreamBuffer, AdvanceTwiceCoversDisjointRanges) {
   StreamBuffer buf(100, 10);
   for (SegmentId id = 0; id < 20; ++id) buf.insert(id);
   buf.start_playback(0, 0.0);
-  const auto first = buf.advance_playback(0.5);
-  const auto second = buf.advance_playback(1.0);
+  const auto first = advance(buf, 0.5);
+  const auto second = advance(buf, 1.0);
   EXPECT_EQ(first.size(), 5u);
   EXPECT_EQ(second.size(), 5u);
   EXPECT_EQ(first.back().id + 1, second.front().id);
@@ -134,7 +141,7 @@ TEST(StreamBuffer, DoubleStartThrows) {
 
 TEST(StreamBuffer, AdvanceBeforeStartThrows) {
   StreamBuffer buf(100, 10);
-  EXPECT_THROW((void)buf.advance_playback(1.0), std::logic_error);
+  EXPECT_THROW((void)advance(buf, 1.0), std::logic_error);
 }
 
 TEST(StreamBuffer, LateArrivalForPlayedSegmentStillStored) {
@@ -143,7 +150,7 @@ TEST(StreamBuffer, LateArrivalForPlayedSegmentStillStored) {
   StreamBuffer buf(100, 10);
   buf.insert(20);
   buf.start_playback(20, 0.0);
-  (void)buf.advance_playback(1.05);
+  (void)advance(buf, 1.05);
   EXPECT_TRUE(buf.insert(25));
   EXPECT_TRUE(buf.has(25));
 }
@@ -152,9 +159,9 @@ TEST(StreamBuffer, StallWhenNothingAhead) {
   StreamBuffer buf(100, 10);
   buf.insert(0);
   buf.start_playback(0, 0.0);
-  (void)buf.advance_playback(0.15);  // plays 0
+  (void)advance(buf, 0.15);  // plays 0
   // Nothing held at/after segment 1: the player must stall, not skip.
-  const auto due = buf.advance_playback(1.0);
+  const auto due = advance(buf, 1.0);
   ASSERT_FALSE(due.empty());
   EXPECT_TRUE(due.back().stalled);
   EXPECT_EQ(buf.stall_count(), 1u);
@@ -168,13 +175,13 @@ TEST(StreamBuffer, HoleStallsThenSkipsAfterPatience) {
   buf.insert(2);  // 1 is a hole
   buf.start_playback(0, 0.0);
   // Within the patience window the player waits on segment 1.
-  auto due = buf.advance_playback(0.35);
+  auto due = advance(buf, 0.35);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_TRUE(due[1].stalled);
   EXPECT_GE(buf.stall_count(), 1u);
   // After 0.5 s of waiting the hole is skipped as a miss and playback
   // proceeds to segment 2.
-  due = buf.advance_playback(1.2);
+  due = advance(buf, 1.2);
   bool skipped_one = false;
   bool played_two = false;
   for (const auto& d : due) {
@@ -190,9 +197,9 @@ TEST(StreamBuffer, StallEndsWhenSegmentArrives) {
   buf.insert(0);
   buf.insert(2);
   buf.start_playback(0, 0.0);
-  (void)buf.advance_playback(0.35);  // waiting on 1
+  (void)advance(buf, 0.35);  // waiting on 1
   buf.insert(1);
-  const auto due = buf.advance_playback(1.0);
+  const auto due = advance(buf, 1.0);
   ASSERT_FALSE(due.empty());
   EXPECT_EQ(due[0].id, 1);
   EXPECT_TRUE(due[0].present);
@@ -206,10 +213,10 @@ TEST(StreamBuffer, StallResumesWhenDataArrives) {
   StreamBuffer buf(100, 10);
   buf.insert(0);
   buf.start_playback(0, 0.0);
-  (void)buf.advance_playback(1.0);  // plays 0, stalls on 1
+  (void)advance(buf, 1.0);  // plays 0, stalls on 1
   buf.insert(1);
   buf.insert(2);
-  const auto due = buf.advance_playback(2.25);
+  const auto due = advance(buf, 2.25);
   EXPECT_GE(due.size(), 2u);
   EXPECT_TRUE(due[0].present);
   EXPECT_EQ(due[0].id, 1);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 
@@ -23,10 +24,14 @@ PriorityInputs paper_inputs(SegmentId play_point = 100) {
   return in;
 }
 
+/// A candidate viewing `offers`, which live until the test binary exits
+/// (a candidate only views its offers).
 Candidate make_candidate(SegmentId id, std::vector<SupplierOffer> offers) {
+  static std::deque<std::vector<SupplierOffer>> storage;
+  storage.push_back(std::move(offers));
   Candidate c;
   c.id = id;
-  c.offers = std::move(offers);
+  c.offers = OfferSpan(storage.back().data(), storage.back().size());
   return c;
 }
 
@@ -141,6 +146,21 @@ TEST(Priority, EmptyOfferListsRejected) {
 // ---------------------------------------------------------------------------
 // Algorithm 1 (greedy supplier selection)
 // ---------------------------------------------------------------------------
+
+/// One scheduling pass with fresh buffers.
+ScheduleResult schedule_continu(const ScheduleRequest& request) {
+  ScheduleWorkspace work;
+  ScheduleResult out;
+  core::schedule_continu(request, work, out);
+  return out;
+}
+
+ScheduleResult schedule_coolstreaming(const ScheduleRequest& request) {
+  ScheduleWorkspace work;
+  ScheduleResult out;
+  core::schedule_coolstreaming(request, work, out);
+  return out;
+}
 
 ScheduleRequest simple_request(std::vector<Candidate> candidates,
                                std::size_t budget = 100, double period = 1.0) {
@@ -305,16 +325,18 @@ TEST_P(SchedulerProperty, InvariantsHoldOnRandomInstances) {
     const std::size_t n_suppliers = 1 + rng.next_below(5);
     std::vector<Candidate> candidates;
     for (std::size_t i = 0; i < n_candidates; ++i) {
-      Candidate c;
-      c.id = 100 + static_cast<SegmentId>(i);
+      std::vector<SupplierOffer> offers;
       for (std::size_t s = 0; s < n_suppliers; ++s) {
         if (rng.next_bool(0.6)) {
-          c.offers.push_back(SupplierOffer{static_cast<NodeId>(s + 1),
-                                           rng.next_range(0.5, 30.0),
-                                           1 + rng.next_below(600)});
+          offers.push_back(SupplierOffer{static_cast<NodeId>(s + 1),
+                                         rng.next_range(0.5, 30.0),
+                                         1 + rng.next_below(600)});
         }
       }
-      if (!c.offers.empty()) candidates.push_back(std::move(c));
+      if (!offers.empty()) {
+        candidates.push_back(
+            make_candidate(100 + static_cast<SegmentId>(i), std::move(offers)));
+      }
     }
     ScheduleRequest request;
     request.candidates = std::move(candidates);

@@ -59,6 +59,23 @@ TEST(PhaseProfiler, HandComputedForkAccumulation) {
   EXPECT_DOUBLE_EQ(report.amdahl.serial_fraction, 9200.0 / 10200.0);
   // 100 items lands in log2 bucket 6 (64 <= 100 < 128).
   EXPECT_EQ(report.batch_hist[static_cast<std::size_t>(Phase::kPlan)][6], 1u);
+
+  // The printed histogram labels each bin with the range it counts.
+  ObsReport printed;
+  printed.profile = true;
+  printed.prof = report;
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  print_profile(printed, file);
+  std::rewind(file);
+  std::string text;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, file) != nullptr) text += buf;
+  std::fclose(file);
+  EXPECT_NE(text.find("  batch sizes plan          : [0-1]=0 [2-3]=0 [4-7]=0 [8-15]=0 "
+                      "[16-31]=0 [32-63]=0 [64-127]=1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(PhaseProfiler, HistogramBucketEdges) {

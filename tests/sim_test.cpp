@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -463,15 +464,29 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
   }
 }
 
-// Heap property test: random interleavings of every queue operation
-// against a std::set<(time, id)> oracle. Times come from a small table
-// (many exact ties, -0.0 next to +0.0, negatives, infinities), so the
-// (time, id) order is exercised where the 4-ary heap's packed key has
-// to agree with the double compare. `cap` bounds the pending count:
-// caps 0-5 walk every shape of a partial last child group, the large
-// cap keeps ~100k entries pending.
+/// Where RunHeapAgainstOracle draws its event times from.
+enum class OracleTimes {
+  /// A small table (many exact ties, -0.0 next to +0.0, negatives,
+  /// infinities), plus a quarter-second grid at large caps.
+  kTable,
+  /// The calendar's seams, relative to the last time taken out: exact
+  /// k/1024 bucket edges and their neighbouring doubles, times around
+  /// the one-second ring horizon, long gaps that leave only far
+  /// entries (the cursor jumps to far's head), repeats of earlier
+  /// times (equal times on both sides of a far-to-ring migration), and
+  /// the table's infinities and negatives now and then.
+  kCalendarSeams,
+};
+
+// Queue property test: random interleavings of every queue operation
+// against a std::set<(time, id)> oracle, so the (time, id) order is
+// exercised where the heaps' packed key and the calendar's bucket index
+// have to agree with the double compare. `cap` bounds the pending
+// count: caps 0-5 walk every shape of a partial last child group, the
+// large cap keeps ~100k entries pending. Cancels hit entries wherever
+// they sit: near, the ring or far.
 void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
-                          std::size_t fill) {
+                          std::size_t fill, OracleTimes times = OracleTimes::kTable) {
   const double inf = std::numeric_limits<double>::infinity();
   const double kTimes[] = {-inf, -1e300, -2.5, -1.0,
                            -std::numeric_limits<double>::denorm_min(),
@@ -480,11 +495,45 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
                            0.25, 1.0, 1.0, 1.0, 2.0, 1e300, inf};
   constexpr std::size_t kTimeCount = sizeof(kTimes) / sizeof(kTimes[0]);
   util::Rng rng(seed);
+  // The last finite time taken out of the queue: seam times are drawn
+  // relative to it, so they land around the calendar's cursor.
+  double clock = 0.0;
+  std::vector<double> recent;  // earlier seam draws, for repeats
+  const auto draw_seam = [&] {
+    const double roll = rng.next_double();
+    const double edge = std::floor(clock * 1024.0) / 1024.0;
+    double t;
+    if (roll < 0.30) {  // an exact bucket edge up to two seconds ahead
+      t = edge + static_cast<double>(rng.next_below(2048)) / 1024.0;
+    } else if (roll < 0.50) {  // one double either side of an edge
+      t = edge + static_cast<double>(rng.next_below(2048)) / 1024.0;
+      t = std::nextafter(t, rng.next_bool(0.5) ? inf : -inf);
+    } else if (roll < 0.65) {  // around the ring's one-second horizon
+      t = edge + 1.0 + static_cast<double>(rng.next_below(9)) / 1024.0 - 4.0 / 1024.0;
+      if (rng.next_bool(0.5)) t = std::nextafter(t, rng.next_bool(0.5) ? inf : -inf);
+    } else if (roll < 0.75) {  // a long gap: only far holds it
+      t = clock + 3.0 + rng.next_double() * 40.0;
+    } else if (roll < 0.95 && !recent.empty()) {  // an earlier time again
+      t = recent[rng.next_below(recent.size())];
+    } else {
+      t = kTimes[rng.next_below(kTimeCount)];
+    }
+    if (recent.size() < 64) {
+      recent.push_back(t);
+    } else {
+      recent[rng.next_below(recent.size())] = t;
+    }
+    return t;
+  };
   const auto draw_time = [&] {
+    if (times == OracleTimes::kCalendarSeams) return draw_seam();
     if (cap > 16 && rng.next_double() < 0.9) {
       return static_cast<double>(rng.next_below(4096)) * 0.25 - 100.0;
     }
     return kTimes[rng.next_below(kTimeCount)];
+  };
+  const auto advance_clock = [&](double t) {
+    if (std::isfinite(t) && t > clock && t < 1e6) clock = t;
   };
 
   EventQueue q;
@@ -541,6 +590,7 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
       ASSERT_EQ(q.acquire_due(limit, due), expected);
       if (expected) {
         ASSERT_EQ(due.time, want.first);
+        advance_clock(due.time);
         q.execute_and_release(due);
         ASSERT_EQ(ran_tag, info[want.second].tag);
       }
@@ -554,6 +604,7 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
       for (std::size_t k = 0; k < refs.size(); ++k) {
         ASSERT_EQ(refs[k].id, wanted[k].second);
         ASSERT_EQ(refs[k].time, wanted[k].first);
+        advance_clock(refs[k].time);
       }
       // Collected refs stay cancellable until they run.
       for (std::size_t k = 0; k < refs.size(); ++k) {
@@ -576,6 +627,9 @@ void RunHeapAgainstOracle(std::uint64_t seed, std::size_t cap, std::size_t ops,
       }
     }
     ASSERT_EQ(q.size(), oracle.size()) << "op " << op;
+    // Every pending event holds a pool slot and a 16-byte calendar
+    // entry (near, ring chunk or far), and approx_bytes counts both.
+    ASSERT_GE(q.approx_bytes(), q.size() * (EventQueue::kSlotBytes + 16)) << "op " << op;
   }
   ASSERT_GE(q.peak_size(), std::min(cap, fill));
   // The full drain must reproduce the oracle's order exactly.
@@ -602,6 +656,22 @@ TEST(EventQueue, HeapMatchesOrderedSetOracleAtSmallSizes) {
 
 TEST(EventQueue, HeapMatchesOrderedSetOracleAt100kPending) {
   RunHeapAgainstOracle(0xB16u, 100000, 40000, 100000);
+}
+
+// The same oracle over the calendar's seams. Small caps empty the ring
+// often (the cursor re-seats and jumps to far's head); the larger ones
+// keep hundreds to thousands of entries spread over near, the ring and
+// far while the cursor sweeps bucket edges and the horizon.
+TEST(EventQueue, HeapMatchesOrderedSetOracleAtCalendarSeams) {
+  const std::size_t kCaps[] = {1, 4, 32, 600, 6000};
+  for (const std::size_t cap : kCaps) {
+    for (std::uint64_t trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << " trial " << trial);
+      RunHeapAgainstOracle(0x5EA35u + 1000 * cap + trial, cap, 4000, cap,
+                           OracleTimes::kCalendarSeams);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 // Slot reuse under heavy churn: the pool stays compact and ids never

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sampling profile of one command: where its main thread spends wall time.
 
-    sample_profile.py [--by inner|outer|line] [--top N] [--frame REGEX]
-                      [--min-samples N] -- COMMAND [ARG...]
+    sample_profile.py [--allocs] [--by inner|outer|line] [--top N]
+                      [--frame REGEX] [--min-samples N] -- COMMAND [ARG...]
 
 Builds tools/sample_profile/sampler.cpp into a temporary LD_PRELOAD
 module, runs COMMAND under it with one sample every 100 us (the command's stdout goes to stderr, so
@@ -20,6 +20,15 @@ profile a build configured with -DCMAKE_BUILD_TYPE=RelWithDebInfo
 (the same -O2 as Release, plus -g). Every process the command starts
 inherits the module, and their samples are pooled.
 
+--allocs         count calls to operator new by calling address
+                 instead of sampling time: builds
+                 tools/sample_profile/allocs.cpp as the LD_PRELOAD
+                 module, which replaces every form of the global
+                 operator new, counts each call against its return
+                 address in every thread, and allocates with malloc.
+                 Rows, --frame and --min-samples then count
+                 allocations; --by outer names the function that
+                 called operator new.
 --frame REGEX    also print the share of samples with any frame of
                  their inline stack matching REGEX: the inclusive cost
                  of a function wherever the compiler inlined it.
@@ -41,7 +50,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SAMPLER_SRC = Path(__file__).resolve().parent / "sample_profile" / "sampler.cpp"
+MODULE_DIR = Path(__file__).resolve().parent / "sample_profile"
 HEADER = re.compile(r"# sample_profile 1 samples=\d+ dropped=(\d+)")
 PERIOD_US = 100  # kPeriodUs in sampler.cpp
 DISCRIMINATOR = re.compile(r" \(discriminator \d+\)$")
@@ -52,14 +61,14 @@ def fail(message):
     sys.exit(2)
 
 
-def build_module(workdir):
-    module = os.path.join(workdir, "sampler.so")
+def build_module(workdir, name):
+    module = os.path.join(workdir, f"{name}.so")
     cxx = os.environ.get("CXX", "c++")
-    cmd = [cxx, "-std=c++17", "-O2", "-shared", "-fPIC", "-o", module, str(SAMPLER_SRC),
-           "-ldl", "-lrt"]
+    cmd = [cxx, "-std=c++17", "-O2", "-shared", "-fPIC", "-o", module,
+           str(MODULE_DIR / f"{name}.cpp"), "-ldl", "-lrt"]
     result = subprocess.run(cmd, capture_output=True, text=True)
     if result.returncode != 0:
-        fail(f"building the sampler failed:\n{result.stderr}")
+        fail(f"building the {name} module failed:\n{result.stderr}")
     return module
 
 
@@ -118,6 +127,7 @@ def relative(location):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--allocs", action="store_true")
     parser.add_argument("--by", choices=("inner", "outer", "line"), default="inner")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--frame", action="append", default=[])
@@ -133,7 +143,7 @@ def main():
         fail("addr2line not found")
 
     with tempfile.TemporaryDirectory(prefix="sample_profile_") as workdir:
-        module = build_module(workdir)
+        module = build_module(workdir, "allocs" if args.allocs else "sampler")
         prefix = os.path.join(workdir, "samples")
         env = dict(os.environ)
         env["LD_PRELOAD"] = ":".join(filter(None, [module, env.get("LD_PRELOAD")]))
@@ -165,16 +175,22 @@ def main():
                 key = relative(stack[0][1])
             rows[key] += counts[(module, offset)]
 
-    seconds = total * PERIOD_US / 1e6
-    print(f"# {total} samples every {PERIOD_US} us ({seconds:.2f} s) "
-          f"from {processes} process(es), {dropped} dropped; by {args.by}")
-    print(f"{'share':>7} {'samples':>8}  frame")
+    if args.allocs:
+        unit = "allocations"
+        print(f"# {total} calls to operator new from {processes} process(es), "
+              f"{dropped} dropped; by {args.by}")
+    else:
+        unit = "samples"
+        seconds = total * PERIOD_US / 1e6
+        print(f"# {total} samples every {PERIOD_US} us ({seconds:.2f} s) "
+              f"from {processes} process(es), {dropped} dropped; by {args.by}")
+    print(f"{'share':>7} {unit:>8}  frame")
     for key, count in rows.most_common(args.top):
         print(f"{100.0 * count / max(total, 1):6.2f}% {count:>8}  {key}")
     for text, count in zip(args.frame, matched):
-        print(f"# --frame {text}: {count} samples ({100.0 * count / max(total, 1):.2f}%)")
+        print(f"# --frame {text}: {count} {unit} ({100.0 * count / max(total, 1):.2f}%)")
     if total < args.min_samples:
-        print(f"sample_profile: {total} samples, fewer than --min-samples {args.min_samples}",
+        print(f"sample_profile: {total} {unit}, fewer than --min-samples {args.min_samples}",
               file=sys.stderr)
         return 1
     return 0
