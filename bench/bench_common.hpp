@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -93,11 +94,20 @@ struct Horizon {
 }
 
 /// Bench job count: CONTINU_BENCH_JOBS env var, else 0 (= all cores).
+/// A value that is not a non-negative integer ("abc", "8x", "-1") exits
+/// 1 with a one-line diagnostic before the pool starts a thread.
 [[nodiscard]] inline unsigned bench_jobs() {
-  if (const char* env = std::getenv("CONTINU_BENCH_JOBS")) {
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  const char* env = std::getenv("CONTINU_BENCH_JOBS");
+  if (env == nullptr) return 0;
+  const auto parsed = runner::cli::parse_uint(env);
+  if (!parsed.has_value() || *parsed > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr,
+                 "CONTINU_BENCH_JOBS expects a non-negative integer (0 = all "
+                 "cores), got '%s'\n",
+                 env);
+    std::exit(1);
   }
-  return 0;
+  return static_cast<unsigned>(*parsed);
 }
 
 /// Runs a batch of specs through the shared thread pool, spec order out.

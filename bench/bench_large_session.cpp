@@ -15,8 +15,9 @@
 //                       [--obs] [--quiet]
 //
 // --obs compiles nothing extra — it flips the runtime observability
-// config on (profiler + trace + counters) so check_overhead.py can
-// measure the enabled-vs-disabled throughput delta on the same binary.
+// config on (profiler + trace + counters) so the overhead row of
+// bench/gates.json can measure the enabled-vs-disabled throughput
+// delta on the same binary.
 
 #include <chrono>
 #include <cinttypes>

@@ -11,11 +11,11 @@
 // The batch is identical at every jobs count (same specs, same seeds),
 // so the run also cross-checks jobs-invariance of the results: any
 // continuity mismatch across jobs counts fails the bench. The defaults
-// are a fast smoke; a run whose speedup feeds a GATE (CI's
-// check_scaling.py) should use a heavier batch (e.g. --nodes 500
-// --replications 24) so per-point wall time is seconds, not hundreds
-// of milliseconds — short measurements on shared runners are noisy
-// enough to flake a 1.5x floor.
+// are a fast smoke; a run whose speedup feeds a GATE (the
+// runner_scaling row of bench/gates.json) should use a heavier batch
+// (e.g. --nodes 500 --replications 24) so per-point wall time is
+// seconds, not hundreds of milliseconds — short measurements on shared
+// runners are noisy enough to flake a 1.5x floor.
 
 #include <chrono>
 #include <cstdio>

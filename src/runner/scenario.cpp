@@ -247,7 +247,7 @@ namespace {
   // grids: "q1_static_1k" is static_1k — same trace, same seeds — with
   // deliveries snapped to a 1 ms grid and dispatched as receiver-sharded
   // batches. The continuous/quantized pairs are what the committed
-  // divergence study (bench_quantized_divergence) sweeps.
+  // divergence study (bench_divergence --grids) sweeps.
   {
     const std::vector<Scenario> matrix = build_matrix();
     const auto matrix_base = [&matrix](const std::string& name) {
