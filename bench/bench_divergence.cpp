@@ -6,9 +6,9 @@
 //   --grids MS,...  the quantized network mode (delivery instants snap
 //                   UP to the grid so batches can fork by receiver)
 //                   against the continuous network model;
-//   --skews K,...   the windowed engine (shards drain up to K x grid
-//                   ahead of the earliest pending event so the
-//                   per-shard pops can fork) against the exact engine.
+//   --skews K,...   the windowed engine (each window runs events up to
+//                   K x grid ahead of the earliest pending one) against
+//                   the exact engine.
 //
 //   {"bench": "divergence", "axis": "skews", "seed": 42, "reps": 8,
 //    "skews": [1],
@@ -40,6 +40,9 @@
 //   bench_divergence (--grids MS,MS,... | --skews K,K,...)
 //                    [--scenarios A,B,...] [--seed S] [--reps N]
 //                    [--duration SEC]
+//
+// --duration must exceed every chosen scenario's stable_from (20 s for
+// the matrix), as continu_sim requires of --stable-from.
 
 #include <cinttypes>
 #include <cstdio>
@@ -197,12 +200,21 @@ int main(int argc, char** argv) {
     for (const auto& name : names) scenarios.push_back(bench::require_scenario(name));
   }
   for (const auto& scenario : scenarios) {
-    auto config = runner::spec_for(scenario, seed).config;
+    const runner::ReplicationSpec spec = runner::spec_for(scenario, seed);
+    auto config = spec.config;
     for (const double value : values) {
       if (const auto problem = apply(*axis, config, value)) {
         std::fprintf(stderr, "%s: %s\n", scenario.name.c_str(), problem->c_str());
         return 1;
       }
+    }
+    // A run that ends at or before the stable window opens measures
+    // nothing: its stable continuity reads 0 and its stabilization time
+    // the first sample, so every delta would be a vacuous 0.
+    if (duration > 0.0 && duration <= spec.stable_from) {
+      std::fprintf(stderr, "%s: --duration %g must exceed the stable window start %g\n",
+                   scenario.name.c_str(), duration, spec.stable_from);
+      return 1;
     }
   }
 

@@ -178,8 +178,11 @@ void BM_BitWindowMissingScan(benchmark::State& state) {
   for (int i = 0; i < 450; ++i) {
     window.set(static_cast<SegmentId>(rng.next_below(600)));
   }
+  std::vector<SegmentId> missing;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(window.missing_in(0, 600));
+    missing.clear();
+    window.missing_in(0, 600, missing);
+    benchmark::DoNotOptimize(missing.data());
   }
 }
 BENCHMARK(BM_BitWindowMissingScan);

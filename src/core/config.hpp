@@ -143,8 +143,8 @@ struct SystemConfig {
   ///   exact (default) — one event queue executing in global
   ///     (time, seq) order; the oracle every fingerprint refers to.
   ///   windowed(k) — sharded_queue on, queue_skew_buckets = k >= 1 and
-  ///     a positive latency_grid_ms: the queue drains in k-grid-bucket
-  ///     windows whose per-shard pops fork across the session executor
+  ///     a positive latency_grid_ms: the same queue drains in
+  ///     k-grid-bucket windows, each run serially shard by shard
   ///     (docs/DETERMINISM.md contract 7). Deterministic and
   ///     thread-count invariant per k, but each k is its own universe.
   /// Any other combination runs the exact engine.

@@ -129,6 +129,10 @@ struct NeighborView {
 struct RoundScratch {
   /// do_playback: the segments that came due.
   std::vector<DueSegment> due;
+  /// plan_prefetch: the window's missing ids, and those of them
+  /// predicted missed.
+  std::vector<SegmentId> missing;
+  std::vector<SegmentId> missed;
   /// repair_neighbors: ids a replacement may not be.
   std::vector<NodeId> excluded;
   /// plan_scheduling: the usable neighbors, then every candidate's
@@ -239,12 +243,11 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
 
 Session::~Session() = default;
 
-sim::Simulator::LaxConfig Session::engine_config() {
+sim::Simulator::LaxConfig Session::engine_config() const {
   sim::Simulator::LaxConfig lax;
   if (!config_.windowed_engine()) return lax;
   lax.skew_buckets = config_.queue_skew_buckets;
   lax.grid_s = config_.latency_grid_ms / 1000.0;
-  lax.exec = &exec_;
   return lax;
 }
 
@@ -1456,8 +1459,13 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
     }
     return false;
   };
-  std::vector<SegmentId> missed;
-  for (const SegmentId id : buffer.missing_in(head, limit)) {
+  RoundScratch& scratch = round_scratch();
+  std::vector<SegmentId>& missing = scratch.missing;
+  std::vector<SegmentId>& missed = scratch.missed;
+  missing.clear();
+  missed.clear();
+  buffer.window().missing_in(head, limit, missing);
+  for (const SegmentId id : missing) {
     if (node.prefetch_pending(id)) continue;
     if (id >= imminent && (node.transfer_pending(id) || booked_in_plan(id))) {
       continue;
@@ -2076,19 +2084,19 @@ std::shared_ptr<const obs::ObsReport> Session::obs_report() {
     put("net.delivery_batches", network_.delivery_batches());
     put("net.batched_deliveries", network_.batched_deliveries());
     // Windowed-engine diagnostics: skew-stall (shards a window could
-    // not feed) plus the per-shard lead histogram — how far past
-    // each window's anchor the collected events sat, in grid buckets.
-    // Absent on the exact engine, deterministic (thread-count
-    // invariant) per skew on the windowed one.
-    if (const sim::ShardedEventQueue* squeue = sim_.sharded_queue()) {
-      put("engine.lax_windows", squeue->lax_windows());
-      put("engine.lax_events_drained", squeue->lax_events_drained());
-      put("engine.lax_stalled_shards", squeue->lax_stalled_shards());
+    // not feed) plus the lead histogram — how far past each window's
+    // anchor the collected events sat, in grid buckets. Absent on the
+    // exact engine, deterministic (thread-count invariant) per skew on
+    // the windowed one.
+    if (sim_.windowed()) {
+      const sim::Simulator::LaxStats& lax = sim_.lax_stats();
+      put("engine.lax_windows", lax.windows);
+      put("engine.lax_events_drained", lax.events_drained);
+      put("engine.lax_stalled_shards", lax.stalled_shards);
       put("net.lax_handoff_windows", network_.lax_handoff_windows());
-      const std::vector<std::uint64_t>& hist = squeue->lax_lead_histogram();
-      for (std::size_t b = 0; b < hist.size(); ++b) {
+      for (std::size_t b = 0; b < lax.lead_histogram.size(); ++b) {
         report->counter_values.emplace_back(
-            "engine.lax_lead_bucket_" + std::to_string(b), hist[b]);
+            "engine.lax_lead_bucket_" + std::to_string(b), lax.lead_histogram[b]);
       }
     }
   }

@@ -457,9 +457,9 @@ class Session : private net::DeliveryHost {
 
   // --- helpers -----------------------------------------------------------
   /// The engine config_ selects, as the simulator's construction
-  /// argument: windowed on exec_ when config_.windowed_engine(), exact
+  /// argument: windowed when config_.windowed_engine(), exact
   /// otherwise.
-  [[nodiscard]] sim::Simulator::LaxConfig engine_config();
+  [[nodiscard]] sim::Simulator::LaxConfig engine_config() const;
 
   // net::DeliveryHost: a forked delivery bucket writes per-shard stats,
   // reduced in shard order at the join — the same deferred-merge

@@ -57,11 +57,6 @@ class StreamBuffer {
   /// Highest-id segment currently held (nullopt when empty).
   [[nodiscard]] std::optional<SegmentId> newest() const;
 
-  /// Missing ids in [from, to) clipped to the window.
-  [[nodiscard]] std::vector<SegmentId> missing_in(SegmentId from, SegmentId to) const {
-    return window_.missing_in(from, to);
-  }
-
   [[nodiscard]] const util::BitWindow& window() const noexcept { return window_; }
 
   // --- playback -----------------------------------------------------------

@@ -64,8 +64,7 @@ struct ProfileReport {
   /// Log2 batch-size histogram per phase: bucket b counts forks whose
   /// item count n satisfies 2^b <= n < 2^(b+1) (bucket 0 includes n<=1).
   /// Items are what the fork shards over: nodes for the round phases and
-  /// sweeps, receivers (not deliveries) for delivery_bucket, queue
-  /// shards for lax_drain.
+  /// sweeps, receivers (not deliveries) for delivery_bucket.
   std::array<std::array<std::uint64_t, 20>, kPhaseCount> batch_hist{};
   AmdahlEstimate amdahl{};
 };

@@ -19,7 +19,9 @@ enum class Phase : std::uint8_t {
   kShardDrain,        ///< retired with the strict sharded engine: never
                       ///< recorded, kept for phase-indexed readers
                       ///< (bench/suite)
-  kLaxDrain,          ///< windowed-engine shard pops (forked)
+  kLaxDrain,          ///< retired with the forked window collection:
+                      ///< never recorded, kept for phase-indexed
+                      ///< readers (bench/suite)
   kSampleSweep,       ///< metrics sample tick sweep (forked)
   kChurnSweep,        ///< dead-supplier transfer sweep (forked)
   kOtherFork,         ///< fork/join outside the engine's phases

@@ -31,9 +31,9 @@
 // a strict no-op (the slot's current id no longer matches).
 //
 // One way in, one way out per engine: events enter only through
-// emplace()/emplace_with_seq(), constructed in their slot. The exact
-// engine drains with acquire_due() + execute_and_release(); the
-// windowed engine with collect_window() + execute_collected(), its
+// emplace(), constructed in their slot. Both engines drain this one
+// queue: the exact engine with acquire_due() + execute_and_release();
+// the windowed engine with collect_window() + execute_collected(), its
 // window anchor read through peek().
 
 #include <cstddef>
@@ -66,21 +66,10 @@ class EventQueue {
   /// insertion runs.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
-    return emplace_with_seq(next_seq_++, time, std::forward<F>(f));
-  }
-
-  /// emplace() with a caller-supplied sequence number instead of the
-  /// queue's own counter — the per-shard member queues of a
-  /// ShardedEventQueue share ONE global sequence stream, so every
-  /// event's (time, seq) key is unique across shards. Sequences must be
-  /// unique per queue; the internal counter is bumped past `seq` so
-  /// mixing with plain emplace() stays collision-free.
-  template <typename F>
-  EventId emplace_with_seq(std::uint64_t seq, SimTime time, F&& f) {
+    const std::uint64_t seq = next_seq_++;
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
     Slot& s = slot(index);  // blocks are stable; calendar growth can't move it
     __builtin_prefetch(&s, 1);
-    if (seq >= next_seq_) next_seq_ = seq + 1;
     const EventId id = (seq << kSlotBits) | index;
     calendar_.push(time, id);
     // Construct the action BEFORE publishing the slot: if the capture's
@@ -104,6 +93,11 @@ class EventQueue {
     if (live_ > peak_live_) peak_live_ = live_;
     return id;
   }
+
+  /// Draws one sequence number without scheduling anything. The
+  /// windowed engine's network draws one per quantized hand-off, so the
+  /// hand-offs keep their place in the sequence stream.
+  [[nodiscard]] std::uint64_t allocate_seq() noexcept { return next_seq_++; }
 
   /// The exact engine's way out. A due event is acquired (de-queued,
   /// de-registered so cancels no-op) and then executed IN PLACE in its
@@ -141,11 +135,11 @@ class EventQueue {
 
   /// Head (time, id) of the earliest live event without removing it;
   /// returns false when the queue is empty. Purges lazily-cancelled
-  /// tops, so the reported head is always live — a ShardedEventQueue
-  /// takes its window anchor as the minimum of its shards' heads.
+  /// tops, so the reported head is always live — the windowed engine
+  /// anchors its windows on it.
   bool peek(SimTime& time, EventId& id) const;
 
-  /// Reference to an event collected by a lax window pop: removed from
+  /// Reference to an event collected by a window pop: removed from
   /// the calendar but still REGISTERED in its slot, so cancels issued
   /// between collection and execution are honoured (the slot id stops
   /// matching and execute_collected skips the ref).
@@ -154,11 +148,9 @@ class EventQueue {
     EventId id = kInvalidEvent;
   };
 
-  /// Lax window collection: pops every live calendar entry with time
-  /// <= limit into `out`, in (time, id) order, WITHOUT de-registering
-  /// the slots. Touches only this queue's calendar plus slot-id reads, so the
-  /// per-shard member queues of a ShardedEventQueue can run this
-  /// concurrently — one worker per queue, no shared state.
+  /// Window collection: appends every live calendar entry with time
+  /// <= limit to `out`, in (time, id) order, WITHOUT de-registering
+  /// the slots.
   void collect_window(SimTime limit, std::vector<WindowRef>& out);
 
   /// True while a collected ref's event is still live (not cancelled

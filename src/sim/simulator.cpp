@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <utility>
-
-#include "sim/parallel/executor.hpp"
 
 namespace continu::sim {
 
@@ -14,20 +11,25 @@ Simulator::Simulator(LaxConfig lax) {
   if (lax.grid_s <= 0.0) {
     throw std::logic_error("Simulator: the windowed engine needs a positive grid");
   }
-  if (lax.exec == nullptr) {
-    throw std::logic_error("Simulator: the windowed engine needs an executor");
-  }
-  squeue_ = std::make_unique<ShardedEventQueue>(lax.skew_buckets);
-  lax_ = std::move(lax);
+  lax_ = lax;
+  lax_stats_.lead_histogram.assign(static_cast<std::size_t>(lax.skew_buckets) + 1, 0);
+}
+
+std::size_t Simulator::queue_bytes() const noexcept {
+  std::size_t refs = window_.capacity();
+  for (const auto& shard : shards_) refs += shard.capacity();
+  return queue_.approx_bytes() + refs * sizeof(EventQueue::WindowRef);
 }
 
 std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
   std::size_t ran = 0;
   const SimTime window_s = static_cast<SimTime>(lax_.skew_buckets) * lax_.grid_s;
+  const std::size_t buckets = lax_stats_.lead_histogram.size();
   for (std::size_t windows = 0; windows < max_windows; ++windows) {
     SimTime qt = 0.0;
+    EventId head = kInvalidEvent;
     SimTime dt = 0.0;
-    const bool have_event = squeue_->next_time(qt);
+    const bool have_event = queue_.peek(qt, head);
     const bool have_bucket = frontier_ != nullptr && frontier_->next_time(dt);
     if (!have_event && !have_bucket) break;
     // The window anchors at the earliest pending time across both
@@ -39,27 +41,35 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
     if (have_bucket && dt < anchor) anchor = dt;
     if (anchor > horizon) break;
     const SimTime limit = std::min(anchor + window_s, horizon);
-    // Phase A — forked window collection: every shard pops its events
-    // due within the window into its private scratch. Queue-local heap
-    // pops only; the window's accounting is serial in finish_window.
-    constexpr unsigned nshards = ShardedEventQueue::kShards;
-    lax_.exec->for_shards(
-        obs::Phase::kLaxDrain, nshards, /*grain=*/1,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            squeue_->collect_window(static_cast<std::uint32_t>(s), limit);
-          }
-        });
-    squeue_->finish_window(anchor, lax_.grid_s);
-    // Phase B — serial execution in shard-index order, each event at
-    // its own local clock (this is the skew: the clock is non-monotonic
-    // within the window, bounded by window_s). Emissions landing inside
-    // the window were not collected — they fence to the next window —
-    // and cancels of collected refs are honoured at execution.
-    ran += squeue_->execute_window([this](SimTime t) {
-      now_ = t;
-      ++executed_;
-    });
+    // Collection: every event due within the window, in global (time,
+    // seq) order, split by shard — so each shard's list keeps its own
+    // (time, seq) order.
+    queue_.collect_window(limit, window_);
+    for (const EventQueue::WindowRef& ref : window_) {
+      shards_[(ref.id >> EventQueue::kSlotBits) & (kLaxShards - 1)].push_back(ref);
+    }
+    window_.clear();
+    ++lax_stats_.windows;
+    // Execution, serial in shard-index order, each event at its own
+    // local clock (this is the skew: the clock is non-monotonic within
+    // the window, bounded by window_s). Emissions landing inside the
+    // window were not collected — they fence to the next window — and
+    // cancels of collected refs are honoured at execution.
+    for (std::vector<EventQueue::WindowRef>& shard : shards_) {
+      if (shard.empty()) ++lax_stats_.stalled_shards;
+      for (const EventQueue::WindowRef& ref : shard) {
+        std::size_t lead = static_cast<std::size_t>((ref.time - anchor) / lax_.grid_s);
+        if (lead >= buckets) lead = buckets - 1;
+        ++lax_stats_.lead_histogram[lead];
+        if (!queue_.collected_live(ref)) continue;
+        now_ = ref.time;
+        ++executed_;
+        ++lax_stats_.events_drained;
+        ++ran;
+        queue_.execute_collected(ref);
+      }
+      shard.clear();
+    }
     // Bucket sweep: every delivery bucket whose instant is <= limit is
     // detached, then dispatched in time order, each at its own clock.
     if (frontier_ != nullptr) ran += frontier_->dispatch_window(limit);
@@ -68,7 +78,7 @@ std::size_t Simulator::drain_lax(SimTime horizon, std::size_t max_windows) {
 }
 
 std::size_t Simulator::drain(SimTime horizon, std::size_t max_steps) {
-  if (squeue_) return drain_lax(horizon, max_steps);
+  if (windowed()) return drain_lax(horizon, max_steps);
   std::size_t ran = 0;
   EventQueue::DueEvent due;
   while (ran < max_steps && queue_.acquire_due(horizon, due)) {

@@ -12,34 +12,31 @@
 // capture is stored inline, constructed directly in the queue's slot
 // pool, and cancel() is an O(1) slot write.
 //
-// Two engines, chosen at construction:
+// Two engines over the one EventQueue, chosen at construction:
 //
-//   exact (default) — one EventQueue executing in global (time, seq)
-//   order: the oracle every fingerprint refers to.
+//   exact (default) — executes in global (time, seq) order: the oracle
+//   every fingerprint refers to.
 //
-//   windowed (LaxConfig::skew_buckets >= 1) — a ShardedEventQueue
-//   drained in bounded-skew windows whose per-shard pops fork, plus a
-//   Frontier through which the network sweeps its quantized delivery
-//   buckets once per window. Deterministic and thread-count invariant
-//   per skew, but its own universe (docs/DETERMINISM.md contract 7).
+//   windowed (LaxConfig::skew_buckets >= 1) — a drain policy, not a
+//   second queue: bounded-skew windows, each collected serially from
+//   the queue and run shard by shard (a shard is the execution class
+//   seq & 7), plus a Frontier through which the network sweeps its
+//   quantized delivery buckets once per window. Deterministic and
+//   thread-count invariant per skew, but its own universe
+//   (docs/DETERMINISM.md contract 7).
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
 #include "util/types.hpp"
 
 namespace continu::sim {
-
-namespace parallel {
-class ParallelExecutor;
-}
 
 class Simulator;
 
@@ -65,24 +62,43 @@ class Frontier {
 
 class Simulator {
  public:
-  /// Engine selection. skew_buckets == 0 is the exact engine (the other
-  /// fields are ignored); skew_buckets >= 1 the windowed engine, which
-  /// drains windows `skew_buckets * grid_s` wide: per-shard pops fork on
-  /// `exec` (a one-thread executor runs them inline with the identical
-  /// shard decomposition) and execution is serial in shard-index order
-  /// at per-event local clocks. Each collection fork is named
-  /// obs::Phase::kLaxDrain.
+  /// Engine selection. skew_buckets == 0 is the exact engine (grid_s
+  /// is ignored); skew_buckets >= 1 the windowed engine, which drains
+  /// windows `skew_buckets * grid_s` wide and executes each serially,
+  /// shard by shard, at per-event local clocks.
   struct LaxConfig {
     unsigned skew_buckets = 0;
     SimTime grid_s = 0.0;
-    parallel::ParallelExecutor* exec = nullptr;
+  };
+
+  /// The windowed engine's shards: execution classes over the one
+  /// queue, not queues. An event's shard is `seq & (kLaxShards - 1)`,
+  /// and a window runs shard 0's due events in (time, seq) order, then
+  /// shard 1's, and so on. The count is part of every windowed
+  /// fingerprint — a constant, not a knob.
+  static constexpr unsigned kLaxShards = 8;
+
+  /// Window counters of the windowed engine (zero, with an empty
+  /// histogram, on the exact one).
+  struct LaxStats {
+    /// Windows drained.
+    std::uint64_t windows = 0;
+    /// Events executed through windows (frontier instants excluded).
+    std::uint64_t events_drained = 0;
+    /// Cumulative shards a window held no event for (skew-stall: the
+    /// window could not feed that shard any work).
+    std::uint64_t stalled_shards = 0;
+    /// Bucket b counts collected events whose time sat b grid steps
+    /// past their window's anchor (skew_buckets + 1 buckets). Mass at
+    /// bucket 0 means the skew window is not being used.
+    std::vector<std::uint64_t> lead_histogram;
   };
 
   /// The exact engine.
   Simulator() = default;
   /// The engine `lax` selects. A windowed config needs a positive grid
-  /// (the skew unit is a grid bucket) and an executor; anything else is
-  /// a logic error, not a silent fallback.
+  /// (the skew unit is a grid bucket); anything else is a logic error,
+  /// not a silent fallback.
   explicit Simulator(LaxConfig lax);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -91,28 +107,25 @@ class Simulator {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// True when running the windowed engine.
-  [[nodiscard]] bool windowed() const noexcept { return squeue_ != nullptr; }
+  [[nodiscard]] bool windowed() const noexcept { return lax_.skew_buckets > 0; }
 
-  /// The windowed engine's queue, for window diagnostics (null on the
-  /// exact engine).
-  [[nodiscard]] const ShardedEventQueue* sharded_queue() const noexcept {
-    return squeue_.get();
-  }
+  /// The windowed engine's window counters.
+  [[nodiscard]] const LaxStats& lax_stats() const noexcept { return lax_stats_; }
 
-  /// Draws a sequence number from the windowed engine's global stream
-  /// without scheduling (the network draws one per quantized hand-off
-  /// to keep event shard placement fixed). Requires windowed().
+  /// Draws one sequence number without scheduling (the network draws
+  /// one per quantized hand-off, because an event's shard is
+  /// `seq`-based). Requires windowed().
   [[nodiscard]] std::uint64_t allocate_seq() {
-    if (!squeue_) {
+    if (!windowed()) {
       throw std::logic_error("Simulator::allocate_seq: exact engine");
     }
-    return squeue_->allocate_seq();
+    return queue_.allocate_seq();
   }
 
   /// Installs the frontier the window drain sweeps (windowed engine
   /// only; the exact engine schedules bucket proxy events instead).
   void set_frontier(Frontier& frontier) {
-    if (!squeue_) {
+    if (!windowed()) {
       throw std::logic_error("Simulator::set_frontier: exact engine");
     }
     frontier_ = &frontier;
@@ -129,7 +142,6 @@ class Simulator {
   EventId schedule_at(SimTime when, F&& f) {
     validate_callable(f);
     if (when < now_) when = now_;
-    if (squeue_) return squeue_->emplace(when, std::forward<F>(f));
     return queue_.emplace(when, std::forward<F>(f));
   }
 
@@ -141,9 +153,7 @@ class Simulator {
   }
 
   /// Cancels a pending event; returns true iff it was still pending.
-  bool cancel(EventId id) noexcept {
-    return squeue_ ? squeue_->cancel(id) : queue_.cancel(id);
-  }
+  bool cancel(EventId id) noexcept { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or the clock passes `horizon`.
   /// Events at exactly `horizon` still run. Returns events executed.
@@ -157,18 +167,15 @@ class Simulator {
   bool step();
 
   /// Live events still pending.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return squeue_ ? squeue_->size() : queue_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Bytes held by the event queue (slot pool plus heap).
-  [[nodiscard]] std::size_t queue_bytes() const noexcept {
-    return squeue_ ? squeue_->approx_bytes() : queue_.approx_bytes();
-  }
+  /// Bytes held by the event queue (slot pool plus calendar) and the
+  /// windowed engine's per-shard window lists.
+  [[nodiscard]] std::size_t queue_bytes() const noexcept;
 
   /// High-water mark of pending events since construction.
   [[nodiscard]] std::size_t peak_pending() const noexcept {
-    return squeue_ ? squeue_->peak_size() : queue_.peak_size();
+    return queue_.peak_size();
   }
 
   /// Total events executed since construction.
@@ -192,16 +199,19 @@ class Simulator {
   /// Returns events executed.
   std::size_t drain(SimTime horizon, std::size_t max_steps);
 
-  /// Windowed drain: repeats { anchor at the earliest pending (time,
-  /// seq), fork per-shard pops of everything due within the skew window,
-  /// execute serially in shard order, sweep delivery buckets through
-  /// the window }.
+  /// Windowed drain: repeats { anchor at the earliest pending time,
+  /// collect everything due within the skew window, execute it shard
+  /// by shard, sweep delivery buckets through the window }.
   std::size_t drain_lax(SimTime horizon, std::size_t max_windows);
 
   EventQueue queue_;
-  std::unique_ptr<ShardedEventQueue> squeue_;
   Frontier* frontier_ = nullptr;
   LaxConfig lax_;
+  LaxStats lax_stats_;
+  /// One window's collected refs, then the same refs split by shard;
+  /// cleared every window, capacity kept.
+  std::vector<EventQueue::WindowRef> window_;
+  std::vector<EventQueue::WindowRef> shards_[kLaxShards];
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
 };

@@ -105,14 +105,13 @@ std::size_t BitWindow::count_below(SegmentId limit) const noexcept {
   return total;
 }
 
-std::vector<SegmentId> BitWindow::missing_in(SegmentId from, SegmentId to) const {
-  std::vector<SegmentId> out;
+void BitWindow::missing_in(SegmentId from, SegmentId to,
+                           std::vector<SegmentId>& out) const {
   const SegmentId lo = (from > head_) ? from : head_;
   const SegmentId hi = (to < end()) ? to : end();
   for (SegmentId id = lo; id < hi; ++id) {
     if (!test(id)) out.push_back(id);
   }
-  return out;
 }
 
 std::vector<SegmentId> BitWindow::present() const {

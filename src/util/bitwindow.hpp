@@ -49,8 +49,9 @@ class BitWindow {
   /// Number of set bits with id < limit (ids below head count as absent).
   [[nodiscard]] std::size_t count_below(SegmentId limit) const noexcept;
 
-  /// Ids of all clear bits in [from, to), clipped to the window.
-  [[nodiscard]] std::vector<SegmentId> missing_in(SegmentId from, SegmentId to) const;
+  /// Appends the ids of all clear bits in [from, to), clipped to the
+  /// window, to `out` (the caller clears it; hot paths reuse one).
+  void missing_in(SegmentId from, SegmentId to, std::vector<SegmentId>& out) const;
 
   /// Ids of all set bits in the window, ascending.
   [[nodiscard]] std::vector<SegmentId> present() const;

@@ -103,9 +103,12 @@ def manifest_rows(records_dir):
             row["budget"] = f"bench/budgets/{BUDGETS[check]}"
         rows.append(row)
     rows.append({"name": "record_bench_fails", "check": "record", "runs": [["fail"]]})
+    # 21 s is the shortest whole-second run past q1_static_small's
+    # stable_from (20 s): a shorter one is refused, because its stable
+    # continuity would read 0 on both sides and pass vacuously.
     rows.append({"name": "drift_live", "check": "drift",
                  "runs": [["bench_divergence", "--scenarios", "q1_static_small",
-                           "--skews", "1", "--reps", "1", "--duration", "2"]],
+                           "--skews", "1", "--reps", "1", "--duration", "21"]],
                  "budget": "bench/budgets/drift_live.json", "provenance": "synthetic"})
     return rows
 

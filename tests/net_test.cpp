@@ -539,7 +539,6 @@ TEST(Network, HostBracketsEachForkedBucket) {
     sim::Simulator::LaxConfig lax;
     lax.skew_buckets = skew;
     lax.grid_s = 0.005;
-    lax.exec = &serial_exec();
     sim::Simulator sim(lax);
     std::vector<std::string> log;
     LoggingHost host(log);
@@ -592,7 +591,6 @@ TEST(Network, QuantizedPendingBytesTrackLiveDeliveries) {
     sim::Simulator::LaxConfig lax;
     lax.skew_buckets = skew;
     lax.grid_s = kGrid;
-    lax.exec = &serial_exec();
     sim::Simulator sim(lax);
     Network net(sim, serial_exec(), LatencyModel({10.0, 11.0}, 5.0, 1.0));
     std::size_t ran = 0;

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -19,6 +21,7 @@
 #include "obs/report.hpp"
 #include "obs/trace_sink.hpp"
 #include "runner/experiment_runner.hpp"
+#include "runner/scenario.hpp"
 
 namespace continu::obs {
 namespace {
@@ -288,6 +291,35 @@ TEST(ObsSession, FingerprintIdenticalObsOnVsObsOffAcrossThreads) {
   ASSERT_TRUE(first_obs);
   EXPECT_FALSE(first_obs->events.empty());
   EXPECT_FALSE(first_obs->counter_values.empty());
+}
+
+TEST(ObsSession, WindowedCountersAreThreadInvariant) {
+  // The windowed engine's window counters are part of the counter
+  // snapshot, so they must not move with the thread count either.
+  const auto scenario = runner::find_scenario("q1_static_small");
+  ASSERT_TRUE(scenario.has_value());
+  const auto counters = [&](unsigned threads) {
+    auto spec = runner::spec_for(*scenario, 42);
+    spec.config.threads = threads;
+    spec.config.sharded_queue = true;
+    spec.config.queue_skew_buckets = 1;
+    spec.config.obs.counters = true;
+    const auto run = runner::ExperimentRunner::run_one(spec);
+    EXPECT_TRUE(run.obs);
+    return run.obs ? run.obs->counter_values
+                   : std::vector<std::pair<std::string, std::uint64_t>>{};
+  };
+  const auto one = counters(1);
+  const auto value = [&one](const std::string& name) -> std::uint64_t {
+    for (const auto& [key, v] : one) {
+      if (key == name) return v;
+    }
+    ADD_FAILURE() << name << " missing from the counter snapshot";
+    return 0;
+  };
+  EXPECT_GT(value("engine.lax_windows"), 0u);
+  EXPECT_GT(value("engine.lax_stalled_shards"), 0u);
+  EXPECT_EQ(counters(4), one);
 }
 
 // Minimal strict JSON syntax checker (objects/arrays/strings/numbers/

@@ -202,13 +202,12 @@ TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
 
 /// Both engines: the exact one, and the windowed one at skew 1 on a
 /// 1 ms grid.
-std::unique_ptr<sim::Simulator> make_engine(bool windowed, ParallelExecutor& exec) {
+std::unique_ptr<sim::Simulator> make_engine(bool windowed) {
   if (!windowed) return std::make_unique<sim::Simulator>();
   sim::Simulator::LaxConfig lax;
   lax.skew_buckets = 1;
   lax.grid_s = 0.001;
-  lax.exec = &exec;
-  return std::make_unique<sim::Simulator>(std::move(lax));
+  return std::make_unique<sim::Simulator>(lax);
 }
 
 /// The join half of a forked phase: every shard's deferred operations
@@ -228,8 +227,7 @@ TEST(DeferredEmissions, ShardOrderJoinReproducesSerialSequence) {
   // sequence too).
   for (const bool windowed : {false, true}) {
     SCOPED_TRACE(windowed ? "windowed" : "exact");
-    ParallelExecutor exec(2);
-    const auto engine = make_engine(windowed, exec);
+    const auto engine = make_engine(windowed);
     std::vector<int> order;
     const auto defer_at = [&](std::vector<sim::EventAction>& ops, SimTime when,
                               int tag) {
@@ -253,8 +251,7 @@ TEST(DeferredEmissions, ShardOrderJoinReproducesSerialSequence) {
 TEST(DeferredEmissions, PastTimesClampToNow) {
   for (const bool windowed : {false, true}) {
     SCOPED_TRACE(windowed ? "windowed" : "exact");
-    ParallelExecutor exec(2);
-    const auto engine = make_engine(windowed, exec);
+    const auto engine = make_engine(windowed);
     engine->schedule_in(5.0, [] {});
     engine->run_all();
     ASSERT_DOUBLE_EQ(engine->now(), 5.0);

@@ -386,13 +386,15 @@ TEST(BitWindow, MissingIn) {
   w.set(0);
   w.set(2);
   w.set(3);
-  const auto missing = w.missing_in(0, 6);
-  EXPECT_EQ(missing, (std::vector<SegmentId>{1, 4, 5}));
+  std::vector<SegmentId> missing{99};
+  w.missing_in(0, 6, missing);  // appends after what the caller holds
+  EXPECT_EQ(missing, (std::vector<SegmentId>{99, 1, 4, 5}));
 }
 
 TEST(BitWindow, MissingInClipsToWindow) {
   BitWindow w(8, 10);
-  const auto missing = w.missing_in(0, 100);
+  std::vector<SegmentId> missing;
+  w.missing_in(0, 100, missing);
   ASSERT_EQ(missing.size(), 8u);
   EXPECT_EQ(missing.front(), 10);
   EXPECT_EQ(missing.back(), 17);

@@ -101,8 +101,8 @@ void print_usage(const char* argv0) {
       "                     replications the runner clamps jobs so\n"
       "                     jobs x threads fits the machine\n"
       "  --queue-skew K     K >= 1 runs the windowed engine: the event queue\n"
-      "                     drains in K-latency-grid-bucket windows whose\n"
-      "                     per-shard pops run concurrently. Needs a quantized\n"
+      "                     drains in K-latency-grid-bucket windows, each run\n"
+      "                     shard by shard (shard = seq & 7). Needs a quantized\n"
       "                     (q*_) scenario; 0 (default) is the exact engine.\n"
       "                     Deterministic and thread-invariant per K, but each\n"
       "                     K >= 1 is a different universe from exact (see\n"
