@@ -144,10 +144,11 @@ struct RoundScratch {
   ScheduleWorkspace work;
   /// run_scheduling's plan (a round's plan lives in its RoundPlan).
   ScheduleResult retry_result;
-  /// commit_scheduling: the assignments booked, and each supplier's
-  /// share of them.
+  /// commit_scheduling: the assignments booked, their suppliers in
+  /// request order, and each supplier's pooled id list.
   std::vector<const Assignment*> booked;
-  util::FlatMap<NodeId, std::size_t> share;
+  util::ReusableFlatSet<NodeId> suppliers;
+  util::FlatMap<NodeId, std::uint32_t> list_of;
 };
 
 RoundScratch& round_scratch() {
@@ -1074,38 +1075,39 @@ void Session::run_scheduling(Node& node, double budget_fraction) {
 
 void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
   const SimTime now = sim_.now();
-  // Book every assignment the node can start, counting each supplier's
-  // share, so that each request's id list is allocated once at its
-  // final size.
   RoundScratch& scratch = round_scratch();
   std::vector<const Assignment*>& booked = scratch.booked;
-  util::FlatMap<NodeId, std::size_t>& share = scratch.share;
+  util::ReusableFlatSet<NodeId>& suppliers = scratch.suppliers;
+  util::FlatMap<NodeId, std::uint32_t>& list_of = scratch.list_of;
   booked.clear();
-  share.clear();
+  suppliers.clear();
+  list_of.clear();
+  // Book every assignment the node can start, then group them per
+  // supplier into one pull request each. Requests go out in the slot
+  // order of a FlatMap keyed by supplier and filled in booking order
+  // from empty: a pure function of the booked list (unordered_map
+  // order depended on libstdc++ bucket internals, and a reused map's
+  // order would depend on the capacity earlier calls left it).
+  // ReusableFlatSet reproduces that order without allocating.
   for (const auto& assignment : result.assignments) {
     if (!node.begin_transfer(assignment.segment, TransferKind::kScheduled,
                              assignment.supplier, now)) {
       continue;
     }
     booked.push_back(&assignment);
-    ++share[assignment.supplier];
+    if (suppliers.insert(assignment.supplier)) {
+      list_of[assignment.supplier] = acquire_id_list();
+    }
   }
-  // Group them per supplier into one pull request each. Flat map,
-  // fresh per call: requests go out in its slot order, a pure function
-  // of the booked list (unordered_map order depended on libstdc++
-  // bucket internals, and a reused map's capacity would depend on
-  // earlier calls).
-  util::FlatMap<NodeId, std::vector<SegmentId>> per_supplier;
   for (const Assignment* assignment : booked) {
-    std::vector<SegmentId>& ids = per_supplier[assignment->supplier];
-    if (ids.empty()) ids.reserve(share[assignment->supplier]);
-    ids.push_back(assignment->segment);
+    id_lists_[list_of.at(assignment->supplier)].push_back(assignment->segment);
   }
-  for (auto& [supplier_id, ids] : per_supplier) {
+  for (const NodeId supplier_id : suppliers) {
+    IdList request(this, list_of.at(supplier_id));
     const auto supplier_index = index_of(supplier_id);
     if (!supplier_index.has_value()) continue;
-    const auto bits =
-        static_cast<Bits>(ids.size()) * WireCosts::kSegmentRequestPerIdBits;
+    const auto bits = static_cast<Bits>(request.ids().size()) *
+                      WireCosts::kSegmentRequestPerIdBits;
     ++stats_.requests_sent;
     const std::size_t requester = node.session_index();
     const std::size_t supplier = *supplier_index;
@@ -1113,8 +1115,8 @@ void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
         requester, supplier, MessageType::kSegmentRequest, bits,
         [this, supplier32 = static_cast<std::uint32_t>(supplier),
          requester32 = static_cast<std::uint32_t>(requester),
-         ids = std::move(ids)](net::DeliveryContext& ctx) mutable {
-          handle_segment_request(supplier32, requester32, std::move(ids), ctx);
+         request = std::move(request)](net::DeliveryContext& ctx) mutable {
+          handle_segment_request(supplier32, requester32, std::move(request), ctx);
         });
   }
 }
@@ -1124,10 +1126,16 @@ void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
 // --------------------------------------------------------------------------
 
 void Session::handle_segment_request(std::size_t supplier, std::size_t requester,
-                                     std::vector<SegmentId> ids,
-                                     net::DeliveryContext& ctx) {
+                                     IdList request, net::DeliveryContext& ctx) {
+  // The list goes back to the pool on the serial path: at the join when
+  // forked, right away in immediate mode — or it rides on in the nack.
+  const auto release = [&ctx](IdList list) { ctx.defer([list = std::move(list)] {}); };
   Node& sup = *nodes_[supplier];
-  if (!sup.alive()) return;
+  if (!sup.alive()) {
+    release(std::move(request));
+    return;
+  }
+  std::vector<SegmentId>& ids = request.ids();
   SessionStats& stats = delivery_stats(ctx);
   const SimTime now = sim_.now();
   // Obs-owned writes only (counter lane + trace ring of this shard);
@@ -1162,9 +1170,7 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
         config_.seed, now,
         (static_cast<std::uint64_t>(supplier) << 32) |
             static_cast<std::uint64_t>(static_cast<std::uint32_t>(requester)));
-    std::vector<SegmentId> tail(ids.begin() + kUrgentHead, ids.end());
-    request_rng.shuffle(tail);
-    std::copy(tail.begin(), tail.end(), ids.begin() + kUrgentHead);
+    request_rng.shuffle(ids.data() + kUrgentHead, ids.size() - kUrgentHead);
   }
   // Per-id grant/refuse trace events share every field but kind and the
   // segment id; building the template once keeps the per-segment cost
@@ -1176,7 +1182,9 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
     serve_event.node = static_cast<std::uint32_t>(requester);
     serve_event.peer = static_cast<std::uint32_t>(supplier);
   }
-  std::vector<SegmentId> refused;
+  // Refused ids are compacted to the front of the list, which then
+  // travels in the nack.
+  std::size_t refused = 0;
   for (const SegmentId id : ids) {
     // Accept only transfers that complete within the service horizon of
     // this request — the supplier keeps no standing backlog.
@@ -1188,7 +1196,7 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
       // refuse explicitly so the requester can reschedule immediately
       // instead of waiting out a timeout.
       ++stats.segments_refused;
-      refused.push_back(id);
+      ids[refused++] = id;
       if (trace != nullptr) {
         serve_event.kind = obs::TraceEventKind::kPullRefused;
         serve_event.a = id;
@@ -1204,33 +1212,34 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
     start_fluid_transfer(supplier, requester, id, MessageType::kSegmentData,
                          TransferKind::kScheduled, &ctx);
   }
-  if (!refused.empty()) {
-    // The nack send mutates shared engine state (traffic account,
-    // event queue), so it rides the context: inline in immediate mode,
-    // settled at the join when forked.
-    ctx.defer([this, supplier = static_cast<std::uint32_t>(supplier),
-               requester = static_cast<std::uint32_t>(requester), supplier_id = sup.id(),
-               refused = std::move(refused)]() mutable {
-      network_.send_sharded(
-          supplier, requester, MessageType::kRequestNack,
-          WireCosts::kSmallPacketBits,
-          [this, requester, supplier_id,
-           refused = std::move(refused)](net::DeliveryContext&) {
-            // A refusal frees the in-flight slots for the next
-            // round and mildly decays the supplier's estimate so
-            // chronic saturation steers bookings elsewhere.
-            // (Immediate rescheduling would retry the same
-            // saturated supplier in a tight loop.) Requester-own
-            // writes only — shard-safe.
-            Node& req = *nodes_[requester];
-            if (!req.alive()) return;
-            for (const SegmentId id : refused) {
-              req.end_transfer(id);
-            }
-            req.rates().on_transfer_refused(supplier_id);
-          });
-    });
+  if (refused == 0) {
+    release(std::move(request));
+    return;
   }
+  ids.resize(refused);
+  // The nack send mutates shared engine state (traffic account, event
+  // queue), so it rides the context: inline in immediate mode, settled
+  // at the join when forked.
+  ctx.defer([this, supplier = static_cast<std::uint32_t>(supplier),
+             requester = static_cast<std::uint32_t>(requester), supplier_id = sup.id(),
+             refused_ids = std::move(request)]() mutable {
+    network_.send_sharded(
+        supplier, requester, MessageType::kRequestNack, WireCosts::kSmallPacketBits,
+        [this, requester, supplier_id,
+         refused_ids = std::move(refused_ids)](net::DeliveryContext& nack_ctx) mutable {
+          // A refusal frees the in-flight slots for the next round and
+          // mildly decays the supplier's estimate so chronic saturation
+          // steers bookings elsewhere. (Immediate rescheduling would
+          // retry the same saturated supplier in a tight loop.)
+          // Requester-own writes only — shard-safe.
+          Node& req = *nodes_[requester];
+          if (req.alive()) {
+            for (const SegmentId id : refused_ids.ids()) req.end_transfer(id);
+            req.rates().on_transfer_refused(supplier_id);
+          }
+          nack_ctx.defer([list = std::move(refused_ids)] {});
+        });
+  });
 }
 
 void Session::start_fluid_transfer(std::size_t supplier, std::size_t requester,
@@ -2000,7 +2009,7 @@ MemoryFootprint Session::memory_footprint() const {
   fp.inflight_bytes = fp.transfer_map_bytes + fp.prefetch_map_bytes +
                       fp.tag_set_bytes + fp.rate_table_bytes +
                       fp.retry_map_bytes + fp.blacklist_bytes;
-  fp.engine_bytes = sim_.queue_bytes() + network_.pending_bytes();
+  fp.engine_bytes = sim_.queue_bytes() + network_.bucket_bytes();
   return fp;
 }
 

@@ -134,8 +134,9 @@ struct MemoryFootprint {
   std::size_t retry_map_bytes = 0;     ///< of inflight_bytes (hardening)
   std::size_t blacklist_bytes = 0;     ///< of inflight_bytes (hardening)
   /// Pending-work containers of the engine itself: the event queue's
-  /// slot pool and heap plus the network's pending quantized delivery
-  /// buckets. Deliberately NOT part of total_bytes(): the
+  /// slot pool and heap plus the network's quantized delivery bucket
+  /// ring, every chunk of its pool included. Deliberately NOT part of
+  /// total_bytes(): the
   /// per-node budgets measure per-node state, and engine memory scales
   /// with in-flight work rather than with membership.
   std::size_t engine_bytes = 0;
@@ -261,6 +262,53 @@ class Session : private net::DeliveryHost {
     Session* session_;
     std::uint32_t op_;
   };
+
+  /// Owning handle to a pooled segment-id list: a pull request's ids,
+  /// then its nack's refused ids, carried in the request and nack
+  /// captures so neither allocates once the pool has warmed up. Lists
+  /// are taken and returned only on the session's run thread (Debug
+  /// builds assert it): a forked handler hands its handle to the join
+  /// through ctx.defer, and the network destroys the captures of
+  /// dropped deliveries at the join.
+  class IdList {
+   public:
+    IdList(Session* session, std::uint32_t list) noexcept
+        : session_(session), list_(list) {}
+    IdList(IdList&& other) noexcept : session_(other.session_), list_(other.list_) {
+      other.session_ = nullptr;
+    }
+    IdList(const IdList&) = delete;
+    IdList& operator=(const IdList&) = delete;
+    IdList& operator=(IdList&&) = delete;
+    ~IdList() {
+      if (session_ != nullptr) session_->release_id_list(list_);
+    }
+
+    [[nodiscard]] std::vector<SegmentId>& ids() const noexcept {
+      return session_->id_lists_[list_];
+    }
+
+   private:
+    Session* session_;
+    std::uint32_t list_;
+  };
+
+  /// An empty pooled list (its capacity kept from earlier use).
+  [[nodiscard]] std::uint32_t acquire_id_list() {
+    assert(std::this_thread::get_id() == run_thread_ && "id-list pool off the run thread");
+    if (free_id_lists_.empty()) {
+      id_lists_.emplace_back();
+      return static_cast<std::uint32_t>(id_lists_.size() - 1);
+    }
+    const std::uint32_t list = free_id_lists_.back();
+    free_id_lists_.pop_back();
+    id_lists_[list].clear();
+    return list;
+  }
+  void release_id_list(std::uint32_t list) noexcept {
+    assert(std::this_thread::get_id() == run_thread_ && "id-list pool off the run thread");
+    free_id_lists_.push_back(list);
+  }
 
   void retain_prefetch(std::uint32_t op) noexcept {
     assert(std::this_thread::get_id() == run_thread_ && "prefetch pool off the run thread");
@@ -412,7 +460,7 @@ class Session : private net::DeliveryHost {
   // as the serial forms did. The DHT/prefetch chain and churn handover
   // stay on the serial send path.
   void handle_segment_request(std::size_t supplier, std::size_t requester,
-                              std::vector<SegmentId> ids, net::DeliveryContext& ctx);
+                              IdList request, net::DeliveryContext& ctx);
   /// Books the supplier's uplink inline (supplier-own state) and
   /// defers the wire send through `ctx` when given (worker shards must
   /// not touch the queue); ctx == nullptr sends directly (serial
@@ -483,6 +531,10 @@ class Session : private net::DeliveryHost {
   /// hop and reply events release their ops when the queue is destroyed.
   std::vector<PrefetchOp> prefetch_ops_;
   std::vector<std::uint32_t> free_prefetch_ops_;
+  /// IdList pool and its free indices, declared before sim_ and
+  /// network_ for the same reason.
+  std::vector<std::vector<SegmentId>> id_lists_;
+  std::vector<std::uint32_t> free_id_lists_;
   /// Fork/join worker pool for round batches, per-period sweeps and the
   /// windowed engine's collection forks (declared before sim_ and
   /// network_, which hold a pointer and a reference to it).

@@ -51,12 +51,14 @@ struct DeliveryShardScratch {
   std::vector<sim::EventAction> deferred;
   /// Sharded continuations (stage-3 fluid-model deliveries).
   std::vector<LocalForward> forwards;
-  /// Liveness-filter drops observed by this shard.
-  std::uint64_t dropped = 0;
+  /// Deliveries this shard's liveness filter dropped. Their actions are
+  /// destroyed at the join, serially and in shard order, because a
+  /// capture may hold a handle into the host's serial pools.
+  std::vector<DeliveryAction*> dropped;
   void reset() noexcept {
     deferred.clear();
     forwards.clear();
-    dropped = 0;
+    dropped.clear();
   }
 };
 

@@ -13,7 +13,8 @@ Network::Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
       exec_(exec),
       latency_(std::move(latency)),
       host_(host),
-      grid_s_(latency_.grid_ms() / 1000.0) {
+      grid_s_(latency_.grid_ms() / 1000.0),
+      buckets_(grid_s_) {
   // Quantized mode on the windowed engine: buckets get no proxy event;
   // the simulator sweeps them once per window instead.
   if (grid_s_ > 0.0 && sim_.windowed()) sim_.set_frontier(*this);
@@ -69,70 +70,56 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
   // to now, which is fine); entries targeting the current instant land
   // in a bucket whose proxy fires later within this instant.
   if (when < sim_.now()) when = sim_.now();
-  auto [it, inserted] = buckets_.try_emplace(when);
+  const bool created = buckets_.append(when, to, filtered, std::move(action));
   if (sim_.windowed()) {
     // No proxy: the frontier sweep fires the bucket. The sequence is
     // still drawn, one per hand-off, because event shard placement is
     // `seq & 7` — skipping the draw would move every later event to
     // another shard and change every windowed fingerprint.
     (void)sim_.allocate_seq();
-  } else if (inserted) {
+  } else if (created) {
     // One proxy event per bucket, scheduled at bucket creation — its
     // sequence number (and thus its order among same-instant events)
     // is a pure function of the delivery schedule.
-    const SimTime time = when;
-    sim_.schedule_at(time, [this, time] { fire_bucket(time); });
+    sim_.schedule_at(when, [this, when] { fire_bucket(when); });
   }
-  it->second.entries.push_back(HandoffEntry{to, filtered, std::move(action)});
 }
 
 void Network::fire_bucket(SimTime time) {
-  const auto it = buckets_.find(time);
-  if (it == buckets_.end()) return;  // defensive: bucket map out of sync
-  // The entry vector dies with this call. Do not recycle it into a
-  // later bucket: every pending bucket would inherit the largest
-  // capacity any bucket reached, and memory would track that maximum
-  // instead of the live deliveries.
-  std::vector<HandoffEntry> entries = std::move(it->second.entries);
-  buckets_.erase(it);
-  dispatch_bucket(entries);
+  BucketRing::Batch batch = buckets_.take(time);
+  dispatch_bucket(batch);
 }
 
-std::size_t Network::pending_bytes() const noexcept {
-  std::size_t bytes = 0;
-  for (const auto& [time, bucket] : buckets_) {
-    bytes += bucket.entries.capacity() * sizeof(HandoffEntry);
-  }
-  return bytes;
-}
-
-bool Network::next_time(SimTime& time) const {
-  if (buckets_.empty()) return false;
-  time = buckets_.begin()->first;
-  return true;
-}
+bool Network::next_time(SimTime& time) const { return buckets_.earliest(time); }
 
 std::size_t Network::dispatch_window(SimTime limit) {
   // Detach every due bucket BEFORE dispatching any: a forward or send
   // made during the sweep then files into a fresh bucket that fires in
   // the next window, even when its instant is <= limit. Dispatching in
   // place would let it join a bucket still pending in this sweep.
-  std::map<SimTime, Bucket> due;
-  while (!buckets_.empty() && buckets_.begin()->first <= limit) {
-    due.insert(buckets_.extract(buckets_.begin()));
-  }
-  if (due.empty()) return 0;
+  due_.clear();
+  buckets_.take_through(limit, due_);
+  if (due_.empty()) return 0;
   ++lax_handoff_windows_;
-  for (auto& [instant, bucket] : due) {
-    begin_instant(sim_, instant);
-    dispatch_bucket(bucket.entries);
+  std::size_t next = 0;
+  try {
+    for (; next < due_.size(); ++next) {
+      begin_instant(sim_, due_[next].time);
+      dispatch_bucket(due_[next]);
+    }
+  } catch (...) {
+    // dispatch_bucket disposed of the batch that threw; the rest never ran.
+    for (++next; next < due_.size(); ++next) buckets_.discard(due_[next]);
+    throw;
   }
-  return due.size();
+  return due_.size();
 }
 
-void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
+void Network::dispatch_bucket(BucketRing::Batch& batch) {
   ++delivery_batches_;
-  batched_deliveries_ += entries.size();
+  batched_deliveries_ += batch.count;
+  std::vector<HandoffEntry*>& entries = batch_entries_;
+  buckets_.entries(batch, entries);
 
   // Group by receiver, first-appearance order: the group list (and so
   // the shard boundaries) is a pure function of the delivery schedule.
@@ -142,7 +129,7 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   }
   groups_used_ = 0;
   for (std::uint32_t i = 0; i < entries.size(); ++i) {
-    const std::uint32_t to = entries[i].to;
+    const std::uint32_t to = entries[i]->to;
     std::uint32_t slot = group_slot_[to];
     if (slot == kNoGroup) {
       slot = static_cast<std::uint32_t>(groups_used_);
@@ -159,7 +146,10 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   const std::size_t count = groups_used_;
   const std::size_t shards =
       sim::parallel::ParallelExecutor::shard_count(count, kReceiverGrain);
-  if (shards == 0) return;
+  if (shards == 0) {
+    buckets_.release(batch);
+    return;
+  }
   if (shard_scratch_.size() < shards) shard_scratch_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) shard_scratch_[s].reset();
   if (obs_trace_ != nullptr) {
@@ -181,24 +171,34 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
     for (std::size_t g = begin; g < end; ++g) {
       const ReceiverGroup& group = groups_[g];
       for (const std::uint32_t index : group.entry_indices) {
-        HandoffEntry& entry = entries[index];
+        HandoffEntry& entry = *entries[index];
         if (entry.filtered && !reachable(entry.to)) {
-          ++scratch.dropped;
-          entry.action.reset();
+          scratch.dropped.push_back(&entry.action);
           continue;
         }
         entry.action.consume(ctx);
       }
     }
   };
-  exec_.for_shards(obs::Phase::kDeliveryBucket, count, kReceiverGrain, body);
+  try {
+    exec_.for_shards(obs::Phase::kDeliveryBucket, count, kReceiverGrain, body);
+  } catch (...) {
+    buckets_.discard(batch);
+    throw;
+  }
 
-  // Join, in shard order. Drops first (pure sums), then the host
-  // reduces its stats scratch, then each shard's buffered work runs
-  // serially: forwards (stage-3 continuations into future buckets)
-  // before deferred operations (sends, relays) — a fixed, thread-count
-  // independent replay order.
-  for (std::size_t s = 0; s < shards; ++s) dropped_ += shard_scratch_[s].dropped;
+  // Join, in shard order. Drops first (their captures die here, on the
+  // serial path), then the host reduces its stats scratch, then each
+  // shard's buffered work runs serially: forwards (stage-3
+  // continuations into future buckets) before deferred operations
+  // (sends, relays) — a fixed, thread-count independent replay order.
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (DeliveryAction* action : shard_scratch_[s].dropped) action->reset();
+    dropped_ += shard_scratch_[s].dropped.size();
+  }
+  // Every action is now consumed or reset: the chunks go back to the
+  // pool before the replay files new deliveries.
+  buckets_.release(batch);
   if (host_ != nullptr) host_->after_join(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     DeliveryShardScratch& scratch = shard_scratch_[s];

@@ -12,7 +12,7 @@
 //
 //   quantized (grid > 0) — delivery instants snap UP to the latency
 //   grid, so all deliveries landing on one grid point form a batch,
-//   filed in one bucket map on both engines. On the exact engine the
+//   filed in one BucketRing on both engines. On the exact engine the
 //   bucket hides behind ONE proxy event; on the windowed engine the
 //   simulator sweeps the network, its sim::Frontier, once per window
 //   instead. When it fires, sharded deliveries are grouped by receiver
@@ -34,11 +34,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "net/bucket_ring.hpp"
 #include "net/delivery.hpp"
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
@@ -56,14 +56,6 @@ class TraceSink;
 }  // namespace continu::obs
 
 namespace continu::net {
-
-/// One delivery awaiting its grid instant: receiver, liveness-filter
-/// class, and the handler.
-struct HandoffEntry {
-  std::uint32_t to = 0;
-  bool filtered = true;  ///< wire message (liveness-checked) vs local
-  DeliveryAction action;
-};
 
 /// The network's client (the Session), declared here and implemented
 /// above, like sim::parallel::ForkObserver. The host owns the per-shard
@@ -216,9 +208,16 @@ class Network : private sim::Frontier {
     return batched_deliveries_;
   }
   /// Bytes held by deliveries waiting for their grid instant: the
-  /// pending buckets' entry capacity (0 in continuous mode, where
-  /// deliveries are plain events).
-  [[nodiscard]] std::size_t pending_bytes() const noexcept;
+  /// pending buckets' chunks (0 in continuous mode, where deliveries
+  /// are plain events).
+  [[nodiscard]] std::size_t pending_bytes() const noexcept {
+    return buckets_.pending_bytes();
+  }
+  /// Every byte the bucket ring holds, its whole chunk pool included
+  /// (0 in continuous mode).
+  [[nodiscard]] std::size_t bucket_bytes() const noexcept {
+    return buckets_.capacity_bytes();
+  }
   /// Windows whose frontier sweep fired at least one bucket (0 on the
   /// exact engine).
   [[nodiscard]] std::uint64_t lax_handoff_windows() const noexcept {
@@ -250,9 +249,6 @@ class Network : private sim::Frontier {
     }
   };
 
-  struct Bucket {
-    std::vector<HandoffEntry> entries;
-  };
   /// Receiver group: indices into the bucket's entry list, in schedule
   /// order, for one receiver.
   struct ReceiverGroup {
@@ -280,6 +276,7 @@ class Network : private sim::Frontier {
   void enqueue_sharded(std::uint32_t to, SimTime when, DeliveryAction action,
                        bool filtered);
   /// Proxy-event body: detaches the bucket at `time` and dispatches it.
+  /// A bucket missing at its proxy's instant aborts, naming the instant.
   void fire_bucket(SimTime time);
   // sim::Frontier (windowed engine): the earliest pending bucket.
   bool next_time(SimTime& time) const override;
@@ -288,8 +285,9 @@ class Network : private sim::Frontier {
   /// Buckets created during the sweep wait for the next window. Returns
   /// instants dispatched.
   std::size_t dispatch_window(SimTime limit) override;
-  /// Groups by receiver, forks across shards, settles the join.
-  void dispatch_bucket(std::vector<HandoffEntry>& entries);
+  /// Groups by receiver, forks across shards, settles the join, then
+  /// returns the batch's chunks to the ring.
+  void dispatch_bucket(BucketRing::Batch& batch);
 
   sim::Simulator& sim_;
   sim::parallel::ParallelExecutor& exec_;
@@ -315,20 +313,21 @@ class Network : private sim::Frontier {
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
 
   SimTime grid_s_ = 0.0;
-  /// Pending buckets by fire time, on both engines. Ordered because
-  /// the windowed engine's sweep detaches from the front; the exact
-  /// engine only looks buckets up (each owns a proxy event). There are
-  /// thousands of pending buckets at scale (up to 3.4k-3.8k on
-  /// q1_static_8k: one per occupied grid step, seconds ahead), and
-  /// every enqueue does one tree lookup. That is not free: frames
-  /// inside this map are 5.0-6.5% of grid_8k's main-thread samples and
-  /// enqueue_sharded is 6.3-7.2% inclusive (tools/sample_profile.py
-  /// --frame 'Network::Bucket>', RelWithDebInfo, 4-vCPU Xeon), which
-  /// bounds what a ring of grid slots could save. A bucket's entry
-  /// vector lives from its first enqueue until it is dispatched, so the
-  /// pending memory is the live deliveries.
-  std::map<SimTime, Bucket> buckets_;
-  /// Dispatch scratch, reused across buckets.
+  /// Pending buckets by grid instant, on both engines: a ring of grid
+  /// slots with an overflow map for far and off-grid instants (see
+  /// bucket_ring.hpp). There are thousands of pending buckets at scale
+  /// (up to 3.4k-3.8k on q1_static_8k: one per occupied grid step,
+  /// seconds ahead) and every sharded send files into one, so filing is
+  /// a slot index, not a tree walk: the std::map it replaced was 5.0-6.6%
+  /// of grid_8k's main-thread samples (tools/sample_profile.py --frame
+  /// 'Network::Bucket>', RelWithDebInfo, 4-vCPU Xeon). The ring's chunks
+  /// return to its pool as each bucket is dispatched, so the pending
+  /// memory is the live deliveries.
+  BucketRing buckets_;
+  /// Dispatch scratch, reused across buckets: the batch's entries in
+  /// filing order, and a window sweep's detached batches.
+  std::vector<HandoffEntry*> batch_entries_;
+  std::vector<BucketRing::Batch> due_;
   std::vector<ReceiverGroup> groups_;
   std::size_t groups_used_ = 0;
   std::vector<std::uint32_t> group_slot_;

@@ -29,6 +29,7 @@
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "util/hash.hpp"
 
@@ -499,6 +500,66 @@ class FlatSet : public detail::FlatTable<detail::SetSlotPolicy<Key>, Key, Hash> 
                                                           : this->probe(key)),
             true};
   }
+};
+
+/// A FlatSet that clear() returns to a fresh set's iteration order
+/// without giving back its memory. FlatTable's slot order depends on
+/// the capacity it grew through (a rehash re-inserts in the old slot
+/// order), so a cleared, still-large table would iterate the same keys
+/// differently. This keeps one table per capacity it has reached and
+/// replays FlatTable's growth between them: after clear(), the same
+/// insertions iterate exactly as a newly constructed FlatSet — or a
+/// FlatMap with the same Key and Hash — would, and once every level
+/// has been reached inserting allocates nothing.
+template <class Key, class Hash = FlatHash<Key>>
+class ReusableFlatSet {
+ public:
+  /// Inserts `key` if absent; true when it was.
+  bool insert(const Key& key) {
+    if (levels_.empty()) add_level(kMinCapacity);
+    if (levels_[level_].contains(key)) return false;
+    const std::size_t capacity = levels_[level_].capacity();
+    if ((levels_[level_].size() + 1) * 8 > capacity * 7) {
+      // FlatTable::ensure_room would double here: re-insert in slot
+      // order, as its rehash does.
+      if (level_ + 1 == levels_.size()) add_level(capacity * 2);
+      for (const Key& moved : levels_[level_]) levels_[level_ + 1].insert(moved);
+      levels_[level_].clear();
+      ++level_;
+    }
+    levels_[level_].insert(key);
+    return true;
+  }
+
+  void clear() noexcept {
+    if (levels_.empty()) return;
+    levels_[level_].clear();
+    level_ = 0;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return levels_.empty() ? 0 : levels_[level_].size();
+  }
+  using const_iterator = typename FlatSet<Key, Hash>::const_iterator;
+  [[nodiscard]] const_iterator begin() const noexcept {
+    return levels_.empty() ? const_iterator() : levels_[level_].begin();
+  }
+  [[nodiscard]] const_iterator end() const noexcept {
+    return levels_.empty() ? const_iterator() : levels_[level_].end();
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 4;  // FlatTable's first table
+
+  void add_level(std::size_t capacity) {
+    levels_.emplace_back();
+    // The largest size whose table is exactly `capacity` at 7/8 load.
+    levels_.back().reserve(capacity * 7 / 8);
+    assert(levels_.back().capacity() == capacity);
+  }
+
+  std::vector<FlatSet<Key, Hash>> levels_;
+  std::size_t level_ = 0;
 };
 
 }  // namespace continu::util

@@ -62,10 +62,17 @@ class Rng {
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
+    shuffle(v.data(), v.size());
+  }
+
+  /// Fisher-Yates shuffle of the n elements at `first`, in place: the
+  /// same draws and swaps as shuffling a vector of them.
+  template <typename T>
+  void shuffle(T* first, std::size_t n) noexcept {
+    for (std::size_t i = n; i > 1; --i) {
       const auto j = static_cast<std::size_t>(next_below(i));
       using std::swap;
-      swap(v[i - 1], v[j]);
+      swap(first[i - 1], first[j]);
     }
   }
 

@@ -340,5 +340,31 @@ TEST(FlatMap, ReserveAvoidsLaterGrowth) {
   EXPECT_EQ(map.capacity(), cap);
 }
 
+TEST(ReusableFlatSet, IteratesLikeAFreshFlatMapAfterEveryClear) {
+  // Keys of a pull request's suppliers: small sets, drawn from ids that
+  // hash all over the table, with duplicates. After each clear() the
+  // reused set must iterate exactly as a newly built FlatMap fed the
+  // same insertions (its growth history included), across every size
+  // and in any order of sizes.
+  Rng rng(5);
+  ReusableFlatSet<std::uint32_t> reused;
+  for (int round = 0; round < 3000; ++round) {
+    const std::size_t inserts = rng.next_below(round % 10 == 0 ? 200 : 24);
+    FlatMap<std::uint32_t, int> fresh;
+    reused.clear();
+    for (std::size_t i = 0; i < inserts; ++i) {
+      const auto key = static_cast<std::uint32_t>(rng.next_below(64));
+      const bool absent = fresh.find(key) == fresh.end();
+      fresh[key] = 1;
+      EXPECT_EQ(reused.insert(key), absent);
+    }
+    std::vector<std::uint32_t> expected;
+    for (const auto& [key, value] : fresh) expected.push_back(key);
+    const std::vector<std::uint32_t> got(reused.begin(), reused.end());
+    ASSERT_EQ(got, expected) << "round " << round << ", " << inserts << " inserts";
+    EXPECT_EQ(reused.size(), fresh.size());
+  }
+}
+
 }  // namespace
 }  // namespace continu::util

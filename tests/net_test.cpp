@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "net/bucket_ring.hpp"
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -16,6 +18,7 @@
 #include "sim/parallel/executor.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
+#include "util/rng.hpp"
 
 namespace continu::net {
 namespace {
@@ -618,6 +621,216 @@ TEST(Network, QuantizedPendingBytesTrackLiveDeliveries) {
         << "pending buckets hold more than their live deliveries";
     sim.run_all();
     EXPECT_EQ(ran, kBuckets * kBurst + kBuckets);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BucketRing
+// ---------------------------------------------------------------------------
+
+/// Drives a BucketRing and a std::map oracle through the same random
+/// filings: near instants, instants beyond the ring's span, instants
+/// off the grid and instants behind the cursor.
+class RingOracle {
+ public:
+  explicit RingOracle(double grid_s) : grid_s_(grid_s), ring_(grid_s) {}
+
+  [[nodiscard]] BucketRing& ring() { return ring_; }
+  [[nodiscard]] bool empty() const { return oracle_.empty(); }
+  [[nodiscard]] double earliest() const { return oracle_.begin()->first; }
+
+  /// Files one delivery at `when`, tagged with the next id.
+  void file(double when) {
+    const bool created = ring_.append(when, next_id_, true, DeliveryAction(kNoop));
+    const auto [it, inserted] = oracle_.try_emplace(when);
+    EXPECT_EQ(created, inserted) << "instant " << when;
+    it->second.push_back(next_id_++);
+  }
+
+  /// A random instant at or after `now`, drawn from every class.
+  [[nodiscard]] double draw(util::Rng& rng, double now) const {
+    const double span = static_cast<double>(BucketRing::kSlots) * grid_s_;
+    switch (rng.next_below(8)) {
+      case 0:  // beyond the ring's span
+        return snap(now + span + rng.next_range(0.0, 2.0 * span));
+      case 1:  // off the grid (a clamped `when < now` files the clock)
+        return now + rng.next_range(0.0, 0.05) + grid_s_ / 3.0;
+      case 2:  // the instant being fired
+        return snap(now);
+      default:  // near: the bulk of real deliveries
+        return snap(now + rng.next_range(0.0, 0.2));
+    }
+  }
+
+  /// Checks a detached batch against the oracle's bucket, then disposes
+  /// of it as a dispatch would.
+  void check(BucketRing::Batch batch) {
+    ASSERT_FALSE(oracle_.empty());
+    const auto it = oracle_.begin();
+    ASSERT_EQ(batch.time, it->first);
+    ring_.entries(batch, scratch_);
+    std::vector<std::uint32_t> ids;
+    for (HandoffEntry* entry : scratch_) {
+      ids.push_back(entry->to);
+      entry->action.reset();
+    }
+    EXPECT_EQ(ids, it->second) << "instant " << it->first;
+    oracle_.erase(it);
+    ring_.release(batch);
+  }
+
+  [[nodiscard]] double snap(double t) const { return std::ceil(t / grid_s_) * grid_s_; }
+
+ private:
+  static void kNoop(DeliveryContext&) {}
+
+  double grid_s_;
+  BucketRing ring_;
+  std::map<double, std::vector<std::uint32_t>> oracle_;
+  std::vector<HandoffEntry*> scratch_;
+  std::uint32_t next_id_ = 0;
+};
+
+TEST(BucketRing, TakesMatchOrderedMapOracle) {
+  // The exact engine's use: file, then take the earliest instant, and
+  // file more (forwards into the taken instant among them) before the
+  // next take.
+  for (const double grid : {0.001, 0.002, 0.005}) {
+    SCOPED_TRACE(grid);
+    RingOracle oracle(grid);
+    util::Rng rng(11);
+    double now = 0.0;
+    for (int i = 0; i < 200; ++i) oracle.file(oracle.draw(rng, now));
+    for (int step = 0; step < 20000 && !oracle.empty(); ++step) {
+      double when = 0.0;
+      ASSERT_TRUE(oracle.ring().earliest(when));
+      ASSERT_EQ(when, oracle.earliest());
+      now = when;
+      oracle.check(oracle.ring().take(when));
+      const auto filings = step < 15000 ? rng.next_below(4) : 0;
+      for (std::uint64_t f = 0; f < filings; ++f) oracle.file(oracle.draw(rng, now));
+    }
+    EXPECT_TRUE(oracle.empty());
+    EXPECT_TRUE(oracle.ring().empty());
+    EXPECT_EQ(oracle.ring().pending_bytes(), 0u);
+  }
+}
+
+TEST(BucketRing, SweepsMatchOrderedMapOracle) {
+  // The windowed engine's use: detach every instant up to a limit in
+  // time order, then file more, some at or before that limit.
+  for (const double grid : {0.001, 0.002, 0.005}) {
+    SCOPED_TRACE(grid);
+    RingOracle oracle(grid);
+    util::Rng rng(23);
+    for (int i = 0; i < 200; ++i) oracle.file(oracle.draw(rng, 0.0));
+    std::vector<BucketRing::Batch> due;
+    for (int step = 0; step < 20000 && !oracle.empty(); ++step) {
+      double anchor = 0.0;
+      ASSERT_TRUE(oracle.ring().earliest(anchor));
+      ASSERT_EQ(anchor, oracle.earliest());
+      const double limit = anchor + grid * static_cast<double>(1 + rng.next_below(4));
+      due.clear();
+      oracle.ring().take_through(limit, due);
+      ASSERT_FALSE(due.empty());
+      for (const BucketRing::Batch& batch : due) oracle.check(batch);
+      if (!oracle.empty()) {
+        EXPECT_GT(oracle.earliest(), limit);
+      }
+      const auto filings = step < 15000 ? rng.next_below(4) : 0;
+      for (std::uint64_t f = 0; f < filings; ++f) oracle.file(oracle.draw(rng, anchor));
+    }
+    EXPECT_TRUE(oracle.empty());
+    EXPECT_EQ(oracle.ring().pending_bytes(), 0u);
+  }
+}
+
+TEST(BucketRing, BehindTheCursorAndRebasedSpansStayFindable) {
+  // Grid 1 ms. Taking 20 ms moves the cursor there; 10 ms, filed after,
+  // sits behind it. Once the ring is empty, an instant far beyond the
+  // old span moves the span up to it, and nearer instants filed next
+  // fall behind the new cursor.
+  RingOracle oracle(0.001);
+  oracle.file(0.020);
+  oracle.check(oracle.ring().take(0.020));
+  oracle.file(0.010);
+  oracle.file(0.030);
+  oracle.check(oracle.ring().take(0.010));
+  oracle.check(oracle.ring().take(0.030));
+  oracle.file(100.0);
+  oracle.file(50.0);
+  oracle.file(100.0);
+  oracle.check(oracle.ring().take(50.0));
+  oracle.check(oracle.ring().take(100.0));
+  EXPECT_TRUE(oracle.ring().empty());
+}
+
+TEST(BucketRingDeathTest, MissingBucketNamesTheInstant) {
+  EXPECT_DEATH(
+      {
+        BucketRing ring(0.001);
+        (void)ring.take(0.005);
+      },
+      "no pending bucket at instant 0\\.005");
+}
+
+TEST(BucketRing, EmptyRingHoldsNoMemoryInContinuousMode) {
+  BucketRing ring(0.0);
+  EXPECT_EQ(ring.capacity_bytes(), 0u);
+  EXPECT_TRUE(ring.empty());
+  double when = 0.0;
+  EXPECT_FALSE(ring.earliest(when));
+}
+
+TEST(Network, RingDispatchOrderMatchesOracleOnBothEngines) {
+  // One workload on both engines: deliveries at near instants, one
+  // beyond the ring's span, clamped ones off the grid, and forwards
+  // into the instant being fired. Each delivery runs at its instant,
+  // buckets in time order, a bucket in filing order, and a forward
+  // into the firing instant right after that bucket.
+  constexpr double kGrid = 0.002;
+  const double far = static_cast<double>(BucketRing::kSlots) * kGrid + 1.0;
+  auto run = [far](unsigned skew) {
+    sim::Simulator::LaxConfig lax;
+    lax.skew_buckets = skew;
+    lax.grid_s = kGrid;
+    sim::Simulator sim(lax);
+    Network net(sim, serial_exec(), LatencyModel({10.0, 11.0, 12.0}, 5.0, 2.0));
+    std::vector<std::pair<double, int>> log;
+    auto note = [&log, &sim](int id) {
+      return [&log, &sim, id](DeliveryContext&) { log.emplace_back(sim.now(), id); };
+    };
+    net.post_sharded(1, far, note(90));
+    for (int i = 0; i < 6; ++i) {
+      net.post_sharded(static_cast<std::size_t>(1 + i % 2), 0.0031 * (i + 1), note(i));
+    }
+    net.post_sharded(2, 0.0031, [&, note](DeliveryContext& ctx) {
+      log.emplace_back(sim.now(), 10);
+      ctx.forward(1, sim.now(), note(11));  // into the instant being fired
+    });
+    // An event off the grid files deliveries whose instant is already
+    // past: they clamp to the event's clock, off the grid.
+    sim.schedule_at(0.0101, [&, note] {
+      net.post_sharded(1, 0.001, note(20));
+      net.post_sharded(2, 0.005, note(21));
+    });
+    sim.run_all();
+    return log;
+  };
+  const std::vector<std::pair<double, int>> expected = {
+      {0.004, 0},  {0.004, 10}, {0.004, 11}, {0.008, 1}, {0.010, 2},
+      {0.0101, 20}, {0.0101, 21}, {0.014, 3}, {0.016, 4}, {0.020, 5},
+      {std::ceil(far / kGrid) * kGrid, 90}};
+  // Skew 1 only: a wider window sweeps later buckets before the
+  // forward's fresh one (WindowedHandoff covers that fence).
+  for (const unsigned skew : {0u, 1u}) {
+    SCOPED_TRACE(skew);
+    const auto log = run(skew);
+    ASSERT_EQ(log.size(), expected.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_DOUBLE_EQ(log[i].first, expected[i].first) << "delivery " << i;
+      EXPECT_EQ(log[i].second, expected[i].second) << "delivery " << i;
+    }
   }
 }
 

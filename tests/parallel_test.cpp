@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -194,6 +196,133 @@ TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
   std::atomic<int> ran{0};
   exec.for_shards(kAdHoc, 10, 1, [&](std::size_t, std::size_t, std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 10);
+}
+
+/// Waits (bounded) until every worker of `exec` has parked; false on
+/// timeout. Workers park once idle for longer than the spin budget.
+bool all_parked(const ParallelExecutor& exec) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (exec.parked() != exec.threads() - 1) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Runs one job over [0, count) and checks that each item ran once.
+void expect_each_item_once(ParallelExecutor& exec, std::size_t count, std::size_t grain) {
+  std::vector<std::atomic<int>> hits(count);
+  exec.for_shards(kAdHoc, count, grain, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(hits[i].load(), 1) << "item " << i;
+}
+
+TEST(ParallelExecutor, WorkersParkAfterAnIdleGapThenWake) {
+  ParallelExecutor exec(4);
+  expect_each_item_once(exec, 256, 4);
+  // An idle gap far longer than the spin budget: every worker parks.
+  std::this_thread::sleep_for(std::chrono::nanoseconds(ParallelExecutor::kSpinNs * 20));
+  ASSERT_TRUE(all_parked(exec)) << exec.parked() << " of 3 parked";
+  // The next fork must wake them: shards block until a second thread
+  // has joined the job, which only a woken worker can do.
+  std::atomic<int> running{0};
+  std::atomic<bool> met{false};
+  exec.for_shards(kAdHoc, 64, 1, [&](std::size_t, std::size_t, std::size_t) {
+    running.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!met.load()) {
+      if (running.load() >= 2) met.store(true);
+      if (std::chrono::steady_clock::now() > deadline) break;
+    }
+    running.fetch_sub(1);
+  });
+  EXPECT_TRUE(met.load()) << "no parked worker woke for the fork";
+  expect_each_item_once(exec, 256, 4);
+}
+
+TEST(ParallelExecutor, TinyBackToBackJobsRunEveryItemOnce) {
+  ParallelExecutor exec(4);
+  std::vector<int> hits(8, 0);
+  for (int job = 0; job < 100000; ++job) {
+    const std::size_t count = 2 + static_cast<std::size_t>(job % 7);
+    // Each item is a distinct shard, so plain ints are written by one
+    // thread each and read after the join.
+    exec.for_shards(kAdHoc, count, 1, [&](std::size_t, std::size_t begin, std::size_t) {
+      ++hits[begin];
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i], 1) << "job " << job << " item " << i;
+      hits[i] = 0;
+    }
+  }
+}
+
+TEST(ParallelExecutor, LateWorkerNeverClaimsAShardOfANewerJob) {
+  // Jobs alternate between many shards and few, each with its own
+  // function and bounds: a worker that claimed against a job it saw
+  // late would run a stale function on a newer job's shard index (an
+  // out-of-range shard, or a hit in the wrong job's buffer).
+  ParallelExecutor exec(4);
+  std::vector<std::atomic<int>> wide(96);
+  std::vector<std::atomic<int>> narrow(3);
+  std::atomic<int> stray{0};
+  for (int round = 0; round < 3000; ++round) {
+    const bool is_wide = round % 2 == 0;
+    std::vector<std::atomic<int>>& hits = is_wide ? wide : narrow;
+    const std::size_t count = hits.size();
+    exec.for_shards(kAdHoc, count, 1, [&, count](std::size_t s, std::size_t begin, std::size_t) {
+      if (s >= count || begin >= count) {
+        stray.fetch_add(1);
+        return;
+      }
+      hits[begin].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].exchange(0), 1) << "round " << round << " item " << i;
+    }
+  }
+  EXPECT_EQ(stray.load(), 0);
+}
+
+TEST(ParallelExecutor, LowestShardExceptionSurfacesSpinningAndParked) {
+  ParallelExecutor exec(4);
+  const auto throwing_job = [&exec] {
+    try {
+      exec.for_shards(kAdHoc, 100, 5, [](std::size_t s, std::size_t, std::size_t) {
+        if (s == 4 || s == 11 || s == 17) throw std::runtime_error("shard " + std::to_string(s));
+      });
+      ADD_FAILURE() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 4");
+    }
+  };
+  for (int i = 0; i < 20; ++i) {
+    expect_each_item_once(exec, 64, 2);  // workers are left spinning
+    throwing_job();
+  }
+  std::this_thread::sleep_for(std::chrono::nanoseconds(ParallelExecutor::kSpinNs * 20));
+  ASSERT_TRUE(all_parked(exec));
+  throwing_job();
+  expect_each_item_once(exec, 64, 2);
+}
+
+TEST(ParallelExecutor, DestructsWithWorkersSpinningOrParked) {
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    {
+      ParallelExecutor idle(threads);  // never ran a job
+    }
+    {
+      ParallelExecutor spinning(threads);
+      expect_each_item_once(spinning, 64, 1);
+    }  // destroyed right after the join, workers still spinning
+    {
+      ParallelExecutor parked(threads);
+      expect_each_item_once(parked, 64, 1);
+      std::this_thread::sleep_for(std::chrono::nanoseconds(ParallelExecutor::kSpinNs * 20));
+      ASSERT_TRUE(all_parked(parked));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

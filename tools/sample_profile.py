@@ -20,6 +20,12 @@ profile a build configured with -DCMAKE_BUILD_TYPE=RelWithDebInfo
 (the same -O2 as Release, plus -g). Every process the command starts
 inherits the module, and their samples are pooled.
 
+In a shared library without debug info (libc), addr2line names an
+address after the nearest exported symbol below it, however far past
+that symbol's end the address lies. Such a frame keeps the name only
+when the address falls inside the symbol's size (read with `nm -D -S`);
+otherwise it reads MODULE+0xOFFSET, e.g. `libc.so.6+0x9b2c1`.
+
 --allocs         count calls to operator new by calling address
                  instead of sampling time: builds
                  tools/sample_profile/allocs.cpp as the LD_PRELOAD
@@ -40,6 +46,7 @@ not be built, the command failed, or addr2line is missing.
 """
 
 import argparse
+import bisect
 import collections
 import glob
 import os
@@ -89,6 +96,37 @@ def read_samples(prefix):
     return counts, dropped, len(files)
 
 
+def read_symbol_sizes(module):
+    """[(start, end, name)] of the module's sized dynamic symbols, sorted
+    by start; empty when nm is missing or the module cannot be read."""
+    if shutil.which("nm") is None or not os.path.exists(module):
+        return []
+    stdout = subprocess.run(["nm", "-D", "-S", "--defined-only", module],
+                            capture_output=True, text=True).stdout
+    symbols = []
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) != 4:
+            continue  # no size: absolute and version symbols
+        start, size = int(fields[0], 16), int(fields[1], 16)
+        if size > 0:
+            symbols.append((start, start + size, fields[3].split("@")[0]))
+    symbols.sort()
+    return symbols
+
+
+def resolve_unsized(symbols, offset, name, base):
+    """The frame name for `offset` in a library frame without line info:
+    addr2line's `name` when the offset lies inside a symbol's extent,
+    else BASE+0xOFFSET. Without a symbol table the name is kept."""
+    if not symbols:
+        return name
+    i = bisect.bisect_right(symbols, (offset, float("inf"), "")) - 1
+    if i >= 0 and symbols[i][0] <= offset < symbols[i][1]:
+        return name
+    return f"{base}+{offset:#x}"
+
+
 def symbolize(module, offsets):
     """{offset: [(function, file:line), ...]} innermost frame first."""
     frames = {}
@@ -109,12 +147,26 @@ def symbolize(module, offsets):
             frames[current].append((pending, DISCRIMINATOR.sub("", line)))
             pending = None
     # Shared-library frames carry their module: without its debug info
-    # addr2line names the nearest exported symbol, not the function.
+    # addr2line names the nearest exported symbol, not the function, so
+    # an address past that symbol's end is named by its offset instead.
     base = os.path.basename(module)
-    tag = f" [{base}]" if ".so" in base else ""
+    library = ".so" in base
+    tag = f" [{base}]" if library else ""
+    symbols = read_symbol_sizes(module) if library else []
     for offset in offsets:
         stack = frames.get(offset) or [("??", "??:0")]
-        frames[offset] = [(f + tag if f != "??" else f"?? ({base})", loc) for f, loc in stack]
+        named = []
+        for f, loc in stack:
+            if f == "??":
+                named.append((f"?? ({base})", loc))
+                continue
+            if library and loc.startswith("??"):
+                resolved = resolve_unsized(symbols, int(offset, 16), f, base)
+                if resolved != f:
+                    named.append((resolved, loc))
+                    continue
+            named.append((f + tag, loc))
+        frames[offset] = named
     return frames
 
 
