@@ -229,9 +229,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
   if (config_.obs.counters) {
     obs_counters_ = std::make_unique<obs::CounterRegistry>();
     ctr_prepare_nodes_ = obs_counters_->declare("round.prepare_nodes");
-    ctr_plan_nodes_ = obs_counters_->declare("round.plan_nodes");
     ctr_pull_requests_ = obs_counters_->declare("delivery.pull_requests");
-    ctr_segments_delivered_ = obs_counters_->declare("delivery.segments");
     ctr_stall_transitions_ = obs_counters_->declare("sample.stall_transitions");
     obs_counters_->ensure_shards(1);
   }
@@ -501,9 +499,6 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
                      for (std::size_t i = begin; i < end; ++i) {
                        round_plan(users[i], plans_[i], shard_stats_[s],
                                   shard_deferred_[s]);
-                     }
-                     if (obs_counters_ != nullptr) {
-                       obs_counters_->add(s, ctr_plan_nodes_, end - begin);
                      }
                    });
 
@@ -1320,9 +1315,6 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
   const bool fresh = node.buffer().insert(id);
   ++stats.segments_delivered;
   if (!fresh) ++stats.duplicate_deliveries;
-  if (obs_counters_ != nullptr) {
-    obs_counters_->add(ctx.shard(), ctr_segments_delivered_, 1);
-  }
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.time = now;

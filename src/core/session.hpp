@@ -608,9 +608,7 @@ class Session : private net::DeliveryHost {
   /// Registry ids for the session's per-shard counters (valid only
   /// when obs_counters_ is set).
   std::uint32_t ctr_prepare_nodes_ = 0;
-  std::uint32_t ctr_plan_nodes_ = 0;
   std::uint32_t ctr_pull_requests_ = 0;
-  std::uint32_t ctr_segments_delivered_ = 0;
   std::uint32_t ctr_stall_transitions_ = 0;
 
   SegmentId emitted_ = 0;

@@ -15,10 +15,11 @@
 //             the ring as the cursor reaches them, so an on-grid instant
 //             inside the ring's span is never in the overflow.
 //
-// Entries are appended to small fixed-size chunks drawn from one pooled
-// free list of blocks, as sim::CalendarQueue does, and a bucket's chunks
-// go back to the pool when it has been dispatched. Pending memory then
-// tracks the live deliveries, never the largest bucket seen.
+// Both keep a bucket as a list of small fixed-size chunks in one
+// util::ChunkRing (util/block_pool.hpp, where the pool is described),
+// and a bucket's chunks go back to the pool once it is dispatched, so
+// pending memory tracks the live deliveries, never the largest bucket
+// seen.
 //
 // The cursor is a lower bound on every ring instant. A take moves it to
 // the instant taken (the exact engine takes in time order, and every
@@ -30,9 +31,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "net/delivery.hpp"
+#include "util/block_pool.hpp"
 #include "util/types.hpp"
 
 namespace continu::net {
@@ -59,13 +62,13 @@ class BucketRing {
   /// and 1910 at 4, against a 1720 B/node budget, and a 1-entry chain
   /// read slower on grid_8k.
   static constexpr std::uint32_t kChunkEntries = 2;
-  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
+  /// Chunks in 128-chunk pool blocks (18 KiB of entries).
+  using Store = util::ChunkRing<HandoffEntry, kChunkEntries, alignof(HandoffEntry), 7, kSlots>;
 
-  /// A detached bucket: its instant and its chunks, newest first.
+  /// A detached bucket: its instant and its entries.
   struct Batch {
     SimTime time = 0.0;
-    std::uint32_t head = kNoChunk;
-    std::uint32_t count = 0;
+    Store::List list;
   };
 
   /// `grid_s` > 0 is the latency grid; 0 makes an unused ring that
@@ -81,10 +84,10 @@ class BucketRing {
     assert(grid_s_ > 0.0 && "BucketRing: filing into the ring of a continuous network");
     std::uint64_t k = 0;
     if (ring_index(when, k)) {
-      Slot& slot = ring_[k & kMask];
-      const bool created = slot.count == 0;
-      if (created) occupied_[(k & kMask) >> 6] |= std::uint64_t{1} << (k & 63);
-      push(slot.head, slot.count, to, filtered, std::move(action));
+      Store::List& list = store_.slot(k);
+      const bool created = list.count == 0;
+      if (created) store_.mark(k);
+      ::new (store_.append(list)) HandoffEntry{to, filtered, std::move(action)};
       ++ring_entries_;
       return created;
     }
@@ -107,68 +110,34 @@ class BucketRing {
   void take_through(SimTime limit, std::vector<Batch>& out);
 
   /// Fills `out` with the batch's entries in filing order.
-  void entries(const Batch& batch, std::vector<HandoffEntry*>& out);
+  void entries(const Batch& batch, std::vector<HandoffEntry*>& out) {
+    store_.filing_order(batch.list, out);
+  }
 
   /// Returns the batch's chunks to the pool without touching its
   /// entries: every action must already be empty (consumed or reset).
-  void release(Batch& batch) noexcept;
+  void release(Batch& batch) noexcept { store_.release(batch.list); }
 
   /// Destroys the batch's entries, then releases it: teardown and
   /// unwinding, where some actions never ran.
-  void discard(Batch& batch) noexcept;
-
-  /// Bytes of the chunks held by pending buckets.
-  [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return live_chunks_ * sizeof(Chunk);
+  void discard(Batch& batch) noexcept {
+    store_.drain(batch.list, [](HandoffEntry* e, std::uint32_t n) { std::destroy_n(e, n); });
   }
 
-  /// Every byte the ring holds: slots, bitmap, each pool block (blocks
-  /// are never freed) and the overflow's nodes.
+  /// Bytes of the chunks held by pending buckets.
+  [[nodiscard]] std::size_t pending_bytes() const noexcept { return store_.live_bytes(); }
+
+  /// Every byte the ring holds: slots, bitmap, chunk pool and the
+  /// overflow's nodes.
   [[nodiscard]] std::size_t capacity_bytes() const noexcept;
 
  private:
-  static constexpr std::uint64_t kMask = kSlots - 1;
-  static constexpr std::size_t kWords = kSlots / 64;
-  static_assert((kSlots & kMask) == 0 && kSlots >= 64,
-                "the ring is a power of two of whole bitmap words");
-  static_assert((kChunkEntries & (kChunkEntries - 1)) == 0,
-                "chunk fill is count modulo a power of two");
-  /// Chunks per pool block: 18 KiB of entries. Blocks never move, and
-  /// their pages are first touched when a chunk in them is first used.
-  static constexpr std::uint32_t kBlockShift = 7;
-  static constexpr std::uint32_t kChunksPerBlock = std::uint32_t{1} << kBlockShift;
-
-  struct Chunk {
-    alignas(HandoffEntry) unsigned char bytes[kChunkEntries * sizeof(HandoffEntry)];
-    [[nodiscard]] HandoffEntry* at(std::uint32_t i) noexcept {
-      return reinterpret_cast<HandoffEntry*>(bytes) + i;
-    }
-  };
-  struct Block {
-    Chunk chunks[kChunksPerBlock];
-    /// Per chunk: the next chunk of its bucket (older entries), or of
-    /// the free list.
-    std::uint32_t next[kChunksPerBlock];
-  };
-  /// A bucket's chunks, newest first; only the head chunk is partly
-  /// filled, with `count` modulo kChunkEntries entries (0 = full).
-  struct Slot {
-    std::uint32_t head = kNoChunk;
-    std::uint32_t count = 0;
-  };
   /// An overflow bucket; `ahead` marks an on-grid instant filed beyond
   /// the ring's span, which the cursor may later bring inside it.
   struct Overflow {
-    Slot slot;
+    Store::List list;
     bool ahead = false;
   };
-
-  [[nodiscard]] Chunk& chunk_at(std::uint32_t c) noexcept {
-    return blocks_[c >> kBlockShift]->chunks[c & (kChunksPerBlock - 1)];
-  }
-  [[nodiscard]] std::uint32_t& next_of(std::uint32_t c) noexcept {
-    return blocks_[c >> kBlockShift]->next[c & (kChunksPerBlock - 1)];
-  }
 
   /// True when `when` is grid instant k (exactly k * grid) with k in
   /// the ring's span; k is set whenever `when` is on the grid.
@@ -185,25 +154,6 @@ class BucketRing {
     return static_cast<SimTime>(k) * grid_s_;
   }
 
-  void push(std::uint32_t& head, std::uint32_t& count, std::uint32_t to, bool filtered,
-            DeliveryAction&& action) {
-    const std::uint32_t fill = count & (kChunkEntries - 1);
-    if (fill == 0) {
-      std::uint32_t c = free_chunk_;
-      if (c != kNoChunk) {
-        free_chunk_ = next_of(c);
-      } else {
-        c = grow_pool();
-      }
-      next_of(c) = head;
-      head = c;
-      ++live_chunks_;
-    }
-    ::new (static_cast<void*>(chunk_at(head).at(fill)))
-        HandoffEntry{to, filtered, std::move(action)};
-    ++count;
-  }
-
   bool append_overflow(SimTime when, std::uint32_t to, bool filtered,
                        DeliveryAction&& action);
   /// Detaches an overflow bucket into a batch.
@@ -212,25 +162,21 @@ class BucketRing {
   [[nodiscard]] Batch detach_slot(std::uint64_t k) noexcept;
   /// First occupied ring instant in [from, cur_ + kSlots), or
   /// cur_ + kSlots when there is none.
-  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t from) const noexcept;
+  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t from) const noexcept {
+    return store_.next_occupied(from, cur_ + kSlots);
+  }
   /// Moves the cursor forward to `k` (a lower bound on every ring
   /// instant), then pulls overflow instants that entered the span.
   void advance(std::uint64_t k);
-  [[nodiscard]] std::uint32_t grow_pool();
 
   SimTime grid_s_;
   SimTime inv_grid_s_;
   std::uint64_t cur_ = 0;  ///< grid index of the ring's first slot
   std::size_t ring_entries_ = 0;
-  std::vector<Slot> ring_;
-  std::vector<std::uint64_t> occupied_;
+  Store store_;
   /// Overflow buckets by instant, and how many of them are ahead.
   std::map<SimTime, Overflow> overflow_;
   std::size_t overflow_ahead_ = 0;
-  std::vector<std::unique_ptr<Block>> blocks_;
-  std::uint32_t free_chunk_ = kNoChunk;
-  std::uint32_t chunk_count_ = 0;
-  std::size_t live_chunks_ = 0;
 };
 
 }  // namespace continu::net

@@ -117,7 +117,7 @@ std::size_t Network::dispatch_window(SimTime limit) {
 
 void Network::dispatch_bucket(BucketRing::Batch& batch) {
   ++delivery_batches_;
-  batched_deliveries_ += batch.count;
+  batched_deliveries_ += batch.list.count;
   std::vector<HandoffEntry*>& entries = batch_entries_;
   buckets_.entries(batch, entries);
 

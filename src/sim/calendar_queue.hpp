@@ -5,9 +5,9 @@
 //   near   a QuadHeap of every entry before the current bucket's end;
 //          its top is the queue's top.
 //   ring   buckets (cur, cur + kRingBuckets]: entries are appended
-//          unsorted to fixed-size chunks drawn from one pooled free
-//          list, and an occupancy bitmap finds the next non-empty
-//          bucket.
+//          unsorted to 128-byte chunks, and an occupancy bitmap finds
+//          the next non-empty bucket (a util::ChunkRing; the chunk pool
+//          is described once, in util/block_pool.hpp).
 //   far    a QuadHeap of every entry beyond the ring; entries migrate
 //          into the ring as the cursor advances.
 //
@@ -30,13 +30,12 @@
 // runs as one heap until it empties. An empty calendar has no cursor;
 // the next push seats it.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <new>
 
 #include "sim/quad_heap.hpp"
+#include "util/block_pool.hpp"
 #include "util/types.hpp"
 
 namespace continu::sim {
@@ -56,6 +55,15 @@ class CalendarQueue {
   /// 4 KiB), and ~1% of schedules go to far.
   static constexpr std::uint64_t kBucketsPerSecond = 1024;
   static constexpr std::uint64_t kRingBuckets = 1024;
+
+  /// Entries per ring chunk: two cache lines. Every non-empty bucket
+  /// holds one partly filled chunk, and the buckets late in the ring
+  /// hold only a few entries each, so small chunks keep the pool within
+  /// a few percent of 16 bytes per pending entry.
+  static constexpr std::uint32_t kChunkEntries = 8;
+  /// 64-byte-aligned chunks in 256-chunk pool blocks (32 KiB of
+  /// entries).
+  using Ring = util::ChunkRing<QuadHeap::Entry, kChunkEntries, 64, 8, kRingBuckets>;
 
   CalendarQueue() = default;
   CalendarQueue(const CalendarQueue&) = delete;
@@ -87,76 +95,24 @@ class CalendarQueue {
     if (near_.empty()) refill();
   }
 
-  /// Bytes held: the ring's bucket heads and bitmap, the chunk pool
-  /// (blocks are never freed) and both heaps' entry arrays.
-  [[nodiscard]] std::size_t capacity_bytes() const noexcept;
+  /// Bytes held: the ring's bucket heads, bitmap and chunk pool, and
+  /// both heaps' entry arrays.
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return ring_.capacity_bytes() + near_.capacity_bytes() + far_.capacity_bytes();
+  }
 
  private:
-  /// Entries per ring chunk: two cache lines. Every non-empty bucket
-  /// holds one partly filled chunk, and the buckets late in the ring
-  /// hold only a few entries each, so small chunks keep the pool within
-  /// a few percent of 16 bytes per pending entry.
-  static constexpr std::uint32_t kChunkEntries = 8;
   /// Times at or beyond this never enter the ring (2^40 s keeps every
   /// bucket boundary an exact double).
   static constexpr SimTime kMaxBucketedTime = 0x1p40;
-  static constexpr std::uint64_t kRingMask = kRingBuckets - 1;
-  static constexpr std::size_t kRingWords = kRingBuckets / 64;
-  static_assert((kRingBuckets & kRingMask) == 0 && kRingBuckets >= 64,
-                "the ring is a power of two of whole bitmap words");
-  /// Chunks per pool block: 32 KiB of entries. Blocks never move, and
-  /// their pages are first touched when a chunk in them is first used.
-  static constexpr std::uint32_t kBlockShift = 8;
-  static constexpr std::uint32_t kChunksPerBlock = std::uint32_t{1} << kBlockShift;
-  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
-
-  static_assert((kChunkEntries & (kChunkEntries - 1)) == 0,
-                "chunk fill is count modulo a power of two");
-
-  struct alignas(64) Chunk {
-    QuadHeap::Entry entries[kChunkEntries];
-  };
-  struct Block {
-    Chunk chunks[kChunksPerBlock];
-    /// Per chunk: the next chunk of its bucket (older entries), or of
-    /// the free list.
-    std::uint32_t next[kChunksPerBlock];
-  };
-  /// A bucket's chunks, newest first; only the head chunk is partly
-  /// filled, with `count` modulo kChunkEntries entries (0 = full).
-  struct Bucket {
-    std::uint32_t head = kNoChunk;
-    std::uint32_t count = 0;
-  };
-
   [[nodiscard]] static std::uint64_t bucket_of(SimTime t) noexcept {
     return static_cast<std::uint64_t>(t * static_cast<SimTime>(kBucketsPerSecond));
   }
 
-  [[nodiscard]] Chunk& chunk_at(std::uint32_t c) noexcept {
-    return blocks_[c >> kBlockShift]->chunks[c & (kChunksPerBlock - 1)];
-  }
-  [[nodiscard]] std::uint32_t& next_of(std::uint32_t c) noexcept {
-    return blocks_[c >> kBlockShift]->next[c & (kChunksPerBlock - 1)];
-  }
-
   void ring_append(const QuadHeap::Entry& entry, std::uint64_t bucket) {
-    const std::size_t slot = bucket & kRingMask;
-    Bucket& b = ring_[slot];
-    const std::uint32_t fill = b.count & (kChunkEntries - 1);
-    if (fill == 0) {
-      std::uint32_t c = free_chunk_;
-      if (c != kNoChunk) {
-        free_chunk_ = next_of(c);
-      } else {
-        c = grow_pool();
-      }
-      next_of(c) = b.head;
-      b.head = c;
-      occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-    chunk_at(b.head).entries[fill] = entry;
-    ++b.count;
+    Ring::List& list = ring_.slot(bucket);
+    if (list.count == 0) ring_.mark(bucket);
+    ::new (ring_.append(list)) QuadHeap::Entry(entry);
     ++ring_size_;
   }
 
@@ -168,13 +124,8 @@ class CalendarQueue {
   /// into near when that time cannot be bucketed.
   void seat(std::uint64_t image);
   void set_bounds(std::uint64_t bucket) noexcept;
-  /// First non-empty bucket after the cursor. Requires ring_size_ > 0.
-  [[nodiscard]] std::uint64_t next_occupied() const noexcept;
-  /// Moves every entry of ring slot `slot` into near.
-  void drain_slot(std::size_t slot);
   /// Moves far's entries that now fall before the ring's end.
   void migrate_far();
-  [[nodiscard]] std::uint32_t grow_pool();
 
   QuadHeap near_;
   QuadHeap far_;
@@ -187,11 +138,7 @@ class CalendarQueue {
   std::uint64_t ring_end_ = 0;
   std::uint64_t cur_ = 0;  ///< absolute index of the current bucket
   std::size_t ring_size_ = 0;
-  std::array<Bucket, kRingBuckets> ring_{};
-  std::array<std::uint64_t, kRingWords> occupied_{};
-  std::vector<std::unique_ptr<Block>> blocks_;
-  std::uint32_t free_chunk_ = kNoChunk;
-  std::uint32_t chunk_count_ = 0;
+  Ring ring_;
 };
 
 }  // namespace continu::sim

@@ -12,16 +12,17 @@
 //     event. BM_EventQueueHold (pop one, schedule one, at 8k and 90k
 //     pending) is the row this design is judged by; docs/BENCHMARKS.md
 //     holds its re-measured tables.
-//   * Actions live in a chunked slot pool with stable addresses. Each
-//     slot is one 64-byte line holding only the action; its id lives
-//     in the block's side array (8 bytes), so a pending event costs
-//     72 bytes. An EventId packs (sequence << 24 | slot): the monotonic
-//     sequence gives deterministic FIFO tie-breaking among equal times,
-//     the low bits find the slot in O(1).
-//   * While a slot is free its side entry holds the free-list link, a
-//     bare slot index below 2^24. Every live id carries a sequence of
-//     at least 1 in the bits above, so no id — current or stale — can
-//     ever equal a link.
+//   * Actions live in a util::BlockPool (util/block_pool.hpp) of slots
+//     with stable addresses. Each slot is one 64-byte line holding only
+//     the action; its id is the slot's pool link word (8 bytes), so a
+//     pending event costs 72 bytes. An EventId packs
+//     (sequence << 24 | slot): the monotonic sequence gives
+//     deterministic FIFO tie-breaking among equal times, the low bits
+//     find the slot in O(1).
+//   * While a slot is free its link word holds the pool's free-list
+//     link, a bare slot index below 2^24. Every live id carries a
+//     sequence of at least 1 in the bits above, so no id — current or
+//     stale — can ever equal a link.
 //   * cancel() is one compare + one array write (free the slot); the
 //     calendar entry dies lazily when it surfaces, validated by a single
 //     id compare against the side array. No hashing.
@@ -38,13 +39,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "sim/event.hpp"
 #include "sim/calendar_queue.hpp"
+#include "sim/event.hpp"
+#include "util/block_pool.hpp"
 
 namespace continu::sim {
 
@@ -67,8 +68,9 @@ class EventQueue {
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
     const std::uint64_t seq = next_seq_++;
-    const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
-    Slot& s = slot(index);  // blocks are stable; calendar growth can't move it
+    const std::uint32_t free_head = slots_.free_head();
+    const std::uint32_t index = free_head != kNoFree ? free_head : slots_.grow();
+    Slot& s = slots_.item(index);  // blocks are stable; calendar growth can't move it
     __builtin_prefetch(&s, 1);
     const EventId id = (seq << kSlotBits) | index;
     calendar_.push(time, id);
@@ -81,12 +83,12 @@ class EventQueue {
     if (!s.action) {
       throw std::invalid_argument("EventQueue: empty action");
     }
-    EventId& slot_id = id_of(index);
-    if (index == free_head_) {
-      free_head_ = static_cast<std::uint32_t>(slot_id);
+    EventId& slot_id = slots_.link(index);
+    if (index == free_head) {
       // Chain-prefetch the next free slot: it gets a whole push of
       // lead time before the next emplace writes it.
-      if (free_head_ != kNoFree) __builtin_prefetch(&slot(free_head_), 1);
+      const std::uint32_t next = slots_.pop_free();
+      if (next != kNoFree) __builtin_prefetch(&slots_.item(next), 1);
     }
     slot_id = id;
     ++live_;
@@ -125,12 +127,10 @@ class EventQueue {
   /// High-water mark of live events since construction.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
-  /// Bytes held by the queue: the slot pool with its side id arrays
-  /// (blocks are never freed) plus the calendar (ring, chunk pool and
-  /// both heaps).
+  /// Bytes held by the queue: the slot pool with its id words plus
+  /// the calendar (ring, chunk pool and both heaps).
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
-    return blocks_.capacity() * sizeof(blocks_[0]) + blocks_.size() * sizeof(Block) +
-           calendar_.capacity_bytes();
+    return slots_.capacity_bytes() + calendar_.capacity_bytes();
   }
 
   /// Head (time, id) of the earliest live event without removing it;
@@ -156,7 +156,7 @@ class EventQueue {
   /// True while a collected ref's event is still live (not cancelled
   /// since collection).
   [[nodiscard]] bool collected_live(const WindowRef& ref) const noexcept {
-    return id_of(static_cast<std::uint32_t>(ref.id & kSlotMask)) == ref.id;
+    return slots_.link(static_cast<std::uint32_t>(ref.id & kSlotMask)) == ref.id;
   }
 
   /// Executes a collected ref in place iff still live: de-registers,
@@ -164,59 +164,33 @@ class EventQueue {
   /// (false = cancelled between collection and execution).
   bool execute_collected(const WindowRef& ref);
 
- private:
   /// One pending action, exactly one cache line.
   struct alignas(64) Slot {
     EventAction action;
   };
-
-  /// Free-list terminator: a slot index the pool never hands out, so
-  /// every link stays below 2^kSlotBits and can never equal an id.
-  static constexpr std::uint32_t kNoFree = kSlotMask;
-  /// Slots per pool block. Blocks never move, so an action can run in
-  /// its slot even while it schedules new events.
-  static constexpr std::size_t kBlockShift = 9;
-  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-
-  struct Block {
-    Slot slots[kBlockSize];
-    /// Per slot: its live id; kInvalidEvent while its action runs; the
-    /// next free index (or kNoFree) while it sits on the free list.
-    EventId ids[kBlockSize] = {};
-  };
-
- public:
+  /// Slots in 512-slot pool blocks. Blocks never move, so an action can
+  /// run in its slot even while it schedules new events. A slot's link
+  /// word is its live id; kInvalidEvent while its action runs; the next
+  /// free index (or kNoFree) while it sits on the free list. kNoFree,
+  /// the pool's limit, is never handed out, so every free link stays
+  /// below 2^kSlotBits and can never equal an id.
+  using SlotPool = util::BlockPool<Slot, EventId, 9, kSlotMask>;
+  static constexpr std::uint32_t kNoFree = SlotPool::kNone;
   /// Pool bytes per pending event: the action's line, and the line
-  /// plus its side id.
+  /// plus its id word.
   static constexpr std::size_t kSlotLineBytes = sizeof(Slot);
-  static constexpr std::size_t kSlotBytes = sizeof(Block) / kBlockSize;
+  static constexpr std::size_t kSlotBytes = SlotPool::kBytesPerItem;
 
  private:
-  [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
-    return blocks_[index >> kBlockShift]->slots[index & (kBlockSize - 1)];
-  }
-  [[nodiscard]] EventId& id_of(std::uint32_t index) noexcept {
-    return blocks_[index >> kBlockShift]->ids[index & (kBlockSize - 1)];
-  }
-  [[nodiscard]] const EventId& id_of(std::uint32_t index) const noexcept {
-    return blocks_[index >> kBlockShift]->ids[index & (kBlockSize - 1)];
-  }
-
-  /// Appends a fresh slot (and a new block at block boundaries).
-  [[nodiscard]] std::uint32_t grow_pool();
-  void release_slot(std::uint32_t index) noexcept;
-
   /// Discards calendar entries whose slot no longer carries their id
   /// (cancelled, or the slot was freed and reused).
   void drop_dead_top() const;
 
-  std::vector<std::unique_ptr<Block>> blocks_;
+  SlotPool slots_;
   // (time, id) entries; id order among live entries is schedule order
   // (the sequence occupies the high bits). Mutable so peek() can purge
   // dead heads without changing observable state.
   mutable CalendarQueue calendar_;
-  std::uint32_t free_head_ = kNoFree;
-  std::uint32_t slot_count_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;

@@ -447,6 +447,11 @@ TEST(ObsExport, ChromeTraceAndStatsJsonParseBack) {
   EXPECT_NE(stats_text.find("\"counters\""), std::string::npos);
   EXPECT_NE(stats_text.find("\"serial_fraction\""), std::string::npos);
   EXPECT_NE(stats_text.find("\"round.prepare_nodes\""), std::string::npos);
+  // Lanes that would duplicate another counter are not declared: plan
+  // covers the same batch shards as prepare, and every delivery is
+  // already session.segments_delivered.
+  EXPECT_EQ(stats_text.find("\"round.plan_nodes\""), std::string::npos);
+  EXPECT_EQ(stats_text.find("\"delivery.segments\""), std::string::npos);
 
   std::filesystem::remove(trace_path);
   std::filesystem::remove(stats_path);

@@ -6,8 +6,14 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
+#include "net/bucket_ring.hpp"
+#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "util/bitwindow.hpp"
+#include "util/block_pool.hpp"
 #include "util/csv.hpp"
 #include "util/hash.hpp"
 #include "util/ring_math.hpp"
@@ -592,6 +598,149 @@ TEST(Csv, RejectsArityMismatch) {
   const std::string path = ::testing::TempDir() + "/continu_csv_arity.csv";
   CsvWriter csv(path, {"a"});
   EXPECT_THROW(csv.add_row({"1", "2"}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// BlockPool / ChunkRing
+// ---------------------------------------------------------------------------
+
+/// Four entries per chunk, four chunks per block, 128 slots (two bitmap
+/// words).
+using SmallRing = ChunkRing<std::uint64_t, 4, 8, 2, 128>;
+
+/// Files the values first, first + 1, ..., first + n - 1 into `list`.
+void file_values(SmallRing& ring, SmallRing::List& list, std::uint64_t first, std::uint64_t n) {
+  for (std::uint64_t v = first; v < first + n; ++v) ::new (ring.append(list)) std::uint64_t(v);
+}
+
+TEST(BlockPool, FreeListIsLifoAndGrowthStopsAtTheLimit) {
+  BlockPool<int, std::uint32_t, 1, 5> pool;  // two items per block, indices 0-4
+  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(pool.acquire(), i);
+  EXPECT_THROW((void)pool.acquire(), std::length_error);
+  EXPECT_EQ(pool.size(), 5u);
+  pool.release(1);
+  pool.release(3);
+  EXPECT_EQ(pool.free_head(), 3u);
+  EXPECT_EQ(pool.link(3), 1u) << "a free item's link word is the free list's";
+  EXPECT_EQ(pool.acquire(), 3u);
+  EXPECT_EQ(pool.acquire(), 1u);
+  EXPECT_EQ(pool.free_head(), decltype(pool)::kNone);
+}
+
+TEST(ChunkRing, ListsKeepFilingOrderAcrossChunkBoundaries) {
+  SmallRing ring;
+  SmallRing::List list;
+  file_values(ring, list, 0, 11);  // chunks of 4, 4 and 3 entries
+  EXPECT_EQ(list.count, 11u);
+  std::vector<std::uint64_t*> order;
+  ring.filing_order(list, order);
+  ASSERT_EQ(order.size(), 11u);
+  for (std::uint64_t i = 0; i < 11; ++i) EXPECT_EQ(*order[i], i);
+  EXPECT_EQ(ring.live_bytes(), 3 * SmallRing::kChunkBytes);
+
+  // drain visits the chunks newest first, the head chunk partly filled.
+  std::vector<std::vector<std::uint64_t>> chunks;
+  ring.drain(list, [&chunks](std::uint64_t* entries, std::uint32_t n) {
+    chunks.emplace_back(entries, entries + n);
+  });
+  const std::vector<std::vector<std::uint64_t>> expected = {
+      {8, 9, 10}, {4, 5, 6, 7}, {0, 1, 2, 3}};
+  EXPECT_EQ(chunks, expected);
+  EXPECT_EQ(list.count, 0u);
+  EXPECT_EQ(list.head, SmallRing::kNoChunk);
+  EXPECT_EQ(ring.live_bytes(), 0u);
+}
+
+TEST(ChunkRing, ReleasedChunksAreReusedLastInFirstOut) {
+  SmallRing ring;
+  SmallRing::List a;
+  file_values(ring, a, 0, 12);  // three full chunks
+  std::vector<std::uint64_t*> order;
+  ring.filing_order(a, order);
+  const std::size_t bytes = ring.capacity_bytes();
+  ring.release(a);
+  EXPECT_EQ(a.count, 0u);
+  EXPECT_EQ(ring.live_bytes(), 0u);
+
+  // Release goes newest first, so the oldest chunk is reused first.
+  SmallRing::List b;
+  file_values(ring, b, 100, 12);
+  std::vector<std::uint64_t*> reused;
+  ring.filing_order(b, reused);
+  for (std::size_t chunk = 0; chunk < 3; ++chunk) {
+    EXPECT_EQ(reused[chunk * 4], order[chunk * 4]) << "chunk " << chunk;
+  }
+  EXPECT_EQ(ring.capacity_bytes(), bytes) << "reuse must not grow the pool";
+  ring.release(b);
+}
+
+TEST(ChunkRing, OccupancyScanCrossesTheWrapAndStopsAtEnd) {
+  SmallRing ring;
+  // A span of the full 128 slots from absolute index 100: slots 100-127
+  // are word 1's top, then the scan wraps through word 0 and reads
+  // word 1 again for indices 192-227.
+  EXPECT_EQ(ring.next_occupied(100, 228), 228u) << "empty ring";
+  ring.mark(130);  // slot 2: past the wrap
+  EXPECT_EQ(ring.next_occupied(100, 228), 130u);
+  ring.mark(100);
+  EXPECT_EQ(ring.next_occupied(100, 228), 100u) << "from itself counts";
+  EXPECT_EQ(ring.next_occupied(101, 229), 130u);
+  ring.unmark(100);
+  ring.unmark(130);
+  ring.mark(227);  // slot 99: below `from` in the first word read
+  EXPECT_EQ(ring.next_occupied(100, 228), 227u) << "the first word is read again at the end";
+  EXPECT_EQ(ring.next_occupied(100, 227), 227u) << "end itself is outside";
+  EXPECT_EQ(ring.next_occupied(100, 200), 200u) << "a mark past end in the last word";
+  EXPECT_EQ(ring.next_occupied(150, 150), 150u) << "empty span";
+  EXPECT_EQ(ring.slot(227).count, 0u);
+  EXPECT_EQ(&ring.slot(227), &ring.slot(99)) << "slot k mod kSlots";
+}
+
+TEST(ChunkRing, StoreWithoutSlotsHoldsNoSlotMemory) {
+  SmallRing store(false);
+  EXPECT_EQ(store.capacity_bytes(), 0u);
+  SmallRing::List list;
+  file_values(store, list, 0, 1);
+  EXPECT_GT(store.capacity_bytes(), 0u);
+  store.release(list);
+}
+
+TEST(BlockPool, ContainerCapacitiesKeepTheirBlockLayouts) {
+  // Block table: one pointer per block slot, grown by push_back.
+  constexpr std::size_t kPtr = sizeof(void*);
+
+  // Event queue slots: 512 per block, each a 64-byte action line plus
+  // an 8-byte id word.
+  sim::EventQueue::SlotPool slots;
+  EXPECT_EQ(slots.capacity_bytes(), 0u);
+  (void)slots.grow();
+  EXPECT_EQ(slots.capacity_bytes(), 1 * kPtr + 1 * 512 * (64 + 8));
+  for (int i = 0; i < 512; ++i) (void)slots.grow();
+  EXPECT_EQ(slots.capacity_bytes(), 2 * kPtr + 2 * 512 * (64 + 8));
+  EXPECT_EQ(sim::EventQueue::kSlotBytes, 72u);
+
+  // Calendar ring: 1024 bucket heads of 8 bytes, 16 bitmap words, and
+  // 256 chunks per block, each 128 bytes (8 entries of 16, 64-aligned)
+  // plus a 4-byte link.
+  sim::CalendarQueue::Ring calendar;
+  EXPECT_EQ(calendar.capacity_bytes(), 1024 * 8 + 16 * 8);
+  sim::CalendarQueue::Ring::List bucket;
+  ::new (calendar.append(bucket)) sim::QuadHeap::Entry{};
+  EXPECT_EQ(calendar.capacity_bytes(), 1024 * 8 + 16 * 8 + 1 * kPtr + 256 * (128 + 4));
+  EXPECT_EQ(sim::CalendarQueue::Ring::kChunkBytes, 128u);
+  calendar.release(bucket);
+
+  // Delivery buckets: 4096 slot heads of 8 bytes, 64 bitmap words, and
+  // 128 chunks per block, each two 72-byte entries plus a 4-byte link.
+  static_assert(sizeof(net::HandoffEntry) == 72, "a hand-off entry is 72 bytes");
+  net::BucketRing::Store buckets;
+  EXPECT_EQ(buckets.capacity_bytes(), 4096 * 8 + 64 * 8);
+  net::BucketRing::Store::List slot;
+  ::new (buckets.append(slot)) net::HandoffEntry{};  // empty action: nothing to destroy
+  EXPECT_EQ(buckets.capacity_bytes(), 4096 * 8 + 64 * 8 + 1 * kPtr + 128 * (144 + 4));
+  EXPECT_EQ(net::BucketRing::Store::kChunkBytes, 144u);
+  buckets.release(slot);
+  EXPECT_EQ(net::BucketRing::Store(false).capacity_bytes(), 0u);
 }
 
 }  // namespace

@@ -43,8 +43,9 @@ namespace {
 
 struct CliOptions {
   std::size_t nodes = 1000;
-  double duration = 45.0;
-  double stable_from = 20.0;
+  /// Horizons: unset means 45 s / 20 s, or the scenario's own.
+  std::optional<double> duration;
+  std::optional<double> stable_from;
   double churn = 0.0;
   std::uint64_t seed = 42;
   std::uint64_t trace_seed = 1;
@@ -80,8 +81,10 @@ void print_usage(const char* argv0) {
       "  --trace FILE       load a trace snapshot instead of generating one\n"
       "  --scenario NAME    use a named scenario from the shared matrix\n"
       "  --list-scenarios   print the scenario matrix and exit\n"
-      "  --duration SEC     virtual seconds to simulate (default 45)\n"
-      "  --stable-from SEC  start of the stable measurement window (default 20)\n"
+      "  --duration SEC     virtual seconds to simulate (default 45, or the\n"
+      "                     scenario's own horizon)\n"
+      "  --stable-from SEC  start of the stable measurement window (default 20,\n"
+      "                     or the scenario's); must stay below the duration\n"
       "  --system NAME      continu | cool | gridmedia (default continu)\n"
       "  --churn F          per-round leave AND join fraction (default 0 = static)\n"
       "  --neighbors M      connected-neighbor target (default 5)\n"
@@ -151,7 +154,7 @@ template <typename T, typename V, typename InRange>
   static const std::set<std::string> kWorkloadFlags = {
       "--nodes",    "--trace",          "--trace-seed",  "--system",
       "--churn",    "--neighbors",      "--replicas",    "--prefetch-limit",
-      "--homogeneous", "--duration",    "--stable-from",
+      "--homogeneous",
   };
   CliOptions opt;
   bool csv_mode_seen = false;
@@ -186,16 +189,20 @@ template <typename T, typename V, typename InRange>
       opt.list_scenarios = true;
     } else if (arg == "--duration") {
       const char* v = next();
+      double seconds = 0.0;
       if (!v || !take(arg, v, cli::parse_double(v), [](double d) { return d > 0.0; },
-                      "a number of seconds > 0", opt.duration)) {
+                      "a number of seconds > 0", seconds)) {
         return std::nullopt;
       }
+      opt.duration = seconds;
     } else if (arg == "--stable-from") {
       const char* v = next();
+      double seconds = 0.0;
       if (!v || !take(arg, v, cli::parse_double(v), [](double d) { return d >= 0.0; },
-                      "a number of seconds >= 0", opt.stable_from)) {
+                      "a number of seconds >= 0", seconds)) {
         return std::nullopt;
       }
+      opt.stable_from = seconds;
     } else if (arg == "--system") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -305,13 +312,6 @@ template <typename T, typename V, typename InRange>
       return std::nullopt;
     }
   }
-  // The stable measurement window must be non-empty (checked once all
-  // flags are in, so their order does not matter).
-  if (opt.stable_from >= opt.duration) {
-    std::fprintf(stderr, "--stable-from %g must be below --duration %g\n",
-                 opt.stable_from, opt.duration);
-    return std::nullopt;
-  }
   // Flags that would be silently ignored by the flags they come with.
   if (!opt.trace_path.empty()) {
     for (const char* shape : {"--nodes", "--trace-seed"}) {
@@ -338,7 +338,9 @@ template <typename T, typename V, typename InRange>
 }
 
 // --scenario fixes the whole workload; a CLI flag that also shapes it
-// would be silently ignored, so reject the combination outright.
+// would be silently ignored, so reject the combination outright. The
+// horizons (--duration, --stable-from) are not workload flags: they
+// override the scenario's.
 void reject_scenario_conflicts(const CliOptions& opt) {
   if (opt.workload_flags_seen.empty()) return;
   std::fprintf(stderr,
@@ -359,7 +361,10 @@ void reject_scenario_conflicts(const CliOptions& opt) {
       std::exit(1);
     }
     reject_scenario_conflicts(opt);
-    return runner::spec_for(*scenario, opt.seed);
+    runner::ReplicationSpec spec = runner::spec_for(*scenario, opt.seed);
+    spec.duration = opt.duration.value_or(spec.duration);
+    spec.stable_from = opt.stable_from.value_or(spec.stable_from);
+    return spec;
   }
 
   core::SystemConfig config;
@@ -404,8 +409,8 @@ void reject_scenario_conflicts(const CliOptions& opt) {
     spec.trace.node_count = opt.nodes;
     spec.trace.seed = opt.trace_seed;
   }
-  spec.duration = opt.duration;
-  spec.stable_from = opt.stable_from;
+  spec.duration = opt.duration.value_or(45.0);
+  spec.stable_from = opt.stable_from.value_or(20.0);
   return spec;
 }
 
@@ -439,9 +444,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // When scenario-driven, the scenario fixes workload shape AND horizons;
-  // the CLI's --seed still picks the replication seed stream.
+  // When scenario-driven, the scenario fixes the workload shape and
+  // --duration / --stable-from may override its horizons; the CLI's
+  // --seed still picks the replication seed stream.
   runner::ReplicationSpec spec = base_spec(opt);
+  // The stable measurement window must be non-empty.
+  if (spec.stable_from >= spec.duration) {
+    const bool scenario_window = !opt.scenario.empty() && !opt.stable_from.has_value();
+    std::fprintf(stderr, "--stable-from %g must be below --duration %g%s%s%s\n",
+                 spec.stable_from, spec.duration,
+                 scenario_window ? " (the stable window of scenario " : "",
+                 scenario_window ? opt.scenario.c_str() : "",
+                 scenario_window ? "; lower it with --stable-from)" : "");
+    return 1;
+  }
   // Engine selection is legal with --scenario: the windowed engine
   // changes results (a deterministic, thread-invariant universe per
   // skew setting), which is why it is opt-in and gated by its own drift
