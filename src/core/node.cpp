@@ -87,13 +87,32 @@ void Node::expire_tags(SegmentId horizon) {
   }
 }
 
-std::vector<SegmentId> Node::drop_transfers_from(NodeId supplier) {
-  std::vector<SegmentId> dropped;
+void Node::drop_transfers_from(NodeId supplier, std::vector<SegmentId>& dropped) {
+  dropped.clear();
   for (const auto& [key, record] : inflight_) {
     if (record.supplier == supplier) dropped.push_back(static_cast<SegmentId>(key));
   }
   for (const SegmentId id : dropped) inflight_.erase(seg_key(id));
-  return dropped;
+}
+
+void Node::drop_transfers_from_any(const std::vector<NodeId>& dead_ids,
+                                   const std::vector<NodeId>& sorted_dead,
+                                   std::vector<NodeId>& hit,
+                                   std::vector<SegmentId>& dropped) {
+  hit.clear();
+  for (const auto& entry : inflight_) {
+    const NodeId supplier = entry.second.supplier;
+    if (std::binary_search(sorted_dead.begin(), sorted_dead.end(), supplier) &&
+        std::find(hit.begin(), hit.end(), supplier) == hit.end()) {
+      hit.push_back(supplier);
+    }
+  }
+  if (hit.empty()) return;
+  for (const NodeId dead : dead_ids) {
+    if (std::find(hit.begin(), hit.end(), dead) != hit.end()) {
+      drop_transfers_from(dead, dropped);
+    }
+  }
 }
 
 namespace {

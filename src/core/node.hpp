@@ -214,9 +214,22 @@ class Node {
   /// Drops tags older than the window head (bounded memory).
   void expire_tags(SegmentId horizon);
 
-  /// Drops in-flight entries whose supplier died (abrupt failure).
-  /// Returns the affected segment ids.
-  std::vector<SegmentId> drop_transfers_from(NodeId supplier);
+  /// Drops in-flight entries whose supplier died (abrupt failure): it
+  /// collects their ids into `dropped` (cleared first; callers reuse
+  /// one list) in scan order, then erases them in that order.
+  void drop_transfers_from(NodeId supplier, std::vector<SegmentId>& dropped);
+
+  /// drop_transfers_from for every id in `dead_ids`, in one pass: each
+  /// entry's supplier is looked up in `sorted_dead` (the same ids,
+  /// ascending) and, on a hit, listed in `hit` (a reused list). Only
+  /// the listed suppliers then run drop_transfers_from, in `dead_ids`
+  /// order; for any other dead id it would find nothing. The table's
+  /// erase order, and with it its iteration order, is that of calling
+  /// drop_transfers_from once per dead id.
+  void drop_transfers_from_any(const std::vector<NodeId>& dead_ids,
+                               const std::vector<NodeId>& sorted_dead,
+                               std::vector<NodeId>& hit,
+                               std::vector<SegmentId>& dropped);
 
   // --- retry/backoff + supplier blacklist (hardening; fault_plan.hpp) ----
   /// True while `id` sits inside its retry-backoff window.

@@ -119,9 +119,11 @@ struct NeighborView {
   NodeId id;
   double rate;
   SegmentId newest;
+  const util::BitWindow* window;  ///< the neighbor's buffer presence bits
 };
 
-/// Buffers of the round path (playback, neighbor repair, scheduling).
+/// Buffers of the round path (playback, neighbor repair, scheduling)
+/// and of the churn sweep.
 /// Each use clears and refills them, so one set per thread serves every
 /// session and shard that thread runs, and the round path stops
 /// allocating once they have grown to the largest round seen; a set
@@ -133,12 +135,18 @@ struct RoundScratch {
   /// predicted missed.
   std::vector<SegmentId> missing;
   std::vector<SegmentId> missed;
+  /// drop_transfers_from_dead: the dead suppliers one node's in-flight
+  /// table names, and the ids of one supplier's entries to erase.
+  std::vector<NodeId> dead_hit;
+  std::vector<SegmentId> dropped;
   /// repair_neighbors: ids a replacement may not be.
   std::vector<NodeId> excluded;
   /// plan_scheduling: the usable neighbors, then every candidate's
   /// supplier offers, candidate after candidate (request.candidates
   /// view runs of it), and the scheduler's own buffers.
   std::vector<NeighborView> views;
+  /// plan_scheduling: each view's presence word of the 64 ids scanned.
+  std::vector<std::uint64_t> view_words;
   std::vector<SupplierOffer> offers;
   ScheduleRequest request;
   ScheduleWorkspace work;
@@ -948,7 +956,8 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
     const Node& peer = *nodes_[*idx];
     const auto newest = peer.buffer().newest();
     if (!newest.has_value()) continue;
-    views.push_back(NeighborView{*idx, id, node.rates().estimate(id), *newest});
+    views.push_back(NeighborView{*idx, id, node.rates().estimate(id), *newest,
+                                 &peer.buffer().window()});
   }
   if (views.empty()) return false;
 
@@ -991,7 +1000,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   hi = std::min(hi, lo + kLookaheadSegments);
 
   // Build candidates: fresh segments = in some neighbor's buffer, not
-  // ours, not in flight.
+  // ours, not in flight; ascending by id, offers in view order.
   ScheduleRequest& request = scratch.request;
   std::vector<SupplierOffer>& offers = scratch.offers;
   request.candidates.clear();
@@ -1016,28 +1025,47 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   request.rank_jitter = 0.8;
   request.jitter_seed = node.id();
 
-  for (SegmentId id = lo; id < hi; ++id) {
-    if (node.buffer().has(id) || node.transfer_pending(id)) continue;
-    // Bounded retry: a timed-out segment sits out its backoff window
-    // before it may be re-requested.
-    if (hardened_ && node.retry_blocked(id, now)) continue;
-    const std::size_t first = offers.size();
-    for (const auto& view : views) {
-      if (!nodes_[view.index]->buffer().has(id)) continue;
-      SupplierOffer offer;
-      offer.supplier = view.id;
-      offer.rate = view.rate;
-      const auto distance = static_cast<std::size_t>(
-          std::max<SegmentId>(view.newest - id + 1, 1));
-      offer.buffer_position = std::min(distance, kBufferCapacity);
-      offers.push_back(offer);
+  // The scan runs 64 ids at a time: the OR of the neighbors' presence
+  // words, less our own, names every id some neighbor holds and we do
+  // not, so only those ids pay the hash probes below.
+  constexpr SegmentId kWordIds = 64;
+  std::vector<std::uint64_t>& view_words = scratch.view_words;
+  view_words.resize(views.size());
+  const util::BitWindow& own = node.buffer().window();
+  for (SegmentId base = lo;
+       base < hi && request.candidates.size() < kMaxCandidates; base += kWordIds) {
+    std::uint64_t fresh = 0;
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      view_words[v] = views[v].window->word_at(base);
+      fresh |= view_words[v];
     }
-    if (offers.size() > first) {
+    fresh &= ~own.word_at(base);
+    if (hi - base < kWordIds) fresh &= (std::uint64_t{1} << (hi - base)) - 1;
+    while (fresh != 0) {
+      const int bit = __builtin_ctzll(fresh);
+      fresh &= fresh - 1;
+      const SegmentId id = base + bit;
+      if (node.transfer_pending(id)) continue;
+      // Bounded retry: a timed-out segment sits out its backoff window
+      // before it may be re-requested.
+      if (hardened_ && node.retry_blocked(id, now)) continue;
+      const std::size_t first = offers.size();
+      for (std::size_t v = 0; v < views.size(); ++v) {
+        if (((view_words[v] >> bit) & 1U) == 0) continue;
+        const NeighborView& view = views[v];
+        SupplierOffer offer;
+        offer.supplier = view.id;
+        offer.rate = view.rate;
+        const auto distance = static_cast<std::size_t>(
+            std::max<SegmentId>(view.newest - id + 1, 1));
+        offer.buffer_position = std::min(distance, kBufferCapacity);
+        offers.push_back(offer);
+      }
       // The span is bound below, once the flat array stops growing.
       request.candidates.push_back(
           Candidate{id, OfferSpan(nullptr, offers.size() - first)});
+      if (request.candidates.size() >= kMaxCandidates) break;
     }
-    if (request.candidates.size() >= kMaxCandidates) break;
   }
   if (request.candidates.empty()) return false;
   seen = request.candidates.size();
@@ -1675,17 +1703,20 @@ void Session::drop_transfers_from_dead(const std::vector<NodeId>& dead_ids) {
   // Abandon in-flight transfers sourced from the departed. The sweep is
   // per-receiver-node independent (each node mutates only its own
   // in-flight table), so it shards across the executor — the serial
-  // mass of a churn tick at 8000 nodes is this O(N) scan.
+  // mass of a churn tick at 8000 nodes is this O(N) scan. Each node
+  // makes one pass over its table against the ids sorted once here.
   if (dead_ids.empty()) return;
+  std::vector<NodeId> sorted_dead = dead_ids;
+  std::sort(sorted_dead.begin(), sorted_dead.end());
   exec_.for_shards(obs::Phase::kChurnSweep, nodes_.size(), kSweepGrain,
-                   [this, &dead_ids](std::size_t, std::size_t begin,
-                                     std::size_t end) {
+                   [this, &dead_ids, &sorted_dead](std::size_t, std::size_t begin,
+                                                   std::size_t end) {
+                     RoundScratch& scratch = round_scratch();
                      for (std::size_t i = begin; i < end; ++i) {
                        Node& node = *nodes_[i];
                        if (!node.alive()) continue;
-                       for (const NodeId dead : dead_ids) {
-                         node.drop_transfers_from(dead);
-                       }
+                       node.drop_transfers_from_any(dead_ids, sorted_dead,
+                                                    scratch.dead_hit, scratch.dropped);
                      }
                    });
 }

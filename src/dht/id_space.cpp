@@ -11,13 +11,6 @@ IdSpace::IdSpace(std::uint64_t size) : size_(size), levels_(util::dht_levels(siz
   }
 }
 
-unsigned IdSpace::level_of(NodeId node, NodeId peer) const noexcept {
-  const std::uint64_t d = distance(node, peer);
-  if (d == 0) return 0;
-  // d in [2^(i-1), 2^i)  =>  i = floor(log2(d)) + 1.
-  return util::floor_log2(d) + 1;
-}
-
 std::pair<NodeId, NodeId> IdSpace::level_arc(NodeId node, unsigned level) const noexcept {
   const std::uint64_t lo_off = 1ULL << (level - 1);
   const std::uint64_t hi_off = 1ULL << level;

@@ -30,7 +30,12 @@ class IdSpace {
 
   /// Level of peer `peer` relative to `node`: the i such that
   /// peer in [node + 2^(i-1), node + 2^i). Returns 0 for peer == node.
-  [[nodiscard]] unsigned level_of(NodeId node, NodeId peer) const noexcept;
+  [[nodiscard]] unsigned level_of(NodeId node, NodeId peer) const noexcept {
+    const std::uint64_t d = distance(node, peer);
+    if (d == 0) return 0;
+    // d in [2^(i-1), 2^i)  =>  i = floor(log2(d)) + 1.
+    return util::floor_log2(d) + 1;
+  }
 
   /// Half-open clockwise arc [lo, hi) of level i relative to `node`.
   [[nodiscard]] std::pair<NodeId, NodeId> level_arc(NodeId node, unsigned level) const noexcept;

@@ -9,6 +9,9 @@ PeerTable::PeerTable(const IdSpace& space, NodeId owner)
   if (static_cast<std::uint64_t>(owner) >= space.size()) {
     throw std::invalid_argument("PeerTable: owner outside ID space");
   }
+  if (space.levels() > 32) {
+    throw std::invalid_argument("PeerTable: more than 32 levels");
+  }
 }
 
 unsigned PeerTable::levels() const noexcept {
@@ -39,6 +42,7 @@ bool PeerTable::offer(NodeId candidate, double latency_ms, SimTime now) {
   const auto at = static_cast<float>(now);
   if (!occupied(slot)) {
     slot = DhtPeer{candidate, lat, at};
+    occupancy_ |= std::uint32_t{1} << (level - 1);
     return true;
   }
   if (slot.id == candidate) {
@@ -60,10 +64,8 @@ bool PeerTable::offer(NodeId candidate, double latency_ms, SimTime now) {
 }
 
 void PeerTable::evict(NodeId node) {
-  for (auto& slot : slots_) {
-    if (slot.id == node) {
-      slot = DhtPeer{};
-    }
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id == node) clear_slot(i);
   }
 }
 
@@ -71,32 +73,23 @@ std::optional<NodeId> PeerTable::next_hop(NodeId target) const {
   // Greedy rule from the paper: choose the populated peer clockwise
   // closest to the target, provided it improves on the owner — i.e. its
   // clockwise distance TO the target is strictly smaller than ours.
+  // The header explains why one level decides it.
   const std::uint64_t own_dist = space_->distance(owner_, target);
-  std::optional<NodeId> best;
-  std::uint64_t best_dist = own_dist;
-  for (const auto& slot : slots_) {
-    if (!occupied(slot)) continue;
-    const std::uint64_t d = space_->distance(slot.id, target);
-    if (d < best_dist) {
-      best_dist = d;
-      best = slot.id;
-    }
+  if (own_dist == 0) return std::nullopt;
+  const unsigned level = space_->level_of(owner_, target);
+  const std::uint32_t bit = std::uint32_t{1} << (level - 1);
+  if ((occupancy_ & bit) != 0) {
+    const NodeId peer = slots_[level - 1].id;
+    if (space_->distance(owner_, peer) <= own_dist) return peer;
   }
-  return best;
+  const std::uint32_t below = occupancy_ & (bit - 1);
+  if (below == 0) return std::nullopt;
+  return slots_[31 - __builtin_clz(below)].id;
 }
 
 std::optional<NodeId> PeerTable::closest_clockwise_peer() const {
-  std::optional<NodeId> best;
-  std::uint64_t best_dist = space_->size();
-  for (const auto& slot : slots_) {
-    if (!occupied(slot)) continue;
-    const std::uint64_t d = space_->distance(owner_, slot.id);
-    if (d != 0 && d < best_dist) {
-      best_dist = d;
-      best = slot.id;
-    }
-  }
-  return best;
+  if (occupancy_ == 0) return std::nullopt;
+  return slots_[__builtin_ctz(occupancy_)].id;
 }
 
 bool PeerTable::invariants_hold() const {

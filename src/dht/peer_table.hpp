@@ -8,6 +8,7 @@
 // from overheard nodes; an empty slot simply means no suitable node has
 // been overheard yet (possible when the ring is sparse).
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -53,18 +54,27 @@ class PeerTable {
   /// Drops every populated peer whose id satisfies `dead`, in place.
   template <typename Pred>
   void evict_if(Pred&& dead) {
-    for (auto& slot : slots_) {
-      if (occupied(slot) && dead(slot.id)) slot = DhtPeer{};
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (occupied(slots_[i]) && dead(slots_[i].id)) clear_slot(i);
     }
   }
 
   /// Clockwise-closest populated peer to `target` that is strictly
   /// closer (clockwise) than the owner itself — the greedy next hop.
   /// Empty when no peer improves on the owner, i.e. routing terminates.
+  ///
+  /// O(1) over the occupancy mask. With d the owner's clockwise
+  /// distance to the target and L its level (d in [2^(L-1), 2^L)), a
+  /// peer at offset o from the owner is d - o from the target when
+  /// o <= d, and N + d - o (no improvement) when it overshoots. Every
+  /// level above L overshoots and every level below L undershoots, so
+  /// the answer is the level-L peer when o <= d, else the highest
+  /// occupied level below L. Levels hold disjoint arcs, so no two peers
+  /// tie.
   [[nodiscard]] std::optional<NodeId> next_hop(NodeId target) const;
 
-  /// Closest clockwise peer (the level-1-upwards nearest populated
-  /// slot); defines the owner's backup responsibility arc [owner, n1).
+  /// Closest clockwise peer (the lowest populated level); defines the
+  /// owner's backup responsibility arc [owner, n1).
   [[nodiscard]] std::optional<NodeId> closest_clockwise_peer() const;
 
   /// Invariant check: every populated slot's peer lies in its level arc.
@@ -79,9 +89,17 @@ class PeerTable {
   [[nodiscard]] static bool occupied(const DhtPeer& slot) noexcept {
     return slot.id != kInvalidNode;
   }
+  void clear_slot(std::size_t index) noexcept {
+    slots_[index] = DhtPeer{};
+    occupancy_ &= ~(std::uint32_t{1} << index);
+  }
 
   const IdSpace* space_;
   NodeId owner_;
+  /// Bit level - 1 is set iff that slot is populated; it sits in the
+  /// padding after owner_, so the table is no larger. The constructor
+  /// rejects spaces of more than 32 levels (a NodeId has 32 bits).
+  std::uint32_t occupancy_ = 0;
   /// index = level - 1; id == kInvalidNode marks an empty slot (leaner
   /// than optional, which pads each 12-byte entry to 16+).
   std::vector<DhtPeer> slots_;

@@ -42,6 +42,16 @@ class RingDirectory {
   /// All members ascending by ID.
   [[nodiscard]] std::vector<NodeId> members() const;
 
+  /// The members in place, ascending by ID, for walks that need not
+  /// copy them.
+  using const_iterator = std::set<NodeId>::const_iterator;
+  [[nodiscard]] const_iterator begin() const noexcept { return members_.begin(); }
+  [[nodiscard]] const_iterator end() const noexcept { return members_.end(); }
+  /// First member >= id, or end().
+  [[nodiscard]] const_iterator lower_bound(NodeId id) const {
+    return members_.lower_bound(id);
+  }
+
   [[nodiscard]] const IdSpace& space() const noexcept { return *space_; }
 
  private:

@@ -31,22 +31,6 @@ LatencyModel LatencyModel::from_trace(const trace::TraceSnapshot& snapshot,
   return LatencyModel(std::move(pings), floor_ms, grid_ms);
 }
 
-double LatencyModel::quantize_up_ms(double ms) const {
-  if (grid_ms_ <= 0.0) return ms;
-  // ceil snaps strictly-between values to the NEXT point and leaves
-  // exact grid points alone (ms/grid is integral there).
-  return std::ceil(ms / grid_ms_) * grid_ms_;
-}
-
-double LatencyModel::latency_ms(std::size_t a, std::size_t b) const {
-  const double diff = std::abs(ping_ms_.at(a) - ping_ms_.at(b));
-  return quantize_up_ms(std::max(diff, floor_ms_));
-}
-
-SimTime LatencyModel::latency_s(std::size_t a, std::size_t b) const {
-  return latency_ms(a, b) / 1000.0;
-}
-
 SimTime LatencyModel::rtt_s(std::size_t a, std::size_t b) const {
   return 2.0 * latency_s(a, b);
 }

@@ -12,6 +12,8 @@
 // down, keeps every quantized latency >= its continuous value: the
 // grid adds delay, it never invents capacity.
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -32,10 +34,16 @@ class LatencyModel {
                                                double grid_ms = 0.0);
 
   /// One-way latency in seconds between two nodes (by dense index).
-  [[nodiscard]] SimTime latency_s(std::size_t a, std::size_t b) const;
+  [[nodiscard]] SimTime latency_s(std::size_t a, std::size_t b) const {
+    return latency_ms(a, b) / 1000.0;
+  }
 
   /// One-way latency in milliseconds (grid-snapped in quantized mode).
-  [[nodiscard]] double latency_ms(std::size_t a, std::size_t b) const;
+  /// Indices are not range-checked: every caller passes a session index.
+  [[nodiscard]] double latency_ms(std::size_t a, std::size_t b) const {
+    const double diff = std::abs(ping_ms_[a] - ping_ms_[b]);
+    return quantize_up_ms(std::max(diff, floor_ms_));
+  }
 
   /// Round-trip time in seconds (2x one-way; the join probe estimates
   /// latency as RTT/2, which by construction recovers latency_s — and
@@ -59,7 +67,12 @@ class LatencyModel {
 
   /// Snaps a millisecond value UP to the next grid point (values
   /// already on the grid stay put). Identity in continuous mode.
-  [[nodiscard]] double quantize_up_ms(double ms) const;
+  [[nodiscard]] double quantize_up_ms(double ms) const {
+    if (grid_ms_ <= 0.0) return ms;
+    // ceil snaps strictly-between values to the NEXT point and leaves
+    // exact grid points alone (ms/grid is integral there).
+    return std::ceil(ms / grid_ms_) * grid_ms_;
+  }
 
   /// Appends a node (joins during churn) with the given ping time;
   /// returns its index.

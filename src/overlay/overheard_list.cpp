@@ -13,19 +13,19 @@ OverheardList::OverheardList(std::size_t capacity) : capacity_(capacity) {
 }
 
 void OverheardList::hear(NodeId id, double latency_ms, SimTime now) {
+  // Move-to-front as one shift of the prefix: the entries ahead of the
+  // slot to overwrite move back one, and the new entry takes the front.
+  // That slot is the id's old entry if it is listed, else a new one at
+  // the back, or the oldest entry when the list is full.
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [id](const OverheardNode& e) { return e.id == id; });
-  if (it != entries_.end()) {
-    entries_.erase(it);
+  if (it == entries_.end()) {
+    if (entries_.size() < capacity_) entries_.emplace_back();
+    it = entries_.end() - 1;
   }
-  if (entries_.size() >= capacity_) {
-    entries_.pop_back();
-  }
-  // Move-to-front over <= capacity 12-byte entries: a ~240-byte memmove,
-  // cheaper than the deque's block bookkeeping at this size.
-  entries_.insert(entries_.begin(),
-                  OverheardNode{id, static_cast<float>(latency_ms),
-                                static_cast<float>(now)});
+  std::move_backward(entries_.begin(), it, it + 1);
+  entries_.front() =
+      OverheardNode{id, static_cast<float>(latency_ms), static_cast<float>(now)};
 }
 
 void OverheardList::forget(NodeId id) {

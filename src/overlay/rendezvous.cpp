@@ -1,6 +1,7 @@
 #include "overlay/rendezvous.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace continu::overlay {
@@ -51,34 +52,29 @@ void RendezvousServer::report_failure(NodeId id) {
 std::vector<NodeId> RendezvousServer::close_nodes(NodeId target, std::size_t count) const {
   std::vector<NodeId> out;
   if (known_.empty() || count == 0) return out;
-  // Walk outward from the target alternating predecessor/successor.
-  const auto members = known_.members();  // ascending
-  // Find insertion point.
-  auto it = std::lower_bound(members.begin(), members.end(), target);
-  std::size_t right = static_cast<std::size_t>(it - members.begin()) % members.size();
-  std::size_t left = (right + members.size() - 1) % members.size();
-  while (out.size() < std::min(count, members.size())) {
-    // Compare ring distances on both sides; take the closer.
-    const std::uint64_t dr = space_->distance(target, members[right]);
-    const std::uint64_t dl = space_->distance(members[left], target);
+  // Walk outward from the target through the ordered members, both
+  // ways wrapping around the ring, and take the closer side each step
+  // (a tie goes clockwise). The two walks start on neighboring members
+  // and take at most size() members between them, so they never meet:
+  // the list holds no repeats.
+  const std::size_t want = std::min(count, known_.size());
+  out.reserve(want);
+  auto right = known_.lower_bound(target);
+  if (right == known_.end()) right = known_.begin();
+  auto left = std::prev(right == known_.begin() ? known_.end() : right);
+  while (out.size() < want) {
+    const std::uint64_t dr = space_->distance(target, *right);
+    const std::uint64_t dl = space_->distance(*left, target);
     if (dr <= dl) {
-      out.push_back(members[right]);
-      right = (right + 1) % members.size();
+      out.push_back(*right);
+      if (++right == known_.end()) right = known_.begin();
     } else {
-      out.push_back(members[left]);
-      left = (left + members.size() - 1) % members.size();
-    }
-    if (out.size() >= members.size()) break;
-  }
-  // Deduplicate while preserving order (small lists).
-  std::vector<NodeId> unique;
-  for (const NodeId id : out) {
-    if (std::find(unique.begin(), unique.end(), id) == unique.end()) {
-      unique.push_back(id);
+      out.push_back(*left);
+      if (left == known_.begin()) left = known_.end();
+      --left;
     }
   }
-  unique.resize(std::min(unique.size(), count));
-  return unique;
+  return out;
 }
 
 }  // namespace continu::overlay

@@ -1,5 +1,6 @@
 #include "runner/experiment_runner.hpp"
 
+#include <atomic>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -113,20 +114,30 @@ std::vector<ReplicationResult> ExperimentRunner::run_all(
     return results;
   }
 
-  // Static strided shard: worker w owns indices w, w+J, w+2J, ... Each
-  // slot is written by exactly one worker, so no synchronization is
-  // needed beyond the joins.
-  std::vector<std::exception_ptr> errors(workers);
+  // Claimed queue: each worker takes the next unclaimed index until
+  // none is left, so a worker freed by a short session takes the next
+  // spec while a long one is still running. Each slot is written by the
+  // worker that claimed its index, so no synchronization is needed
+  // beyond the claim counter and the joins. After a failure no worker
+  // claims again; every index below the failing one was claimed first
+  // and still runs, so the lowest failing index is the one a serial
+  // run stops at, at any width.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::exception_ptr> errors(specs.size());
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&specs, &results, &errors, &run_spec, w, workers] {
-      try {
-        for (std::size_t i = w; i < specs.size(); i += workers) {
+    pool.emplace_back([&specs, &results, &errors, &run_spec, &next, &failed] {
+      while (!failed.load()) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= specs.size()) return;
+        try {
           results[i] = run_spec(specs[i]);
+        } catch (...) {
+          errors[i] = std::current_exception();
+          failed.store(true);
         }
-      } catch (...) {
-        errors[w] = std::current_exception();
       }
     });
   }

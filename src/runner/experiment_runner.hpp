@@ -7,11 +7,16 @@
 //   * Replications are embarrassingly parallel: one Session owns its
 //     simulator, network, nodes and RNG, so threads share nothing but
 //     the spec list and their private result slots.
-//   * Work assignment is a STATIC STRIDED QUEUE — worker w runs specs
-//     w, w + J, w + 2J, ... No mutex, no work stealing, and (more
-//     importantly) no scheduling nondeterminism: results land in spec
-//     order and are bit-identical for any jobs count, which the
-//     determinism tests enforce.
+//   * Work assignment is a CLAIMED QUEUE — one atomic counter hands
+//     out spec indices in ascending order, and a worker claims the next
+//     one as soon as its session ends, so a worker freed by a short
+//     session never idles while specs wait behind a long one. Which
+//     worker runs a spec varies from run to run, but each result is
+//     written to its spec's own slot and a session shares nothing with
+//     the others: results land in spec order and are bit-identical for
+//     any jobs count, which the determinism tests enforce. After a
+//     failure no worker claims again, and the error rethrown is that of
+//     the lowest failing spec, the one a serial run stops at.
 //   * Per-replication RNG seeding is derived, not sequential:
 //     replication_seed() splitmix-es (base, index) so neighboring
 //     replications get decorrelated streams and a replication's seed
@@ -124,8 +129,9 @@ class ExperimentRunner {
   [[nodiscard]] unsigned session_threads() const noexcept { return session_threads_; }
 
   /// Runs every spec, sharded across the pool; results in spec order.
-  /// Identical output for any jobs value. First worker exception is
-  /// rethrown on the calling thread after the pool joins.
+  /// Identical output for any jobs value. The exception of the lowest
+  /// failing spec is rethrown on the calling thread after the pool
+  /// joins.
   [[nodiscard]] std::vector<ReplicationResult> run_all(
       const std::vector<ReplicationSpec>& specs) const;
 

@@ -82,6 +82,22 @@ void BitWindow::slide_to(SegmentId new_head) {
   }
 }
 
+std::uint64_t BitWindow::word_at(SegmentId from) const noexcept {
+  if (from >= end() || from + static_cast<SegmentId>(kWordBits) <= head_) return 0;
+  if (from < head_) {
+    // The head falls inside the word: window bit 0 lands on bit
+    // head - from, in 1..63.
+    return words_[0] << static_cast<unsigned>(head_ - from);
+  }
+  // Bits past capacity are kept clear, so the last word needs no mask.
+  const std::size_t off = offset_of(from);
+  const std::size_t wi = off / kWordBits;
+  const std::size_t bit = off % kWordBits;
+  std::uint64_t w = words_[wi] >> bit;
+  if (bit != 0 && wi + 1 < words_.size()) w |= words_[wi + 1] << (kWordBits - bit);
+  return w;
+}
+
 std::size_t BitWindow::count() const noexcept {
   std::size_t total = 0;
   for (const auto w : words_) total += static_cast<std::size_t>(popcount64(w));

@@ -43,6 +43,11 @@ class BitWindow {
   /// bits that fall off the front. FIFO replacement in the paper's terms.
   void slide_to(SegmentId new_head);
 
+  /// Presence bits of [from, from + 64) as one word: bit b is id
+  /// from + b. Ids outside the window read as absent, so `from` may lie
+  /// before the head or past the end.
+  [[nodiscard]] std::uint64_t word_at(SegmentId from) const noexcept;
+
   /// Number of set bits.
   [[nodiscard]] std::size_t count() const noexcept;
 

@@ -50,14 +50,9 @@ namespace continu::util {
   return (a >= b) ? (a - b) : (n - b + a);
 }
 
-/// floor(log2(n)) for n >= 1.
+/// floor(log2(n)) for n >= 1 (0 for n == 0).
 [[nodiscard]] constexpr unsigned floor_log2(std::uint64_t n) noexcept {
-  unsigned r = 0;
-  while (n > 1) {
-    n >>= 1;
-    ++r;
-  }
-  return r;
+  return n == 0 ? 0 : 63U - static_cast<unsigned>(__builtin_clzll(n));
 }
 
 /// Number of DHT peer levels for an ID space of size n (n a power of two

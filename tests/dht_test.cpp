@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "dht/backup_store.hpp"
 #include "dht/id_space.hpp"
@@ -181,6 +183,81 @@ TEST(PeerTable, ClosestClockwisePeer) {
   table.offer(3, 1.0, 0.0);  // distance 9
   EXPECT_EQ(table.closest_clockwise_peer().value(), 14u);
   EXPECT_FALSE(PeerTable(space, 10).closest_clockwise_peer().has_value());
+}
+
+// The level scans next_hop and closest_clockwise_peer ran before the
+// occupancy mask, kept as the reference for the O(1) forms.
+std::optional<NodeId> scan_next_hop(const IdSpace& space, const PeerTable& table,
+                                    NodeId target) {
+  const std::uint64_t own_dist = space.distance(table.owner(), target);
+  std::optional<NodeId> best;
+  std::uint64_t best_dist = own_dist;
+  for (const DhtPeer& peer : table.peers()) {
+    const std::uint64_t d = space.distance(peer.id, target);
+    if (d < best_dist) {
+      best_dist = d;
+      best = peer.id;
+    }
+  }
+  return best;
+}
+
+std::optional<NodeId> scan_closest_clockwise(const IdSpace& space,
+                                             const PeerTable& table) {
+  std::optional<NodeId> best;
+  std::uint64_t best_dist = space.size();
+  for (const DhtPeer& peer : table.peers()) {
+    const std::uint64_t d = space.distance(table.owner(), peer.id);
+    if (d != 0 && d < best_dist) {
+      best_dist = d;
+      best = peer.id;
+    }
+  }
+  return best;
+}
+
+// Exhaustive on a 64-id space: every owner, random fillings built by
+// offer / evict / evict_if, and after every change every target.
+TEST(PeerTable, NextHopMatchesLevelScanExhaustively) {
+  const IdSpace space(64);
+  util::Rng rng(2024);
+  std::uint64_t checked = 0;
+  for (NodeId owner = 0; owner < 64; ++owner) {
+    for (int filling = 0; filling < 24; ++filling) {
+      PeerTable table(space, owner);
+      for (int step = 0; step < 16; ++step) {
+        const auto id = static_cast<NodeId>(rng.next_below(64));
+        switch (rng.next_below(6)) {
+          case 0:
+            table.evict(id);
+            break;
+          case 1: {
+            const auto parity = static_cast<NodeId>(rng.next_below(2));
+            table.evict_if([parity](NodeId peer) { return peer % 2 == parity; });
+            break;
+          }
+          default:
+            table.offer(id, static_cast<double>(rng.next_below(50)),
+                        static_cast<double>(rng.next_below(4)));
+        }
+        ASSERT_EQ(table.closest_clockwise_peer(), scan_closest_clockwise(space, table))
+            << "owner " << owner;
+        for (NodeId target = 0; target < 64; ++target) {
+          ASSERT_EQ(table.next_hop(target), scan_next_hop(space, table, target))
+              << "owner " << owner << " target " << target;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 64u * 24u * 16u * 64u);
+}
+
+TEST(PeerTable, RejectsMoreThan32Levels) {
+  const IdSpace wide(std::uint64_t{1} << 33);
+  EXPECT_THROW(PeerTable(wide, 0), std::invalid_argument);
+  const IdSpace widest(std::uint64_t{1} << 32);
+  EXPECT_EQ(PeerTable(widest, 0).levels(), 32u);
 }
 
 // ---------------------------------------------------------------------------

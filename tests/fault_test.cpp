@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/config.hpp"
@@ -19,6 +20,7 @@
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
 #include "trace/generator.hpp"
+#include "util/rng.hpp"
 
 namespace continu {
 namespace {
@@ -225,6 +227,74 @@ TEST(RetryHardening, CompactionSweepsStaleRetryRecords) {
   // ...and the rest expire once their streak linger passes.
   node.compact_bookkeeping(now + 60.0, /*horizon=*/995);
   EXPECT_EQ(node.retry_record_count(), 0u);
+}
+
+// The churn sweep's one-pass drop against the per-dead-id loop it
+// replaced, on random in-flight tables and dead lists (with repeats and
+// ids no entry names). Contents and iteration order must match: every
+// surviving entry has its own supplier, so the order in which a
+// timeout sweep reports suppliers is the table's slot order.
+TEST(ChurnSweep, OnePassDropMatchesPerDeadIdLoop) {
+  const dht::IdSpace space(8192);
+  core::SystemConfig config;
+  util::Rng rng(606);
+  std::vector<SegmentId> scratch;
+  std::vector<NodeId> hit;
+  for (int trial = 0; trial < 300; ++trial) {
+    core::Node loop = test_node(1, space, config);
+    core::Node one_pass = test_node(1, space, config);
+    std::vector<NodeId> dead_ids;
+    const std::size_t dead_count = rng.next_below(6);
+    for (std::size_t k = 0; k < dead_count; ++k) {
+      dead_ids.push_back(static_cast<NodeId>(rng.next_below(8)));
+    }
+    const std::size_t entries = rng.next_below(60);
+    std::vector<SegmentId> ids;
+    std::vector<NodeId> supplier_of(400, kInvalidNode);
+    for (std::size_t k = 0; k < entries; ++k) {
+      const auto id = static_cast<SegmentId>(rng.next_below(400));
+      NodeId supplier = static_cast<NodeId>(1000 + k);
+      if (!dead_ids.empty() && rng.next_below(3) == 0) {
+        supplier = dead_ids[rng.next_below(dead_ids.size())];
+      }
+      const bool fresh =
+          loop.begin_transfer(id, core::TransferKind::kScheduled, supplier, 1.0);
+      EXPECT_EQ(one_pass.begin_transfer(id, core::TransferKind::kScheduled, supplier, 1.0),
+                fresh);
+      if (fresh) {
+        ids.push_back(id);
+        supplier_of[static_cast<std::size_t>(id)] = supplier;
+      }
+    }
+    // Erasing a few entries first makes the slot layout depend on
+    // history, as it does in a session.
+    for (std::size_t k = 0; k < ids.size(); k += 5) {
+      (void)loop.end_transfer(ids[k]);
+      (void)one_pass.end_transfer(ids[k]);
+      supplier_of[static_cast<std::size_t>(ids[k])] = kInvalidNode;
+    }
+
+    for (const NodeId dead : dead_ids) loop.drop_transfers_from(dead, scratch);
+    std::vector<NodeId> sorted_dead = dead_ids;
+    std::sort(sorted_dead.begin(), sorted_dead.end());
+    one_pass.drop_transfers_from_any(dead_ids, sorted_dead, hit, scratch);
+
+    // Exactly the entries of live suppliers survive.
+    ASSERT_EQ(one_pass.inflight_count(), loop.inflight_count()) << "trial " << trial;
+    for (SegmentId id = 0; id < 400; ++id) {
+      const NodeId supplier = supplier_of[static_cast<std::size_t>(id)];
+      const bool live = supplier != kInvalidNode &&
+                        std::find(dead_ids.begin(), dead_ids.end(), supplier) ==
+                            dead_ids.end();
+      ASSERT_EQ(loop.transfer_pending(id), live) << "trial " << trial << " id " << id;
+      ASSERT_EQ(one_pass.transfer_pending(id), live) << "trial " << trial << " id " << id;
+    }
+    std::vector<NodeId> loop_order;
+    std::vector<NodeId> one_pass_order;
+    loop.sweep_timeouts(2.0, [&loop_order](NodeId s) { loop_order.push_back(s); });
+    one_pass.sweep_timeouts(2.0, [&one_pass_order](NodeId s) { one_pass_order.push_back(s); });
+    ASSERT_EQ(one_pass_order, loop_order) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------------

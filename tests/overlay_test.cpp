@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "dht/id_space.hpp"
 #include "overlay/churn.hpp"
@@ -39,6 +41,34 @@ TEST(OverheardList, RehearMovesToFront) {
   list.hear(4, 40.0, 4.0);  // evicts 2 (now oldest)
   EXPECT_TRUE(list.contains(1));
   EXPECT_FALSE(list.contains(2));
+}
+
+// hear() against the erase + pop_back + insert-at-front it replaced, on
+// random streams that re-hear listed ids and overflow the list.
+TEST(OverheardList, HearMatchesEraseAndInsertAtFront) {
+  util::Rng rng(31);
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3}, std::size_t{20}}) {
+    OverheardList list(capacity);
+    std::vector<OverheardNode> model;
+    for (int step = 0; step < 2000; ++step) {
+      const auto id = static_cast<NodeId>(rng.next_below(2 * capacity + 2));
+      const auto latency = static_cast<double>(rng.next_below(100));
+      const auto now = static_cast<double>(step);
+      const auto it = std::find_if(model.begin(), model.end(),
+                                   [id](const OverheardNode& e) { return e.id == id; });
+      if (it != model.end()) model.erase(it);
+      if (model.size() >= capacity) model.pop_back();
+      model.insert(model.begin(), OverheardNode{id, static_cast<float>(latency),
+                                                static_cast<float>(now)});
+      list.hear(id, latency, now);
+      ASSERT_EQ(list.size(), model.size());
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(list.entries()[i].id, model[i].id) << "step " << step;
+        ASSERT_EQ(list.entries()[i].latency_ms, model[i].latency_ms);
+        ASSERT_EQ(list.entries()[i].heard_at, model[i].heard_at);
+      }
+    }
+  }
 }
 
 TEST(OverheardList, BestCandidateIsLowestLatency) {
@@ -206,6 +236,62 @@ TEST(Rendezvous, CloseNodesWrapAroundRing) {
   const auto close = rp.close_nodes(1, 2);
   ASSERT_EQ(close.size(), 2u);
   EXPECT_TRUE((close[0] == 250 && close[1] == 5) || (close[0] == 5 && close[1] == 250));
+}
+
+// The walk close_nodes made over a copied member vector, kept as the
+// reference for the in-place walk over the ordered set.
+std::vector<NodeId> vector_close_nodes(const dht::IdSpace& space,
+                                       const std::vector<NodeId>& members,
+                                       NodeId target, std::size_t count) {
+  std::vector<NodeId> out;
+  if (members.empty() || count == 0) return out;
+  auto it = std::lower_bound(members.begin(), members.end(), target);
+  std::size_t right = static_cast<std::size_t>(it - members.begin()) % members.size();
+  std::size_t left = (right + members.size() - 1) % members.size();
+  while (out.size() < std::min(count, members.size())) {
+    const std::uint64_t dr = space.distance(target, members[right]);
+    const std::uint64_t dl = space.distance(members[left], target);
+    if (dr <= dl) {
+      out.push_back(members[right]);
+      right = (right + 1) % members.size();
+    } else {
+      out.push_back(members[left]);
+      left = (left + members.size() - 1) % members.size();
+    }
+    if (out.size() >= members.size()) break;
+  }
+  std::vector<NodeId> unique;
+  for (const NodeId id : out) {
+    if (std::find(unique.begin(), unique.end(), id) == unique.end()) {
+      unique.push_back(id);
+    }
+  }
+  unique.resize(std::min(unique.size(), count));
+  return unique;
+}
+
+// Random rings of 1 to 40 members on a 256-id space, every target (so
+// the walk wraps at both ends), and counts up to past the member count.
+TEST(Rendezvous, CloseNodesMatchesVectorWalk) {
+  const dht::IdSpace space(256);
+  util::Rng rng(77);
+  for (int ring = 0; ring < 60; ++ring) {
+    RendezvousServer rp(space, util::Rng(ring));
+    std::set<NodeId> members;
+    const std::size_t size = 1 + rng.next_below(40);
+    while (members.size() < size) {
+      const auto id = static_cast<NodeId>(rng.next_below(256));
+      if (members.insert(id).second) rp.register_node(id);
+    }
+    const std::vector<NodeId> sorted(members.begin(), members.end());
+    for (NodeId target = 0; target < 256; ++target) {
+      for (std::size_t count = 0; count <= size + 2; ++count) {
+        ASSERT_EQ(rp.close_nodes(target, count),
+                  vector_close_nodes(space, sorted, target, count))
+            << "ring " << ring << " target " << target << " count " << count;
+      }
+    }
+  }
 }
 
 TEST(Rendezvous, CloseNodesOnEmptyList) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "runner/experiment_runner.hpp"
@@ -223,6 +225,59 @@ TEST(ExperimentRunner, MoreJobsThanSpecs) {
   const auto results = pool.run_all(specs);
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) EXPECT_GT(r.stats.segments_delivered, 0u);
+}
+
+// Specs of very unequal cost (300- and 20-node sessions), so claims
+// interleave differently at every width: results must not move.
+TEST(ExperimentRunner, UnequalSpecsGiveIdenticalResultsAtEveryWidth) {
+  std::vector<ReplicationSpec> specs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    ReplicationSpec spec = small_spec(100 + i, /*churn=*/i % 3 == 0);
+    spec.trace.node_count = (i % 2 == 0) ? 300 : 20;
+    spec.duration = 12.0;
+    spec.stable_from = 6.0;
+    specs.push_back(spec);
+  }
+  const auto serial = ExperimentRunner(1).run_all(specs);
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    const auto pooled = ExperimentRunner(jobs).run_all(specs);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(pooled[i].seed, serial[i].seed) << "jobs " << jobs << " spec " << i;
+      EXPECT_EQ(result_fingerprint(pooled[i]), result_fingerprint(serial[i]))
+          << "jobs " << jobs << " spec " << i;
+    }
+  }
+}
+
+// A failing middle spec (no playback rate) and a later failing one (a
+// one-node trace): every width rethrows the middle spec's error, the
+// one a serial run stops at.
+TEST(ExperimentRunner, LowestFailingSpecIsRethrownAtEveryWidth) {
+  std::vector<ReplicationSpec> specs;
+  for (std::size_t i = 0; i < 7; ++i) {
+    ReplicationSpec spec = small_spec(200 + i);
+    spec.trace.node_count = (i % 2 == 0) ? 60 : 20;
+    spec.duration = 4.0;
+    spec.stable_from = 2.0;
+    specs.push_back(spec);
+  }
+  specs[3].config.playback_rate = 0;
+  specs[5].trace.node_count = 1;
+  const auto message_at = [&specs](unsigned jobs) {
+    try {
+      (void)ExperimentRunner(jobs).run_all(specs);
+    } catch (const std::exception& error) {
+      return std::string(error.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string serial = message_at(1);
+  EXPECT_NE(serial, "no exception");
+  EXPECT_EQ(serial.find("generate_snapshot"), std::string::npos) << serial;
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    EXPECT_EQ(message_at(jobs), serial) << "jobs " << jobs;
+  }
 }
 
 // --- scenario matrix ------------------------------------------------------

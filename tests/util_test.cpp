@@ -217,6 +217,8 @@ TEST(RingMath, FloorLog2) {
   EXPECT_EQ(floor_log2(3), 1u);
   EXPECT_EQ(floor_log2(8), 3u);
   EXPECT_EQ(floor_log2(8192), 13u);
+  EXPECT_EQ(floor_log2(0), 0u);
+  EXPECT_EQ(floor_log2(~std::uint64_t{0}), 63u);
 }
 
 TEST(RingMath, PowerOfTwoDetection) {
@@ -436,6 +438,36 @@ TEST(BitWindow, FromWordsRoundtrip) {
 
 TEST(BitWindow, FromWordsValidatesSize) {
   EXPECT_THROW(BitWindow::from_words(100, 0, {}), std::invalid_argument);
+}
+
+// word_at against test(), bit by bit: at a capacity with a partial last
+// word (620 = 9 words + 44 bits) and at exactly one word, for every
+// `from` from a word before the head to a word past the end, before and
+// after slides.
+TEST(BitWindow, WordAtMatchesTestForEveryBit) {
+  for (const std::size_t capacity : {std::size_t{620}, std::size_t{64}}) {
+    Rng rng(capacity);
+    for (int trial = 0; trial < 20; ++trial) {
+      const auto start = static_cast<SegmentId>(rng.next_below(200));
+      BitWindow w(capacity, start);
+      for (int slide = 0; slide < 4; ++slide) {
+        const auto cap = static_cast<SegmentId>(capacity);
+        const int fills = static_cast<int>(rng.next_below(capacity + 1));
+        for (int k = 0; k < fills; ++k) {
+          w.set(w.head() + static_cast<SegmentId>(rng.next_below(capacity)));
+        }
+        for (SegmentId from = w.head() - 70; from < w.end() + 70; ++from) {
+          const std::uint64_t word = w.word_at(from);
+          for (int b = 0; b < 64; ++b) {
+            ASSERT_EQ((word >> b) & 1U, w.test(from + b) ? 1U : 0U)
+                << "capacity " << capacity << " head " << w.head() << " from "
+                << from << " bit " << b;
+          }
+        }
+        w.slide_to(w.head() + static_cast<SegmentId>(rng.next_below(cap + cap / 2)));
+      }
+    }
+  }
 }
 
 // Property sweep: random fill then slide, invariants hold.

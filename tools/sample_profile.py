@@ -36,9 +36,18 @@ otherwise it reads MODULE+0xOFFSET, e.g. `libc.so.6+0x9b2c1`.
                  allocations; --by outer names the function that
                  called operator new.
 --frame REGEX    also print the share of samples with any frame of
-                 their inline stack matching REGEX: the inclusive cost
-                 of a function wherever the compiler inlined it.
-                 Repeatable, one line each.
+                 their inline stack matching REGEX: the cost of a
+                 function wherever the compiler inlined it, and of what
+                 was inlined into it. Repeatable, one line each. It is
+                 NOT a function's inclusive share: a sample records
+                 only the PC, not the call stack, so a callee the
+                 compiler kept out of line is missed (on a seed-42
+                 `exact_8k` benchmark-suite rep, --frame route_hop read
+                 6.3-7.2% and --frame next_hop, which only route_hop
+                 calls, 4.4-5.3% on top of it), and so is a lambda,
+                 which addr2line names plain `operator()`. For a
+                 phase's inclusive share, sum the --by outer rows of
+                 the functions it calls.
 --min-samples N  exit 1 when fewer than N samples were taken.
 
 Exit codes: 0 profile printed, 1 too few samples, 2 the module could
@@ -182,7 +191,10 @@ def main():
     parser.add_argument("--allocs", action="store_true")
     parser.add_argument("--by", choices=("inner", "outer", "line"), default="inner")
     parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--frame", action="append", default=[])
+    parser.add_argument(
+        "--frame", action="append", default=[],
+        help="share of samples whose inline stack matches REGEX; misses "
+             "out-of-line callees and lambdas (see the module docstring)")
     parser.add_argument("--min-samples", type=int, default=0)
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
