@@ -3,7 +3,8 @@
 // so engine changes can be compared across PRs:
 //
 //   {"bench": "large_session", "scenario": "static_8k", "nodes": 8000,
-//    "duration": 45.0, "wall_seconds": 31.2, "events": 12345678,
+//    "duration": 45.0, "wall_seconds": 31.2, "setup_seconds": 0.02,
+//    "events": 12345678,
 //    "events_per_sec": 395694.2, "peak_queue_depth": 23456,
 //    "hardware_concurrency": 8}
 //
@@ -74,8 +75,11 @@ int main(int argc, char** argv) {
   // not the engine under test.
   const auto snapshot = trace::generate_snapshot(spec.trace);
 
+  // wall_seconds spans construction and the run; setup_seconds is the
+  // construction alone.
   const auto start = Clock::now();
   core::Session session(spec.config, snapshot);
+  const double setup = std::chrono::duration<double>(Clock::now() - start).count();
   session.run(spec.duration);
   const double wall =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -107,6 +111,7 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"bench\": \"large_session\", \"scenario\": \"%s\", \"nodes\": %zu, "
       "\"duration\": %.1f, \"seed\": %" PRIu64 ", \"wall_seconds\": %.3f, "
+      "\"setup_seconds\": %.4f, "
       "\"events\": %" PRIu64 ", \"events_per_sec\": %.1f, "
       "\"peak_queue_depth\": %zu, \"hardware_concurrency\": %u, "
       "\"obs_enabled\": %s, "
@@ -119,7 +124,7 @@ int main(int argc, char** argv) {
       "\"prefetch_map_bytes\": %zu, \"tag_set_bytes\": %zu, "
       "\"rate_table_bytes\": %zu, \"retry_map_bytes\": %zu, "
       "\"blacklist_bytes\": %zu}}}\n",
-      name.c_str(), scenario.node_count, spec.duration, seed, wall, events,
+      name.c_str(), scenario.node_count, spec.duration, seed, wall, setup, events,
       static_cast<double>(events) / wall, peak,
       std::thread::hardware_concurrency(), obs ? "true" : "false", memory.nodes,
       memory.per_node_bytes(), memory.buffer_bytes, memory.neighbor_bytes,

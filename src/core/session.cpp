@@ -5,6 +5,7 @@
 
 #include "analysis/continuity_model.hpp"
 #include "core/buffer_map.hpp"
+#include "dht/member_rank.hpp"
 #include "net/message.hpp"
 #include "obs/counters.hpp"
 #include "obs/phase_profiler.hpp"
@@ -342,33 +343,15 @@ void Session::assign_initial_neighbors(const trace::TraceSnapshot& snapshot) {
 }
 
 void Session::populate_initial_dht() {
-  // Sorted live IDs for binary-searched arc membership.
-  const std::vector<NodeId> members = directory_.members();  // ascending
-  auto members_in_arc = [&](NodeId lo, NodeId hi, std::vector<NodeId>& out) {
-    out.clear();
-    auto push_range = [&](NodeId a, NodeId b) {
-      auto first = std::lower_bound(members.begin(), members.end(), a);
-      auto last = std::lower_bound(members.begin(), members.end(), b);
-      out.insert(out.end(), first, last);
-    };
-    if (lo <= hi) {
-      push_range(lo, hi);
-    } else {
-      push_range(lo, static_cast<NodeId>(space_.size()));
-      push_range(0, hi);
-    }
-  };
-
-  std::vector<NodeId> arc;
+  // Each node's level-i peer is a member drawn uniformly from its level
+  // arc; the rank table counts and indexes any arc in O(1).
+  const dht::MemberRank rank(space_, directory_.members());
   for (const auto& node : nodes_) {
     for (unsigned level = 1; level <= space_.levels(); ++level) {
-      const auto [lo, hi] = space_.level_arc(node->id(), level);
-      members_in_arc(lo, hi, arc);
-      arc.erase(std::remove(arc.begin(), arc.end(), node->id()), arc.end());
-      if (arc.empty()) continue;
-      const NodeId pick = arc[rng_.next_below(arc.size())];
-      const auto pick_index = index_of(pick).value();
-      node->dht_peers().offer(pick,
+      const auto pick = dht::draw_level_peer(space_, rank, node->id(), level, rng_);
+      if (!pick) continue;
+      const auto pick_index = index_of(*pick).value();
+      node->dht_peers().offer(*pick,
                               network_.latency().latency_ms(node->session_index(),
                                                             pick_index),
                               /*now=*/0.0);

@@ -1,5 +1,7 @@
 #include "core/stream_buffer.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace continu::core {
@@ -11,6 +13,9 @@ StreamBuffer::StreamBuffer(std::size_t capacity, std::uint64_t playback_rate,
       stall_patience_(stall_patience) {
   if (playback_rate == 0) {
     throw std::invalid_argument("StreamBuffer: playback rate must be positive");
+  }
+  if (capacity > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::invalid_argument("StreamBuffer: capacity must fit a 32-bit offset");
   }
   if (stall_patience < 0.0) {
     throw std::invalid_argument("StreamBuffer: negative stall patience");
@@ -26,10 +31,13 @@ bool StreamBuffer::insert(SegmentId id) {
     window_.slide_to(id - static_cast<SegmentId>(window_.capacity()) + 1);
   }
   if (window_.test(id)) return false;
-  return window_.set(id);
+  window_.set(id);
+  // After a slide, id sits at the window's last offset: above any offset
+  // kept from before it, so the max also holds across one.
+  newest_offset_ =
+      std::max(newest_offset_, static_cast<std::int32_t>(id - window_.head()));
+  return true;
 }
-
-std::optional<SegmentId> StreamBuffer::newest() const { return window_.highest(); }
 
 std::optional<SegmentId> StreamBuffer::startup_position() const {
   return window_.lowest();

@@ -13,6 +13,7 @@
 // accumulating a startup window of segments. After start, segment s is
 // due at deadline(s) = start_time + (s - start_segment + 1)/p.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -54,8 +55,12 @@ class StreamBuffer {
   [[nodiscard]] SegmentId window_head() const noexcept { return window_.head(); }
   [[nodiscard]] SegmentId window_end() const noexcept { return window_.end(); }
 
-  /// Highest-id segment currently held (nullopt when empty).
-  [[nodiscard]] std::optional<SegmentId> newest() const;
+  /// Highest-id segment currently held (nullopt when empty). O(1):
+  /// insert() keeps the newest id's offset from the window head.
+  [[nodiscard]] std::optional<SegmentId> newest() const noexcept {
+    if (newest_offset_ < 0) return std::nullopt;
+    return window_.head() + newest_offset_;
+  }
 
   [[nodiscard]] const util::BitWindow& window() const noexcept { return window_; }
 
@@ -104,6 +109,11 @@ class StreamBuffer {
   util::BitWindow window_;
   std::uint64_t playback_rate_;
   bool started_ = false;
+  /// newest() - window head, or -1 when empty. insert(), the window's
+  /// only writer, keeps it: the newest id never decreases, as a slide
+  /// happens only for an id past the end, which becomes the newest.
+  /// Sits in the padding after started_.
+  std::int32_t newest_offset_ = -1;
   SegmentId start_segment_ = kInvalidSegment;
   SimTime start_time_ = 0.0;
   SegmentId next_due_ = kInvalidSegment;
@@ -112,5 +122,8 @@ class StreamBuffer {
   SegmentId pending_stall_segment_ = kInvalidSegment;
   SimTime pending_stall_since_ = 0.0;
 };
+
+// The session's memory footprint counts sizeof(StreamBuffer) per node.
+static_assert(sizeof(StreamBuffer) == 112, "StreamBuffer grew");
 
 }  // namespace continu::core

@@ -7,21 +7,18 @@
 namespace continu::overlay {
 
 RendezvousServer::RendezvousServer(const dht::IdSpace& space, util::Rng rng)
-    : space_(&space), rng_(rng), known_(space), ever_issued_(space) {}
+    : space_(&space), rng_(rng), known_(space) {}
 
 NodeId RendezvousServer::assign_id() {
   if (ever_issued_.size() >= space_->size()) {
     throw std::runtime_error("RendezvousServer: ID space exhausted");
   }
   // Rejection-sample a free ID; with the paper's sparse occupancy this
-  // terminates almost immediately, and the directory check makes the
+  // terminates almost immediately, and the issued-set check makes the
   // uniqueness guarantee absolute.
   for (;;) {
     const auto candidate = static_cast<NodeId>(rng_.next_below(space_->size()));
-    if (!ever_issued_.contains(candidate)) {
-      ever_issued_.insert(candidate);
-      return candidate;
-    }
+    if (ever_issued_.insert(candidate).second) return candidate;
   }
 }
 

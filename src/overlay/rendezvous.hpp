@@ -12,6 +12,7 @@
 
 #include "dht/id_space.hpp"
 #include "dht/ring_directory.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -47,8 +48,8 @@ class RendezvousServer {
  private:
   const dht::IdSpace* space_;
   util::Rng rng_;
-  dht::RingDirectory known_;        // nodes the RP currently lists
-  dht::RingDirectory ever_issued_;  // all IDs ever assigned (uniqueness)
+  dht::RingDirectory known_;           // nodes the RP currently lists
+  util::FlatSet<NodeId> ever_issued_;  // IDs assigned and not yet freed
   std::size_t capacity_ = 0;
 };
 

@@ -46,15 +46,8 @@ RoundScheduler::Handle RoundScheduler::add(SimTime initial_delay, std::size_t us
 }
 
 RoundScheduler::Handle RoundScheduler::add_at(SimTime first_tick, std::size_t user) {
-  std::uint32_t index;
-  if (free_head_ != kNoSlot) {
-    index = free_head_;
-    free_head_ = parts_[index].next_free;
-  } else {
-    index = static_cast<std::uint32_t>(parts_.size());
-    parts_.push_back(Participant{});
-  }
-  Participant& p = parts_[index];
+  const std::uint32_t index = parts_.acquire();
+  Participant& p = parts_.item(index);
   p.user = user;
   p.alive = true;
   if (first_tick < sim_.now()) first_tick = sim_.now();
@@ -66,19 +59,18 @@ RoundScheduler::Handle RoundScheduler::add_at(SimTime first_tick, std::size_t us
 
 bool RoundScheduler::remove(Handle handle) noexcept {
   if (handle.slot >= parts_.size()) return false;
-  Participant& p = parts_[handle.slot];
+  Participant& p = parts_.item(handle.slot);
   if (!p.alive || p.generation != handle.generation) return false;
   p.alive = false;
   ++p.generation;  // invalidates heap entries and outstanding handles
-  p.next_free = free_head_;
-  free_head_ = handle.slot;
+  parts_.release(handle.slot);
   --active_;
   return true;
 }
 
 bool RoundScheduler::contains(Handle handle) const noexcept {
   if (handle.slot >= parts_.size()) return false;
-  const Participant& p = parts_[handle.slot];
+  const Participant& p = parts_.item(handle.slot);
   return p.alive && p.generation == handle.generation;
 }
 
@@ -102,7 +94,7 @@ void RoundScheduler::fire() {
     const Entry e = pop_entry();
     if (!entry_live(e)) continue;
     due_entries_.push_back(e);
-    due_users_.push_back(parts_[e.slot].user);
+    due_users_.push_back(parts_.item(e.slot).user);
   }
   if (!due_entries_.empty()) batch_tick_(due_users_);
   for (const Entry& e : due_entries_) {

@@ -8,7 +8,7 @@
 // simulator queue; at 8000+ nodes those dominate queue depth. A
 // RoundScheduler keeps at most ONE pending simulator event no matter
 // how many participants it drives:
-// participants live in a flat slot vector, their next-fire times in a
+// participants live in a slot pool, their next-fire times in a
 // private (time, seq) min-heap, and the single armed proxy event hands
 // every tick due at that instant to the batch callback in one call,
 // then re-arms at the new minimum.
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/block_pool.hpp"
 
 namespace continu::sim {
 
@@ -93,9 +94,11 @@ class RoundScheduler {
   struct Participant {
     std::size_t user = 0;
     std::uint32_t generation = 0;
-    std::uint32_t next_free = kNoSlot;
     bool alive = false;
   };
+  /// Slots in blocks of 256; a free slot's link word is the free list's.
+  using Pool = util::BlockPool<Participant, std::uint32_t, 8>;
+  static_assert(Pool::kNone == kNoSlot, "no handle names the pool's terminator");
 
   struct Entry {
     SimTime time;
@@ -114,7 +117,7 @@ class RoundScheduler {
   };
 
   [[nodiscard]] bool entry_live(const Entry& e) const noexcept {
-    const Participant& p = parts_[e.slot];
+    const Participant& p = parts_.item(e.slot);
     return p.alive && p.generation == e.generation;
   }
 
@@ -127,12 +130,11 @@ class RoundScheduler {
   Simulator& sim_;
   SimTime period_;
   BatchTick batch_tick_;
-  std::vector<Participant> parts_;
+  Pool parts_;
   std::vector<Entry> heap_;
   /// Batch scratch, reused across fires (no per-fire allocs).
   std::vector<Entry> due_entries_;
   std::vector<std::size_t> due_users_;
-  std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t active_ = 0;
   EventId armed_ = kInvalidEvent;

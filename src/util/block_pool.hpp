@@ -1,6 +1,7 @@
 #pragma once
 // BlockPool and ChunkRing — the one storage design under the event
-// queue's action slots (sim/event_queue.hpp), the event calendar's
+// queue's action slots (sim/event_queue.hpp), the round scheduler's
+// participant slots (sim/round_scheduler.hpp), the event calendar's
 // bucket ring (sim/calendar_queue.hpp) and the quantized delivery
 // buckets (net/bucket_ring.hpp), which keep only their policy and their
 // own item, chunk and block sizes.
@@ -55,6 +56,9 @@ class BlockPool {
   static constexpr std::size_t kBytesPerItem = sizeof(Block) / kPerBlock;
 
   [[nodiscard]] Item& item(std::uint32_t i) noexcept {
+    return blocks_[i >> kBlockShift]->items[i & (kPerBlock - 1)];
+  }
+  [[nodiscard]] const Item& item(std::uint32_t i) const noexcept {
     return blocks_[i >> kBlockShift]->items[i & (kPerBlock - 1)];
   }
   [[nodiscard]] Link& link(std::uint32_t i) noexcept {

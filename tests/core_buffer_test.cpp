@@ -57,6 +57,36 @@ TEST(StreamBuffer, NewestAndStartupPosition) {
   EXPECT_EQ(buf.startup_position().value(), 7);
 }
 
+// newest() is kept by insert(); the window's own scan is the reference.
+// Inserts mix ids inside the window, far-ahead ids that slide it, and
+// stale ids behind its head, on a capacity that is not a whole number
+// of words.
+TEST(StreamBuffer, NewestTracksWindowHighestOverRandomInserts) {
+  util::Rng rng(29);
+  for (int trial = 0; trial < 40; ++trial) {
+    StreamBuffer buf(100, 10);
+    EXPECT_EQ(buf.newest(), buf.window().highest());
+    for (int step = 0; step < 400; ++step) {
+      const SegmentId head = buf.window_head();
+      SegmentId id = 0;
+      switch (rng.next_below(4)) {
+        case 0:  // stale, or just behind the head
+          id = head - 1 - static_cast<SegmentId>(rng.next_below(50));
+          break;
+        case 1:  // past the end: slides the window
+          id = buf.window_end() + static_cast<SegmentId>(rng.next_below(250));
+          break;
+        default:  // inside the window, duplicates included
+          id = head + static_cast<SegmentId>(rng.next_below(100));
+      }
+      if (id < 0) id = 0;
+      buf.insert(id);
+      ASSERT_EQ(buf.newest(), buf.window().highest())
+          << "trial " << trial << " step " << step << " id " << id;
+    }
+  }
+}
+
 TEST(StreamBuffer, StartupReadiness) {
   StreamBuffer buf(100, 10);
   for (SegmentId id = 0; id < 19; ++id) buf.insert(id);

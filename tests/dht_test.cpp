@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "dht/backup_store.hpp"
 #include "dht/id_space.hpp"
+#include "dht/member_rank.hpp"
 #include "dht/peer_table.hpp"
 #include "dht/ring_directory.hpp"
 #include "dht/routing_experiment.hpp"
@@ -258,6 +261,111 @@ TEST(PeerTable, RejectsMoreThan32Levels) {
   EXPECT_THROW(PeerTable(wide, 0), std::invalid_argument);
   const IdSpace widest(std::uint64_t{1} << 32);
   EXPECT_EQ(PeerTable(widest, 0).levels(), 32u);
+}
+
+// ---------------------------------------------------------------------------
+// MemberRank / draw_level_peer
+// ---------------------------------------------------------------------------
+
+// The copy-and-draw loop Session seeded DHT tables with before the rank
+// table, kept as the reference for draw_level_peer: copy the level arc
+// out of the sorted members, drop the owner, draw one.
+std::optional<NodeId> copy_draw_level_peer(const IdSpace& space,
+                                           const std::vector<NodeId>& members,
+                                           NodeId owner, unsigned level, util::Rng& rng) {
+  std::vector<NodeId> arc;
+  auto push_range = [&](NodeId a, NodeId b) {
+    auto first = std::lower_bound(members.begin(), members.end(), a);
+    auto last = std::lower_bound(members.begin(), members.end(), b);
+    arc.insert(arc.end(), first, last);
+  };
+  const auto [lo, hi] = space.level_arc(owner, level);
+  if (lo <= hi) {
+    push_range(lo, hi);
+  } else {
+    push_range(lo, static_cast<NodeId>(space.size()));
+    push_range(0, hi);
+  }
+  arc.erase(std::remove(arc.begin(), arc.end(), owner), arc.end());
+  if (arc.empty()) return std::nullopt;
+  return arc[rng.next_below(arc.size())];
+}
+
+// Memberships for one space: empty, every single member, full, and
+// random ones from sparse to dense.
+std::vector<std::vector<NodeId>> rank_memberships(std::uint64_t n, util::Rng& rng) {
+  std::vector<std::vector<NodeId>> out;
+  out.emplace_back();
+  for (NodeId id = 0; id < n; ++id) out.push_back({id});
+  std::vector<NodeId> full(n);
+  for (NodeId id = 0; id < n; ++id) full[id] = id;
+  out.push_back(full);
+  for (int k = 0; k < 12; ++k) {
+    const double density = 0.05 + 0.08 * k;
+    std::vector<NodeId> members;
+    for (NodeId id = 0; id < n; ++id) {
+      if (rng.next_bool(density)) members.push_back(id);
+    }
+    out.push_back(members);
+  }
+  return out;
+}
+
+// Every arc [lo, hi) of a 64-id space: its count, and each of its
+// members by rank.
+TEST(MemberRank, CountsAndIndexesEveryArc) {
+  const IdSpace space(64);
+  util::Rng rng(11);
+  for (const auto& members : rank_memberships(64, rng)) {
+    const MemberRank rank(space, members);
+    for (NodeId lo = 0; lo < 64; ++lo) {
+      for (NodeId hi = 0; hi < 64; ++hi) {
+        // The arc's members, clockwise from lo.
+        std::vector<NodeId> arc;
+        for (NodeId d = 0; d < space.distance(lo, hi); ++d) {
+          const auto id = static_cast<NodeId>((lo + d) % 64);
+          if (std::binary_search(members.begin(), members.end(), id)) arc.push_back(id);
+        }
+        ASSERT_EQ(rank.count(lo, hi), arc.size()) << "arc [" << lo << ", " << hi << ")";
+        for (std::uint64_t r = 0; r < arc.size(); ++r) {
+          ASSERT_EQ(rank.nth(lo, r), arc[r]) << "arc [" << lo << ", " << hi << ") r " << r;
+        }
+      }
+    }
+  }
+}
+
+// Every owner and level of 16-, 64- and 256-id spaces: the rank draw
+// picks what the copy-and-draw loop picks, from the same generator
+// state, and leaves the generator where the loop leaves it.
+TEST(MemberRank, DrawMatchesCopyAndDrawLoop) {
+  util::Rng membership_rng(2029);
+  std::uint64_t picks = 0;
+  for (const std::uint64_t n : {16u, 64u, 256u}) {
+    const IdSpace space(n);
+    for (const auto& members : rank_memberships(n, membership_rng)) {
+      const MemberRank rank(space, members);
+      util::Rng a(n * 7919 + members.size());
+      util::Rng b = a;
+      for (NodeId owner = 0; owner < n; ++owner) {
+        for (unsigned level = 1; level <= space.levels(); ++level) {
+          const auto got = draw_level_peer(space, rank, owner, level, a);
+          const auto want = copy_draw_level_peer(space, members, owner, level, b);
+          ASSERT_EQ(got, want) << "space " << n << " members " << members.size()
+                               << " owner " << owner << " level " << level;
+          ASSERT_EQ(a.next_u64(), b.next_u64())
+              << "space " << n << " owner " << owner << " level " << level;
+          if (got) ++picks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(picks, 0u);
+}
+
+TEST(MemberRank, RejectsMembersOutsideTheSpace) {
+  const IdSpace space(16);
+  EXPECT_THROW(MemberRank(space, {3, 16}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
