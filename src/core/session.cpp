@@ -207,7 +207,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
                                  snapshot.node_count())),
       hardened_(config.harden),
       directory_(space_),
-      rp_(space_, util::Rng(config.seed ^ 0x5250ULL)),
+      rp_(directory_, util::Rng(config.seed ^ 0x5250ULL)),
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
       rounds_(sim_, kSchedulingPeriod,
@@ -263,7 +263,6 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   const std::size_t n = snapshot.node_count();
   nodes_.reserve(n);
   round_handles_.reserve(n);
-  index_of_.assign(space_.size(), kNoIndex);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = rp_.assign_id();
     double inbound = sample_rate(kInboundMin, kInboundMax, /*skewed=*/true);
@@ -276,9 +275,7 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
     auto node = std::make_unique<Node>(id, i, config_, urgent_, space_, inbound,
                                        outbound, snapshot.nodes()[i].ping_ms);
     if (i == 0) node->mark_source();
-    directory_.insert(id);
-    rp_.register_node(id);
-    index_of_[id] = static_cast<std::uint32_t>(i);
+    directory_.insert(id, static_cast<std::uint32_t>(i));
     nodes_.push_back(std::move(node));
   }
 }
@@ -530,23 +527,6 @@ void Session::stop() {
   for (const auto handle : round_handles_) rounds_.remove(handle);
   rounds_.remove(sample_tick_);
   rounds_.remove(churn_tick_);
-}
-
-std::size_t Session::alive_count() const {
-  std::size_t count = 0;
-  for (const auto& node : nodes_) {
-    if (node->alive()) ++count;
-  }
-  return count;
-}
-
-std::optional<std::size_t> Session::index_of(NodeId id) const {
-  const std::uint32_t idx = id < index_of_.size() ? index_of_[id] : kNoIndex;
-  if (idx == kNoIndex) return std::nullopt;
-  // kill_node clears the entry with the liveness bit, so the table is
-  // the alive set: no Node read is needed to answer.
-  assert(nodes_[idx]->alive() && nodes_[idx]->id() == id);
-  return idx;
 }
 
 bool Session::reachable(std::uint32_t to) const {
@@ -1762,8 +1742,6 @@ void Session::kill_node(std::size_t index, bool graceful) {
 
   node.set_alive(false);
   directory_.erase(node.id());
-  rp_.report_failure(node.id());
-  index_of_[node.id()] = kNoIndex;
   rounds_.remove(round_handles_[index]);
 }
 
@@ -1784,21 +1762,17 @@ void Session::do_join() {
   const SimTime now = sim_.now();
   ++stats_.joins;
 
-  // RP bootstrap: probe the closest listed nodes, pick the nearest
-  // alive one as the Peer Table base.
+  // RP bootstrap: probe the closest listed nodes (the list is the
+  // alive set), pick the nearest as the Peer Table base.
   const auto close = rp_.close_nodes(id, kJoinProbeCount);
   std::optional<std::size_t> base;
   double base_latency = 0.0;
   for (const NodeId candidate : close) {
-    const auto cidx = index_of(candidate);
-    // PING + PONG (the probe happens whether or not the peer is alive).
+    const std::size_t cidx = index_of(candidate).value();
+    // PING + PONG.
     network_.charge_only(MessageType::kPing, WireCosts::kSmallPacketBits);
-    if (!cidx.has_value()) {
-      rp_.report_failure(candidate);
-      continue;
-    }
     network_.charge_only(MessageType::kPong, WireCosts::kSmallPacketBits);
-    const double lat = network_.latency().latency_ms(index, *cidx);
+    const double lat = network_.latency().latency_ms(index, cidx);
     if (!base.has_value() || lat < base_latency) {
       base = cidx;
       base_latency = lat;
@@ -1841,9 +1815,7 @@ void Session::do_join() {
     }
   }
 
-  directory_.insert(id);
-  rp_.register_node(id);
-  index_of_[id] = static_cast<std::uint32_t>(index);
+  directory_.insert(id, static_cast<std::uint32_t>(index));
   nodes_.push_back(std::move(node));
 
   round_handles_.push_back(rounds_.add_at(round_phase(rng_), index));

@@ -203,13 +203,20 @@ class Session : private net::DeliveryHost {
   [[nodiscard]] const dht::IdSpace& space() const noexcept { return space_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] std::size_t alive_count() const;
+  [[nodiscard]] std::size_t alive_count() const noexcept { return directory_.size(); }
   [[nodiscard]] Node& node(std::size_t index) { return *nodes_.at(index); }
   [[nodiscard]] const Node& node(std::size_t index) const { return *nodes_.at(index); }
   [[nodiscard]] SegmentId emitted() const noexcept { return emitted_; }
   /// Index of the alive node holding `id`; nullopt when no alive node
   /// does (never issued, departed, or crashed). One table load.
-  [[nodiscard]] std::optional<std::size_t> index_of(NodeId id) const;
+  [[nodiscard]] std::optional<std::size_t> index_of(NodeId id) const {
+    const std::uint32_t idx = directory_.index_of(id);
+    if (idx == dht::RingDirectory::kNoIndex) return std::nullopt;
+    // kill_node erases the id with the liveness bit, so the directory is
+    // the alive set: no Node read is needed to answer.
+    assert(nodes_[idx]->alive() && nodes_[idx]->id() == id);
+    return idx;
+  }
   [[nodiscard]] const dht::RingDirectory& directory() const noexcept { return directory_; }
   /// DHT pre-fetch operations still referenced by a pending hop or
   /// reply (0 once the event queue has drained).
@@ -551,6 +558,10 @@ class Session : private net::DeliveryHost {
   /// Cached config_.harden: hardening consults ride hot scheduling
   /// loops, and the zero-fault path must stay branch-cheap.
   const bool hardened_;
+  /// The one membership record: alive node id -> session index. Written
+  /// only by build_nodes, do_join and kill_node, which erases an id
+  /// together with the node's liveness bit, so it is exactly the alive
+  /// set. The RP lists it and assigns ids around it.
   dht::RingDirectory directory_;
   overlay::RendezvousServer rp_;
   overlay::ChurnPlanner churn_;
@@ -574,13 +585,6 @@ class Session : private net::DeliveryHost {
   /// Source emission: one participant ticking every 1/p seconds.
   sim::RoundScheduler emission_;
   sim::RoundScheduler::Handle emission_tick_;
-  /// Dense id -> session index over the whole id space (4 B per id),
-  /// kNoIndex where no alive node holds the id. Written only by
-  /// build_nodes, do_join and kill_node, which clears an entry together
-  /// with the node's liveness bit, so the table is exactly the alive set.
-  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
-  std::vector<std::uint32_t> index_of_;
-
   /// Fork/join scratch, reused across batches. plans_ is indexed by
   /// batch position (each shard writes a disjoint range); the shard-
   /// indexed buffers merge in shard order after the join: the plan

@@ -1,59 +1,81 @@
 #include "dht/ring_directory.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace continu::dht {
 
-RingDirectory::RingDirectory(const IdSpace& space) : space_(&space) {}
-
-void RingDirectory::insert(NodeId id) {
-  if (static_cast<std::uint64_t>(id) >= space_->size()) {
-    throw std::invalid_argument("RingDirectory: id outside ID space");
-  }
-  if (!members_.insert(id).second) {
-    throw std::invalid_argument("RingDirectory: id already occupied");
-  }
+namespace {
+constexpr auto held = [](std::uint32_t slot) { return slot != RingDirectory::kNoIndex; };
 }
 
-void RingDirectory::erase(NodeId id) { members_.erase(id); }
+RingDirectory::RingDirectory(const IdSpace& space)
+    : space_(&space), index_(space.size(), kNoIndex) {}
 
-bool RingDirectory::contains(NodeId id) const { return members_.count(id) != 0; }
+void RingDirectory::insert(NodeId id, std::uint32_t index) {
+  if (id >= index_.size()) {
+    throw std::invalid_argument("RingDirectory: id outside ID space");
+  }
+  if (index_[id] != kNoIndex) {
+    throw std::invalid_argument("RingDirectory: id already occupied");
+  }
+  if (index == kNoIndex) {
+    throw std::invalid_argument("RingDirectory: index is the free marker");
+  }
+  index_[id] = index;
+  ++size_;
+}
+
+void RingDirectory::erase(NodeId id) {
+  if (!contains(id)) return;
+  index_[id] = kNoIndex;
+  --size_;
+}
+
+NodeId RingDirectory::first_at_or_after(NodeId x) const {
+  assert(size_ != 0 && x < index_.size());
+  auto it = std::find_if(index_.begin() + x, index_.end(), held);
+  if (it == index_.end()) it = std::find_if(index_.begin(), index_.end(), held);
+  return static_cast<NodeId>(it - index_.begin());
+}
+
+NodeId RingDirectory::last_before(NodeId x) const {
+  assert(size_ != 0 && x < index_.size());
+  // Reverse iterators: rbegin() + (N - x) points at x - 1.
+  auto it = std::find_if(index_.rbegin() + (index_.size() - x), index_.rend(), held);
+  if (it == index_.rend()) it = std::find_if(index_.rbegin(), index_.rend(), held);
+  return static_cast<NodeId>(index_.rend() - it - 1);
+}
 
 std::optional<NodeId> RingDirectory::owner_of(NodeId target) const {
-  if (members_.empty()) return std::nullopt;
-  // Counter-clockwise closest: the largest member <= target, wrapping
-  // to the overall largest member when none is <= target.
-  auto it = members_.upper_bound(target);
-  if (it == members_.begin()) {
-    return *members_.rbegin();
-  }
-  --it;
-  return *it;
+  if (empty()) return std::nullopt;
+  // The last member at or before target: the last one before target + 1.
+  const auto next = static_cast<NodeId>((target + 1ULL) % index_.size());
+  return last_before(next);
 }
 
 std::optional<NodeId> RingDirectory::successor_of(NodeId id) const {
-  if (members_.empty()) return std::nullopt;
-  if (members_.size() == 1 && members_.count(id) != 0) return std::nullopt;
-  auto it = members_.upper_bound(id);
-  if (it == members_.end()) it = members_.begin();
-  if (*it == id) return std::nullopt;
-  return *it;
+  if (empty()) return std::nullopt;
+  const NodeId next = first_at_or_after(static_cast<NodeId>((id + 1ULL) % index_.size()));
+  if (next == id) return std::nullopt;
+  return next;
 }
 
 std::optional<NodeId> RingDirectory::predecessor_of(NodeId id) const {
-  if (members_.empty()) return std::nullopt;
-  if (members_.size() == 1 && members_.count(id) != 0) return std::nullopt;
-  auto it = members_.lower_bound(id);
-  if (it == members_.begin()) {
-    const NodeId last = *members_.rbegin();
-    return (last == id) ? std::nullopt : std::optional<NodeId>(last);
-  }
-  --it;
-  return *it;
+  if (empty()) return std::nullopt;
+  const NodeId prev = last_before(id);
+  if (prev == id) return std::nullopt;
+  return prev;
 }
 
 std::vector<NodeId> RingDirectory::members() const {
-  return {members_.begin(), members_.end()};
+  std::vector<NodeId> out;
+  out.reserve(size_);
+  for (std::size_t id = 0; id < index_.size(); ++id) {
+    if (held(index_[id])) out.push_back(static_cast<NodeId>(id));
+  }
+  return out;
 }
 
 }  // namespace continu::dht

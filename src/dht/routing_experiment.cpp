@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-namespace continu::dht {
+#include "dht/member_rank.hpp"
 
-namespace {
-constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
-}
+namespace continu::dht {
 
 RoutingExperiment::RoutingExperiment(const IdSpace& space, std::size_t node_count,
                                      util::Rng& rng, double fill_probability)
@@ -24,54 +21,28 @@ RoutingExperiment::RoutingExperiment(const IdSpace& space, std::size_t node_coun
     ids_.push_back(static_cast<NodeId>(p));
   }
   std::sort(ids_.begin(), ids_.end());
-  index_of_.assign(space.size(), kNoIndex);
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    directory_.insert(ids_[i]);
-    index_of_[ids_[i]] = i;
+    directory_.insert(ids_[i], static_cast<std::uint32_t>(i));
   }
 
-  // Populate peer tables: per level, pick a uniformly random member of
-  // the level arc (if any). The sorted id array makes arc membership a
-  // pair of binary searches.
+  // Populate peer tables: per level, a uniformly random member of the
+  // level arc (if any); the rank table counts and indexes any arc in O(1).
+  const MemberRank rank(space, ids_);
   tables_.reserve(node_count);
-  auto members_in_arc = [&](NodeId lo, NodeId hi) {
-    // Collect member ids in clockwise arc [lo, hi); may wrap.
-    std::vector<NodeId> out;
-    auto push_range = [&](NodeId a, NodeId b) {
-      // [a, b) with a <= b in plain integer order.
-      auto first = std::lower_bound(ids_.begin(), ids_.end(), a);
-      auto last = std::lower_bound(ids_.begin(), ids_.end(), b);
-      out.insert(out.end(), first, last);
-    };
-    if (lo <= hi) {
-      push_range(lo, hi);
-    } else {
-      push_range(lo, static_cast<NodeId>(space_->size()));
-      push_range(0, hi);
-    }
-    return out;
-  };
-
   for (const NodeId id : ids_) {
     PeerTable table(*space_, id);
     for (unsigned level = 1; level <= space_->levels(); ++level) {
       if (fill_probability < 1.0 && !rng.next_bool(fill_probability)) continue;
-      const auto [lo, hi] = space_->level_arc(id, level);
-      auto candidates = members_in_arc(lo, hi);
-      // The owner cannot be its own peer (matters only for tiny rings).
-      candidates.erase(std::remove(candidates.begin(), candidates.end(), id),
-                       candidates.end());
-      if (candidates.empty()) continue;
-      const NodeId pick = candidates[rng.next_below(candidates.size())];
-      table.offer(pick, /*latency_ms=*/1.0, /*now=*/0.0);
+      const auto pick = draw_level_peer(space, rank, id, level, rng);
+      if (pick) table.offer(*pick, /*latency_ms=*/1.0, /*now=*/0.0);
     }
     tables_.push_back(std::move(table));
   }
 }
 
 const PeerTable& RoutingExperiment::table_of(NodeId id) const {
-  const std::size_t idx = index_of_.at(id);
-  if (idx == kNoIndex) {
+  const std::uint32_t idx = directory_.index_of(id);
+  if (idx == RingDirectory::kNoIndex) {
     throw std::invalid_argument("RoutingExperiment: unknown node id");
   }
   return tables_[idx];
@@ -91,7 +62,7 @@ RouteResult RoutingExperiment::route(NodeId start, NodeId target) const {
       result.terminal = current;
       return result;
     }
-    const auto& table = tables_[index_of_[current]];
+    const auto& table = tables_[directory_.index_of(current)];
     const auto next = table.next_hop(target);
     if (!next.has_value()) {
       // Greedy termination: no populated peer is closer. The walk ends

@@ -57,11 +57,10 @@ class RoutingExperiment {
 
  private:
   const IdSpace* space_;
+  // Member id -> position in ids_ (and tables_).
   RingDirectory directory_;
   std::vector<NodeId> ids_;
-  // Peer table per member, indexed by position in ids_.
   std::vector<PeerTable> tables_;
-  std::vector<std::size_t> index_of_;  // NodeId -> position (or npos)
 };
 
 }  // namespace continu::dht

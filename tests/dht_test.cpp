@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dht/backup_store.hpp"
@@ -18,6 +19,7 @@
 #include "dht/peer_table.hpp"
 #include "dht/ring_directory.hpp"
 #include "dht/routing_experiment.hpp"
+#include "overlay/rendezvous.hpp"
 #include "util/rng.hpp"
 
 namespace continu::dht {
@@ -375,9 +377,9 @@ TEST(MemberRank, RejectsMembersOutsideTheSpace) {
 TEST(RingDirectory, InsertEraseContains) {
   const IdSpace space(64);
   RingDirectory dir(space);
-  dir.insert(5);
+  dir.insert(5, 0);
   EXPECT_TRUE(dir.contains(5));
-  EXPECT_THROW(dir.insert(5), std::invalid_argument);
+  EXPECT_THROW(dir.insert(5, 1), std::invalid_argument);
   dir.erase(5);
   EXPECT_FALSE(dir.contains(5));
 }
@@ -385,7 +387,7 @@ TEST(RingDirectory, InsertEraseContains) {
 TEST(RingDirectory, OwnerIsCounterClockwiseClosest) {
   const IdSpace space(64);
   RingDirectory dir(space);
-  for (const NodeId id : {10u, 20u, 40u}) dir.insert(id);
+  for (const NodeId id : {10u, 20u, 40u}) dir.insert(id, id);
   EXPECT_EQ(dir.owner_of(25).value(), 20u);
   EXPECT_EQ(dir.owner_of(20).value(), 20u);  // exact hit owns itself
   EXPECT_EQ(dir.owner_of(5).value(), 40u);   // wraps counter-clockwise
@@ -395,7 +397,7 @@ TEST(RingDirectory, OwnerIsCounterClockwiseClosest) {
 TEST(RingDirectory, SuccessorPredecessor) {
   const IdSpace space(64);
   RingDirectory dir(space);
-  for (const NodeId id : {10u, 20u, 40u}) dir.insert(id);
+  for (const NodeId id : {10u, 20u, 40u}) dir.insert(id, id);
   EXPECT_EQ(dir.successor_of(10).value(), 20u);
   EXPECT_EQ(dir.successor_of(40).value(), 10u);  // wraps
   EXPECT_EQ(dir.predecessor_of(10).value(), 40u);  // wraps
@@ -408,7 +410,7 @@ TEST(RingDirectory, SuccessorPredecessor) {
 TEST(RingDirectory, SingleMemberHasNoNeighbors) {
   const IdSpace space(64);
   RingDirectory dir(space);
-  dir.insert(7);
+  dir.insert(7, 0);
   EXPECT_FALSE(dir.successor_of(7).has_value());
   EXPECT_FALSE(dir.predecessor_of(7).has_value());
   EXPECT_EQ(dir.owner_of(50).value(), 7u);
@@ -419,6 +421,169 @@ TEST(RingDirectory, EmptyDirectory) {
   RingDirectory dir(space);
   EXPECT_FALSE(dir.owner_of(3).has_value());
   EXPECT_TRUE(dir.empty());
+}
+
+TEST(RingDirectory, EraseOfAFreeIdIsANoOp) {
+  const IdSpace space(64);
+  RingDirectory dir(space);
+  dir.insert(9, 3);
+  dir.erase(10);
+  EXPECT_EQ(dir.size(), 1u);
+  EXPECT_EQ(dir.index_of(9), 3u);
+  EXPECT_EQ(dir.index_of(10), RingDirectory::kNoIndex);
+  EXPECT_EQ(dir.index_of(64), RingDirectory::kNoIndex);  // outside the space
+  EXPECT_THROW(dir.insert(64, 0), std::invalid_argument);
+  EXPECT_THROW(dir.insert(11, RingDirectory::kNoIndex), std::invalid_argument);
+}
+
+// The std::set lookups the directory answered with before its table,
+// kept as the reference for the table walks.
+std::optional<NodeId> set_owner_of(const std::set<NodeId>& members, NodeId target) {
+  if (members.empty()) return std::nullopt;
+  auto it = members.upper_bound(target);
+  if (it == members.begin()) return *members.rbegin();
+  return *--it;
+}
+
+std::optional<NodeId> set_successor_of(const std::set<NodeId>& members, NodeId id) {
+  if (members.empty()) return std::nullopt;
+  auto it = members.upper_bound(id);
+  if (it == members.end()) it = members.begin();
+  if (*it == id) return std::nullopt;
+  return *it;
+}
+
+std::optional<NodeId> set_predecessor_of(const std::set<NodeId>& members, NodeId id) {
+  if (members.empty()) return std::nullopt;
+  auto it = members.lower_bound(id);
+  const NodeId prev = it == members.begin() ? *members.rbegin() : *std::prev(it);
+  if (prev == id) return std::nullopt;
+  return prev;
+}
+
+// The walk RendezvousServer::close_nodes made over a copied member
+// vector, kept as the reference for the walk over the directory.
+std::vector<NodeId> vector_close_nodes(const IdSpace& space,
+                                       const std::vector<NodeId>& members,
+                                       NodeId target, std::size_t count) {
+  std::vector<NodeId> out;
+  if (members.empty() || count == 0) return out;
+  auto it = std::lower_bound(members.begin(), members.end(), target);
+  std::size_t right = static_cast<std::size_t>(it - members.begin()) % members.size();
+  std::size_t left = (right + members.size() - 1) % members.size();
+  while (out.size() < std::min(count, members.size())) {
+    const std::uint64_t dr = space.distance(target, members[right]);
+    const std::uint64_t dl = space.distance(members[left], target);
+    if (dr <= dl) {
+      out.push_back(members[right]);
+      right = (right + 1) % members.size();
+    } else {
+      out.push_back(members[left]);
+      left = (left + members.size() - 1) % members.size();
+    }
+    if (out.size() >= members.size()) break;
+  }
+  std::vector<NodeId> unique;
+  for (const NodeId id : out) {
+    if (std::find(unique.begin(), unique.end(), id) == unique.end()) {
+      unique.push_back(id);
+    }
+  }
+  unique.resize(std::min(unique.size(), count));
+  return unique;
+}
+
+// Checks every query of the directory, and the RP's close_nodes walk
+// over it, against the ordered model: every id, every target, and every
+// count up to past the member count.
+void expect_directory_matches_model(const IdSpace& space, const RingDirectory& dir,
+                                    const std::set<NodeId>& members,
+                                    const std::map<NodeId, std::uint32_t>& index,
+                                    const std::string& where) {
+  ASSERT_EQ(dir.size(), members.size()) << where;
+  ASSERT_EQ(dir.empty(), members.empty()) << where;
+  const std::vector<NodeId> sorted(members.begin(), members.end());
+  ASSERT_EQ(dir.members(), sorted) << where;
+  const overlay::RendezvousServer rp(dir, util::Rng(1));
+  for (NodeId id = 0; id < space.size(); ++id) {
+    const auto held = index.find(id);
+    ASSERT_EQ(dir.contains(id), held != index.end()) << where << " id " << id;
+    ASSERT_EQ(dir.index_of(id),
+              held == index.end() ? RingDirectory::kNoIndex : held->second)
+        << where << " id " << id;
+    ASSERT_EQ(dir.owner_of(id), set_owner_of(members, id)) << where << " id " << id;
+    ASSERT_EQ(dir.successor_of(id), set_successor_of(members, id)) << where << " id " << id;
+    ASSERT_EQ(dir.predecessor_of(id), set_predecessor_of(members, id))
+        << where << " id " << id;
+    // The reference for a smaller count is a prefix of this one.
+    const auto all = vector_close_nodes(space, sorted, id, members.size() + 2);
+    for (std::size_t count = 0; count <= members.size() + 2; ++count) {
+      const auto got = rp.close_nodes(id, count);
+      ASSERT_TRUE(got.size() == std::min(count, all.size()) &&
+                  std::equal(got.begin(), got.end(), all.begin()))
+          << where << " target " << id << " count " << count;
+    }
+  }
+}
+
+// Random insert/erase sequences on 16-, 64- and 256-id spaces against a
+// std::set + std::map model, each starting empty. On the 16- and 64-id
+// spaces the sequence fills the space one insert at a time (through the
+// single-member and full cases) and drains it one erase at a time (back
+// to empty); every space then toggles 64 random ids (the 256-id space
+// skips the fill and drain and stays sparse, where its walks scan long
+// gaps: a denser one would cost seconds of close_nodes checks). Every
+// step re-checks every query.
+TEST(RingDirectory, MatchesOrderedModelUnderInsertErase) {
+  util::Rng rng(30);
+  for (const std::uint64_t n : {16u, 64u, 256u}) {
+    const IdSpace space(n);
+    RingDirectory dir(space);
+    std::set<NodeId> members;
+    std::map<NodeId, std::uint32_t> index;
+    std::uint32_t next_index = 0;
+    const auto insert = [&](NodeId id) {
+      dir.insert(id, next_index);
+      members.insert(id);
+      index[id] = next_index++;
+    };
+    const auto erase = [&](NodeId id) {
+      dir.erase(id);
+      members.erase(id);
+      index.erase(id);
+    };
+    std::size_t step = 0;
+    const auto check = [&] {
+      expect_directory_matches_model(space, dir, members, index,
+                                     "space " + std::to_string(n) + " step " +
+                                         std::to_string(step++));
+    };
+    ASSERT_NO_FATAL_FAILURE(check());
+    if (n <= 64) {
+      std::vector<NodeId> order(n);
+      for (NodeId id = 0; id < n; ++id) order[id] = id;
+      rng.shuffle(order);
+      for (const NodeId id : order) {
+        insert(id);
+        ASSERT_NO_FATAL_FAILURE(check());
+      }
+      ASSERT_EQ(dir.size(), n);
+      rng.shuffle(order);
+      for (const NodeId id : order) {
+        erase(id);
+        ASSERT_NO_FATAL_FAILURE(check());
+      }
+    }
+    for (int t = 0; t < 64; ++t) {
+      const auto id = static_cast<NodeId>(rng.next_below(n));
+      if (members.count(id) != 0) {
+        erase(id);
+      } else {
+        insert(id);
+      }
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -501,6 +666,18 @@ TEST(Routing, GreedyProgressMonotone) {
                 space.distance(result.path[i - 1], target));
     }
   }
+}
+
+TEST(Routing, TableOfRejectsUnknownIds) {
+  const IdSpace space(256);
+  util::Rng rng(14);
+  const RoutingExperiment exp(space, 16, rng);
+  const NodeId member = exp.node_ids().front();
+  EXPECT_EQ(exp.table_of(member).owner(), member);
+  NodeId stranger = 0;
+  while (exp.directory().contains(stranger)) ++stranger;
+  EXPECT_THROW((void)exp.table_of(stranger), std::invalid_argument);
+  EXPECT_THROW((void)exp.table_of(256), std::invalid_argument);  // outside the space
 }
 
 TEST(Routing, RouteToOwnIdTerminatesImmediately) {

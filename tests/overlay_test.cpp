@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dht/id_space.hpp"
+#include "dht/ring_directory.hpp"
 #include "overlay/churn.hpp"
 #include "overlay/neighbor_set.hpp"
 #include "overlay/overheard_list.hpp"
@@ -188,40 +189,41 @@ TEST(NeighborSet, IdsListsAll) {
 // RendezvousServer
 // ---------------------------------------------------------------------------
 
+// The RP lists and assigns ids around a directory the test owns; a
+// joined node is an insert, a departed one an erase.
+
 TEST(Rendezvous, AssignsUniqueIds) {
   const dht::IdSpace space(256);
-  RendezvousServer rp(space, util::Rng(1));
-  std::set<NodeId> ids;
-  for (int i = 0; i < 200; ++i) {
-    ids.insert(rp.assign_id());
-  }
-  EXPECT_EQ(ids.size(), 200u);
-  for (const auto id : ids) EXPECT_LT(id, 256u);
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(1));
+  for (std::uint32_t i = 0; i < 200; ++i) dir.insert(rp.assign_id(), i);
+  EXPECT_EQ(dir.size(), 200u);
+  for (const auto id : dir.members()) EXPECT_LT(id, 256u);
 }
 
 TEST(Rendezvous, ExhaustionThrows) {
   const dht::IdSpace space(4);
-  RendezvousServer rp(space, util::Rng(2));
-  for (int i = 0; i < 4; ++i) (void)rp.assign_id();
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(2));
+  for (std::uint32_t i = 0; i < 4; ++i) dir.insert(rp.assign_id(), i);
   EXPECT_THROW((void)rp.assign_id(), std::runtime_error);
 }
 
 TEST(Rendezvous, FailureFreesIdForReuse) {
   const dht::IdSpace space(4);
-  RendezvousServer rp(space, util::Rng(3));
-  std::set<NodeId> ids;
-  for (int i = 0; i < 4; ++i) ids.insert(rp.assign_id());
-  const NodeId victim = *ids.begin();
-  rp.report_failure(victim);
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(3));
+  for (std::uint32_t i = 0; i < 4; ++i) dir.insert(rp.assign_id(), i);
+  const NodeId victim = dir.members().front();
+  dir.erase(victim);
   EXPECT_EQ(rp.assign_id(), victim);
 }
 
 TEST(Rendezvous, CloseNodesAreRingClosest) {
   const dht::IdSpace space(256);
-  RendezvousServer rp(space, util::Rng(4));
-  for (const NodeId id : {10u, 50u, 100u, 200u}) {
-    rp.register_node(id);
-  }
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(4));
+  for (const NodeId id : {10u, 50u, 100u, 200u}) dir.insert(id, id);
   const auto close = rp.close_nodes(55, 2);
   ASSERT_EQ(close.size(), 2u);
   EXPECT_EQ(close[0], 50u);
@@ -230,94 +232,32 @@ TEST(Rendezvous, CloseNodesAreRingClosest) {
 
 TEST(Rendezvous, CloseNodesWrapAroundRing) {
   const dht::IdSpace space(256);
-  RendezvousServer rp(space, util::Rng(5));
-  rp.register_node(250);
-  rp.register_node(5);
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(5));
+  dir.insert(250, 0);
+  dir.insert(5, 1);
   const auto close = rp.close_nodes(1, 2);
   ASSERT_EQ(close.size(), 2u);
   EXPECT_TRUE((close[0] == 250 && close[1] == 5) || (close[0] == 5 && close[1] == 250));
 }
 
-// The walk close_nodes made over a copied member vector, kept as the
-// reference for the in-place walk over the ordered set.
-std::vector<NodeId> vector_close_nodes(const dht::IdSpace& space,
-                                       const std::vector<NodeId>& members,
-                                       NodeId target, std::size_t count) {
-  std::vector<NodeId> out;
-  if (members.empty() || count == 0) return out;
-  auto it = std::lower_bound(members.begin(), members.end(), target);
-  std::size_t right = static_cast<std::size_t>(it - members.begin()) % members.size();
-  std::size_t left = (right + members.size() - 1) % members.size();
-  while (out.size() < std::min(count, members.size())) {
-    const std::uint64_t dr = space.distance(target, members[right]);
-    const std::uint64_t dl = space.distance(members[left], target);
-    if (dr <= dl) {
-      out.push_back(members[right]);
-      right = (right + 1) % members.size();
-    } else {
-      out.push_back(members[left]);
-      left = (left + members.size() - 1) % members.size();
-    }
-    if (out.size() >= members.size()) break;
-  }
-  std::vector<NodeId> unique;
-  for (const NodeId id : out) {
-    if (std::find(unique.begin(), unique.end(), id) == unique.end()) {
-      unique.push_back(id);
-    }
-  }
-  unique.resize(std::min(unique.size(), count));
-  return unique;
-}
-
-// Random rings of 1 to 40 members on a 256-id space, every target (so
-// the walk wraps at both ends), and counts up to past the member count.
-TEST(Rendezvous, CloseNodesMatchesVectorWalk) {
-  const dht::IdSpace space(256);
-  util::Rng rng(77);
-  for (int ring = 0; ring < 60; ++ring) {
-    RendezvousServer rp(space, util::Rng(ring));
-    std::set<NodeId> members;
-    const std::size_t size = 1 + rng.next_below(40);
-    while (members.size() < size) {
-      const auto id = static_cast<NodeId>(rng.next_below(256));
-      if (members.insert(id).second) rp.register_node(id);
-    }
-    const std::vector<NodeId> sorted(members.begin(), members.end());
-    for (NodeId target = 0; target < 256; ++target) {
-      for (std::size_t count = 0; count <= size + 2; ++count) {
-        ASSERT_EQ(rp.close_nodes(target, count),
-                  vector_close_nodes(space, sorted, target, count))
-            << "ring " << ring << " target " << target << " count " << count;
-      }
-    }
-  }
-}
-
 TEST(Rendezvous, CloseNodesOnEmptyList) {
   const dht::IdSpace space(256);
-  RendezvousServer rp(space, util::Rng(6));
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(6));
   EXPECT_TRUE(rp.close_nodes(10, 3).empty());
 }
 
-TEST(Rendezvous, PartialListCapacityEnforced) {
-  const dht::IdSpace space(1024);
-  RendezvousServer rp(space, util::Rng(7));
-  rp.set_capacity(10);
-  for (int i = 0; i < 50; ++i) {
-    rp.register_node(rp.assign_id());
-  }
-  EXPECT_LE(rp.known_count(), 10u);
-}
-
-TEST(Rendezvous, ReportFailureRemovesFromList) {
+TEST(Rendezvous, ErasedNodeLeavesTheList) {
   const dht::IdSpace space(256);
-  RendezvousServer rp(space, util::Rng(8));
+  dht::RingDirectory dir(space);
+  RendezvousServer rp(dir, util::Rng(8));
   const NodeId id = rp.assign_id();
-  rp.register_node(id);
-  EXPECT_TRUE(rp.knows(id));
-  rp.report_failure(id);
-  EXPECT_FALSE(rp.knows(id));
+  dir.insert(id, 0);
+  EXPECT_EQ(rp.close_nodes(id, 1), std::vector<NodeId>{id});
+  dir.erase(id);
+  EXPECT_FALSE(dir.contains(id));
+  EXPECT_TRUE(rp.close_nodes(id, 1).empty());
 }
 
 // ---------------------------------------------------------------------------
