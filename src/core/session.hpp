@@ -326,7 +326,7 @@ class Session : private net::DeliveryHost {
     if (--prefetch_ops_[op].refs == 0) free_prefetch_ops_.push_back(op);
   }
 
-  // --- construction -----------------------------------------------------
+  // --- construction (session.cpp) ----------------------------------------
   void build_nodes(const trace::TraceSnapshot& snapshot);
   void assign_initial_neighbors(const trace::TraceSnapshot& snapshot);
   void populate_initial_dht();
@@ -334,7 +334,7 @@ class Session : private net::DeliveryHost {
   [[nodiscard]] double sample_rate(double lo, double hi, bool skewed);
   [[nodiscard]] double sample_ping();
 
-  // --- per-round behaviour ------------------------------------------------
+  // --- per-round behaviour (session_round.cpp) ---------------------------
   //
   // A node round is split into four phases at the RoundScheduler batch
   // boundary (all ticks due at one instant):
@@ -370,7 +370,6 @@ class Session : private net::DeliveryHost {
   // (repair runs serially afterwards), other nodes' buffer windows
   // (mutated only by delivery events) and started() flags (playback
   // starts are deferred to the join precisely so these stay frozen).
-  void on_source_emit();
   /// RoundScheduler batch callback: each user is a node index or a
   /// reserved tag.
   void on_round_batch(const std::vector<std::size_t>& users);
@@ -416,7 +415,6 @@ class Session : private net::DeliveryHost {
   /// unused when tracing is off.
   void round_prepare_local(std::size_t index, SessionStats& stats,
                            PrepareShard& shard, std::size_t obs_shard);
-  void round_prepare_link(std::size_t index);
   /// Settles one shard's deferred prepare records: rate decays, then
   /// playback starts (record order), then the bulk wire charges.
   void apply_prepare_shard(PrepareShard& shard);
@@ -426,7 +424,6 @@ class Session : private net::DeliveryHost {
                   std::vector<sim::EventAction>& deferred);
   void round_commit(std::size_t index, RoundPlan& plan);
 
-  void repair_neighbors(Node& node);
   void do_playback(Node& node);
   /// Read-only startup decision (forked): returns the anchor segment
   /// when the node should start playback this round. The start itself
@@ -440,23 +437,13 @@ class Session : private net::DeliveryHost {
   /// nothing is schedulable; `seen` reports candidates considered.
   [[nodiscard]] bool plan_scheduling(const Node& node, double budget_fraction,
                                      ScheduleResult& out, std::uint64_t& seen) const;
-  void commit_scheduling(Node& node, const ScheduleResult& result);
-  /// Fused plan+commit, for the mid-round top-up retry (event context).
-  void run_scheduling(Node& node, double budget_fraction = 1.0);
-  /// Read-only prefetch target selection; `planned` is this round's
-  /// scheduling plan (its bookings are not yet in transfer_pending).
-  [[nodiscard]] PrefetchPlan plan_prefetch(const Node& node,
-                                           const ScheduleResult* planned) const;
-  void refresh_dht_peers(Node& node);
   /// Draws a round phase and returns the ABSOLUTE first-tick instant:
   /// the next occurrence of the drawn bucket's grid time (joiners merge
   /// bit-exactly into an existing cohort's batch). The phase is one of
-  /// kRoundPhaseBuckets (session.cpp) evenly spaced buckets.
+  /// kRoundPhaseBuckets (session_round.cpp) evenly spaced buckets.
   [[nodiscard]] SimTime round_phase(util::Rng& rng) const;
-  /// GridMedia-style relay: push a freshly received segment onward.
-  void push_relay(Node& node, SegmentId id);
 
-  // --- transfers -----------------------------------------------------------
+  // --- transfers (session_transfer.cpp) ----------------------------------
   //
   // The transfer-plane handlers run through the network's sharded
   // delivery path: in quantized mode they may execute on a worker
@@ -466,6 +453,11 @@ class Session : private net::DeliveryHost {
   // continuous mode the context is immediate and they execute exactly
   // as the serial forms did. The DHT/prefetch chain and churn handover
   // stay on the serial send path.
+  void on_source_emit();
+  /// Fused plan+commit, for the mid-round top-up retry (event context).
+  void run_scheduling(Node& node, double budget_fraction = 1.0);
+  /// Books a round's assignments and sends one pull request per supplier.
+  void commit_scheduling(Node& node, const ScheduleResult& result);
   void handle_segment_request(std::size_t supplier, std::size_t requester,
                               IdList request, net::DeliveryContext& ctx);
   /// Books the supplier's uplink inline (supplier-own state) and
@@ -478,17 +470,29 @@ class Session : private net::DeliveryHost {
   void deliver_segment(std::size_t receiver, SegmentId id, TransferKind kind,
                        NodeId supplier, double transfer_duration,
                        net::DeliveryContext& ctx);
+  /// GridMedia-style relay: push a freshly received segment onward.
+  void push_relay(Node& node, SegmentId id);
+  void handle_prefetch_request(std::size_t owner, std::size_t origin, SegmentId segment);
 
-  // --- DHT / prefetch -------------------------------------------------------
+  // --- DHT / prefetch (session_dht.cpp) ----------------------------------
+  /// Read-only prefetch target selection; `planned` is this round's
+  /// scheduling plan (its bookings are not yet in transfer_pending).
+  [[nodiscard]] PrefetchPlan plan_prefetch(const Node& node,
+                                           const ScheduleResult* planned) const;
+  void refresh_dht_peers(Node& node);
   void launch_prefetch(std::size_t origin, SegmentId segment);
   void route_hop(std::size_t current, NodeId target, std::size_t origin,
                  PrefetchRef op, unsigned hops);
   void finish_locate(std::size_t terminal, PrefetchRef op);
   void on_prefetch_reply(PrefetchOp& op, std::size_t owner, bool has_segment,
                          double rate);
-  void handle_prefetch_request(std::size_t owner, std::size_t origin, SegmentId segment);
 
-  // --- churn / faults -----------------------------------------------------
+  // --- membership (session_membership.cpp) -------------------------------
+  /// Installs the reciprocal partnership a <-> b (an undirected edge).
+  static void link_partners(Node& a, Node& b, double latency_ms, SimTime now);
+  /// Session indices of the alive nodes other than the source, ascending.
+  [[nodiscard]] std::vector<std::size_t> alive_peers() const;
+  void repair_neighbors(Node& node);
   void on_churn_tick();
   void kill_node(std::size_t index, bool graceful);
   void do_join();
@@ -501,10 +505,10 @@ class Session : private net::DeliveryHost {
   /// between churn ticks and crash-stop events).
   void drop_transfers_from_dead(const std::vector<NodeId>& dead_ids);
 
-  // --- metrics -----------------------------------------------------------
+  // --- metrics (session_sample.cpp) --------------------------------------
   void on_sample_tick();
 
-  // --- observability -------------------------------------------------------
+  // --- observability (session.cpp) ---------------------------------------
   /// Serially grows the obs layer's per-shard structures (trace rings,
   /// counter lanes) before a fork whose workers will record. No-op
   /// when the corresponding pillar is off.
@@ -519,14 +523,23 @@ class Session : private net::DeliveryHost {
   // net::DeliveryHost: a forked delivery bucket writes per-shard stats,
   // reduced in shard order at the join — the same deferred-merge
   // contract the round phases use.
-  [[nodiscard]] bool reachable(std::uint32_t to) const override;
+  // reachable() runs before every filtered delivery; its body stays in
+  // the header so each file that sends can inline it.
+  [[nodiscard]] bool reachable(std::uint32_t to) const override {
+    return to < nodes_.size() && nodes_[to]->alive();
+  }
   void before_fork(std::size_t shards) override;
   void after_join(std::size_t shards) override;
   /// The stats a delivery handler writes: its shard's scratch when
   /// forked, stats_ itself in immediate mode.
-  [[nodiscard]] SessionStats& delivery_stats(const net::DeliveryContext& ctx);
-  [[nodiscard]] bool in_time(const Node& node, SegmentId id, SimTime now) const;
-  void store_backup_if_responsible(Node& node, SegmentId id);
+  [[nodiscard]] SessionStats& delivery_stats(const net::DeliveryContext& ctx) {
+    return ctx.parallel() ? delivery_shard_stats_[ctx.shard()] : stats_;
+  }
+
+  /// Per-node sweep items per fork/join shard (churn sweep, sample tick).
+  /// Fixed, like kPlanGrain: the shard structure, and so every merge
+  /// order, must not depend on the thread count.
+  static constexpr std::size_t kSweepGrain = 256;
 
   SystemConfig config_;
   dht::IdSpace space_;

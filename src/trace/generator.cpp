@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace continu::trace {
@@ -82,16 +81,17 @@ TraceSnapshot generate_snapshot(const GeneratorConfig& config) {
   }
   rng.shuffle(stubs);
 
-  std::set<TraceEdge> edge_set;
+  std::vector<TraceEdge> edges;
+  edges.reserve(stubs.size() / 2);
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     std::uint32_t a = stubs[i];
     std::uint32_t b = stubs[i + 1];
     if (a == b) continue;
     if (a > b) std::swap(a, b);
-    edge_set.insert({a, b});
+    edges.emplace_back(a, b);
   }
-
-  std::vector<TraceEdge> edges(edge_set.begin(), edge_set.end());
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return TraceSnapshot(std::move(nodes), std::move(edges));
 }
 

@@ -293,6 +293,57 @@ TEST(ObsSession, FingerprintIdenticalObsOnVsObsOffAcrossThreads) {
   EXPECT_FALSE(first_obs->counter_values.empty());
 }
 
+TEST(ObsSession, MirroredCounterNamesInOrder) {
+  // The session.*, engine.* and net.* mirrors of obs_report, in order, on
+  // the exact engine: a dropped or reordered SessionStats field shows here.
+  const std::vector<std::string> expected = {
+      "session.segments_emitted",
+      "session.segments_delivered",
+      "session.duplicate_deliveries",
+      "session.requests_sent",
+      "session.segments_booked",
+      "session.segments_refused",
+      "session.candidates_seen",
+      "session.candidates_unassigned",
+      "session.prefetch_launched",
+      "session.prefetch_succeeded",
+      "session.prefetch_no_replica",
+      "session.prefetch_suppressed",
+      "session.segments_pushed",
+      "session.dht_route_messages",
+      "session.dht_route_failures",
+      "session.joins",
+      "session.graceful_leaves",
+      "session.abrupt_leaves",
+      "session.neighbor_replacements",
+      "session.transfer_timeouts",
+      "session.mixed_batch_fallbacks",
+      "session.deliveries_dropped",
+      "session.deliveries_lost",
+      "session.deliveries_partitioned",
+      "session.fault_crashes",
+      "session.retry_backoffs",
+      "session.suppliers_blacklisted",
+      "session.stall_episodes",
+      "session.stall_rounds",
+      "session.alive_at_end",
+      "engine.events_executed",
+      "engine.peak_queue_depth",
+      "net.delivery_batches",
+      "net.batched_deliveries",
+  };
+  const auto run = runner::ExperimentRunner::run_one(small_quantized_spec(true, 1));
+  ASSERT_TRUE(run.obs);
+  std::vector<std::string> mirrored;
+  for (const auto& [name, value] : run.obs->counter_values) {
+    if (name.rfind("session.", 0) == 0 || name.rfind("engine.", 0) == 0 ||
+        name.rfind("net.", 0) == 0) {
+      mirrored.push_back(name);
+    }
+  }
+  EXPECT_EQ(mirrored, expected);
+}
+
 TEST(ObsSession, WindowedCountersAreThreadInvariant) {
   // The windowed engine's window counters are part of the counter
   // snapshot, so they must not move with the thread count either.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "analysis/continuity_model.hpp"
@@ -27,6 +28,80 @@ SystemConfig small_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
   return config;
+}
+
+// Writes each SessionStats field by name: the k-th declared field gets
+// scale * k. Adding a field breaks the static_assert until it is named here.
+void fill_stats(SessionStats& s, std::uint64_t scale) {
+  static_assert(sizeof(SessionStats) == 29 * sizeof(std::uint64_t));
+  s.segments_emitted = scale * 1;
+  s.segments_delivered = scale * 2;
+  s.duplicate_deliveries = scale * 3;
+  s.requests_sent = scale * 4;
+  s.segments_booked = scale * 5;
+  s.segments_refused = scale * 6;
+  s.candidates_seen = scale * 7;
+  s.candidates_unassigned = scale * 8;
+  s.prefetch_launched = scale * 9;
+  s.prefetch_succeeded = scale * 10;
+  s.prefetch_no_replica = scale * 11;
+  s.prefetch_suppressed = scale * 12;
+  s.segments_pushed = scale * 13;
+  s.dht_route_messages = scale * 14;
+  s.dht_route_failures = scale * 15;
+  s.joins = scale * 16;
+  s.graceful_leaves = scale * 17;
+  s.abrupt_leaves = scale * 18;
+  s.neighbor_replacements = scale * 19;
+  s.transfer_timeouts = scale * 20;
+  s.mixed_batch_fallbacks = scale * 21;
+  s.deliveries_dropped = scale * 22;
+  s.deliveries_lost = scale * 23;
+  s.deliveries_partitioned = scale * 24;
+  s.fault_crashes = scale * 25;
+  s.retry_backoffs = scale * 26;
+  s.suppliers_blacklisted = scale * 27;
+  s.stall_episodes = scale * 28;
+  s.stall_rounds = scale * 29;
+}
+
+TEST(Session, StatsSumAddsEveryFieldByName) {
+  SessionStats lhs;
+  SessionStats rhs;
+  fill_stats(lhs, 1);
+  fill_stats(rhs, 100);
+  const SessionStats sum = lhs + rhs;
+  EXPECT_EQ(sum.segments_emitted, 101u * 1);
+  EXPECT_EQ(sum.segments_delivered, 101u * 2);
+  EXPECT_EQ(sum.duplicate_deliveries, 101u * 3);
+  EXPECT_EQ(sum.requests_sent, 101u * 4);
+  EXPECT_EQ(sum.segments_booked, 101u * 5);
+  EXPECT_EQ(sum.segments_refused, 101u * 6);
+  EXPECT_EQ(sum.candidates_seen, 101u * 7);
+  EXPECT_EQ(sum.candidates_unassigned, 101u * 8);
+  EXPECT_EQ(sum.prefetch_launched, 101u * 9);
+  EXPECT_EQ(sum.prefetch_succeeded, 101u * 10);
+  EXPECT_EQ(sum.prefetch_no_replica, 101u * 11);
+  EXPECT_EQ(sum.prefetch_suppressed, 101u * 12);
+  EXPECT_EQ(sum.segments_pushed, 101u * 13);
+  EXPECT_EQ(sum.dht_route_messages, 101u * 14);
+  EXPECT_EQ(sum.dht_route_failures, 101u * 15);
+  EXPECT_EQ(sum.joins, 101u * 16);
+  EXPECT_EQ(sum.graceful_leaves, 101u * 17);
+  EXPECT_EQ(sum.abrupt_leaves, 101u * 18);
+  EXPECT_EQ(sum.neighbor_replacements, 101u * 19);
+  EXPECT_EQ(sum.transfer_timeouts, 101u * 20);
+  EXPECT_EQ(sum.mixed_batch_fallbacks, 101u * 21);
+  EXPECT_EQ(sum.deliveries_dropped, 101u * 22);
+  EXPECT_EQ(sum.deliveries_lost, 101u * 23);
+  EXPECT_EQ(sum.deliveries_partitioned, 101u * 24);
+  EXPECT_EQ(sum.fault_crashes, 101u * 25);
+  EXPECT_EQ(sum.retry_backoffs, 101u * 26);
+  EXPECT_EQ(sum.suppliers_blacklisted, 101u * 27);
+  EXPECT_EQ(sum.stall_episodes, 101u * 28);
+  EXPECT_EQ(sum.stall_rounds, 101u * 29);
+  lhs += rhs;
+  EXPECT_EQ(std::memcmp(&lhs, &sum, sizeof sum), 0);
 }
 
 TEST(Session, FitIdSpaceKeepsOccupancyLow) {

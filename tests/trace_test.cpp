@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -181,6 +182,61 @@ TEST(Generator, CorpusSizesSpanRange) {
 TEST(Generator, CorpusRejectsBadArguments) {
   EXPECT_THROW(generate_corpus(0, 100, 1000, 1), std::invalid_argument);
   EXPECT_THROW(generate_corpus(5, 1000, 100, 1), std::invalid_argument);
+}
+
+// generate_snapshot's edge list as the std::set loop built it: the same
+// draws, then each stub pair inserted into an ordered set.
+std::vector<TraceEdge> set_based_edges(const GeneratorConfig& config) {
+  util::Rng rng(config.seed);
+  const std::size_t n = config.node_count;
+  for (std::size_t i = 0; i < n; ++i) {  // per node: ipv4, class, ping, speed
+    (void)rng.next_int(1, 223);
+    (void)rng.next_int(0, 255);
+    (void)rng.next_int(0, 255);
+    (void)rng.next_int(1, 254);
+    const bool broadband = rng.next_bool(config.broadband_fraction);
+    (void)rng.next_exponential(broadband ? 1.0 / 20.0 : 1.0 / 50.0);
+    (void)(broadband ? rng.next_int(3, 6) : rng.next_int(0, 2));
+  }
+  const double avg_degree = std::clamp(config.average_degree, 0.0, 3.5);
+  std::vector<double> raw(n);
+  double raw_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    raw[i] = rng.next_pareto(1.0, config.degree_pareto_shape);
+    raw_sum += raw[i];
+  }
+  const double target_stubs = avg_degree * static_cast<double>(n);
+  std::vector<std::uint32_t> stubs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double share = raw[i] / raw_sum * target_stubs;
+    const auto count = static_cast<std::size_t>(share + rng.next_double());
+    stubs.insert(stubs.end(), count, static_cast<std::uint32_t>(i));
+  }
+  rng.shuffle(stubs);
+  std::set<TraceEdge> edge_set;
+  for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
+    std::uint32_t a = stubs[i];
+    std::uint32_t b = stubs[i + 1];
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    edge_set.insert({a, b});
+  }
+  return {edge_set.begin(), edge_set.end()};
+}
+
+TEST(Generator, EdgesMatchSetBasedConstruction) {
+  for (const std::size_t nodes : {2u, 3u, 17u, 500u, 4000u}) {
+    for (const std::uint64_t seed : {1u, 7u, 42u, 90210u}) {
+      for (const double degree : {0.8, 2.5, 3.5}) {
+        GeneratorConfig config;
+        config.node_count = nodes;
+        config.seed = seed;
+        config.average_degree = degree;
+        EXPECT_EQ(generate_snapshot(config).edges(), set_based_edges(config))
+            << nodes << " nodes, seed " << seed << ", degree " << degree;
+      }
+    }
+  }
 }
 
 TEST(Topology, EveryNodeReachesMinDegree) {
